@@ -36,20 +36,6 @@ let record_scaling ~bench ~jobs ~wall_seconds ~speedup =
   scalings :=
     { bench; jobs; scaling_wall_seconds = wall_seconds; speedup } :: !scalings
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write ~path =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
@@ -66,7 +52,8 @@ let write ~path =
         (Printf.sprintf
            "    {\"name\": \"%s\", \"wall_seconds\": %.4f, \"n_estimates\": \
             %d, \"n_simulations\": %d}%s\n"
-           (escape e.name) e.wall_seconds e.n_estimates e.n_simulations
+           (Mx_util.Json.escape e.name)
+           e.wall_seconds e.n_estimates e.n_simulations
            (if i = List.length exps - 1 then "" else ",")))
     exps;
   Buffer.add_string b "  ],\n";
@@ -86,7 +73,7 @@ let write ~path =
     (fun i (s : stat) ->
       Buffer.add_string b
         (Printf.sprintf "    {\"name\": \"%s\", \"value\": %.6f}%s\n"
-           (escape s.stat_name) s.value
+           (Mx_util.Json.escape s.stat_name) s.value
            (if i = List.length sts - 1 then "" else ",")))
     sts;
   Buffer.add_string b "  ],\n";
@@ -98,7 +85,8 @@ let write ~path =
         (Printf.sprintf
            "    {\"bench\": \"%s\", \"jobs\": %d, \"wall_seconds\": %.4f, \
             \"speedup\": %.3f}%s\n"
-           (escape s.bench) s.jobs s.scaling_wall_seconds s.speedup
+           (Mx_util.Json.escape s.bench)
+           s.jobs s.scaling_wall_seconds s.speedup
            (if i = List.length scs - 1 then "" else ",")))
     scs;
   Buffer.add_string b "  ]\n";

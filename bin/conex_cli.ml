@@ -124,7 +124,8 @@ let cache_dir_arg =
   Arg.(
     value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-let persist_begin cache_dir =
+let tiers_begin ~cache_size cache_dir =
+  Mx_sim.Eval.set_cache_capacity cache_size;
   Option.iter
     (fun dir ->
       match Mx_sim.Eval.open_persist ~dir with
@@ -134,16 +135,15 @@ let persist_begin cache_dir =
 
 (* the one-line summary is load-bearing for tests and CI: "disk hits >
    0 on the second run" greps for it *)
-let persist_end cache_dir =
+let tiers_end oc cache_dir =
   Option.iter
     (fun dir ->
-      (match Mx_sim.Eval.persist_stats () with
-      | Some s ->
-        Printf.printf
-          "persistent cache: %d disk hits, %d writes, %d recovered (dir %s)\n"
-          s.Mx_util.Persist_cache.get_hits s.Mx_util.Persist_cache.appended
-          s.Mx_util.Persist_cache.recovered dir
-      | None -> ());
+      Option.iter
+        (fun (s : Mx_util.Persist_cache.stats) ->
+          Printf.fprintf oc
+            "persistent cache: %d disk hits, %d writes, %d recovered (dir %s)\n"
+            s.get_hits s.appended s.recovered dir)
+        (Mx_sim.Eval.persist_stats ());
       Mx_sim.Eval.close_persist ())
     cache_dir
 
@@ -156,8 +156,10 @@ let shards_arg =
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
-let config_of_reduced ?(shards = 1) reduced jobs =
-  if shards <= 0 then die_usage "--shards must be positive (got %d)" shards;
+let check_shards shards =
+  if shards <= 0 then die_usage "--shards must be positive (got %d)" shards
+
+let config_of_reduced ~shards reduced jobs =
   let base =
     if reduced then Conex.Explore.reduced_config
     else Conex.Explore.default_config
@@ -231,30 +233,6 @@ let run_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "run-dir" ] ~docv:"DIR" ~doc)
 
-(* The snapshot and the manifest both read the eval.cache counters and
-   the task-pool busy histograms from the ambient registry, so any
-   telemetry sink implies metrics collection (without forcing the
-   --metrics report; runs after [metrics_begin], which resets). *)
-let status_begin status_out status_interval stall_after run_dir =
-  if status_interval <= 0.0 then
-    die_usage "--status-interval must be positive (got %g)" status_interval;
-  if stall_after <= 0.0 then
-    die_usage "--stall-after must be positive (got %g)" stall_after;
-  if status_out <> None || run_dir <> None then begin
-    let m = Mx_util.Metrics.global in
-    if not (Mx_util.Metrics.is_on m) then begin
-      Mx_util.Metrics.reset m;
-      Mx_util.Metrics.set_enabled m true
-    end
-  end;
-  Option.iter
-    (fun path ->
-      Mx_util.Snapshot.start ~interval:status_interval ~stall_after ~path ())
-    status_out
-
-let status_end status_out =
-  if status_out <> None then Mx_util.Snapshot.finish ()
-
 let ledger_record run_dir ~kind ~config_kv ~sched_kv result =
   Option.iter
     (fun dir ->
@@ -275,90 +253,144 @@ let validate_out_path = function
       close_out oc
     with Sys_error msg -> die_usage "cannot write to output path: %s" msg)
 
-(* Enable (and clear) the ambient registry before the run when any
-   metrics sink was requested.  The Chrome exporter is built from the
-   metrics span forest, so --chrome-out implies collection too. *)
-let metrics_begin metrics trace_out chrome_out =
-  if metrics <> None || trace_out <> None || chrome_out <> None then begin
-    Mx_util.Metrics.reset Mx_util.Metrics.global;
-    Mx_util.Metrics.set_enabled Mx_util.Metrics.global true
-  end
+let write_out ~what path contents =
+  try Out_channel.with_open_text path (fun oc -> output_string oc contents)
+  with Sys_error msg -> die_io "cannot write %s: %s" what msg
 
-let events_begin events_out chrome_out =
-  if events_out <> None || chrome_out <> None then begin
+(* -- the option group of explore and strategies -------------------------- *)
+
+type run_opts = {
+  jobs : int;
+  shards : int;
+  cache_size : int;
+  cache_dir : string option;
+  metrics : [ `Text | `Json ] option;
+  trace_out : string option;
+  events_out : string option;
+  chrome_out : string option;
+  status_out : string option;
+  status_interval : float;
+  stall_after : float;
+}
+
+(* Validated as the command line is read, before the command builds its
+   workload: every check here is cheap. *)
+let run_opts_term =
+  let make jobs shards cache_size cache_dir metrics trace_out events_out
+      chrome_out status_out status_interval stall_after =
+    check_shards shards;
+    if status_interval <= 0.0 then
+      die_usage "--status-interval must be positive (got %g)" status_interval;
+    if stall_after <= 0.0 then
+      die_usage "--stall-after must be positive (got %g)" stall_after;
+    List.iter validate_out_path
+      [ trace_out; events_out; chrome_out; status_out ];
+    {
+      jobs = max 1 jobs;
+      shards;
+      cache_size;
+      cache_dir;
+      metrics;
+      trace_out;
+      events_out;
+      chrome_out;
+      status_out;
+      status_interval;
+      stall_after;
+    }
+  in
+  Term.(
+    const make $ jobs_arg $ shards_arg $ cache_size_arg $ cache_dir_arg
+    $ metrics_arg $ trace_out_arg $ events_out_arg $ chrome_out_arg
+    $ status_out_arg $ status_interval_arg $ stall_after_arg)
+
+(* The Chrome exporter is built from the metrics span forest, so
+   --chrome-out implies metrics collection too. *)
+let metrics_wanted o =
+  o.metrics <> None || o.trace_out <> None || o.chrome_out <> None
+
+let events_wanted o = o.events_out <> None || o.chrome_out <> None
+
+let events_end o =
+  let log = Mx_util.Event_log.global in
+  Mx_util.Event_log.set_enabled log false;
+  Option.iter
+    (fun path ->
+      write_out ~what:"events" path (Mx_util.Event_log.to_jsonl log);
+      Printf.printf "%d events written to %s%s\n"
+        (Mx_util.Event_log.length log)
+        path
+        (match Mx_util.Event_log.dropped log with
+        | 0 -> ""
+        | n -> Printf.sprintf " (%d oldest dropped by the ring bound)" n))
+    o.events_out;
+  Option.iter
+    (fun path ->
+      let snapshot = Mx_util.Metrics.snapshot Mx_util.Metrics.global in
+      write_out ~what:"chrome trace" path
+        (Mx_util.Event_log.to_chrome_trace ~snapshot
+           (Mx_util.Event_log.events log));
+      Printf.printf "chrome trace written to %s\n" path)
+    o.chrome_out
+
+let metrics_end o =
+  let m = Mx_util.Metrics.global in
+  Mx_sim.Cycle_sim.record_utilization_gauges ();
+  Option.iter
+    (fun path ->
+      write_out ~what:"metrics trace" path (Mx_util.Metrics.to_json m);
+      Printf.printf "metrics trace written to %s\n" path)
+    o.trace_out;
+  match o.metrics with
+  | Some `Text ->
+    print_newline ();
+    print_string (Mx_util.Metrics.to_text m);
+    let hits = Mx_util.Metrics.counter_value m "eval.cache.hits" in
+    let misses = Mx_util.Metrics.counter_value m "eval.cache.misses" in
+    let total = hits + misses in
+    Printf.printf "eval.cache: %d hits, %d misses (%.1f%% hit rate)\n" hits
+      misses
+      (if total = 0 then 0.0
+       else 100.0 *. float_of_int hits /. float_of_int total)
+  | Some `Json ->
+    print_newline ();
+    print_string (Mx_util.Metrics.to_json m)
+  | None -> ()
+
+(* The bracket around an explore or strategies run.  Opens the
+   evaluation tiers and telemetry sinks [o] asks for, runs [f] — which
+   does the work, prints its headline and returns the rest of its
+   report — then prints, in this order: the persistent-cache summary,
+   that report, the event outputs and the metrics, so the --metrics
+   JSON document stays the last thing on stdout.  The status snapshot
+   and the run manifest read the eval.cache counters and the task-pool
+   busy histograms from the ambient registry, so either one implies
+   metrics collection (without forcing the --metrics report). *)
+let with_run o ?run_dir f =
+  tiers_begin ~cache_size:o.cache_size o.cache_dir;
+  let m = Mx_util.Metrics.global in
+  if metrics_wanted o
+     || ((o.status_out <> None || run_dir <> None)
+        && not (Mx_util.Metrics.is_on m))
+  then begin
+    Mx_util.Metrics.reset m;
+    Mx_util.Metrics.set_enabled m true
+  end;
+  if events_wanted o then begin
     Mx_util.Event_log.reset Mx_util.Event_log.global;
     Mx_util.Event_log.set_enabled Mx_util.Event_log.global true
-  end
-
-(* Runs before [metrics_end] so the --metrics JSON document stays the
-   last thing on stdout. *)
-let events_end events_out chrome_out =
-  if events_out <> None || chrome_out <> None then begin
-    let log = Mx_util.Event_log.global in
-    Mx_util.Event_log.set_enabled log false;
-    Option.iter
-      (fun path ->
-        (try
-           let oc = open_out path in
-           Fun.protect
-             ~finally:(fun () -> close_out oc)
-             (fun () -> output_string oc (Mx_util.Event_log.to_jsonl log))
-         with Sys_error msg -> die_io "cannot write events: %s" msg);
-        Printf.printf "%d events written to %s%s\n"
-          (Mx_util.Event_log.length log)
-          path
-          (match Mx_util.Event_log.dropped log with
-          | 0 -> ""
-          | n -> Printf.sprintf " (%d oldest dropped by the ring bound)" n))
-      events_out;
-    Option.iter
-      (fun path ->
-        let snapshot = Mx_util.Metrics.snapshot Mx_util.Metrics.global in
-        (try
-           let oc = open_out path in
-           Fun.protect
-             ~finally:(fun () -> close_out oc)
-             (fun () ->
-               output_string oc
-                 (Mx_util.Event_log.to_chrome_trace ~snapshot
-                    (Mx_util.Event_log.events log)))
-         with Sys_error msg -> die_io "cannot write chrome trace: %s" msg);
-        Printf.printf "chrome trace written to %s\n" path)
-      chrome_out
-  end
-
-let metrics_end metrics trace_out chrome_out =
-  if metrics <> None || trace_out <> None || chrome_out <> None then begin
-    let m = Mx_util.Metrics.global in
-    Mx_sim.Cycle_sim.record_utilization_gauges ();
-    Option.iter
-      (fun path ->
-        (try
-           let oc = open_out path in
-           Fun.protect
-             ~finally:(fun () -> close_out oc)
-             (fun () -> output_string oc (Mx_util.Metrics.to_json m))
-         with Sys_error msg -> die_io "cannot write metrics trace: %s" msg);
-        Printf.printf "metrics trace written to %s\n" path)
-      trace_out;
-    (* the JSON document is the last thing on stdout, so scripts can
-       split it off the human-readable report above *)
-    match metrics with
-    | Some `Text ->
-      print_newline ();
-      print_string (Mx_util.Metrics.to_text m);
-      let hits = Mx_util.Metrics.counter_value m "eval.cache.hits" in
-      let misses = Mx_util.Metrics.counter_value m "eval.cache.misses" in
-      let total = hits + misses in
-      Printf.printf "eval.cache: %d hits, %d misses (%.1f%% hit rate)\n" hits
-        misses
-        (if total = 0 then 0.0
-         else 100.0 *. float_of_int hits /. float_of_int total)
-    | Some `Json ->
-      print_newline ();
-      print_string (Mx_util.Metrics.to_json m)
-    | None -> ()
-  end
+  end;
+  Option.iter
+    (fun path ->
+      Mx_util.Snapshot.start ~interval:o.status_interval
+        ~stall_after:o.stall_after ~path ())
+    o.status_out;
+  let report = f () in
+  if o.status_out <> None then Mx_util.Snapshot.finish ();
+  tiers_end stdout o.cache_dir;
+  report ();
+  if events_wanted o then events_end o;
+  if metrics_wanted o then metrics_end o
 
 (* -- profile ---------------------------------------------------------- *)
 
@@ -484,23 +516,19 @@ let config_with_policies config = function
     }
 
 let explore_cmd =
-  let run name scale seed reduced jobs shards cache_size cache_dir policies
-      scenario plot trace_in csv front_out bus_report metrics trace_out
-      events_out chrome_out status_out status_interval stall_after run_dir =
+  let run name scale seed reduced (o : run_opts) policies scenario plot
+      trace_in csv front_out bus_report run_dir =
     (* validate cheap inputs before hours of exploration *)
     let scenario = Option.map parse_scenario scenario in
     let policies = Option.map parse_policies policies in
     if trace_in = None then check_workload_name name;
-    List.iter validate_out_path
-      [ csv; front_out; trace_out; events_out; chrome_out; status_out ];
+    List.iter validate_out_path [ csv; front_out ];
     let w = resolve_workload name scale seed trace_in in
-    Mx_sim.Eval.set_cache_capacity cache_size;
-    persist_begin cache_dir;
-    metrics_begin metrics trace_out chrome_out;
-    events_begin events_out chrome_out;
-    status_begin status_out status_interval stall_after run_dir;
+    with_run o ~run_dir @@ fun () ->
     let config =
-      config_with_policies (config_of_reduced ~shards reduced jobs) policies
+      config_with_policies
+        (config_of_reduced ~shards:o.shards reduced o.jobs)
+        policies
     in
     (* anytime mode: with --front-out, SIGINT asks the run to stop at
        the next commit boundary instead of killing the process — the
@@ -516,7 +544,6 @@ let explore_cmd =
         Some (fun () -> Atomic.get hit)
     in
     let r = Conex.Explore.run ~config ?interrupt w in
-    status_end status_out;
     ledger_record run_dir ~kind:"explore"
       ~config_kv:
         [
@@ -533,9 +560,9 @@ let explore_cmd =
         ]
       ~sched_kv:
         [
-          ("jobs", string_of_int (max 1 jobs));
-          ("shards", string_of_int shards);
-          ("cache_size", string_of_int cache_size);
+          ("jobs", string_of_int o.jobs);
+          ("shards", string_of_int o.shards);
+          ("cache_size", string_of_int o.cache_size);
         ]
       r;
     Printf.printf
@@ -546,7 +573,8 @@ let explore_cmd =
       (if r.Conex.Explore.interrupted then
          " [interrupted: committed prefix only]"
        else "");
-    persist_end cache_dir;
+    (* the detailed report, printed after the persistent-cache summary *)
+    fun () ->
     if plot then
       print_string
         (Conex.Report.ascii_scatter ~x:Conex.Design.cost ~y:Conex.Design.latency
@@ -607,9 +635,7 @@ let explore_cmd =
               ])
           stats;
         Mx_util.Table.print t
-    end;
-    events_end events_out chrome_out;
-    metrics_end metrics trace_out chrome_out
+    end
   in
   let plot_arg =
     Arg.(value & flag & info [ "plot" ] ~doc:"Print an ASCII scatter plot.")
@@ -656,12 +682,9 @@ let explore_cmd =
   Cmd.v
     (Cmd.info "explore" ~doc:"Full two-phase ConEx exploration")
     Term.(
-      const run $ workload_arg $ scale_arg $ seed_arg $ reduced_arg $ jobs_arg
-      $ shards_arg $ cache_size_arg $ cache_dir_arg $ policies_arg
-      $ scenario_arg $ plot_arg $ trace_in_arg $ csv_arg $ front_out_arg
-      $ bus_report_arg $ metrics_arg $ trace_out_arg $ events_out_arg
-      $ chrome_out_arg $ status_out_arg $ status_interval_arg $ stall_after_arg
-      $ run_dir_arg)
+      const run $ workload_arg $ scale_arg $ seed_arg $ reduced_arg
+      $ run_opts_term $ policies_arg $ scenario_arg $ plot_arg $ trace_in_arg
+      $ csv_arg $ front_out_arg $ bus_report_arg $ run_dir_arg)
 
 (* -- select: re-select from a saved CSV ---------------------------------- *)
 
@@ -724,20 +747,13 @@ let select_cmd =
 (* -- strategies ---------------------------------------------------------- *)
 
 let strategies_cmd =
-  let run name scale seed jobs shards full_budget cache_size cache_dir metrics
-      trace_out events_out chrome_out status_out status_interval stall_after =
+  let run name scale seed full_budget (o : run_opts) =
     check_workload_name name;
     if full_budget <= 0 then
       die_usage "--full-budget must be positive (got %d)" full_budget;
-    List.iter validate_out_path
-      [ trace_out; events_out; chrome_out; status_out ];
     let w = make_workload name ~scale ~seed in
-    Mx_sim.Eval.set_cache_capacity cache_size;
-    persist_begin cache_dir;
-    metrics_begin metrics trace_out chrome_out;
-    events_begin events_out chrome_out;
-    status_begin status_out status_interval stall_after None;
-    let config = config_of_reduced ~shards true jobs in
+    with_run o @@ fun () ->
+    let config = config_of_reduced ~shards:o.shards true o.jobs in
     let full =
       try Conex.Strategy.run ~config ~full_budget Conex.Strategy.Full w
       with Conex.Strategy.Full_infeasible { projected_sims; budget } ->
@@ -748,16 +764,13 @@ let strategies_cmd =
     in
     List.iter
       (fun kind ->
-        let o = Conex.Strategy.run ~config kind w in
-        let r = Conex.Coverage.eval ~reference:full o in
+        let outcome = Conex.Strategy.run ~config kind w in
+        let r = Conex.Coverage.eval ~reference:full outcome in
         Format.printf "%a@." Conex.Coverage.pp r)
       [ Conex.Strategy.Pruned; Conex.Strategy.Neighborhood ];
     let rf = Conex.Coverage.eval ~reference:full full in
     Format.printf "%a@." Conex.Coverage.pp rf;
-    persist_end cache_dir;
-    status_end status_out;
-    events_end events_out chrome_out;
-    metrics_end metrics trace_out chrome_out
+    ignore
   in
   let full_budget_arg =
     let doc =
@@ -771,10 +784,8 @@ let strategies_cmd =
     (Cmd.info "strategies"
        ~doc:"Compare Pruned / Neighborhood / Full exploration strategies")
     Term.(
-      const run $ workload_arg $ scale_arg $ seed_arg $ jobs_arg $ shards_arg
-      $ full_budget_arg $ cache_size_arg $ cache_dir_arg $ metrics_arg
-      $ trace_out_arg $ events_out_arg $ chrome_out_arg $ status_out_arg
-      $ status_interval_arg $ stall_after_arg)
+      const run $ workload_arg $ scale_arg $ seed_arg $ full_budget_arg
+      $ run_opts_term)
 
 (* -- serve: long-running JSONL evaluation front-end ----------------------- *)
 
@@ -954,10 +965,9 @@ end
 
 let serve_cmd =
   let run cache_dir socket jobs shards cache_size =
-    if shards <= 0 then die_usage "--shards must be positive (got %d)" shards;
+    check_shards shards;
     let jobs = max 1 jobs in
-    Mx_sim.Eval.set_cache_capacity cache_size;
-    persist_begin cache_dir;
+    tiers_begin ~cache_size cache_dir;
     let counters =
       { Serve.requests = 0; ok = 0; errors = 0; dedup = 0 }
     in
@@ -1004,17 +1014,7 @@ let serve_cmd =
       if Sys.file_exists path then Sys.remove path);
     (* graceful shutdown: flush and seal the active segment, and keep
        stdout clean — it is the protocol stream *)
-    Option.iter
-      (fun dir ->
-        (match Mx_sim.Eval.persist_stats () with
-        | Some s ->
-          Printf.eprintf
-            "persistent cache: %d disk hits, %d writes, %d recovered (dir %s)\n"
-            s.Mx_util.Persist_cache.get_hits s.Mx_util.Persist_cache.appended
-            s.Mx_util.Persist_cache.recovered dir
-        | None -> ());
-        Mx_sim.Eval.close_persist ())
-      cache_dir
+    tiers_end stderr cache_dir
   in
   let socket_arg =
     let doc =

@@ -263,8 +263,7 @@ let phase1 ?(interrupt = never) cfg workload cands =
                  let est, prov =
                    Mx_sim.Eval.eval_prov ~fidelity:Mx_sim.Eval.Estimate
                      ~workload ~arch:p.cand.Mx_apex.Explore.arch
-                     ~profile:p.cand.Mx_apex.Explore.profile ~shard:shard_fp
-                     ~conn ()
+                     ~profile:p.cand.Mx_apex.Explore.profile ~conn ()
                  in
                  ( Design.make ~workload_name:workload.Mx_trace.Workload.name
                      ~mem:p.cand.Mx_apex.Explore.arch ~conn ~est (),

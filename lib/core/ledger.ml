@@ -61,16 +61,6 @@ let run_id_of ~kind ~workload_fp ~config_kv =
 
 let sort_kv kv = List.sort (fun (a, _) (b, _) -> String.compare a b) kv
 
-let has_segment needle name =
-  let nl = String.length needle and l = String.length name in
-  let rec go i =
-    if i + nl > l then false
-    else if String.sub name i nl = needle && (i = 0 || name.[i - 1] = '.')
-    then true
-    else go (i + 1)
-  in
-  go 0
-
 let timestamp_now () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
@@ -86,7 +76,9 @@ let make ~kind ~config_kv ~sched_kv ~(result : Explore.result) =
   let counters =
     Metrics.deterministic_counters (Metrics.snapshot Metrics.global)
     |> List.filter (fun (name, _) ->
-           not (has_segment "shard." name || has_segment "task_pool." name))
+           not
+             (Metrics.has_segment "shard." name
+             || Metrics.has_segment "task_pool." name))
   in
   let front =
     result.Explore.pareto_cost_perf

@@ -4,7 +4,6 @@ module Mem_arch = Mx_mem.Mem_arch
 module Conn_arch = Mx_connect.Conn_arch
 module Memo_cache = Mx_util.Memo_cache
 module Persist_cache = Mx_util.Persist_cache
-module Metrics = Mx_util.Metrics
 
 type fidelity = Estimate | Sampled of int * int | Exact
 
@@ -20,30 +19,9 @@ let make_cache capacity =
 
 let cache : Sim_result.t Memo_cache.t ref = ref (make_cache default_cache_capacity)
 
-(* Shard provenance: which shard computed each cache entry.  A bounded
-   side table keyed like the cache; purely observational — it feeds the
-   [eval.cache.shard_*] counters that say whether a sharded run is
-   being served by its own shard's work or by a sibling's.  Everything
-   here is timing-dependent, hence the [cache.] metric segment. *)
-let producers : (string, string) Hashtbl.t = Hashtbl.create 1024
-let producers_mu = Mutex.create ()
-let producers_bound = 262_144
-
-let producers_clear () =
-  Mutex.lock producers_mu;
-  Hashtbl.reset producers;
-  Mutex.unlock producers_mu
-
-let set_cache_capacity capacity =
-  cache := make_cache (max 0 capacity);
-  producers_clear ()
-
-let cache_capacity () = Memo_cache.capacity !cache
+let set_cache_capacity capacity = cache := make_cache (max 0 capacity)
 let cache_stats () = Memo_cache.stats !cache
-
-let clear_cache () =
-  Memo_cache.clear !cache;
-  producers_clear ()
+let clear_cache () = Memo_cache.clear !cache
 
 (* Workload fingerprints are O(trace length); exploration evaluates the
    same workload thousands of times, so memoise the last one by physical
@@ -90,7 +68,6 @@ let open_persist ~dir =
     Ok ()
   | Error e -> Error e
 
-let sync_persist () = Option.iter Persist_cache.sync !persist
 let persist_stats () = Option.map Persist_cache.stats !persist
 
 let persist_get k =
@@ -134,135 +111,48 @@ let find_via_tiers c ~key:k f =
   let prov = if mem_hit then Cache_hit else if !disk then Disk_hit else Computed in
   (r, prov)
 
-(* Exact-serves-Sampled promotion through the disk tier: when the hot
-   tier has no Exact entry, probe the store before settling for a
-   sampled simulation, and re-home a disk hit under its Exact key so
-   later peeks promote from memory. *)
-let promote_from_disk c ~exact_key =
-  match persist_get exact_key with
-  | None -> None
-  | Some r ->
-    let r, _ = Memo_cache.find_or_compute_prov c ~key:exact_key (fun () -> r) in
-    Some r
+(* Exact-serves-Sampled promotion: an Exact result for the same design
+   is strictly higher fidelity, so serve it instead of re-simulating
+   with sampling.  Hot tier first, then the store; a disk hit is
+   re-homed under its Exact key so later peeks promote from memory. *)
+let promote c ~exact_key =
+  match Memo_cache.peek c ~key:exact_key with
+  | Some _ as hit -> hit
+  | None ->
+    Option.map
+      (fun r ->
+        fst (Memo_cache.find_or_compute_prov c ~key:exact_key (fun () -> r)))
+      (persist_get exact_key)
 
-let note_shard ~shard ~key prov =
-  match shard with
-  | None -> ()
-  | Some shard -> (
-    match prov with
-    (* a disk hit made the entry resident on this shard's behalf: for
-       shard-locality accounting it is this shard's production *)
-    | Computed | Disk_hit ->
-      Mutex.lock producers_mu;
-      if Hashtbl.length producers >= producers_bound then
-        Hashtbl.reset producers;
-      Hashtbl.replace producers key shard;
-      Mutex.unlock producers_mu
-    | Cache_hit | Promoted ->
-      Mutex.lock producers_mu;
-      let owner = Hashtbl.find_opt producers key in
-      Mutex.unlock producers_mu;
-      if Metrics.is_on Metrics.global then
-        Metrics.incr Metrics.global
-          (match owner with
-          | Some o when o = shard -> "eval.cache.shard_local_hits"
-          | Some _ -> "eval.cache.shard_remote_hits"
-          | None -> "eval.cache.shard_unknown_hits"))
-
-let eval_prov ~fidelity ~workload ~arch ?profile ?shard ~conn () =
+(* One lookup for every rung of the ladder: the fidelity picks the key
+   and the evaluator, and only [Sampled] tries promotion first.  The
+   evaluator is chosen before any lookup, so a missing profile raises
+   even when the key is cached. *)
+let eval_prov ~fidelity ~workload ~arch ?profile ~conn () =
+  let compute =
+    match (fidelity, profile) with
+    | Estimate, None ->
+      invalid_arg "Eval.eval: Estimate fidelity requires ~profile"
+    | Estimate, Some profile ->
+      fun () -> Estimator.estimate ~workload ~arch ~profile ~conn
+    | Sampled (on, off), _ ->
+      fun () -> Cycle_sim.run ~sample:(on, off) ~workload ~arch ~conn ()
+    | Exact, _ -> fun () -> Cycle_sim.run ~workload ~arch ~conn ()
+  in
   let c = !cache in
   let base =
     workload_fingerprint workload
     ^ "|" ^ Mem_arch.fingerprint arch
     ^ "|" ^ Conn_arch.fingerprint conn
   in
-  match fidelity with
-  | Estimate ->
-    let profile =
-      match profile with
-      | Some p -> p
-      | None -> invalid_arg "Eval.eval: Estimate fidelity requires ~profile"
-    in
-    let k = key ~base Estimate in
-    let r, prov =
-      find_via_tiers c ~key:k (fun () ->
-          Estimator.estimate ~workload ~arch ~profile ~conn)
-    in
-    note_shard ~shard ~key:k prov;
-    (r, prov)
-  | Exact ->
-    let k = key ~base Exact in
-    let r, prov =
-      find_via_tiers c ~key:k (fun () -> Cycle_sim.run ~workload ~arch ~conn ())
-    in
-    note_shard ~shard ~key:k prov;
-    (r, prov)
-  | Sampled (on, off) -> (
-    (* an exact result for the same design is strictly higher fidelity:
-       serve it instead of re-simulating with sampling *)
-    let exact_key = key ~base Exact in
-    match Memo_cache.peek c ~key:exact_key with
-    | Some r ->
-      note_shard ~shard ~key:exact_key Promoted;
-      (r, Promoted)
-    | None -> (
-      match promote_from_disk c ~exact_key with
-      | Some r ->
-        note_shard ~shard ~key:exact_key Promoted;
-        (r, Promoted)
-      | None ->
-        let k = key ~base (Sampled (on, off)) in
-        let r, prov =
-          find_via_tiers c ~key:k (fun () ->
-              Cycle_sim.run ~sample:(on, off) ~workload ~arch ~conn ())
-        in
-        note_shard ~shard ~key:k prov;
-        (r, prov)))
-
-let eval ~fidelity ~workload ~arch ?profile ?shard ~conn () =
-  fst (eval_prov ~fidelity ~workload ~arch ?profile ?shard ~conn ())
-
-(* Streamed evaluation shares the cache with the in-memory paths: the
-   streamed fingerprint is the same string Workload.fingerprint would
-   produce for the materialised trace, so a result computed from a
-   binary file serves later in-memory requests for the same workload
-   (and vice versa). *)
-let eval_stream_prov ~fidelity ?seek ~(workload : Workload.streamed) ~arch
-    ~conn () =
-  let c = !cache in
-  let base =
-    Workload.streamed_fingerprint workload
-    ^ "|" ^ Mem_arch.fingerprint arch
-    ^ "|" ^ Conn_arch.fingerprint conn
+  let promoted =
+    match fidelity with
+    | Sampled _ -> promote c ~exact_key:(key ~base Exact)
+    | Estimate | Exact -> None
   in
-  match fidelity with
-  | Estimate ->
-    invalid_arg
-      "Eval.eval_stream: Estimate fidelity needs a module-level profile, \
-       which has no streaming form — materialise the workload instead"
-  | Exact ->
-    if seek = Some true then
-      invalid_arg "Eval.eval_stream: ~seek requires Sampled fidelity";
-    find_via_tiers c ~key:(key ~base Exact) (fun () ->
-        Cycle_sim.run_stream ~workload ~arch ~conn ())
-  | Sampled (on, off) -> (
-    let exact_key = key ~base Exact in
-    match Memo_cache.peek c ~key:exact_key with
-    | Some r -> (r, Promoted)
-    | None -> (
-      match promote_from_disk c ~exact_key with
-      | Some r -> (r, Promoted)
-      | None ->
-        (* cold (seek) sampling skips module warming in the off-windows,
-           so its numbers are a different estimator from warm sampling —
-           keep the cache entries apart *)
-        let k =
-          key ~base (Sampled (on, off))
-          ^ if seek = Some true then "|seek" else ""
-        in
-        find_via_tiers c ~key:k (fun () ->
-            Cycle_sim.run_stream ~sample:(on, off) ?seek ~workload ~arch ~conn
-              ())))
+  match promoted with
+  | Some r -> (r, Promoted)
+  | None -> find_via_tiers c ~key:(key ~base fidelity) compute
 
-let eval_stream ~fidelity ?seek ~workload ~arch ~conn () =
-  fst (eval_stream_prov ~fidelity ?seek ~workload ~arch ~conn ())
+let eval ~fidelity ~workload ~arch ?profile ~conn () =
+  fst (eval_prov ~fidelity ~workload ~arch ?profile ~conn ())

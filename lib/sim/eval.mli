@@ -48,24 +48,18 @@ val eval :
   workload:Mx_trace.Workload.t ->
   arch:Mx_mem.Mem_arch.t ->
   ?profile:Mx_mem.Mem_sim.stats ->
-  ?shard:string ->
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Sim_result.t
 (** Evaluate one (workload, memory, connectivity) design point at the
     requested fidelity, serving it from the cache when an entry of equal
-    or higher fidelity exists.
-
-    [?shard] is the structural fingerprint of the design-space shard
-    issuing the call ({!Mx_core} [Shard.fingerprint]); when given, the
-    cache records which shard computed each entry (in a bounded side
-    table) and classifies later hits as [eval.cache.shard_local_hits],
-    [eval.cache.shard_remote_hits] (another shard's work served this
-    one) or [eval.cache.shard_unknown_hits] counters.  Purely
-    observational; all of it lives under the schedule-exempt [cache.]
-    metric segment.
+    or higher fidelity exists.  Every fidelity takes the same path: a
+    [Sampled] request first tries Exact-serves-Sampled promotion (hot
+    tier, then disk tier); then one lookup under the request's own key
+    goes hot tier, disk tier, compute.
     @raise Invalid_argument when [fidelity = Estimate] and no [~profile]
-    is supplied, or whenever the underlying evaluator rejects the
+    is supplied (checked before any lookup, so a cached entry does not
+    hide the mistake), or whenever the underlying evaluator rejects the
     design (unroutable channel, bad sampling windows, empty profile). *)
 
 type provenance =
@@ -87,45 +81,13 @@ val eval_prov :
   workload:Mx_trace.Workload.t ->
   arch:Mx_mem.Mem_arch.t ->
   ?profile:Mx_mem.Mem_sim.stats ->
-  ?shard:string ->
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Sim_result.t * provenance
 (** {!eval} that also reports where the result came from.  Provenance is
     schedule-dependent (cache contents depend on cross-domain timing),
     so events derived from it must carry a [cache.] segment in their
-    name — see {!Mx_util.Event_log.schedule_dependent}.  [?shard] as in
-    {!eval}. *)
-
-val eval_stream :
-  fidelity:fidelity ->
-  ?seek:bool ->
-  workload:Mx_trace.Workload.streamed ->
-  arch:Mx_mem.Mem_arch.t ->
-  conn:Mx_connect.Conn_arch.t ->
-  unit ->
-  Sim_result.t
-(** {!eval} for a streamed workload ({!Cycle_sim.run_stream}).  Shares
-    the same cache as the in-memory paths: the streamed fingerprint
-    equals the materialised workload's {!Mx_trace.Workload.fingerprint},
-    so results flow across text-loaded, binary-streamed and in-memory
-    evaluations of the same content.  [~seek:true] (cold sampling, see
-    {!Cycle_sim.run_stream}) is cached under a distinct key — its
-    numbers are a different estimator from warm sampling.
-    @raise Invalid_argument for [Estimate] fidelity (the analytic model
-    needs a module-level profile, which has no streaming form), for
-    [~seek:true] without [Sampled] fidelity, and whenever the simulator
-    rejects the design. *)
-
-val eval_stream_prov :
-  fidelity:fidelity ->
-  ?seek:bool ->
-  workload:Mx_trace.Workload.streamed ->
-  arch:Mx_mem.Mem_arch.t ->
-  conn:Mx_connect.Conn_arch.t ->
-  unit ->
-  Sim_result.t * provenance
-(** {!eval_stream} with provenance, as {!eval_prov}. *)
+    name — see {!Mx_util.Metrics.schedule_dependent}. *)
 
 val default_cache_capacity : int
 (** 65536 entries — far above the working set of any bundled experiment,
@@ -136,8 +98,6 @@ val set_cache_capacity : int -> unit
     all entries; 0 or negative disables caching).  Not safe to call
     concurrently with running evaluations — configure before
     exploring. *)
-
-val cache_capacity : unit -> int
 
 val cache_stats : unit -> Mx_util.Memo_cache.stats
 (** Hit/miss/eviction totals since the cache was created or last
@@ -177,10 +137,6 @@ val open_persist : dir:string -> (unit, string) result
 val close_persist : unit -> unit
 (** Flush, [fsync] and detach the disk tier (no-op when none is open).
     Evaluation falls back to two-tier-less operation. *)
-
-val sync_persist : unit -> unit
-(** [fsync] the disk tier's active segment without detaching it — the
-    graceful-shutdown flush used by [conex serve]. *)
 
 val persist_stats : unit -> Mx_util.Persist_cache.stats option
 (** Counters of the attached store; [None] when no store is open. *)

@@ -133,20 +133,7 @@ let dropped t =
 
 (* -- the determinism contract -------------------------------------------- *)
 
-(* Same segment rule as Metrics.deterministic_counters: [needle] must
-   end with '.' and match at the start or after a dot. *)
-let has_segment needle name =
-  let nl = String.length needle and l = String.length name in
-  let rec go i =
-    if i + nl > l then false
-    else if String.sub name i nl = needle && (i = 0 || name.[i - 1] = '.')
-    then true
-    else go (i + 1)
-  in
-  go 0
-
-let schedule_dependent e =
-  has_segment "sched." e.name || has_segment "cache." e.name
+let schedule_dependent e = Metrics.schedule_dependent e.name
 
 let canonical_sort evs =
   List.stable_sort

@@ -92,8 +92,8 @@ val dropped : t -> int
 (** {1 The determinism contract} *)
 
 val schedule_dependent : event -> bool
-(** Whether the event's name contains a [sched.] or [cache.] segment —
-    the subset allowed to differ between jobs levels. *)
+(** {!Metrics.schedule_dependent} applied to the event's name — the
+    subset allowed to differ between jobs levels. *)
 
 val canonical_sort : event list -> event list
 (** Stable sort by [(stage, seq, name)]. *)

@@ -224,15 +224,15 @@ let has_segment needle name =
   in
   go 0
 
-(* [sched.] counters measure scheduling itself; [cache.] counters can
-   depend on eviction order, which is scheduling-dependent once a cache
+(* [sched.] names measure scheduling itself; [cache.] names can depend
+   on eviction order, which is scheduling-dependent once a cache
    overflows its capacity.  Both are excluded from the parity
    contract. *)
+let schedule_dependent name =
+  has_segment "sched." name || has_segment "cache." name
+
 let deterministic_counters (s : snapshot) =
-  List.filter
-    (fun (name, _) ->
-      not (has_segment "sched." name || has_segment "cache." name))
-    s.counters
+  List.filter (fun (name, _) -> not (schedule_dependent name)) s.counters
 
 (* -- rendering ----------------------------------------------------------- *)
 

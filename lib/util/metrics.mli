@@ -99,10 +99,20 @@ val snapshot : t -> snapshot
 val counter_value : t -> string -> int
 (** Current value of a counter; 0 when it was never incremented. *)
 
+val has_segment : string -> string -> bool
+(** [has_segment needle name]: [needle] (which must end with ['.'])
+    occurs in [name] at the start or right after a dot — so
+    ["sched."] matches [task_pool.sched.steal] but not [resched.x]. *)
+
+val schedule_dependent : string -> bool
+(** The one determinism-exemption rule: whether a metric or event name
+    contains a [sched.] or [cache.] segment, i.e. may differ between
+    jobs levels. *)
+
 val deterministic_counters : snapshot -> (string * int) list
-(** The counters whose names contain no [sched.] or [cache.] segment —
-    the subset required to be identical between serial and parallel
-    runs.  [cache.] counters are excluded because once a result cache
+(** The counters that are not {!schedule_dependent} — the subset
+    required to be identical between serial and parallel runs.
+    [cache.] counters are excluded because once a result cache
     overflows its capacity, which entry is evicted (and therefore the
     later hit/miss pattern) depends on cross-domain lookup order. *)
 

@@ -68,96 +68,14 @@ let note_call xs =
     Metrics.incr Metrics.global ~by:(List.length xs) "task_pool.items"
   end
 
-let parallel_map ~jobs ~chunk f xs =
-  if jobs < 0 then invalid_arg "Task_pool.parallel_map: jobs < 0";
-  let chunk = max 1 chunk in
-  note_call xs;
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ when jobs <= 1 || Domain.DLS.get in_worker -> List.map f xs
-  | _ ->
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    let nchunks = (n + chunk - 1) / chunk in
-    (* per-call completion state; [results] and [remaining] are only
-       touched under [mutex] *)
-    let results : ('b list, exn) result option array = Array.make nchunks None in
-    let remaining = ref nchunks in
-    let run_chunk ci =
-      let lo = ci * chunk in
-      let hi = min n (lo + chunk) - 1 in
-      let traced = Metrics.is_on Metrics.global in
-      let t0 = if traced then Unix.gettimeofday () else 0.0 in
-      let r =
-        try
-          (* explicit left-to-right order within the chunk *)
-          let rec go i acc =
-            if i > hi then List.rev acc else go (i + 1) (f arr.(i) :: acc)
-          in
-          Ok (go lo [])
-        with e -> Error e
-      in
-      if traced then
-        (* per-domain busy time: which domain ran the chunk is a
-           scheduling artifact, hence sched. *)
-        Metrics.observe Metrics.global ~unit_:"s"
-          (Printf.sprintf "task_pool.sched.domain_busy_s.%d"
-             (Domain.self () :> int))
-          (Unix.gettimeofday () -. t0);
-      Mutex.lock mutex;
-      results.(ci) <- Some r;
-      decr remaining;
-      if !remaining = 0 then Condition.broadcast cond;
-      Mutex.unlock mutex
-    in
-    if Metrics.is_on Metrics.global then
-      Metrics.incr Metrics.global ~by:(nchunks - 1)
-        "task_pool.sched.dispatched_chunks";
-    Mutex.lock mutex;
-    ensure_workers (min (jobs - 1) (nchunks - 1));
-    for ci = nchunks - 1 downto 1 do
-      Queue.push (fun () -> run_chunk ci) queue
-    done;
-    Condition.broadcast cond;
-    Mutex.unlock mutex;
-    (* the caller is a full participant: run chunk 0, then keep draining
-       the queue; block only when every remaining chunk is in flight *)
-    run_chunk 0;
-    let rec help () =
-      Mutex.lock mutex;
-      if !remaining = 0 then Mutex.unlock mutex
-      else
-        match Queue.take_opt queue with
-        | Some task ->
-          Mutex.unlock mutex;
-          task ();
-          help ()
-        | None ->
-          while !remaining > 0 do
-            Condition.wait cond mutex
-          done;
-          Mutex.unlock mutex
-    in
-    help ();
-    let out = ref [] in
-    let error = ref None in
-    for ci = nchunks - 1 downto 0 do
-      match results.(ci) with
-      | Some (Ok ys) -> out := ys @ !out
-      | Some (Error e) -> error := Some e
-      | None -> assert false
-    done;
-    (match !error with Some e -> raise e | None -> ());
-    !out
-
-(* Ordered-commit variant: chunk results are handed back to the caller
+(* The one chunk engine: chunk results are handed back to the caller
    domain strictly in input-index order, so everything done inside
    [commit] (event emission, archive insertion, accumulation) is a pure
    function of the input list — independent of jobs, chunking and
    scheduling.  A [should_stop] signal turns the call into an anytime
    map: committing halts at a clean prefix, chunks not yet started are
-   skipped, and in-flight chunks drain before the call returns. *)
+   skipped, and in-flight chunks drain before the call returns.  A
+   failed chunk cancels the rest the same way. *)
 
 type 'b chunk_cell = CPending | CDone of ('b list, exn) result | CSkipped
 
@@ -325,3 +243,13 @@ let parallel_map_commit ~jobs ~chunk ?(should_stop = fun () -> false) ~commit
     drive ();
     (match !error with Some e -> raise e | None -> ());
     !committed
+
+(* A plain map is an ordered fold over the commit engine. *)
+let parallel_map ~jobs ~chunk f xs =
+  if jobs < 0 then invalid_arg "Task_pool.parallel_map: jobs < 0";
+  let acc = ref [] in
+  ignore
+    (parallel_map_commit ~jobs ~chunk
+       ~commit:(fun _ _ y -> acc := y :: !acc)
+       f xs);
+  List.rev !acc

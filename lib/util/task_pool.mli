@@ -31,16 +31,18 @@ val parallel_map : jobs:int -> chunk:int -> ('a -> 'b) -> 'a list -> 'b list
     to [jobs] domains (the caller plus [jobs - 1] pool workers).  The
     input is split into contiguous chunks of [chunk] elements ([chunk]
     is clamped to at least 1) that are dispatched to the pool; the
-    caller executes chunks too, so no domain idles.
+    caller executes chunks too, so no domain idles.  It is an ordered
+    fold over {!parallel_map_commit}, which owns all of the scheduling.
 
     Guarantees:
     - {b ordering}: the result list is in input order, identical to
       [List.map f xs] — chunking and scheduling are invisible;
     - {b exceptions}: if any [f x] raises, the first exception in input
       order is re-raised in the caller after all in-flight chunks have
-      drained (other chunks may have run: [f] should be effect-free);
+      drained; chunks not yet started are skipped (chunks already in
+      flight may have run: [f] should be effect-free);
     - {b serial fallback}: [jobs <= 1], a singleton or empty [xs], or a
-      call from inside a pool worker runs plain [List.map f xs] on the
+      call from inside a pool worker maps [f] left to right on the
       calling domain and spawns nothing.
 
     @raise Invalid_argument if [jobs < 0]. *)

@@ -319,6 +319,62 @@ let test_eval_disk_tier () =
           Helpers.check_true "disk-promoted Exact serves Sampled"
             (p3 = Eval.Promoted && r3 = r1)))
 
+(* The ladder cells beside Exact that go through the same tiered
+   lookup: Estimate through hot and disk tier, a Sampled result with no
+   Exact entry to promote from, and the eager profile check. *)
+let test_eval_ladder_tiers () =
+  with_dir (fun dir ->
+      let w = Helpers.mixed_workload ~scale:4000 () in
+      let arch = Helpers.cache_only_arch w in
+      let profile = Helpers.profile_of arch w in
+      let conn = Helpers.naive_conn (Mx_connect.Brg.build arch profile) in
+      (* a restart: close the store, reopen it, start a fresh hot tier *)
+      let restart () =
+        Eval.close_persist ();
+        (match Eval.open_persist ~dir with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "open_persist: %s" e);
+        Eval.clear_cache ()
+      in
+      let eval what fidelity ?profile expect =
+        let r, p =
+          Eval.eval_prov ~fidelity ~workload:w ~arch ?profile ~conn ()
+        in
+        Helpers.check_true
+          (Printf.sprintf "%s (got %s)" what (Eval.provenance_tag p))
+          (p = expect);
+        r
+      in
+      let sampled = Eval.Sampled (100, 900) in
+      Fun.protect ~finally:Eval.close_persist (fun () ->
+          restart ();
+          let e1 =
+            eval "cold estimate is computed" Eval.Estimate ~profile
+              Eval.Computed
+          in
+          let e2 =
+            eval "repeated estimate hits the hot tier" Eval.Estimate ~profile
+              Eval.Cache_hit
+          in
+          let s1 = eval "cold sampled is computed" sampled Eval.Computed in
+          restart ();
+          let e3 =
+            eval "restarted estimate hits the disk" Eval.Estimate ~profile
+              Eval.Disk_hit
+          in
+          let s2 =
+            eval "restarted sampled hits the disk" sampled Eval.Disk_hit
+          in
+          Helpers.check_true "estimate identical in every tier"
+            (e1 = e2 && e2 = e3);
+          Helpers.check_true "sampled identical in both tiers" (s1 = s2);
+          Helpers.check_true "a cached estimate still requires ~profile"
+            (match
+               Eval.eval ~fidelity:Eval.Estimate ~workload:w ~arch ~conn ()
+             with
+            | _ -> false
+            | exception Invalid_argument _ -> true)))
+
 let test_eval_disk_metrics () =
   with_dir (fun dir ->
       let w = Helpers.mixed_workload ~scale:4000 () in
@@ -380,6 +436,8 @@ let suite =
         test_sim_result_wire_roundtrip;
       Alcotest.test_case "Eval disk tier: restart hits, promotion" `Quick
         test_eval_disk_tier;
+      Alcotest.test_case "Eval ladder: estimate and sampled through tiers"
+        `Quick test_eval_ladder_tiers;
       Alcotest.test_case "Eval disk metrics are counted and exempt" `Quick
         test_eval_disk_metrics;
     ] )
