@@ -36,6 +36,13 @@ let test_fig3_apex_evaluation =
      let _, profile, arch, _, _, _ = Lazy.force prepared in
      ignore (Mx_apex.Explore.evaluate profile arch))
 
+let test_fig3_apex_explore =
+  Test.make ~name:"fig3: APEX explore, reduced catalogue (20k trace)"
+    (Staged.stage @@ fun () ->
+     let _, profile, _, _, _, _ = Lazy.force prepared in
+     ignore
+       (Mx_apex.Explore.explore ~config:Mx_apex.Explore.reduced_config profile))
+
 let test_fig4_phase1_estimate =
   Test.make ~name:"fig4: ConEx phase-I estimate (one candidate)"
     (Staged.stage @@ fun () ->
@@ -53,6 +60,19 @@ let test_fig6_pareto_annotation =
     in
     fun () ->
       ignore (Mx_util.Pareto.front2 ~x:fst ~y:snd pts))
+
+let test_fig6_pareto_front3 =
+  Test.make ~name:"fig6: 3-axis pareto front over 10000 points"
+    (Staged.stage
+    @@
+    let pts =
+      List.init 10_000 (fun i ->
+          let f = float_of_int i in
+          [| Float.rem (f *. 7.31) 103.0; Float.rem (f *. 3.77) 97.0;
+             Float.rem (f *. 5.13) 89.0 |])
+    in
+    let axes = List.init 3 (fun k (p : float array) -> p.(k)) in
+    fun () -> ignore (Mx_util.Pareto.front ~axes pts))
 
 let test_table1_cycle_sim =
   Test.make ~name:"table1: full cycle simulation (20k trace)"
@@ -99,8 +119,10 @@ let test_substrate_trace_gen =
 let tests =
   [
     test_fig3_apex_evaluation;
+    test_fig3_apex_explore;
     test_fig4_phase1_estimate;
     test_fig6_pareto_annotation;
+    test_fig6_pareto_front3;
     test_table1_cycle_sim;
     test_table1_sampled_sim;
     test_table2_clustering;

@@ -76,8 +76,7 @@ let sram_plan cfg (p : Profile.t) =
     take 0 [] indexed
   end
 
-let regions_with cfg (p : Profile.t) pat =
-  ignore cfg;
+let regions_with (p : Profile.t) pat =
   Array.to_list p.Profile.per_region
   |> List.filter_map (fun (s : Profile.region_stats) ->
          if Profile.pattern p s.region = pat then Some s.region else None)
@@ -145,8 +144,8 @@ let build_arch (p : Profile.t) ~cache ~sram_regions ~sram_bytes ~sbuf ~lldma
     ?cache ?sbuf ?lldma ?sram ?l2 ?victim ?wbuf ~bindings ()
 
 let candidates cfg (p : Profile.t) =
-  let streams = regions_with cfg p Region.Stream in
-  let chases = regions_with cfg p Region.Self_indirect in
+  let streams = regions_with p Region.Stream in
+  let chases = regions_with p Region.Self_indirect in
   let sram_regions, sram_bytes = sram_plan cfg p in
   let cache_opts =
     (if cfg.include_no_cache then [ None ] else [])
@@ -221,10 +220,7 @@ let candidates cfg (p : Profile.t) =
         sbuf_opts)
     cache_opts
 
-let evaluate (p : Profile.t) arch =
-  let w = p.Profile.workload in
-  let msim = Mem_sim.create arch ~regions:w.Mx_trace.Workload.regions in
-  let stats = Mem_sim.run msim w.Mx_trace.Workload.trace in
+let candidate_of arch stats =
   {
     arch;
     cost_gates = Mem_arch.cost_gates arch;
@@ -232,8 +228,17 @@ let evaluate (p : Profile.t) arch =
     profile = stats;
   }
 
+let evaluate (p : Profile.t) arch =
+  let w = p.Profile.workload in
+  let msim = Mem_sim.create arch ~regions:w.Mx_trace.Workload.regions in
+  candidate_of arch (Mem_sim.run msim w.Mx_trace.Workload.trace)
+
 let explore ?(config = default_config) p =
-  List.map (evaluate p) (candidates config p)
+  let w = p.Profile.workload in
+  let archs = candidates config p in
+  List.map2 candidate_of archs
+    (Mem_sim.run_all archs ~regions:w.Mx_trace.Workload.regions
+       w.Mx_trace.Workload.trace)
 
 let pareto cands =
   Mx_util.Pareto.front2

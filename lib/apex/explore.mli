@@ -53,10 +53,15 @@ val candidates : config -> Mx_trace.Profile.t -> Mx_mem.Mem_arch.t list
 val evaluate :
   Mx_trace.Profile.t -> Mx_mem.Mem_arch.t -> candidate
 (** Replay the trace through the architecture's modules (simple
-    connectivity assumed) and measure cost and miss ratio. *)
+    connectivity assumed) and measure cost and miss ratio: one
+    straight-line {!Mx_mem.Mem_sim.run}, the reference for {!explore}. *)
 
 val explore : ?config:config -> Mx_trace.Profile.t -> candidate list
-(** [candidates] + [evaluate] for each, in enumeration order. *)
+(** Every candidate of [config], in enumeration order.  Each result
+    equals [evaluate p arch] for its architecture, profile counter for
+    profile counter; the profiles come from one
+    {!Mx_mem.Mem_sim.run_all} call, which simulates each distinct
+    module group once. *)
 
 val pareto : candidate list -> candidate list
 (** Cost/miss-ratio pareto front, sorted by increasing cost. *)

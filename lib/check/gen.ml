@@ -15,6 +15,26 @@ let continuous_points g ~size ~dim =
   let n = 1 + Prng.int g ~bound:(5 * size) in
   List.init n (fun _ -> Array.init dim (fun _ -> Prng.float g))
 
+let special_points g ~size ~dim =
+  let n = 1 + Prng.int g ~bound:(5 * size) in
+  let coord () =
+    match Prng.int g ~bound:8 with
+    | 0 -> Float.nan
+    | 1 -> Float.infinity
+    | 2 -> Float.neg_infinity
+    | 3 -> -0.0
+    | 4 -> 0.0
+    | _ -> float_of_int (Prng.int g ~bound:4 - 1)
+  in
+  let pts = Array.make n [||] in
+  for i = 0 to n - 1 do
+    pts.(i) <-
+      (if i > 0 && Prng.bool g ~p:0.25 then
+         Array.copy pts.(Prng.int g ~bound:i)
+       else Array.init dim (fun _ -> coord ()))
+  done;
+  Array.to_list pts
+
 let floats g ~size = List.init size (fun _ -> Prng.float g *. 100.0)
 
 let onchip_nodes =

@@ -17,6 +17,14 @@ val continuous_points :
 (** Points with uniform coordinates in [\[0, 1)]; ties have
     probability ~0.  Between 1 and [5 * size] points. *)
 
+val special_points :
+  Mx_util.Prng.t -> size:int -> dim:int -> float array list
+(** Points whose coordinates mix NaN, both infinities, [-0.0] and [0.0]
+    with the integers [-1..2], and where about a quarter of the points
+    repeat an earlier vector: the values on which a sort order and the
+    [<=]/[<] dominance tests can disagree.  Between 1 and [5 * size]
+    points. *)
+
 val floats : Mx_util.Prng.t -> size:int -> float list
 (** Exactly [size] floats in [\[0, 100)]. *)
 

@@ -262,6 +262,35 @@ let eval_direct ~fidelity ~workload ~arch ?profile ~conn () =
     Mx_sim.Cycle_sim.run ~sample:(on, off) ~workload ~arch ~conn ()
   | Mx_sim.Eval.Exact -> Mx_sim.Cycle_sim.run ~workload ~arch ~conn ()
 
+(* -- module-level profiles ---------------------------------------------- *)
+
+let profiles ~regions archs trace =
+  List.map (fun a -> Mem_sim.run (Mem_sim.create a ~regions) trace) archs
+
+let profile_canon (s : Mem_sim.stats) =
+  let per name f =
+    List.map
+      (fun sv -> (Printf.sprintf "%s[%d]" name (Serving.index sv), f sv))
+      Serving.all
+  in
+  [
+    ("accesses", s.accesses);
+    ("on_chip_hits", s.on_chip_hits);
+    ("demand_misses", s.demand_misses);
+    ("dram_bytes_total", s.dram_bytes_total);
+    ("victim_hits", s.victim_hits);
+    ("wbuf_stalls", s.wbuf_stalls);
+    ("l2_accesses", s.l2_accesses);
+    ("l2_hits", s.l2_hits);
+    ("l2_bytes_total", s.l2_bytes_total);
+    ("l2_txns_total", s.l2_txns_total);
+  ]
+  @ per "cpu_bytes" s.cpu_bytes
+  @ per "cpu_accesses" s.cpu_accesses
+  @ per "dram_bytes_by" s.dram_bytes_by
+  @ per "dram_txns_by" s.dram_txns_by
+  @ per "demand_misses_by" s.demand_misses_by
+
 (* -- replacement-policy reference simulators ----------------------------- *)
 
 module Params = Mx_mem.Params

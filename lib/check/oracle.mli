@@ -72,6 +72,19 @@ val eval_direct :
 (** Direct recomputation of {!Mx_sim.Eval.eval}: calls the underlying
     evaluator for the fidelity with no cache involved. *)
 
+val profiles :
+  regions:Mx_trace.Region.t list ->
+  Mx_mem.Mem_arch.t list ->
+  Mx_trace.Trace.t ->
+  Mx_mem.Mem_sim.stats list
+(** One straight-line {!Mx_mem.Mem_sim.run} per architecture — the
+    specification of {!Mx_mem.Mem_sim.run_all}. *)
+
+val profile_canon : Mx_mem.Mem_sim.stats -> (string * int) list
+(** Canonical comparable form of a module-level profile: every scalar
+    counter, then every per-serving counter for each serving class,
+    named, in a fixed order. *)
+
 type repl_event = {
   o_hit : bool;
   o_writeback : bool;

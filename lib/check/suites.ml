@@ -59,6 +59,10 @@ let sorted l = List.sort compare l
 
 let axes_of_dim dim = List.init dim (fun i (p : float array) -> p.(i))
 
+(* Bit patterns of the points, so the structural comparison also holds
+   for NaN (equal to itself) and tells -0.0 from 0.0. *)
+let bits pts = List.map (Array.map Int64.bits_of_float) pts
+
 let front_vs_oracle name points =
   R.prop name (fun ~seed ~size ->
       let g = Prng.create ~seed in
@@ -67,8 +71,9 @@ let front_vs_oracle name points =
       let pts = points g ~size ~dim in
       let got = Pareto.front ~axes pts
       and want = Oracle.pareto_front ~axes pts in
-      R.check (got = want) "front differs from quadratic oracle on %d points"
-        (List.length pts))
+      R.check
+        (bits got = bits want)
+        "front differs from quadratic oracle on %d points" (List.length pts))
 
 let pareto_suite =
   [
@@ -76,6 +81,9 @@ let pareto_suite =
       Gen.grid_points;
     front_vs_oracle "front matches quadratic oracle (continuous points)"
       Gen.continuous_points;
+    front_vs_oracle
+      "front matches quadratic oracle (NaN, infinities, signed zeros, repeats)"
+      Gen.special_points;
     R.prop "front is idempotent" (fun ~seed ~size ->
         let g = Prng.create ~seed in
         let axes = axes_of_dim 3 in
@@ -729,8 +737,64 @@ let eval_suite =
 
 (* -- pipeline ------------------------------------------------------------ *)
 
+(* An APEX catalogue with every module kind and two victim, L2,
+   write-buffer and LLDMA options: a group key that drops one of those
+   parameters merges candidates whose profiles differ. *)
+let group_catalogue =
+  let cache c_size c_line c_assoc c_latency =
+    { Params.c_size; c_line; c_assoc; c_latency;
+      c_policy = Params.default_policy }
+  in
+  {
+    Mx_apex.Explore.reduced_config with
+    caches = [ cache 512 16 1 1; cache 2048 32 2 1 ];
+    include_no_cache = true;
+    lldmas = Mx_mem.Module_lib.lldmas;
+    l2s = [ cache 4096 32 2 4; cache 8192 64 4 4 ];
+    victims =
+      [ { Params.v_entries = 2; v_latency = 1 };
+        { Params.v_entries = 8; v_latency = 1 } ];
+    write_buffers =
+      [ { Params.wb_entries = 2; wb_drain = 3 };
+        { Params.wb_entries = 4; wb_drain = 4 } ];
+    sram_budget = 4096;
+  }
+
+let profile_mismatch a b =
+  List.find_map
+    (fun ((field, x), (_, y)) ->
+      if x <> y then Some (Printf.sprintf "%s: %d vs %d" field x y) else None)
+    (List.combine (Oracle.profile_canon a) (Oracle.profile_canon b))
+
 let pipeline_suite =
   [
+    R.prop ~cost:4 "composed group profiles equal whole-architecture runs"
+      (fun ~seed ~size ->
+        let g = Prng.create ~seed in
+        let w = Gen.workload g ~size in
+        let archs =
+          Mx_apex.Explore.candidates group_catalogue
+            (Mx_trace.Profile.analyze w)
+        in
+        let regions = w.Workload.regions and trace = w.Workload.trace in
+        let got = Mem_sim.run_all archs ~regions trace
+        and want = Oracle.profiles ~regions archs trace in
+        if List.length got <> List.length want then
+          R.failf "%d composed profiles for %d architectures"
+            (List.length got) (List.length want)
+        else
+          match
+            List.find_map
+              (fun ((a : Mem_arch.t), (c, r)) ->
+                Option.map
+                  (fun diff -> (a.Mem_arch.label, diff))
+                  (profile_mismatch c r))
+              (List.combine archs (List.combine got want))
+          with
+          | None -> R.Pass
+          | Some (label, diff) ->
+            R.failf "%s: composed profile differs from Mem_sim.run (%s)"
+              label diff);
     R.prop ~cost:3 "per-serving profile partitions the trace"
       (fun ~seed ~size ->
         let g = Prng.create ~seed in

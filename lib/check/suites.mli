@@ -2,8 +2,10 @@
 
     Each suite bundles the properties of one subsystem:
 
-    - [pareto]      front vs quadratic oracle, idempotence, permutation
-                    invariance, front2/front agreement
+    - [pareto]      front vs quadratic oracle (tied, continuous and
+                    NaN/infinity/signed-zero/repeated points),
+                    idempotence, permutation invariance, front2/front
+                    agreement
     - [cluster]     levels vs naive bottom-up oracle, conservation laws,
                     ordered-variant invariants
     - [assign]      enumeration vs exhaustive cartesian oracle,
@@ -17,8 +19,10 @@
                     determinism, sampled-vs-exact bounds
     - [eval]        cached evaluation vs direct recomputation,
                     cache-on/off equality, Exact-promotes-Sampled
-    - [pipeline]    whole-flow sanity under random workloads and
-                    architectures (never crashes, metrics finite)
+    - [pipeline]    composed group profiles of every APEX candidate
+                    vs one {!Mx_mem.Mem_sim.run} each, whole-flow
+                    sanity under random workloads and architectures
+                    (never crashes, metrics finite)
     - [explore]     cache-on/off and jobs=1/jobs=N run parity,
                     estimate-vs-exact rank correlation floors,
                     event-log terminal-verdict coverage

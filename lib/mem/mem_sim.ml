@@ -13,16 +13,9 @@ type outcome = {
   extra_energy : float;
 }
 
-type t = {
-  arch : Mem_arch.t;
-  cache : Cache.t option;
-  l2 : Cache.t option;
-  sbuf : Stream_buffer.t option;
-  lldma : Lldma.t option;
-  victim : Victim_cache.t option;
-  wbuf : Write_buffer.t option;
-  dram : Dram.t;
-  (* counters indexed by serving (5 classes) *)
+(* Integer counters of one simulation; the per-serving arrays are
+   indexed by [serving_index] (5 classes). *)
+type counters = {
   cpu_acc : int array;
   cpu_cnt : int array;
   dram_acc : int array;
@@ -40,6 +33,18 @@ type t = {
   mutable l2_txns_acc : int;
 }
 
+type t = {
+  arch : Mem_arch.t;
+  cache : Cache.t option;
+  l2 : Cache.t option;
+  sbuf : Stream_buffer.t option;
+  lldma : Lldma.t option;
+  victim : Victim_cache.t option;
+  wbuf : Write_buffer.t option;
+  dram : Dram.t;
+  k : counters;
+}
+
 let serving_index = function
   | By_cache -> 0
   | By_sram -> 1
@@ -47,21 +52,8 @@ let serving_index = function
   | By_lldma -> 3
   | By_dram_direct -> 4
 
-let create (arch : Mem_arch.t) ~regions =
-  List.iter
-    (fun (r : Mx_trace.Region.t) ->
-      if r.id >= Array.length arch.Mem_arch.bindings then
-        invalid_arg "Mem_sim.create: region id outside binding table")
-    regions;
+let zero_counters () =
   {
-    arch;
-    cache = Option.map Cache.create arch.Mem_arch.cache;
-    l2 = Option.map Cache.create arch.Mem_arch.l2;
-    sbuf = Option.map Stream_buffer.create arch.Mem_arch.sbuf;
-    lldma = Option.map Lldma.create arch.Mem_arch.lldma;
-    victim = Option.map Victim_cache.create arch.Mem_arch.victim;
-    wbuf = Option.map Write_buffer.create arch.Mem_arch.wbuf;
-    dram = Dram.create Module_lib.default_dram;
     cpu_acc = Array.make 5 0;
     cpu_cnt = Array.make 5 0;
     dram_acc = Array.make 5 0;
@@ -79,24 +71,77 @@ let create (arch : Mem_arch.t) ~regions =
     l2_txns_acc = 0;
   }
 
+let add_counters ~into:a b =
+  let add dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
+  add a.cpu_acc b.cpu_acc;
+  add a.cpu_cnt b.cpu_cnt;
+  add a.dram_acc b.dram_acc;
+  add a.dram_txn b.dram_txn;
+  add a.miss_cnt b.miss_cnt;
+  a.n_access <- a.n_access + b.n_access;
+  a.n_hit <- a.n_hit + b.n_hit;
+  a.n_demand_miss <- a.n_demand_miss + b.n_demand_miss;
+  a.dram_total <- a.dram_total + b.dram_total;
+  a.n_victim_hit <- a.n_victim_hit + b.n_victim_hit;
+  a.n_wbuf_stall <- a.n_wbuf_stall + b.n_wbuf_stall;
+  a.n_l2_access <- a.n_l2_access + b.n_l2_access;
+  a.n_l2_hit <- a.n_l2_hit + b.n_l2_hit;
+  a.l2_bytes_acc <- a.l2_bytes_acc + b.l2_bytes_acc;
+  a.l2_txns_acc <- a.l2_txns_acc + b.l2_txns_acc
+
+(* Simulation state for [arch]'s bindings with no modules; callers
+   instantiate the modules their accesses reach. *)
+let bare arch =
+  {
+    arch;
+    cache = None;
+    l2 = None;
+    sbuf = None;
+    lldma = None;
+    victim = None;
+    wbuf = None;
+    dram = Dram.create Module_lib.default_dram;
+    k = zero_counters ();
+  }
+
+let check_regions (arch : Mem_arch.t) regions =
+  List.iter
+    (fun (r : Mx_trace.Region.t) ->
+      if r.id >= Array.length arch.Mem_arch.bindings then
+        invalid_arg "Mem_sim.create: region id outside binding table")
+    regions
+
+let create (arch : Mem_arch.t) ~regions =
+  check_regions arch regions;
+  {
+    (bare arch) with
+    cache = Option.map Cache.create arch.Mem_arch.cache;
+    l2 = Option.map Cache.create arch.Mem_arch.l2;
+    sbuf = Option.map Stream_buffer.create arch.Mem_arch.sbuf;
+    lldma = Option.map Lldma.create arch.Mem_arch.lldma;
+    victim = Option.map Victim_cache.create arch.Mem_arch.victim;
+    wbuf = Option.map Write_buffer.create arch.Mem_arch.wbuf;
+  }
+
 let arch t = t.arch
 let dram t = t.dram
 
 let record t serving ~size ~(o : outcome) =
+  let k = t.k in
   let i = serving_index serving in
-  t.cpu_acc.(i) <- t.cpu_acc.(i) + size;
-  t.cpu_cnt.(i) <- t.cpu_cnt.(i) + 1;
-  t.dram_acc.(i) <- t.dram_acc.(i) + o.dram_bytes;
-  t.dram_txn.(i) <- t.dram_txn.(i) + o.dram_txns;
-  t.n_access <- t.n_access + 1;
-  if o.hit then t.n_hit <- t.n_hit + 1;
+  k.cpu_acc.(i) <- k.cpu_acc.(i) + size;
+  k.cpu_cnt.(i) <- k.cpu_cnt.(i) + 1;
+  k.dram_acc.(i) <- k.dram_acc.(i) + o.dram_bytes;
+  k.dram_txn.(i) <- k.dram_txn.(i) + o.dram_txns;
+  k.n_access <- k.n_access + 1;
+  if o.hit then k.n_hit <- k.n_hit + 1;
   if o.dram_critical then begin
-    t.n_demand_miss <- t.n_demand_miss + 1;
-    t.miss_cnt.(i) <- t.miss_cnt.(i) + 1
+    k.n_demand_miss <- k.n_demand_miss + 1;
+    k.miss_cnt.(i) <- k.miss_cnt.(i) + 1
   end;
-  t.l2_bytes_acc <- t.l2_bytes_acc + o.l2_bytes;
-  t.l2_txns_acc <- t.l2_txns_acc + o.l2_txns;
-  t.dram_total <- t.dram_total + o.dram_bytes
+  k.l2_bytes_acc <- k.l2_bytes_acc + o.l2_bytes;
+  k.l2_txns_acc <- k.l2_txns_acc + o.l2_txns;
+  k.dram_total <- k.dram_total + o.dram_bytes
 
 let base serving ~hit ~dram_bytes ~dram_txns ~dram_critical =
   { serving; hit; dram_bytes; dram_txns; dram_critical; l2_bytes = 0;
@@ -150,7 +195,7 @@ let access t ~now ~addr ~size ~write ~region =
           match t.victim with
           | Some v when Victim_cache.probe v ~line:(addr / line) ->
             (* conflict miss recovered on-chip: swap back, no DRAM *)
-            t.n_victim_hit <- t.n_victim_hit + 1;
+            t.k.n_victim_hit <- t.k.n_victim_hit + 1;
             {
               (base By_cache ~hit:true ~dram_bytes:0 ~dram_txns:0
                  ~dram_critical:false)
@@ -174,7 +219,7 @@ let access t ~now ~addr ~size ~write ~region =
               }
             | Some l2 ->
               let l2_line = (Cache.params l2).Params.c_line in
-              t.n_l2_access <- t.n_l2_access + 1;
+              t.k.n_l2_access <- t.k.n_l2_access + 1;
               (* the dirty L1 line drains into the L2 *)
               let wb_dram_bytes = ref 0 and wb_dram_txns = ref 0 in
               (match (r.Cache.writeback, r.Cache.evicted_line) with
@@ -195,7 +240,7 @@ let access t ~now ~addr ~size ~write ~region =
                 Energy_model.cache_access (Cache.params l2) ~write:false
               in
               if dr.Cache.hit then begin
-                t.n_l2_hit <- t.n_l2_hit + 1;
+                t.k.n_l2_hit <- t.k.n_l2_hit + 1;
                 {
                   (base By_cache ~hit:true ~dram_bytes:!wb_dram_bytes
                      ~dram_txns:!wb_dram_txns ~dram_critical:false)
@@ -239,7 +284,7 @@ let access t ~now ~addr ~size ~write ~region =
                 extra_energy = Energy_model.write_buffer_access;
               }
             | `Stall ->
-              t.n_wbuf_stall <- t.n_wbuf_stall + 1;
+              t.k.n_wbuf_stall <- t.k.n_wbuf_stall + 1;
               base By_dram_direct ~hit:false ~dram_bytes:size ~dram_txns:1
                 ~dram_critical:true)
           else if Write_buffer.read_forward wb ~now ~line:line16 then
@@ -277,27 +322,29 @@ type stats = {
   l2_txns_total : int;
 }
 
-let snapshot t =
-  let cpu = Array.copy t.cpu_acc and dr = Array.copy t.dram_acc in
-  let cnt = Array.copy t.cpu_cnt and txn = Array.copy t.dram_txn in
-  let mis = Array.copy t.miss_cnt in
+let snapshot_counters k =
+  let cpu = Array.copy k.cpu_acc and dr = Array.copy k.dram_acc in
+  let cnt = Array.copy k.cpu_cnt and txn = Array.copy k.dram_txn in
+  let mis = Array.copy k.miss_cnt in
   {
-    accesses = t.n_access;
-    on_chip_hits = t.n_hit;
-    demand_misses = t.n_demand_miss;
-    dram_bytes_total = t.dram_total;
+    accesses = k.n_access;
+    on_chip_hits = k.n_hit;
+    demand_misses = k.n_demand_miss;
+    dram_bytes_total = k.dram_total;
     cpu_bytes = (fun s -> cpu.(serving_index s));
     cpu_accesses = (fun s -> cnt.(serving_index s));
     dram_bytes_by = (fun s -> dr.(serving_index s));
     dram_txns_by = (fun s -> txn.(serving_index s));
     demand_misses_by = (fun s -> mis.(serving_index s));
-    victim_hits = t.n_victim_hit;
-    wbuf_stalls = t.n_wbuf_stall;
-    l2_accesses = t.n_l2_access;
-    l2_hits = t.n_l2_hit;
-    l2_bytes_total = t.l2_bytes_acc;
-    l2_txns_total = t.l2_txns_acc;
+    victim_hits = k.n_victim_hit;
+    wbuf_stalls = k.n_wbuf_stall;
+    l2_accesses = k.n_l2_access;
+    l2_hits = k.n_l2_hit;
+    l2_bytes_total = k.l2_bytes_acc;
+    l2_txns_total = k.l2_txns_acc;
   }
+
+let snapshot t = snapshot_counters t.k
 
 let run t trace =
   let i = ref 0 in
@@ -306,6 +353,141 @@ let run t trace =
       ignore (access t ~now:!i ~addr ~size ~write ~region);
       incr i);
   snapshot t
+
+(* -- many architectures over one trace ------------------------------------
+
+   [access] sends each access, by its region's binding, to exactly one
+   of four module groups: the cache path (the cache with its victim
+   buffer and L2, or the write buffer when there is no cache), the
+   scratchpad, the stream buffer and the LLDMA.  The groups share no
+   state, [now] is the global access index, [access] never touches the
+   DRAM model, and every counter is an integer sum.  So a profile is the
+   field-by-field sum of its groups' profiles, and a group's profile
+   depends only on the [group] key below: the parameters of its modules
+   and the regions bound to it. *)
+
+type group_modules =
+  | Cached of {
+      cache : Params.cache;
+      victim : Params.victim option;
+      l2 : Params.cache option;
+    }
+  | Uncached of Params.write_buffer option
+  | Scratchpad of Params.sram
+  | Streamed of Params.stream_buffer
+  | Chased of Params.lldma
+
+type group = { modules : group_modules; members : bool array }
+
+(* The group of [arch] that serves [binding]; [None] when no region is
+   bound to it. *)
+let group_of (arch : Mem_arch.t) binding =
+  let members = Array.map (( = ) binding) arch.Mem_arch.bindings in
+  if not (Array.mem true members) then None
+  else
+    let modules =
+      match binding with
+      | Mem_arch.To_cache -> (
+        match arch.Mem_arch.cache with
+        | Some cache ->
+          Cached { cache; victim = arch.Mem_arch.victim; l2 = arch.Mem_arch.l2 }
+        | None -> Uncached arch.Mem_arch.wbuf)
+      | Mem_arch.To_sram -> Scratchpad (Option.get arch.Mem_arch.sram)
+      | Mem_arch.To_sbuf -> Streamed (Option.get arch.Mem_arch.sbuf)
+      | Mem_arch.To_lldma -> Chased (Option.get arch.Mem_arch.lldma)
+    in
+    Some { modules; members }
+
+let groups_of arch =
+  List.filter_map (group_of arch)
+    Mem_arch.[ To_cache; To_sram; To_sbuf; To_lldma ]
+
+(* Ascending indices of the accesses bound to [members]. *)
+let member_accesses members trace =
+  let _, metas = Mx_trace.Trace.backing trace in
+  let bound i =
+    let region = Mx_trace.Trace.meta_region metas.(i) in
+    if region >= Array.length members then
+      invalid_arg "Mem_sim.run_all: region id outside binding table";
+    members.(region)
+  in
+  let n = Mx_trace.Trace.length trace in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if bound i then incr count
+  done;
+  let idx = Array.make !count 0 and j = ref 0 in
+  for i = 0 to n - 1 do
+    if bound i then begin
+      idx.(!j) <- i;
+      incr j
+    end
+  done;
+  idx
+
+(* One pass of [g] over its accesses, on a simulator that holds only the
+   group's modules; [arch] supplies the bindings. *)
+let run_group arch g trace idx =
+  let t = bare arch in
+  let t =
+    match g.modules with
+    | Cached { cache; victim; l2 } ->
+      {
+        t with
+        cache = Some (Cache.create cache);
+        victim = Option.map Victim_cache.create victim;
+        l2 = Option.map Cache.create l2;
+      }
+    | Uncached wbuf -> { t with wbuf = Option.map Write_buffer.create wbuf }
+    | Scratchpad _ -> t
+    | Streamed p -> { t with sbuf = Some (Stream_buffer.create p) }
+    | Chased p -> { t with lldma = Some (Lldma.create p) }
+  in
+  let addrs, metas = Mx_trace.Trace.backing trace in
+  Array.iter
+    (fun i ->
+      let meta = metas.(i) in
+      ignore
+        (access t ~now:i ~addr:addrs.(i)
+           ~size:(Mx_trace.Trace.meta_size meta)
+           ~write:(Mx_trace.Trace.meta_kind meta = Mx_trace.Access.Write)
+           ~region:(Mx_trace.Trace.meta_region meta)))
+    idx;
+  t.k
+
+let run_all archs ~regions trace =
+  List.iter (fun a -> check_regions a regions) archs;
+  (* distinct groups, each with the first architecture that has it *)
+  let slots = Hashtbl.create 256 in
+  let slot arch g =
+    match Hashtbl.find_opt slots g with
+    | Some (s, _) -> s
+    | None ->
+      let s = Hashtbl.length slots in
+      Hashtbl.add slots g (s, arch);
+      s
+  in
+  let arch_slots = List.map (fun a -> List.map (slot a) (groups_of a)) archs in
+  let profiles = Array.make (Hashtbl.length slots) (zero_counters ()) in
+  (* groups sorted by region set, so one member index is alive at a time *)
+  let by_members =
+    List.sort
+      (fun (a, _) (b, _) -> compare a.members b.members)
+      (Hashtbl.fold (fun g v acc -> (g, v) :: acc) slots [])
+  in
+  let current = ref ([||], [||]) in
+  List.iter
+    (fun (g, (s, arch)) ->
+      if fst !current <> g.members then
+        current := (g.members, member_accesses g.members trace);
+      profiles.(s) <- run_group arch g trace (snd !current))
+    by_members;
+  List.map
+    (fun ss ->
+      let k = zero_counters () in
+      List.iter (fun s -> add_counters ~into:k profiles.(s)) ss;
+      snapshot_counters k)
+    arch_slots
 
 let miss_ratio s =
   if s.accesses = 0 then 0.0

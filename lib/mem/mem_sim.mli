@@ -84,6 +84,22 @@ val run : t -> Mx_trace.Trace.t -> stats
     {!Trace.iter_packed}; the per-access outcomes are folded into the
     stats and not retained. *)
 
+val run_all :
+  Mem_arch.t list -> regions:Mx_trace.Region.t list -> Mx_trace.Trace.t ->
+  stats list
+(** [run_all archs ~regions trace] profiles every architecture over one
+    trace.  The results are in order and each equals
+    [run (create a ~regions) trace], counter for counter.
+
+    Each access goes, by its region's binding, to exactly one of four
+    independent module groups (the cache path, the scratchpad, the
+    stream buffer, the LLDMA), so a profile is the sum of its group
+    profiles.  A group is keyed by its modules' parameters and the set
+    of regions bound to it, and each distinct group is simulated once,
+    over only its own accesses, with the global access index as [now].
+    Nothing is retained between calls.
+    @raise Invalid_argument as {!create} and {!access} would. *)
+
 val miss_ratio : stats -> float
 (** Demand misses / accesses — the paper's Fig. 3 Y axis ("accesses to
     off-chip memory are misses"). *)

@@ -5,20 +5,46 @@ let dominates ~axes a b =
   let strictly = List.exists (fun f -> f a < f b) axes in
   no_worse && strictly
 
+(* Sort-and-sweep.  Under the lexicographic [Float.compare] order a
+   dominator always sorts strictly before the point it dominates, and a
+   dominated dominator is itself dominated by a kept point (dominance is
+   transitive), so a point is on the front iff no point kept before it
+   in that order dominates it.  A NaN coordinate makes every [<=] false:
+   such a point dominates nothing and nothing dominates it. *)
 let front ~axes designs =
-  let arr = Array.of_list designs in
-  let n = Array.length arr in
-  let kept = ref [] in
-  for i = n - 1 downto 0 do
-    let d = arr.(i) in
-    let dominated = ref false in
-    for j = 0 to n - 1 do
-      if (not !dominated) && j <> i && dominates ~axes arr.(j) d then
-        dominated := true
-    done;
-    if not !dominated then kept := d :: !kept
-  done;
-  !kept
+  let axes = Array.of_list axes in
+  let v =
+    Array.of_list (List.map (fun d -> Array.map (fun f -> f d) axes) designs)
+  in
+  let n = Array.length v and dims = Array.length axes in
+  let lex i j =
+    let rec go k =
+      if k = dims then 0
+      else
+        match Float.compare v.(i).(k) v.(j).(k) with
+        | 0 -> go (k + 1)
+        | c -> c
+    in
+    go 0
+  in
+  let dom a b =
+    let rec go k strictly =
+      if k = dims then strictly
+      else a.(k) <= b.(k) && go (k + 1) (strictly || a.(k) < b.(k))
+    in
+    go 0 false
+  in
+  let order = Array.init n Fun.id in
+  Array.stable_sort lex order;
+  let keep = Array.make n false and kept = ref [] in
+  Array.iter
+    (fun i ->
+      if not (List.exists (fun a -> dom a v.(i)) !kept) then begin
+        keep.(i) <- true;
+        kept := v.(i) :: !kept
+      end)
+    order;
+  List.filteri (fun i _ -> keep.(i)) designs
 
 let sort_by f l = List.stable_sort (fun a b -> Float.compare (f a) (f b)) l
 

@@ -15,11 +15,14 @@ val dominates : axes:'a axis list -> 'a -> 'a -> bool
 val front : axes:'a axis list -> 'a list -> 'a list
 (** [front ~axes designs] returns the non-dominated subset, preserving
     first-occurrence order.  Duplicate objective vectors are all kept
-    (they dominate nothing and are dominated by nothing). *)
+    (they dominate nothing and are dominated by nothing), and so is any
+    point with a NaN coordinate, which dominates nothing.  Each axis is
+    evaluated once per point; O(n log n + n·f) comparisons for [n]
+    points and a front of size [f]. *)
 
 val front2 : x:'a axis -> y:'a axis -> 'a list -> 'a list
 (** Two-objective front, returned sorted by increasing [x].  O(n log n)
-    sweep rather than the generic O(n^2) filter. *)
+    sweep. *)
 
 val sort_by : 'a axis -> 'a list -> 'a list
 (** Stable ascending sort by one axis. *)

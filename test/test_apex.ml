@@ -42,6 +42,30 @@ let test_evaluate_counts () =
   Helpers.check_int "profile covers the trace"
     p.Mx_trace.Profile.total_accesses c.Explore.profile.Mx_mem.Mem_sim.accesses
 
+let test_explore_equals_evaluate () =
+  let p = profile () in
+  let config = Explore.default_config in
+  let composed = Explore.explore ~config p
+  and reference = List.map (Explore.evaluate p) (Explore.candidates config p) in
+  Helpers.check_int "one result per candidate" (List.length reference)
+    (List.length composed);
+  List.iter2
+    (fun (c : Explore.candidate) (r : Explore.candidate) ->
+      let label = r.Explore.arch.Mem_arch.label in
+      Alcotest.(check string)
+        (label ^ " architecture")
+        (Mem_arch.fingerprint r.Explore.arch)
+        (Mem_arch.fingerprint c.Explore.arch);
+      Helpers.check_int (label ^ " cost") r.Explore.cost_gates
+        c.Explore.cost_gates;
+      Helpers.check_true (label ^ " miss ratio")
+        (c.Explore.miss_ratio = r.Explore.miss_ratio);
+      Alcotest.(check (list (pair string int)))
+        (label ^ " profile")
+        (Mx_check.Oracle.profile_canon r.Explore.profile)
+        (Mx_check.Oracle.profile_canon c.Explore.profile))
+    composed reference
+
 let test_pareto_is_front () =
   let p = profile () in
   let all = Explore.explore ~config:Explore.reduced_config p in
@@ -104,6 +128,8 @@ let suite =
       Alcotest.test_case "patterns respected" `Quick test_candidates_respect_patterns;
       Alcotest.test_case "no empty arch" `Quick test_no_empty_architecture;
       Alcotest.test_case "evaluate counts" `Quick test_evaluate_counts;
+      Alcotest.test_case "explore equals evaluate" `Slow
+        test_explore_equals_evaluate;
       Alcotest.test_case "pareto is a front" `Slow test_pareto_is_front;
       Alcotest.test_case "select cap/order" `Slow test_select_cap_and_order;
       Alcotest.test_case "select deterministic" `Slow test_select_deterministic;
