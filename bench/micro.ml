@@ -88,6 +88,27 @@ let test_table1_sampled_sim =
        (Mx_sim.Cycle_sim.run ~sample:Mx_sim.Cycle_sim.default_sample ~workload:w
           ~arch ~conn ()))
 
+(* The two stages of a simulation, apart: the module-level recording
+   once per architecture, then the timing of one connectivity over it
+   (the loop Phase II and Full run once per design). *)
+let test_table1_record =
+  Test.make ~name:"table1: record module outcomes (20k trace)"
+    (Staged.stage @@ fun () ->
+     let w, _, arch, _, _, _ = Lazy.force prepared in
+     ignore (Mx_sim.Cycle_sim.record ~workload:w ~arch ()))
+
+let recorded =
+  lazy
+    (let w, _, arch, _, _, _ = Lazy.force prepared in
+     Mx_sim.Cycle_sim.record ~workload:w ~arch ())
+
+let test_table1_time =
+  Test.make
+    ~name:"table1: time one connectivity over a recorded column (20k trace)"
+    (Staged.stage @@ fun () ->
+     let _, _, _, _, _, conn = Lazy.force prepared in
+     ignore (Mx_sim.Cycle_sim.time (Lazy.force recorded) ~conn))
+
 let test_table2_clustering =
   Test.make ~name:"table2: clustering levels + feasible assignments"
     (Staged.stage @@ fun () ->
@@ -125,6 +146,8 @@ let tests =
     test_fig6_pareto_front3;
     test_table1_cycle_sim;
     test_table1_sampled_sim;
+    test_table1_record;
+    test_table1_time;
     test_table2_clustering;
     test_substrate_cache;
     test_substrate_trace_gen;

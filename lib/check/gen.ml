@@ -134,9 +134,33 @@ let repl_stream g ~size ~(geometry : Params.cache) =
       in
       (addr, Prng.bool g ~p:0.3))
 
-let mem_arch_spec g (w : Mx_trace.Workload.t) ~label =
-  let regions = w.Mx_trace.Workload.regions in
+(* Region bindings by hint: streams to the stream buffer, self-indirect
+   regions to the LLDMA, small indexed ones to a scratchpad sized to fit
+   them, random ones to the stream buffer when [random_to_sbuf]; the
+   rest stay on the cache path.  Draws nothing. *)
+let bind_by_hint ?(random_to_sbuf = false) regions ~sbuf ~lldma ~want_sram =
   let bindings = Array.make (List.length regions) Mem_arch.To_cache in
+  let sram_bytes = ref 0 in
+  List.iter
+    (fun (r : Region.t) ->
+      match r.Region.hint with
+      | Region.Stream when sbuf -> bindings.(r.Region.id) <- Mem_arch.To_sbuf
+      | Region.Self_indirect when lldma ->
+        bindings.(r.Region.id) <- Mem_arch.To_lldma
+      | Region.Indexed when want_sram && r.Region.size <= 4096 ->
+        bindings.(r.Region.id) <- Mem_arch.To_sram;
+        sram_bytes := !sram_bytes + r.Region.size
+      | Region.Random_access | Region.Mixed when random_to_sbuf ->
+        bindings.(r.Region.id) <- Mem_arch.To_sbuf
+      | _ -> ())
+    regions;
+  let sram =
+    if !sram_bytes > 0 then Some (Mx_mem.Module_lib.sram_for_bytes !sram_bytes)
+    else None
+  in
+  (bindings, sram)
+
+let mem_arch_spec g (w : Mx_trace.Workload.t) ~label =
   let cache = cache g in
   let sbuf =
     if Prng.bool g ~p:0.5 then Some (List.hd Mx_mem.Module_lib.stream_buffers)
@@ -145,26 +169,86 @@ let mem_arch_spec g (w : Mx_trace.Workload.t) ~label =
     if Prng.bool g ~p:0.5 then Some (List.hd Mx_mem.Module_lib.lldmas)
     else None
   and want_sram = Prng.bool g ~p:0.3 in
-  let sram_bytes = ref 0 in
-  List.iter
-    (fun (r : Region.t) ->
-      match r.Region.hint with
-      | Region.Stream when sbuf <> None ->
-        bindings.(r.Region.id) <- Mem_arch.To_sbuf
-      | Region.Self_indirect when lldma <> None ->
-        bindings.(r.Region.id) <- Mem_arch.To_lldma
-      | Region.Indexed when want_sram && r.Region.size <= 4096 ->
-        bindings.(r.Region.id) <- Mem_arch.To_sram;
-        sram_bytes := !sram_bytes + r.Region.size
-      | _ -> ())
-    regions;
-  let sram =
-    if !sram_bytes > 0 then Some (Mx_mem.Module_lib.sram_for_bytes !sram_bytes)
-    else None
+  let bindings, sram =
+    bind_by_hint w.Mx_trace.Workload.regions ~sbuf:(sbuf <> None)
+      ~lldma:(lldma <> None) ~want_sram
   in
   Mem_arch.make ~label ~cache ?sbuf ?lldma ?sram ~bindings ()
 
 let mem_arch g w = mem_arch_spec g w ~label:"gen"
+
+(* -- the whole timing model --------------------------------------------- *)
+
+let pow2 g ~lo ~hi = 1 lsl (lo + Prng.int g ~bound:(hi - lo + 1))
+
+let sim_arch g (w : Mx_trace.Workload.t) =
+  let cache, l2, victim, wbuf =
+    if Prng.bool g ~p:0.2 then
+      (* no cache: To_cache regions go off-chip, maybe posted *)
+      let wbuf =
+        if Prng.bool g ~p:0.7 then
+          Some
+            { Params.wb_entries = 1 + Prng.int g ~bound:8;
+              wb_drain = 1 + Prng.int g ~bound:16 }
+        else None
+      in
+      (None, None, None, wbuf)
+    else begin
+      let c = { (cache g) with Params.c_policy = repl_policy g } in
+      let l2 =
+        if Prng.bool g ~p:0.5 then begin
+          let line = max c.Params.c_line (pow2 g ~lo:4 ~hi:7) in
+          let size = max c.Params.c_size (pow2 g ~lo:11 ~hi:16) in
+          Some
+            { Params.c_size = size; c_line = line;
+              c_assoc = min (pow2 g ~lo:0 ~hi:3) (size / line);
+              c_latency = 1 + Prng.int g ~bound:6;
+              c_policy = Params.default_policy }
+        end
+        else None
+      and victim =
+        if Prng.bool g ~p:0.4 then
+          Some
+            { Params.v_entries = 1 + Prng.int g ~bound:8;
+              v_latency = 1 + Prng.int g ~bound:3 }
+        else None
+      in
+      (Some c, l2, victim, None)
+    end
+  in
+  (* a deep prefetcher over short lines that also serves the randomly
+     accessed regions: every forward jump inside its window fetches a
+     different number of lines, so recorded outcome ids outgrow a byte *)
+  let deep = Prng.bool g ~p:0.1 in
+  let sbuf =
+    if deep then
+      Some
+        { Params.sb_streams = 1 + Prng.int g ~bound:2; sb_line = 4;
+          sb_depth = 300 + Prng.int g ~bound:700; sb_latency = 1 }
+    else if Prng.bool g ~p:0.5 then
+      Some (Prng.pick g (Array.of_list Mx_mem.Module_lib.stream_buffers))
+    else None
+  and lldma =
+    if Prng.bool g ~p:0.5 then
+      Some (Prng.pick g (Array.of_list Mx_mem.Module_lib.lldmas))
+    else None
+  and want_sram = Prng.bool g ~p:0.3 in
+  let bindings, sram =
+    bind_by_hint ~random_to_sbuf:deep w.Mx_trace.Workload.regions
+      ~sbuf:(sbuf <> None) ~lldma:(lldma <> None) ~want_sram
+  in
+  Mem_arch.make ~label:"gen" ?cache ?l2 ?victim ?wbuf ?sbuf ?lldma ?sram
+    ~bindings ()
+
+let window g =
+  let on = 1 + Prng.int g ~bound:64 in
+  (on, Prng.int g ~bound:200)
+
+let sample g = if Prng.bool g ~p:0.3 then None else Some (window g)
+
+let cpu_model g =
+  if Prng.bool g ~p:0.5 then Mx_sim.Cycle_sim.Blocking
+  else Mx_sim.Cycle_sim.Overlap (1 + Prng.int g ~bound:4)
 
 let conn_onchip =
   lazy
@@ -191,10 +275,16 @@ type pipeline = {
   p_brg : Mx_connect.Brg.t;
 }
 
-let pipeline g ~size =
-  let w = workload g ~size in
-  let arch = mem_arch g w in
+let pipeline_over w arch =
   let msim = Mx_mem.Mem_sim.create arch ~regions:w.Mx_trace.Workload.regions in
   let profile = Mx_mem.Mem_sim.run msim w.Mx_trace.Workload.trace in
   let brg = Mx_connect.Brg.build arch profile in
   { p_workload = w; p_arch = arch; p_profile = profile; p_brg = brg }
+
+let pipeline g ~size =
+  let w = workload g ~size in
+  pipeline_over w (mem_arch g w)
+
+let sim_pipeline g ~size =
+  let w = workload g ~size in
+  pipeline_over w (sim_arch g w)

@@ -67,12 +67,31 @@ val mem_arch_spec :
   Mx_util.Prng.t -> Mx_trace.Workload.t -> label:string -> Mx_mem.Mem_arch.t
 (** A random valid memory architecture for the workload (cache
     geometry, optional stream buffer / LLDMA / scratchpad bound by
-    region hints; never an L2, so the straight-line replay oracle
-    applies).  The same generator state builds the same structure
+    region hints; never an L2, victim or write buffer — {!sim_arch}
+    draws those).  The same generator state builds the same structure
     under any [label] — used by the fingerprint relabeling suite. *)
 
 val mem_arch : Mx_util.Prng.t -> Mx_trace.Workload.t -> Mx_mem.Mem_arch.t
 (** [mem_arch_spec ~label:"gen"]. *)
+
+val sim_arch : Mx_util.Prng.t -> Mx_trace.Workload.t -> Mx_mem.Mem_arch.t
+(** A random valid architecture over everything the timing model
+    covers: an L1 of any policy with an optional L2 and victim buffer,
+    or no cache with an optional write buffer, plus optional stream
+    buffer, LLDMA and scratchpad bound by region hints.  One case in
+    ten has a deep stream buffer with 4-byte lines that also serves the
+    randomly accessed regions: its many distinct transfer sizes push
+    recorded outcome ids past one byte. *)
+
+val window : Mx_util.Prng.t -> int * int
+(** Random [(on, off)] sampling windows, [on] in [1..64] and [off] in
+    [0..199]. *)
+
+val sample : Mx_util.Prng.t -> (int * int) option
+(** No sampling (three cases in ten), or a {!window}. *)
+
+val cpu_model : Mx_util.Prng.t -> Mx_sim.Cycle_sim.cpu_model
+(** [Blocking], or [Overlap] with 1 to 4 MSHRs. *)
 
 val conn :
   Mx_util.Prng.t -> Mx_connect.Brg.t -> Mx_connect.Conn_arch.t
@@ -90,3 +109,6 @@ type pipeline = {
 val pipeline : Mx_util.Prng.t -> size:int -> pipeline
 (** Workload + architecture + module-level profile + BRG, the common
     prefix of the simulation and evaluation suites. *)
+
+val sim_pipeline : Mx_util.Prng.t -> size:int -> pipeline
+(** {!pipeline} over a {!sim_arch} architecture. *)

@@ -123,11 +123,23 @@ let route bindings (src : Channel.node) (dst : Channel.node) =
   in
   go 0 bindings
 
-let replay ~workload ~arch ~conn () =
-  if arch.Mem_arch.l2 <> None then
-    invalid_arg "Oracle.replay: L2 architectures are outside the oracle scope";
+let replay ?sample ?(cpu = Mx_sim.Cycle_sim.Blocking) ~workload ~arch ~conn ()
+    =
+  (match sample with
+  | Some (on, off) when on <= 0 || off < 0 ->
+    invalid_arg "Oracle.replay: bad sampling windows"
+  | _ -> ());
+  let mshrs =
+    match cpu with
+    | Mx_sim.Cycle_sim.Blocking -> [||]
+    | Mx_sim.Cycle_sim.Overlap n ->
+      if n <= 0 then invalid_arg "Oracle.replay: Overlap needs an MSHR";
+      Array.make n 0
+  in
   let bindings = (conn : Conn_arch.t).Conn_arch.bindings in
   let busy = Array.make (max 1 (List.length bindings)) 0 in
+  (* with an L2 the cache's off-chip traffic leaves from the L2 *)
+  let has_l2 = arch.Mem_arch.l2 <> None in
   let cpu_leg = Array.make 5 None and dram_leg = Array.make 5 None in
   List.iter
     (fun sv ->
@@ -135,20 +147,24 @@ let replay ~workload ~arch ~conn () =
       let i = Serving.index sv in
       cpu_leg.(i) <- route bindings Channel.Cpu node;
       if node <> Channel.Dram then
-        dram_leg.(i) <- route bindings node Channel.Dram)
+        dram_leg.(i) <-
+          route bindings
+            (if sv = Mem_sim.By_cache && has_l2 then Channel.L2 else node)
+            Channel.Dram)
     Serving.all;
-  let require leg sv =
+  let l2_leg = route bindings Channel.Cache Channel.L2 in
+  let require leg what =
     match leg with
     | Some l -> l
     | None ->
       invalid_arg
         (Printf.sprintf
-           "Oracle.replay: connectivity does not implement the %s channel"
-           (Channel.node_to_string (Serving.node_of sv)))
+           "Oracle.replay: connectivity does not implement the %s channel" what)
   in
   let msim =
     Mem_sim.create arch ~regions:workload.Mx_trace.Workload.regions
   in
+  let dram = Mem_sim.dram msim in
   let trace = workload.Mx_trace.Workload.trace in
   let n = Mx_trace.Trace.length trace in
   let ops_rate =
@@ -157,97 +173,151 @@ let replay ~workload ~arch ~conn () =
   in
   let now = ref 0 in
   let ops_acc = ref 0.0 in
+  let timed = ref 0 in
   let total_lat = ref 0 in
   let total_wait = ref 0 in
   let energy = ref 0.0 in
-  let i = ref 0 in
-  Mx_trace.Trace.iter_packed trace ~f:(fun ~addr ~size ~kind ~region ->
+  Mx_trace.Trace.iteri_packed trace ~f:(fun i ~addr ~size ~kind ~region ->
       let write = kind = Mx_trace.Access.Write in
       ops_acc := !ops_acc +. ops_rate;
       let gap = int_of_float !ops_acc in
       ops_acc := !ops_acc -. float_of_int gap;
-      let o = Mem_sim.access msim ~now:!i ~addr ~size ~write ~region in
+      let o = Mem_sim.access msim ~now:i ~addr ~size ~write ~region in
       let sv = o.Mem_sim.serving in
       let k = Serving.index sv in
-      if o.Mem_sim.l2_bytes > 0 then
-        invalid_arg "Oracle.replay: unexpected L2 traffic";
-      now := !now + gap;
-      (* CPU-side leg: queue behind the component, pay the transaction *)
-      let l1 = require cpu_leg.(k) sv in
-      let start1 = max !now busy.(l1.idx) in
-      let wait1 = start1 - !now in
-      let lat1 =
-        Component.txn_latency l1.comp ~bytes:size ~contended:l1.contended
+      let in_window =
+        match sample with None -> true | Some (on, off) -> i mod (on + off) < on
       in
-      let occ1 = Component.occupancy l1.comp ~bytes:size in
-      let mem_lat = Serving.module_latency arch sv in
-      let crit =
-        if not o.Mem_sim.dram_critical then 0
-        else
-          Serving.critical_bytes arch sv ~lldma_bytes:o.Mem_sim.dram_bytes
-            ~fallback:size
-      in
-      let bg = o.Mem_sim.dram_bytes - crit in
-      let miss_path = ref 0 in
-      if o.Mem_sim.dram_bytes > 0 then begin
-        let l2 =
-          if sv = Mem_sim.By_dram_direct then l1 else require dram_leg.(k) sv
+      if not in_window then begin
+        (* off window: the row buffers still see the traffic *)
+        if o.Mem_sim.dram_bytes > 0 then ignore (Mx_mem.Dram.access dram ~addr)
+      end
+      else begin
+        now := !now + gap;
+        (* CPU-side leg: queue behind the component, pay the transaction *)
+        let node = Channel.node_to_string (Serving.node_of sv) in
+        let l1 = require cpu_leg.(k) node in
+        let start1 = max !now busy.(l1.idx) in
+        let wait1 = start1 - !now in
+        let lat1 =
+          Component.txn_latency l1.comp ~bytes:size ~contended:l1.contended
         in
-        if crit > 0 then begin
-          let dram_lat = Mx_mem.Dram.access (Mem_sim.dram msim) ~addr in
-          if sv = Mem_sim.By_dram_direct then miss_path := dram_lat
-          else begin
-            let t_req = !now + wait1 + lat1 in
-            let start2 = max t_req busy.(l2.idx) in
-            let wait2 = start2 - t_req in
-            let lat2 =
-              Component.txn_latency l2.comp ~bytes:crit ~contended:l2.contended
-            in
+        let occ1 = Component.occupancy l1.comp ~bytes:size in
+        let mem_lat = Serving.module_latency arch sv in
+        let crit =
+          if not o.Mem_sim.dram_critical then 0
+          else
+            Serving.critical_bytes arch sv ~lldma_bytes:o.Mem_sim.dram_bytes
+              ~fallback:size
+        in
+        let bg = o.Mem_sim.dram_bytes - crit in
+        let miss_path = ref 0 in
+        (* an L1 miss with an L2 first crosses the L1<->L2 leg: the
+           critical word, then the rest of the transfer in background *)
+        if o.Mem_sim.l2_bytes > 0 then begin
+          let lm = require l2_leg "cache<->L2" in
+          let crit_m = min 8 o.Mem_sim.l2_bytes in
+          let t_req = !now + wait1 + lat1 in
+          let start_m = max t_req busy.(lm.idx) in
+          let wait_m = start_m - t_req in
+          busy.(lm.idx) <- start_m + Component.occupancy lm.comp ~bytes:crit_m;
+          if o.Mem_sim.l2_bytes > crit_m then
+            busy.(lm.idx) <-
+              max busy.(lm.idx) !now
+              + Component.occupancy lm.comp
+                  ~bytes:(o.Mem_sim.l2_bytes - crit_m);
+          let l2_lat =
+            match arch.Mem_arch.l2 with
+            | Some c -> c.Mx_mem.Params.c_latency
+            | None -> 0
+          in
+          miss_path :=
+            wait_m
+            + Component.txn_latency lm.comp ~bytes:crit_m
+                ~contended:lm.contended
+            + l2_lat;
+          total_wait := !total_wait + wait_m;
+          energy :=
+            !energy
+            +. (float_of_int o.Mem_sim.l2_bytes
+               *. Mx_connect.Conn_cost.energy_per_byte lm.comp)
+        end;
+        if o.Mem_sim.dram_bytes > 0 then begin
+          let l2 =
+            if sv = Mem_sim.By_dram_direct then l1
+            else require dram_leg.(k) node
+          in
+          if crit > 0 then begin
+            let dram_lat = Mx_mem.Dram.access dram ~addr in
+            if sv = Mem_sim.By_dram_direct then miss_path := dram_lat
+            else begin
+              let t_req = !now + wait1 + lat1 + !miss_path in
+              let start2 = max t_req busy.(l2.idx) in
+              let wait2 = start2 - t_req in
+              let lat2 =
+                Component.txn_latency l2.comp ~bytes:crit
+                  ~contended:l2.contended
+              in
+              busy.(l2.idx) <-
+                start2
+                + Component.occupancy l2.comp ~bytes:crit
+                + (if l2.comp.Component.split_txn then 0 else dram_lat);
+              miss_path := !miss_path + wait2 + lat2 + dram_lat;
+              total_wait := !total_wait + wait2
+            end
+          end;
+          if bg > 0 then begin
+            ignore (Mx_mem.Dram.access dram ~addr);
             busy.(l2.idx) <-
-              start2
-              + Component.occupancy l2.comp ~bytes:crit
-              + (if l2.comp.Component.split_txn then 0 else dram_lat);
-            miss_path := wait2 + lat2 + dram_lat;
-            total_wait := !total_wait + wait2
-          end
+              max busy.(l2.idx) !now + Component.occupancy l2.comp ~bytes:bg
+          end;
+          energy :=
+            !energy
+            +. Mx_mem.Energy_model.dram_traffic ~txns:o.Mem_sim.dram_txns
+                 ~bytes:o.Mem_sim.dram_bytes
+            +. (float_of_int o.Mem_sim.dram_bytes
+               *. Mx_connect.Conn_cost.energy_per_byte l2.comp)
         end;
-        if bg > 0 then begin
-          ignore (Mx_mem.Dram.access (Mem_sim.dram msim) ~addr);
-          busy.(l2.idx) <-
-            max busy.(l2.idx) !now + Component.occupancy l2.comp ~bytes:bg
-        end;
+        busy.(l1.idx) <-
+          start1 + occ1
+          + (if l1.comp.Component.split_txn then 0 else !miss_path);
+        let on_chip = wait1 + lat1 + mem_lat + o.Mem_sim.extra_latency in
+        let latency =
+          match cpu with
+          | Mx_sim.Cycle_sim.Blocking -> on_chip + !miss_path
+          | Mx_sim.Cycle_sim.Overlap _ when !miss_path = 0 -> on_chip
+          | Mx_sim.Cycle_sim.Overlap _ ->
+            (* the miss takes the MSHR that frees first (lowest index on
+               ties); the CPU stalls only until that slot is free *)
+            let slot = ref 0 in
+            Array.iteri (fun s t -> if t < mshrs.(!slot) then slot := s) mshrs;
+            let stall = max 0 (mshrs.(!slot) - !now) in
+            mshrs.(!slot) <- !now + stall + on_chip + !miss_path;
+            on_chip + stall
+        in
+        now := !now + latency;
+        total_lat := !total_lat + latency;
+        total_wait := !total_wait + wait1;
+        incr timed;
         energy :=
           !energy
-          +. Mx_mem.Energy_model.dram_traffic ~txns:o.Mem_sim.dram_txns
-               ~bytes:o.Mem_sim.dram_bytes
-          +. (float_of_int o.Mem_sim.dram_bytes
-             *. Mx_connect.Conn_cost.energy_per_byte l2.comp)
-      end;
-      busy.(l1.idx) <-
-        start1 + occ1
-        + (if l1.comp.Component.split_txn then 0 else !miss_path);
-      let latency = wait1 + lat1 + mem_lat + o.Mem_sim.extra_latency + !miss_path in
-      now := !now + latency;
-      total_lat := !total_lat + latency;
-      total_wait := !total_wait + wait1;
-      energy :=
-        !energy
-        +. Serving.module_energy arch sv ~write
-        +. o.Mem_sim.extra_energy
-        +. (float_of_int size *. Mx_connect.Conn_cost.energy_per_byte l1.comp);
-      incr i);
-  let sampled = max 1 n in
+          +. Serving.module_energy arch sv ~write
+          +. o.Mem_sim.extra_energy
+          +. (float_of_int size *. Mx_connect.Conn_cost.energy_per_byte l1.comp)
+      end);
+  let timed = max 1 !timed in
   let mstats = Mem_sim.snapshot msim in
   {
     Mx_sim.Sim_result.accesses = n;
-    cycles = !now;
+    cycles =
+      int_of_float (float_of_int !now *. (float_of_int n /. float_of_int timed));
     total_mem_latency = !total_lat;
-    avg_mem_latency = float_of_int !total_lat /. float_of_int sampled;
-    avg_energy_nj = !energy /. float_of_int sampled;
+    avg_mem_latency = float_of_int !total_lat /. float_of_int timed;
+    avg_energy_nj = !energy /. float_of_int timed;
     miss_ratio = Mem_sim.miss_ratio mstats;
     bus_wait_cycles = !total_wait;
     dram_bytes = mstats.Mem_sim.dram_bytes_total;
-    exact = true;
+    exact = sample = None;
   }
 
 (* -- evaluation without the cache ---------------------------------------- *)

@@ -47,19 +47,24 @@ val assign_enumerate :
     {!Mx_connect.Assign.enumerate} without a cap. *)
 
 val replay :
+  ?sample:int * int ->
+  ?cpu:Mx_sim.Cycle_sim.cpu_model ->
   workload:Mx_trace.Workload.t ->
   arch:Mx_mem.Mem_arch.t ->
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Mx_sim.Sim_result.t
-(** Straight-line, single-pass replay of the cycle simulator's timing
-    model for the paper's configuration: blocking CPU, no sampling, no
-    L2.  Reuses {!Mx_mem.Mem_sim} for functional outcomes (hits,
-    misses, traffic) and recomputes all connectivity timing
-    (arbitration waits, serialization, bus holds) with plain
-    sequential code and no accounting machinery.
-    @raise Invalid_argument on an architecture with an L2 (outside the
-    oracle's scope) or an unrouted channel. *)
+(** Straight-line, single-pass replay of the cycle simulator's whole
+    timing model: any architecture (L2, victim and write buffers
+    included), time sampling and both CPU models ([cpu] defaults to
+    [Blocking]).  One loop over {!Mx_mem.Mem_sim.access} computes each
+    access's module outcome, DRAM row-buffer latency and connectivity
+    timing (arbitration waits, serialization, bus holds, MSHRs) in
+    place, with no recorded column, no per-outcome tables and no
+    accounting machinery — the specification {!Mx_sim.Cycle_sim.time}
+    over {!Mx_sim.Cycle_sim.record} must reproduce bit for bit.
+    @raise Invalid_argument on bad sampling windows, an [Overlap] with
+    no MSHR, or a timed access whose channel is unrouted. *)
 
 val eval_direct :
   fidelity:Mx_sim.Eval.fidelity ->

@@ -25,33 +25,11 @@ module R = Runner
 
 let feq ?(tol = 1e-9) a b = Float.abs (a -. b) <= tol *. (1.0 +. Float.abs b)
 
-(* First divergence between two simulation results, or [None] when they
-   agree (integers exactly, floats within a relative tolerance). *)
-let result_mismatch ?tol (a : Sim_result.t) (b : Sim_result.t) =
-  let ints =
-    [
-      ("accesses", a.accesses, b.accesses);
-      ("cycles", a.cycles, b.cycles);
-      ("total_mem_latency", a.total_mem_latency, b.total_mem_latency);
-      ("bus_wait_cycles", a.bus_wait_cycles, b.bus_wait_cycles);
-      ("dram_bytes", a.dram_bytes, b.dram_bytes);
-    ]
-  and floats =
-    [
-      ("avg_mem_latency", a.avg_mem_latency, b.avg_mem_latency);
-      ("avg_energy_nj", a.avg_energy_nj, b.avg_energy_nj);
-      ("miss_ratio", a.miss_ratio, b.miss_ratio);
-    ]
-  in
-  match List.find_opt (fun (_, x, y) -> x <> y) ints with
-  | Some (f, x, y) -> Some (Printf.sprintf "%s: %d vs %d" f x y)
-  | None -> (
-    match List.find_opt (fun (_, x, y) -> not (feq ?tol x y)) floats with
-    | Some (f, x, y) -> Some (Printf.sprintf "%s: %.12g vs %.12g" f x y)
-    | None ->
-      if a.exact <> b.exact then
-        Some (Printf.sprintf "exact: %b vs %b" a.exact b.exact)
-      else None)
+(* Bit-exact comparison of two simulation results through their wire
+   forms, which print every float in hex: [None] when they agree. *)
+let wire_diff (a : Sim_result.t) (b : Sim_result.t) =
+  let a = Sim_result.to_wire a and b = Sim_result.to_wire b in
+  if a = b then None else Some (Printf.sprintf "%s vs %s" a b)
 
 let sorted l = List.sort compare l
 
@@ -423,7 +401,7 @@ let trace_suite =
                        ~arch ~conn ()
                    in
                    Mx_trace.Trace_stream.close sw.Workload.s_stream;
-                   match result_mismatch ~tol:0.0 mat str with
+                   match wire_diff mat str with
                    | None -> R.Pass
                    | Some diff ->
                      R.failf "streamed replay diverges under %s (%s)" label
@@ -589,20 +567,54 @@ let fingerprint_suite =
 
 (* -- sim ----------------------------------------------------------------- *)
 
+let wire_mismatch ~what sim orc =
+  match wire_diff sim orc with
+  | None -> R.Pass
+  | Some diff -> R.failf "%s: simulator vs oracle: %s" what diff
+
+let sample_tag = function
+  | None -> "exact"
+  | Some (on, off) -> Printf.sprintf "sample %d/%d" on off
+
+let cpu_tag = function
+  | Mx_sim.Cycle_sim.Blocking -> "blocking"
+  | Mx_sim.Cycle_sim.Overlap n -> Printf.sprintf "overlap %d" n
+
 let sim_suite =
   [
     R.prop ~cost:4 "cycle simulator matches the straight-line replay oracle"
       (fun ~seed ~size ->
         let g = Prng.create ~seed in
-        let p = Gen.pipeline g ~size in
+        let p = Gen.sim_pipeline g ~size in
         let w = p.Gen.p_workload and arch = p.Gen.p_arch in
         let conn = Gen.conn g p.Gen.p_brg in
-        let sim = Mx_sim.Cycle_sim.run ~workload:w ~arch ~conn ()
-        and orc = Oracle.replay ~workload:w ~arch ~conn () in
-        (match result_mismatch sim orc with
-        | None -> R.Pass
-        | Some diff ->
-          R.failf "simulator diverges from the replay oracle: %s" diff));
+        let sample = Gen.sample g and cpu = Gen.cpu_model g in
+        wire_mismatch
+          ~what:
+            (Printf.sprintf "%s, %s, %s" (Mem_arch.describe arch)
+               (sample_tag sample) (cpu_tag cpu))
+          (Mx_sim.Cycle_sim.run ?sample ~cpu ~workload:w ~arch ~conn ())
+          (Oracle.replay ?sample ~cpu ~workload:w ~arch ~conn ()));
+    R.prop ~cost:6
+      "one recorded column times K connectivities like K oracle replays"
+      (fun ~seed ~size ->
+        let g = Prng.create ~seed in
+        let p = Gen.sim_pipeline g ~size in
+        let w = p.Gen.p_workload and arch = p.Gen.p_arch in
+        let sample = Gen.sample g in
+        let column = Mx_sim.Cycle_sim.record ?sample ~workload:w ~arch () in
+        R.all_of
+          (List.init
+             (1 + Prng.int g ~bound:4)
+             (fun k ->
+               let conn = Gen.conn g p.Gen.p_brg and cpu = Gen.cpu_model g in
+               wire_mismatch
+                 ~what:
+                   (Printf.sprintf "connectivity %d of %s, %s, %s" k
+                      (Mem_arch.describe arch) (sample_tag sample)
+                      (cpu_tag cpu))
+                 (Mx_sim.Cycle_sim.time ~cpu column ~conn)
+                 (Oracle.replay ?sample ~cpu ~workload:w ~arch ~conn ()))));
     R.prop ~cost:4 "cycle simulator is deterministic" (fun ~seed ~size ->
         let g = Prng.create ~seed in
         let p = Gen.pipeline g ~size in
@@ -676,6 +688,39 @@ let eval_suite =
                  "cached eval differs from direct recomputation at %s"
                  (fid_name fidelity))
              eval_fidelities));
+    R.prop ~cost:6 "recorded columns are shared per fidelity, never across"
+      (fun ~seed ~size ->
+        let g = Prng.create ~seed in
+        let p = Gen.sim_pipeline g ~size in
+        let w = p.Gen.p_workload and arch = p.Gen.p_arch in
+        let conns =
+          List.init (2 + Prng.int g ~bound:3) (fun _ -> Gen.conn g p.Gen.p_brg)
+        in
+        let sampled () =
+          let on, off = Gen.window g in
+          Eval.Sampled (on, off)
+        in
+        (* Exact last: a Sampled request after an Exact one for the same
+           design would be promoted instead of simulated *)
+        let fidelities = [ sampled (); sampled (); Eval.Exact ] in
+        Eval.clear_cache ();
+        R.all_of
+          (List.concat_map
+             (fun fidelity ->
+               List.map
+                 (fun conn ->
+                   let via_column =
+                     Eval.eval ~fidelity ~workload:w ~arch ~conn ()
+                   and direct =
+                     Oracle.eval_direct ~fidelity ~workload:w ~arch ~conn ()
+                   in
+                   R.check
+                     (Sim_result.to_wire via_column = Sim_result.to_wire direct)
+                     "a shared column gives %s at %s, direct simulation %s"
+                     (Sim_result.to_wire via_column) (fid_name fidelity)
+                     (Sim_result.to_wire direct))
+                 conns)
+             fidelities));
     R.prop ~cost:5 "disabling the cache does not change results"
       (fun ~seed ~size ->
         let g = Prng.create ~seed in

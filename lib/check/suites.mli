@@ -15,10 +15,16 @@
                     totality on degenerate inputs
     - [fingerprint] relabeling invariance, mutation sensitivity,
                     assembly-order insensitivity, content addressing
-    - [sim]         cycle simulator vs straight-line replay oracle,
-                    determinism, sampled-vs-exact bounds
+    - [sim]         recorded-column simulator vs straight-line
+                    replay oracle, bit-exact on the wire form, over
+                    L2/victim/write-buffer architectures, random
+                    windows and CPU models, one column timed under
+                    several connectivities; determinism,
+                    sampled-vs-exact bounds
     - [eval]        cached evaluation vs direct recomputation,
-                    cache-on/off equality, Exact-promotes-Sampled
+                    connectivities sharing recorded columns per
+                    fidelity, cache-on/off equality,
+                    Exact-promotes-Sampled
     - [pipeline]    composed group profiles of every APEX candidate
                     vs one {!Mx_mem.Mem_sim.run} each, whole-flow
                     sanity under random workloads and architectures

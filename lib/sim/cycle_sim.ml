@@ -5,10 +5,22 @@ module Channel = Mx_connect.Channel
 module Component = Mx_connect.Component
 module Conn_arch = Mx_connect.Conn_arch
 module Conn_cost = Mx_connect.Conn_cost
+module Trace = Mx_trace.Trace
+module Trace_stream = Mx_trace.Trace_stream
+module Workload = Mx_trace.Workload
 
 let default_sample = (1000, 9000)
 
 type cpu_model = Blocking | Overlap of int
+
+type bus_stat = {
+  component : string;
+  carries : string;
+  txns : int;
+  busy_cycles : int;
+  wait_cycles : int;
+  utilization : float;
+}
 
 (* A routed leg: which component instance carries a channel and whether
    it is shared (contended). *)
@@ -34,11 +46,6 @@ let route bindings (src : Channel.node) (dst : Channel.node) =
   in
   go 0 bindings
 
-let node_of = Serving.node_of
-let serving_idx = Serving.index
-let module_latency = Serving.module_latency
-let module_energy = Serving.module_energy
-
 (* The demand (CPU-blocking) share of an access's off-chip traffic is
    critical-word-first (see {!Serving.critical_bytes}); the simulator
    sizes the LLDMA leg from the observed transfer and falls back to the
@@ -49,14 +56,19 @@ let critical_bytes arch serving (o : Mem_sim.outcome) ~size =
     Serving.critical_bytes arch serving ~lldma_bytes:o.Mem_sim.dram_bytes
       ~fallback:size
 
-type bus_stat = {
-  component : string;
-  carries : string;
-  txns : int;
-  busy_cycles : int;
-  wait_cycles : int;
-  utilization : float;
-}
+(* Sampling as (on, period): an access is timed when its index modulo
+   the period is below [on].  Exact replay is one endless window. *)
+let window_of = function
+  | None -> (max_int, max_int)
+  | Some (on, off) ->
+    if on <= 0 || off < 0 then
+      invalid_arg "Cycle_sim.run: bad sampling windows";
+    (on, on + off)
+
+let check_cpu = function
+  | Overlap n when n <= 0 ->
+    invalid_arg "Cycle_sim.run: Overlap needs at least 1 MSHR"
+  | Blocking | Overlap _ -> ()
 
 (* Does chunk [first, first+len) intersect any "on" window of the
    (on, off) sampling pattern?  Windows repeat with period p = on+off;
@@ -67,42 +79,331 @@ let chunk_has_on_window ~on ~off ~first ~len =
   let r = first mod p in
   r < on || len > p - r
 
-let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
-    ~(workload : Mx_trace.Workload.streamed) ~arch ~conn () =
-  (match sample with
-  | Some (on, off) when on <= 0 || off < 0 ->
-    invalid_arg "Cycle_sim.run: bad sampling windows"
-  | _ -> ());
-  if seek && sample = None then
-    invalid_arg "Cycle_sim.run_stream: ~seek requires ~sample";
-  let mshrs =
-    match cpu with
-    | Blocking -> [||]
-    | Overlap n ->
-      if n <= 0 then invalid_arg "Cycle_sim.run: Overlap needs at least 1 MSHR";
-      Array.make n 0
+(* -- stage 1: record -------------------------------------------------------
+
+   Everything the timing model reads about an access, except the
+   connectivity's own state, depends only on the architecture, the
+   workload and the sampling pattern: [Mem_sim.access] takes the access
+   index as [now], and the DRAM row-buffer model is called at the same
+   accesses whatever the connectivity (in an on-window once per critical
+   fill and once per background transfer, in an off-window once per
+   access with DRAM traffic).  A recorder runs both once and keeps, per
+   on-window access, the id of its distinct outcome tuple. *)
+
+type outcome = {
+  serving : Mem_sim.serving;
+  size : int;  (** CPU-side bytes *)
+  write : bool;
+  dram_bytes : int;
+  dram_txns : int;
+  crit : int;  (** the CPU-blocking share of [dram_bytes] *)
+  l2_bytes : int;
+  extra_latency : int;
+  extra_energy : float;
+  dram_latency : int;  (** row-buffer latency of the critical fill, or 0 *)
+}
+
+type recorder = {
+  arch : Mem_arch.t;
+  msim : Mem_sim.t;
+  on : int;
+  period : int;
+  mutable slots : int array;
+      (** open-addressing index over [outcomes]: id + 1, or 0 when free *)
+  mutable outcomes : outcome array;
+  mutable hashes : int array;  (** [hash_outcome] of each outcome *)
+  mutable n_outcomes : int;
+  mutable ids : Bytes.t;  (** one id per on-window access *)
+  mutable width : int;  (** bytes per id: 1, 2, 4 or 8 *)
+  mutable n_ids : int;
+}
+
+let get_id ids width j =
+  if width = 1 then Char.code (Bytes.unsafe_get ids j)
+  else if width = 2 then Bytes.get_uint16_le ids (2 * j)
+  else if width = 4 then
+    Int32.to_int (Bytes.get_int32_le ids (4 * j)) land 0xffff_ffff
+  else Int64.to_int (Bytes.get_int64_le ids (8 * j))
+
+let set_id ids width j id =
+  if width = 1 then Bytes.unsafe_set ids j (Char.unsafe_chr id)
+  else if width = 2 then Bytes.set_uint16_le ids (2 * j) id
+  else if width = 4 then Bytes.set_int32_le ids (4 * j) (Int32.of_int id)
+  else Bytes.set_int64_le ids (8 * j) (Int64.of_int id)
+
+let recorder ?sample ~arch ~regions () =
+  let on, period = window_of sample in
+  {
+    arch;
+    msim = Mem_sim.create arch ~regions;
+    on;
+    period;
+    slots = Array.make 64 0;
+    outcomes = [||];
+    hashes = [||];
+    n_outcomes = 0;
+    ids = Bytes.create 256;
+    width = 1;
+    n_ids = 0;
+  }
+
+let hash_outcome (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency =
+  let mix h v = (h * 0x2f0b3d29) lxor v in
+  let h = mix (Serving.index o.Mem_sim.serving) size in
+  let h = mix h (Bool.to_int write) in
+  let h = mix h o.Mem_sim.dram_bytes in
+  let h = mix h o.Mem_sim.dram_txns in
+  let h = mix h crit in
+  let h = mix h o.Mem_sim.l2_bytes in
+  let h = mix h o.Mem_sim.extra_latency in
+  let h = mix h (Int64.to_int (Int64.bits_of_float o.Mem_sim.extra_energy)) in
+  let h = mix h dram_latency in
+  h lxor (h lsr 29)
+
+(* bitwise on the float: interning must be lossless *)
+let same_outcome u (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency =
+  u.serving = o.Mem_sim.serving
+  && u.size = size && u.write = write
+  && u.dram_bytes = o.Mem_sim.dram_bytes
+  && u.dram_txns = o.Mem_sim.dram_txns
+  && u.crit = crit
+  && u.l2_bytes = o.Mem_sim.l2_bytes
+  && u.extra_latency = o.Mem_sim.extra_latency
+  && u.dram_latency = dram_latency
+  && Int64.equal
+       (Int64.bits_of_float u.extra_energy)
+       (Int64.bits_of_float o.Mem_sim.extra_energy)
+
+(* The id of the outcome tuple of [o], added when new.  Allocates only
+   for a new tuple. *)
+let intern r (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency =
+  let h = hash_outcome o ~size ~write ~crit ~dram_latency in
+  let mask = Array.length r.slots - 1 in
+  let rec probe k =
+    let s = r.slots.(k) in
+    if s = 0 then add k
+    else if
+      same_outcome r.outcomes.(s - 1) o ~size ~write ~crit ~dram_latency
+    then s - 1
+    else probe ((k + 1) land mask)
+  and add k =
+    let id = r.n_outcomes in
+    let u =
+      {
+        serving = o.Mem_sim.serving;
+        size;
+        write;
+        dram_bytes = o.Mem_sim.dram_bytes;
+        dram_txns = o.Mem_sim.dram_txns;
+        crit;
+        l2_bytes = o.Mem_sim.l2_bytes;
+        extra_latency = o.Mem_sim.extra_latency;
+        extra_energy = o.Mem_sim.extra_energy;
+        dram_latency;
+      }
+    in
+    if id = Array.length r.outcomes then begin
+      let cap = max 16 (2 * id) in
+      let grow a fill = Array.init cap (fun i -> if i < id then a.(i) else fill) in
+      r.outcomes <- grow r.outcomes u;
+      r.hashes <- grow r.hashes 0
+    end;
+    r.outcomes.(id) <- u;
+    r.hashes.(id) <- h;
+    r.n_outcomes <- id + 1;
+    r.slots.(k) <- id + 1;
+    (* keep the index at most half full *)
+    if 2 * r.n_outcomes > mask then begin
+      let slots = Array.make (2 * (mask + 1)) 0 in
+      let mask = Array.length slots - 1 in
+      for i = 0 to id do
+        let rec free k =
+          if slots.(k) = 0 then k else free ((k + 1) land mask)
+        in
+        slots.(free (r.hashes.(i) land mask)) <- i + 1
+      done;
+      r.slots <- slots
+    end;
+    id
   in
+  probe (h land mask)
+
+(* Append one id, widening every stored id when [id] no longer fits. *)
+let push_id r id =
+  let width =
+    if id < 0x100 then 1
+    else if id < 0x1_0000 then 2
+    else if id < 0x1_0000_0000 then 4
+    else 8
+  in
+  if width > r.width || (r.n_ids + 1) * r.width > Bytes.length r.ids then begin
+    let width = max width r.width in
+    let ids = Bytes.create (2 * (r.n_ids + 1) * width) in
+    for j = 0 to r.n_ids - 1 do
+      set_id ids width j (get_id r.ids r.width j)
+    done;
+    r.ids <- ids;
+    r.width <- width
+  end;
+  set_id r.ids r.width r.n_ids id;
+  r.n_ids <- r.n_ids + 1
+
+(* Route accesses [off, off+len) of the packed arrays, global indices
+   from [first], through the modules and the DRAM model. *)
+let record_span r ~addrs ~metas ~off ~len ~first =
+  let dram = Mem_sim.dram r.msim in
+  let phase = ref (first mod r.period) in
+  for k = off to off + len - 1 do
+    let addr = addrs.(k) and meta = metas.(k) in
+    let size = Trace.meta_size meta in
+    let write = Trace.meta_kind meta = Mx_trace.Access.Write in
+    let o =
+      Mem_sim.access r.msim ~now:(first + k - off) ~addr ~size ~write
+        ~region:(Trace.meta_region meta)
+    in
+    if !phase < r.on then begin
+      let sv = o.Mem_sim.serving in
+      let crit = critical_bytes r.arch sv o ~size in
+      let dram_latency =
+        if o.Mem_sim.dram_bytes > 0 then begin
+          let lat = if crit > 0 then Mx_mem.Dram.access dram ~addr else 0 in
+          if o.Mem_sim.dram_bytes - crit > 0 then
+            ignore (Mx_mem.Dram.access dram ~addr);
+          lat
+        end
+        else 0
+      in
+      push_id r (intern r o ~size ~write ~crit ~dram_latency)
+    end
+    else if o.Mem_sim.dram_bytes > 0 then
+      (* off window: keep the row buffers warm, no timing *)
+      ignore (Mx_mem.Dram.access dram ~addr);
+    incr phase;
+    if !phase = r.period then phase := 0
+  done
+
+type column = {
+  c_arch : Mem_arch.t;
+  c_sample : (int * int) option;
+  c_accesses : int;
+  c_cpu_ops : int;
+  c_outcomes : outcome array;
+  c_ids : Bytes.t;
+  c_width : int;
+  c_miss_ratio : float;
+  c_dram_bytes : int;
+}
+
+let record ?sample ~(workload : Workload.t) ~arch () =
+  let r = recorder ?sample ~arch ~regions:workload.Workload.regions () in
+  let trace = workload.Workload.trace in
+  let addrs, metas = Trace.backing trace in
+  let n = Trace.length trace in
+  (* room for every on-window id at one byte each *)
+  r.ids <- Bytes.create (((n / r.period) * r.on) + min r.on (n mod r.period));
+  record_span r ~addrs ~metas ~off:0 ~len:n ~first:0;
+  let mstats = Mem_sim.snapshot r.msim in
+  {
+    c_arch = arch;
+    c_sample = sample;
+    c_accesses = n;
+    c_cpu_ops = workload.Workload.cpu_ops;
+    c_outcomes = Array.sub r.outcomes 0 r.n_outcomes;
+    c_ids =
+      (if Bytes.length r.ids = r.n_ids * r.width then r.ids
+       else Bytes.sub r.ids 0 (r.n_ids * r.width));
+    c_width = r.width;
+    c_miss_ratio = Mem_sim.miss_ratio mstats;
+    c_dram_bytes = mstats.Mem_sim.dram_bytes_total;
+  }
+
+let distinct_outcomes c = Array.length c.c_outcomes
+
+let footprint c =
+  Bytes.length c.c_ids
+  + (Obj.reachable_words (Obj.repr c.c_outcomes) * (Sys.word_size / 8))
+
+(* -- stage 2: time ---------------------------------------------------------
+
+   Each distinct outcome becomes one row, built once per connectivity:
+   the routed legs, their transaction latencies and occupancies, and
+   the energy terms.  [Component] and [Conn_cost] are pure, so a row
+   field is the value the per-access call would have returned.
+
+   The channel check stays lazy: a column holds outcomes of timed
+   (on-window) accesses only, with ids in order of first appearance,
+   so the first row that needs a missing channel belongs to the first
+   on-window access that needs it, and building that row raises the
+   error that access would have raised. *)
+
+(* What timing one outcome needs under one connectivity.  [lm] is -1
+   without L2 traffic; [dram] is 0 without DRAM traffic, 1 over the
+   class's DRAM leg, 2 for a direct access riding its CPU leg. *)
+type row = {
+  l1 : int;  (** CPU-side binding *)
+  lat1 : int;
+  occ1 : int;
+  split1 : bool;  (** the CPU-side component is split-transaction *)
+  lm : int;  (** L1<->L2 binding *)
+  lat_m : int;  (** L2 leg latency plus the L2's access latency *)
+  occ_m : int;
+  bg_m : bool;  (** the L2 leg carries background bytes *)
+  occ_bg_m : int;
+  dram : int;
+  d : int;  (** the binding carrying the DRAM traffic *)
+  critical : bool;  (** a critical fill *)
+  occ2 : int;
+  hold2 : int;  (** [occ2] plus the DRAM latency when not split *)
+  lat2 : int;  (** leg latency plus the DRAM latency *)
+  dram_lat : int;
+  bg : bool;  (** background DRAM bytes *)
+  occ_bg : int;
+  mem : int;  (** module latency plus extra latency *)
+  (* the energy addends, summed in this order *)
+  e_l2 : float;
+  e_dram : float;
+  e_dram_bus : float;
+  e_module : float;
+  e_extra : float;
+  e_cpu_bus : float;
+}
+
+type timer = {
+  t_arch : Mem_arch.t;
+  overlap : bool;
+  mshrs : int array;
+  bindings : Conn_arch.binding list;
+  cpu_leg : leg option array;
+  dram_leg : leg option array;
+  l2_leg : leg option;
+  busy : int array;
+  busy_acc : int array;
+  wait_acc : int array;
+  txn_acc : int array;
+  ops_rate : float;
+  t_on : int;
+  t_period : int;
+  mutable rows : row array;
+  mutable now : int;
+  mutable ops_acc : float;
+  mutable sampled : int;
+  mutable total_lat : int;
+  mutable total_wait : int;
+  mutable energy : float;
+}
+
+let timer ~cpu ~arch ~conn ~on ~period ~accesses ~cpu_ops =
+  check_cpu cpu;
   let bindings = (conn : Conn_arch.t).Conn_arch.bindings in
-  let nbind = List.length bindings in
-  let busy = Array.make (max 1 nbind) 0 in
-  (* per-binding utilisation accounting *)
-  let busy_acc = Array.make (max 1 nbind) 0 in
-  let wait_acc = Array.make (max 1 nbind) 0 in
-  let txn_acc = Array.make (max 1 nbind) 0 in
-  let note ~idx ~occ ~wait =
-    busy_acc.(idx) <- busy_acc.(idx) + occ;
-    wait_acc.(idx) <- wait_acc.(idx) + wait;
-    txn_acc.(idx) <- txn_acc.(idx) + 1
-  in
+  let nbind = max 1 (List.length bindings) in
   (* routing tables per serving class; with an L2 the cache's off-chip
      traffic flows Cache -> L2 -> DRAM *)
   let has_l2 = arch.Mem_arch.l2 <> None in
   let cpu_leg = Array.make 5 None and dram_leg = Array.make 5 None in
-  let l2_leg = if has_l2 then route bindings Channel.Cache Channel.L2 else None in
   List.iter
     (fun sv ->
-      let node = node_of sv in
-      let i = serving_idx sv in
+      let node = Serving.node_of sv in
+      let i = Serving.index sv in
       cpu_leg.(i) <- route bindings Channel.Cpu node;
       if node <> Channel.Dram then
         let dram_src =
@@ -110,263 +411,308 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
         in
         dram_leg.(i) <- route bindings dram_src Channel.Dram)
     Serving.all;
-  let msim =
-    Mem_sim.create arch ~regions:workload.Mx_trace.Workload.s_regions
-  in
-  let stream = workload.Mx_trace.Workload.s_stream in
-  let n = Mx_trace.Trace_stream.length stream in
-  let ops_rate =
-    if n = 0 then 0.0
-    else float_of_int workload.Mx_trace.Workload.s_cpu_ops /. float_of_int n
-  in
-  (* accumulators *)
-  let now = ref 0 in
-  let ops_acc = ref 0.0 in
-  let sampled_accesses = ref 0 in
-  let total_lat = ref 0 in
-  let total_wait = ref 0 in
-  let energy = ref 0.0 in
-  let require leg sv =
-    match leg with
-    | Some l -> l
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Cycle_sim.run: connectivity does not implement the %s channel"
-           (Channel.node_to_string (node_of sv)))
-  in
-  let in_on_window i =
-    match sample with
-    | None -> true
-    | Some (on, off) -> i mod (on + off) < on
-  in
-  let i = ref 0 in
-  let per_access ~addr ~size ~kind ~region =
-      let write = kind = Mx_trace.Access.Write in
-      (* interleaved compute cycles *)
-      ops_acc := !ops_acc +. ops_rate;
-      let gap = int_of_float !ops_acc in
-      ops_acc := !ops_acc -. float_of_int gap;
-      let o = Mem_sim.access msim ~now:!i ~addr ~size ~write ~region in
-      let sv = o.Mem_sim.serving in
-      let k = serving_idx sv in
-      if in_on_window !i then begin
-        now := !now + gap;
-        let l1 = require cpu_leg.(k) sv in
-        let start1 = max !now busy.(l1.idx) in
-        let wait1 = start1 - !now in
-        let lat1 =
-          Component.txn_latency l1.comp ~bytes:size ~contended:l1.contended
-        in
-        let occ1 = Component.occupancy l1.comp ~bytes:size in
-        note ~idx:l1.idx ~occ:occ1 ~wait:wait1;
-        let mem_lat = module_latency arch sv in
-        let crit = critical_bytes arch sv o ~size in
-        let bg = o.Mem_sim.dram_bytes - crit in
-        (* off-chip leg: By_dram_direct rides its CPU channel, others go
-           through their module's DRAM channel *)
-        let miss_path = ref 0 in
-        (* the L1<->L2 leg comes first on an L1 miss when an L2 exists *)
-        if o.Mem_sim.l2_bytes > 0 then begin
-          let lm =
-            match l2_leg with
-            | Some l -> l
-            | None ->
-              invalid_arg
-                "Cycle_sim.run: connectivity does not implement the \
-                 cache<->L2 channel"
-          in
-          let crit_m = min 8 o.Mem_sim.l2_bytes in
-          let t_req = !now + wait1 + lat1 in
-          let start_m = max t_req busy.(lm.idx) in
-          let wait_m = start_m - t_req in
-          let lat_m =
-            Component.txn_latency lm.comp ~bytes:crit_m ~contended:lm.contended
-          in
-          let occ_m = Component.occupancy lm.comp ~bytes:crit_m in
-          busy.(lm.idx) <- start_m + occ_m;
-          note ~idx:lm.idx ~occ:occ_m ~wait:wait_m;
-          let bg_m = o.Mem_sim.l2_bytes - crit_m in
-          if bg_m > 0 then begin
-            let occ_bg = Component.occupancy lm.comp ~bytes:bg_m in
-            busy.(lm.idx) <- max busy.(lm.idx) !now + occ_bg;
-            note ~idx:lm.idx ~occ:occ_bg ~wait:0
-          end;
-          let l2_lat =
-            match arch.Mem_arch.l2 with
-            | Some c -> c.Params.c_latency
-            | None -> 0
-          in
-          miss_path := wait_m + lat_m + l2_lat;
-          total_wait := !total_wait + wait_m;
-          energy :=
-            !energy
-            +. (float_of_int o.Mem_sim.l2_bytes
-               *. Conn_cost.energy_per_byte lm.comp)
-        end;
-        if o.Mem_sim.dram_bytes > 0 then begin
-          let l2 =
-            if sv = Mem_sim.By_dram_direct then l1
-            else require dram_leg.(k) sv
-          in
-          if crit > 0 then begin
-            let dram_lat = Mx_mem.Dram.access (Mem_sim.dram msim) ~addr in
-            if sv = Mem_sim.By_dram_direct then
-              (* the CPU-side transaction itself reaches DRAM; add the
-                 core access time only *)
-              miss_path := dram_lat
-            else begin
-              let t_req = !now + wait1 + lat1 + !miss_path in
-              let start2 = max t_req busy.(l2.idx) in
-              let wait2 = start2 - t_req in
-              let lat2 =
-                Component.txn_latency l2.comp ~bytes:crit
-                  ~contended:l2.contended
-              in
-              let occ2 = Component.occupancy l2.comp ~bytes:crit in
-              busy.(l2.idx) <-
-                start2 + occ2
-                + (if l2.comp.Component.split_txn then 0 else dram_lat);
-              note ~idx:l2.idx ~occ:occ2 ~wait:wait2;
-              miss_path := !miss_path + wait2 + lat2 + dram_lat;
-              total_wait := !total_wait + wait2
-            end
-          end;
-          if bg > 0 then begin
-            (* prefetch/writeback traffic occupies the off-chip leg and
-               touches DRAM rows without stalling the CPU *)
-            ignore (Mx_mem.Dram.access (Mem_sim.dram msim) ~addr);
-            let occ_bg = Component.occupancy l2.comp ~bytes:bg in
-            busy.(l2.idx) <- max busy.(l2.idx) !now + occ_bg;
-            note ~idx:l2.idx ~occ:occ_bg ~wait:0
-          end;
-          (* off-chip energy: DRAM core (per burst) + pad/bus switching *)
-          energy :=
-            !energy
-            +. Mx_mem.Energy_model.dram_traffic ~txns:o.Mem_sim.dram_txns
-                 ~bytes:o.Mem_sim.dram_bytes
-            +. (float_of_int o.Mem_sim.dram_bytes
-               *. Conn_cost.energy_per_byte l2.comp)
-        end;
-        (* hold a non-split CPU-side component for the whole miss *)
-        busy.(l1.idx) <-
-          start1 + occ1
-          + (if l1.comp.Component.split_txn then 0 else !miss_path);
-        let latency =
-          match cpu with
-          | Blocking ->
-            wait1 + lat1 + mem_lat + o.Mem_sim.extra_latency + !miss_path
-          | Overlap _ ->
-            let on_chip = wait1 + lat1 + mem_lat + o.Mem_sim.extra_latency in
-            if !miss_path = 0 then on_chip
-            else begin
-              (* park the miss in an MSHR; stall only when all are busy *)
-              let slot = ref 0 in
-              Array.iteri
-                (fun i t -> if t < mshrs.(!slot) then slot := i)
-                mshrs;
-              let stall = max 0 (mshrs.(!slot) - !now) in
-              mshrs.(!slot) <- !now + stall + on_chip + !miss_path;
-              on_chip + stall
-            end
-        in
-        now := !now + latency;
-        total_lat := !total_lat + latency;
-        total_wait := !total_wait + wait1;
-        incr sampled_accesses;
-        energy :=
-          !energy
-          +. module_energy arch sv ~write
-          +. o.Mem_sim.extra_energy
-          +. (float_of_int size *. Conn_cost.energy_per_byte l1.comp)
-      end
-      else begin
-        (* off window: keep module/DRAM state warm, no timing *)
-        if o.Mem_sim.dram_bytes > 0 then
-          ignore (Mx_mem.Dram.access (Mem_sim.dram msim) ~addr)
-      end;
-      incr i
-  in
-  (* A skipped span must still advance the compute-gap recurrence, so
-     the accesses that ARE replayed see the same interleaved gaps as a
-     full pass.  Same float ops per access as the live path. *)
-  let fast_forward len =
-    for _ = 1 to len do
-      ops_acc := !ops_acc +. ops_rate;
-      let gap = int_of_float !ops_acc in
-      ops_acc := !ops_acc -. float_of_int gap
-    done;
-    i := !i + len
-  in
-  for ci = 0 to Mx_trace.Trace_stream.chunk_count stream - 1 do
-    let clen = Mx_trace.Trace_stream.chunk_length stream ci in
-    let skip =
-      seek
-      &&
-      match sample with
-      | Some (on, off) ->
-        not
-          (chunk_has_on_window ~on ~off
-             ~first:(Mx_trace.Trace_stream.chunk_start stream ci)
-             ~len:clen)
-      | None -> false
+  {
+    t_arch = arch;
+    overlap = (match cpu with Overlap _ -> true | Blocking -> false);
+    mshrs = (match cpu with Overlap n -> Array.make n 0 | Blocking -> [||]);
+    bindings;
+    cpu_leg;
+    dram_leg;
+    l2_leg = (if has_l2 then route bindings Channel.Cache Channel.L2 else None);
+    busy = Array.make nbind 0;
+    busy_acc = Array.make nbind 0;
+    wait_acc = Array.make nbind 0;
+    txn_acc = Array.make nbind 0;
+    ops_rate =
+      (if accesses = 0 then 0.0
+       else float_of_int cpu_ops /. float_of_int accesses);
+    t_on = on;
+    t_period = period;
+    rows = [||];
+    now = 0;
+    ops_acc = 0.0;
+    sampled = 0;
+    total_lat = 0;
+    total_wait = 0;
+    energy = 0.0;
+  }
+
+let missing node =
+  invalid_arg
+    (Printf.sprintf
+       "Cycle_sim.run: connectivity does not implement the %s channel"
+       (Channel.node_to_string node))
+
+(* The row of outcome [o]. *)
+let build_row t (o : outcome) =
+  let arch = t.t_arch in
+  let sv = o.serving and k = Serving.index o.serving in
+  let direct = sv = Mem_sim.By_dram_direct in
+  match t.cpu_leg.(k) with
+  | None -> missing (Serving.node_of sv)
+  | Some _ when o.l2_bytes > 0 && t.l2_leg = None ->
+    invalid_arg
+      "Cycle_sim.run: connectivity does not implement the cache<->L2 channel"
+  | Some _ when o.dram_bytes > 0 && (not direct) && t.dram_leg.(k) = None ->
+    missing (Serving.node_of sv)
+  | Some l1 ->
+    let row =
+      {
+        l1 = l1.idx;
+        lat1 =
+          Component.txn_latency l1.comp ~bytes:o.size ~contended:l1.contended;
+        occ1 = Component.occupancy l1.comp ~bytes:o.size;
+        split1 = l1.comp.Component.split_txn;
+        lm = -1;
+        lat_m = 0;
+        occ_m = 0;
+        bg_m = false;
+        occ_bg_m = 0;
+        dram = 0;
+        d = 0;
+        critical = false;
+        occ2 = 0;
+        hold2 = 0;
+        lat2 = 0;
+        dram_lat = 0;
+        bg = false;
+        occ_bg = 0;
+        mem = Serving.module_latency arch sv + o.extra_latency;
+        e_l2 = 0.0;
+        e_dram = 0.0;
+        e_dram_bus = 0.0;
+        e_module = Serving.module_energy arch sv ~write:o.write;
+        e_extra = o.extra_energy;
+        e_cpu_bus = float_of_int o.size *. Conn_cost.energy_per_byte l1.comp;
+      }
     in
-    if skip then fast_forward clen
+    let row =
+      match t.l2_leg with
+      | Some lm when o.l2_bytes > 0 ->
+        let crit_m = min 8 o.l2_bytes in
+        let bg_m = o.l2_bytes - crit_m in
+        let l2_lat =
+          match arch.Mem_arch.l2 with Some c -> c.Params.c_latency | None -> 0
+        in
+        {
+          row with
+          lm = lm.idx;
+          lat_m =
+            Component.txn_latency lm.comp ~bytes:crit_m ~contended:lm.contended
+            + l2_lat;
+          occ_m = Component.occupancy lm.comp ~bytes:crit_m;
+          bg_m = bg_m > 0;
+          occ_bg_m =
+            (if bg_m > 0 then Component.occupancy lm.comp ~bytes:bg_m else 0);
+          e_l2 = float_of_int o.l2_bytes *. Conn_cost.energy_per_byte lm.comp;
+        }
+      | _ -> row
+    in
+    if o.dram_bytes = 0 then row
     else begin
-      let c = Mx_trace.Trace_stream.get_chunk stream ci in
-      let open Mx_trace.Trace_stream in
-      for k = c.c_off to c.c_off + c.c_len - 1 do
-        let meta = c.c_metas.(k) in
-        per_access ~addr:c.c_addrs.(k)
-          ~size:(Mx_trace.Trace.meta_size meta)
-          ~kind:(Mx_trace.Trace.meta_kind meta)
-          ~region:(Mx_trace.Trace.meta_region meta)
-      done
+      let leg = if direct then l1 else Option.get t.dram_leg.(k) in
+      let crit = o.crit and bg = o.dram_bytes - o.crit in
+      let occ2 =
+        if crit > 0 then Component.occupancy leg.comp ~bytes:crit else 0
+      in
+      {
+        row with
+        dram = (if direct then 2 else 1);
+        d = leg.idx;
+        critical = crit > 0;
+        occ2;
+        hold2 =
+          (occ2 + if leg.comp.Component.split_txn then 0 else o.dram_latency);
+        lat2 =
+          (if crit > 0 then
+             Component.txn_latency leg.comp ~bytes:crit
+               ~contended:leg.contended
+           else 0)
+          + o.dram_latency;
+        dram_lat = o.dram_latency;
+        bg = bg > 0;
+        occ_bg = (if bg > 0 then Component.occupancy leg.comp ~bytes:bg else 0);
+        e_dram =
+          Mx_mem.Energy_model.dram_traffic ~txns:o.dram_txns
+            ~bytes:o.dram_bytes;
+        e_dram_bus =
+          float_of_int o.dram_bytes *. Conn_cost.energy_per_byte leg.comp;
+      }
     end
+
+(* Make rows exist for the first [n] outcomes. *)
+let build_rows t outcomes n =
+  let built = Array.length t.rows in
+  if n > built then
+    t.rows <-
+      Array.append t.rows
+        (Array.init (n - built) (fun i -> build_row t outcomes.(built + i)))
+
+let imax (a : int) b = if a >= b then a else b
+
+(* Time accesses [first, first+len); the on-window ones read their
+   outcome ids from [ids] in order.  The state lives in locals for the
+   loop and goes back to [t] at the end, so the loop allocates
+   nothing. *)
+let time_span t ids width ~first ~len =
+  let rows = t.rows and busy = t.busy in
+  let busy_acc = t.busy_acc and wait_acc = t.wait_acc and txn_acc = t.txn_acc in
+  let mshrs = t.mshrs and overlap = t.overlap in
+  let on = t.t_on and period = t.t_period and rate = t.ops_rate in
+  let now = ref t.now and ops_acc = ref t.ops_acc in
+  let sampled = ref t.sampled and total_lat = ref t.total_lat in
+  let total_wait = ref t.total_wait and energy = ref t.energy in
+  let phase = ref (first mod period) and j = ref 0 in
+  for _ = 1 to len do
+    (* interleaved compute cycles *)
+    ops_acc := !ops_acc +. rate;
+    let gap = int_of_float !ops_acc in
+    ops_acc := !ops_acc -. float_of_int gap;
+    if !phase < on then begin
+      let r = rows.(get_id ids width !j) in
+      incr j;
+      let l1 = r.l1 in
+      now := !now + gap;
+      let start1 = imax !now busy.(l1) in
+      let wait1 = start1 - !now in
+      busy_acc.(l1) <- busy_acc.(l1) + r.occ1;
+      wait_acc.(l1) <- wait_acc.(l1) + wait1;
+      txn_acc.(l1) <- txn_acc.(l1) + 1;
+      let miss_path = ref 0 in
+      (* the L1<->L2 leg comes first on an L1 miss when an L2 exists *)
+      let lm = r.lm in
+      if lm >= 0 then begin
+        let t_req = !now + wait1 + r.lat1 in
+        let start_m = imax t_req busy.(lm) in
+        let wait_m = start_m - t_req in
+        busy.(lm) <- start_m + r.occ_m;
+        busy_acc.(lm) <- busy_acc.(lm) + r.occ_m;
+        wait_acc.(lm) <- wait_acc.(lm) + wait_m;
+        txn_acc.(lm) <- txn_acc.(lm) + 1;
+        if r.bg_m then begin
+          busy.(lm) <- imax busy.(lm) !now + r.occ_bg_m;
+          busy_acc.(lm) <- busy_acc.(lm) + r.occ_bg_m;
+          txn_acc.(lm) <- txn_acc.(lm) + 1
+        end;
+        miss_path := wait_m + r.lat_m;
+        total_wait := !total_wait + wait_m;
+        energy := !energy +. r.e_l2
+      end;
+      (* off-chip leg: a direct access rides its CPU channel, the others
+         go through their module's DRAM channel *)
+      if r.dram > 0 then begin
+        let d = r.d in
+        if r.critical then begin
+          if r.dram = 2 then miss_path := r.dram_lat
+          else begin
+            let t_req = !now + wait1 + r.lat1 + !miss_path in
+            let start2 = imax t_req busy.(d) in
+            let wait2 = start2 - t_req in
+            busy.(d) <- start2 + r.hold2;
+            busy_acc.(d) <- busy_acc.(d) + r.occ2;
+            wait_acc.(d) <- wait_acc.(d) + wait2;
+            txn_acc.(d) <- txn_acc.(d) + 1;
+            miss_path := !miss_path + wait2 + r.lat2;
+            total_wait := !total_wait + wait2
+          end
+        end;
+        if r.bg then begin
+          (* prefetch/writeback traffic occupies the off-chip leg
+             without stalling the CPU *)
+          busy.(d) <- imax busy.(d) !now + r.occ_bg;
+          busy_acc.(d) <- busy_acc.(d) + r.occ_bg;
+          txn_acc.(d) <- txn_acc.(d) + 1
+        end;
+        (* off-chip energy: DRAM core (per burst) + pad/bus switching *)
+        energy := !energy +. r.e_dram +. r.e_dram_bus
+      end;
+      (* hold a non-split CPU-side component for the whole miss *)
+      busy.(l1) <- start1 + r.occ1 + (if r.split1 then 0 else !miss_path);
+      let on_chip = wait1 + r.lat1 + r.mem in
+      let latency =
+        if not overlap then on_chip + !miss_path
+        else if !miss_path = 0 then on_chip
+        else begin
+          (* park the miss in an MSHR; stall only when all are busy *)
+          let slot = ref 0 in
+          for s = 1 to Array.length mshrs - 1 do
+            if mshrs.(s) < mshrs.(!slot) then slot := s
+          done;
+          let stall = imax 0 (mshrs.(!slot) - !now) in
+          mshrs.(!slot) <- !now + stall + on_chip + !miss_path;
+          on_chip + stall
+        end
+      in
+      now := !now + latency;
+      total_lat := !total_lat + latency;
+      total_wait := !total_wait + wait1;
+      incr sampled;
+      energy := !energy +. r.e_module +. r.e_extra +. r.e_cpu_bus
+    end;
+    incr phase;
+    if !phase = period then phase := 0
   done;
-  let sampled = max 1 !sampled_accesses in
-  let avg_lat = float_of_int !total_lat /. float_of_int sampled in
-  let scale = float_of_int n /. float_of_int sampled in
+  t.now <- !now;
+  t.ops_acc <- !ops_acc;
+  t.sampled <- !sampled;
+  t.total_lat <- !total_lat;
+  t.total_wait <- !total_wait;
+  t.energy <- !energy
+
+(* A skipped span must still advance the compute-gap recurrence, so the
+   accesses that ARE replayed see the same interleaved gaps as a full
+   pass.  Same float ops per access as [time_span]. *)
+let fast_forward t ~len =
+  let ops_acc = ref t.ops_acc and rate = t.ops_rate in
+  for _ = 1 to len do
+    ops_acc := !ops_acc +. rate;
+    let gap = int_of_float !ops_acc in
+    ops_acc := !ops_acc -. float_of_int gap
+  done;
+  t.ops_acc <- !ops_acc
+
+let finish t ~accesses ~exact ~miss_ratio ~dram_bytes =
+  let sampled = max 1 t.sampled in
+  let avg_lat = float_of_int t.total_lat /. float_of_int sampled in
+  let scale = float_of_int accesses /. float_of_int sampled in
   (* routing statistics are exact even when sampling: the module state
      saw every access *)
-  let mstats = Mem_sim.snapshot msim in
-  let miss_ratio = Mem_sim.miss_ratio mstats in
-  let dram_bytes = mstats.Mem_sim.dram_bytes_total in
   let result =
     {
-      Sim_result.accesses = n;
-      cycles = int_of_float (float_of_int !now *. scale);
-      total_mem_latency = !total_lat;
+      Sim_result.accesses;
+      cycles = int_of_float (float_of_int t.now *. scale);
+      total_mem_latency = t.total_lat;
       avg_mem_latency = avg_lat;
-      avg_energy_nj = !energy /. float_of_int sampled;
+      avg_energy_nj = t.energy /. float_of_int sampled;
       miss_ratio;
-      bus_wait_cycles = !total_wait;
+      bus_wait_cycles = t.total_wait;
       dram_bytes;
-      exact = sample = None;
+      exact;
     }
   in
-  let total_cycles = max 1 !now in
+  let total_cycles = max 1 t.now in
   let stats =
     List.mapi
       (fun idx (b : Conn_arch.binding) ->
         {
           component = b.Conn_arch.component.Component.name;
           carries = Mx_connect.Cluster.describe b.Conn_arch.cluster;
-          txns = txn_acc.(idx);
-          busy_cycles = busy_acc.(idx);
-          wait_cycles = wait_acc.(idx);
-          utilization = float_of_int busy_acc.(idx) /. float_of_int total_cycles;
+          txns = t.txn_acc.(idx);
+          busy_cycles = t.busy_acc.(idx);
+          wait_cycles = t.wait_acc.(idx);
+          utilization =
+            float_of_int t.busy_acc.(idx) /. float_of_int total_cycles;
         })
-      bindings
+      t.bindings
   in
-  (* One registry deposit per simulation, from whichever domain ran it:
-     the per-access loop above never touches the registry. *)
+  (* One registry deposit per timing, from whichever domain ran it: the
+     per-access loop never touches the registry. *)
   (if Mx_util.Metrics.is_on Mx_util.Metrics.global then begin
      let m = Mx_util.Metrics.global in
      Mx_util.Metrics.incr m "cycle_sim.runs";
-     Mx_util.Metrics.incr m ~by:n "cycle_sim.accesses";
-     Mx_util.Metrics.incr m ~by:!sampled_accesses "cycle_sim.sampled_accesses";
-     Mx_util.Metrics.incr m ~by:!total_wait "cycle_sim.stall_cycles";
+     Mx_util.Metrics.incr m ~by:accesses "cycle_sim.accesses";
+     Mx_util.Metrics.incr m ~by:t.sampled "cycle_sim.sampled_accesses";
+     Mx_util.Metrics.incr m ~by:t.total_wait "cycle_sim.stall_cycles";
      Mx_util.Metrics.incr m ~by:total_cycles "cycle_sim.cycles";
      Mx_util.Metrics.observe m ~unit_:"cycles" "cycle_sim.avg_mem_latency"
        avg_lat;
@@ -380,23 +726,72 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
    end);
   (result, stats)
 
-let run_stream ?sample ?cpu ?seek ~workload ~arch ~conn () =
-  fst (run_stream_traced ?sample ?cpu ?seek ~workload ~arch ~conn ())
-
-(* The in-memory entry points replay through a zero-copy stream with
-   the default chunk geometry: same accesses, same order, same float
-   accumulation — byte-identical to the pre-stream implementation. *)
-let run_traced ?sample ?cpu ~workload ~arch ~conn () =
-  let streamed =
-    Mx_trace.Workload.streamed ~name:workload.Mx_trace.Workload.name
-      ~regions:workload.Mx_trace.Workload.regions
-      ~cpu_ops:workload.Mx_trace.Workload.cpu_ops
-      (Mx_trace.Trace_stream.of_trace workload.Mx_trace.Workload.trace)
+let time_traced ?(cpu = Blocking) c ~conn =
+  let on, period = window_of c.c_sample in
+  let t =
+    timer ~cpu ~arch:c.c_arch ~conn ~on ~period ~accesses:c.c_accesses
+      ~cpu_ops:c.c_cpu_ops
   in
-  run_stream_traced ?sample ?cpu ~workload:streamed ~arch ~conn ()
+  build_rows t c.c_outcomes (Array.length c.c_outcomes);
+  time_span t c.c_ids c.c_width ~first:0 ~len:c.c_accesses;
+  finish t ~accesses:c.c_accesses ~exact:(c.c_sample = None)
+    ~miss_ratio:c.c_miss_ratio ~dram_bytes:c.c_dram_bytes
+
+let time ?cpu c ~conn = fst (time_traced ?cpu c ~conn)
+
+(* -- entry points ---------------------------------------------------------- *)
+
+let run_traced ?sample ?(cpu = Blocking) ~workload ~arch ~conn () =
+  ignore (window_of sample);
+  check_cpu cpu;
+  time_traced ~cpu (record ?sample ~workload ~arch ()) ~conn
 
 let run ?sample ?cpu ~workload ~arch ~conn () =
   fst (run_traced ?sample ?cpu ~workload ~arch ~conn ())
+
+(* Record and time one chunk at a time, so memory stays constant in the
+   trace length: the recorder's id buffer is reused chunk after chunk,
+   and the timer grows its rows as new outcomes appear. *)
+let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
+    ~(workload : Workload.streamed) ~arch ~conn () =
+  let on, period = window_of sample in
+  if seek && sample = None then
+    invalid_arg "Cycle_sim.run_stream: ~seek requires ~sample";
+  check_cpu cpu;
+  let stream = workload.Workload.s_stream in
+  let n = Trace_stream.length stream in
+  let r = recorder ?sample ~arch ~regions:workload.Workload.s_regions () in
+  let t =
+    timer ~cpu ~arch ~conn ~on ~period ~accesses:n
+      ~cpu_ops:workload.Workload.s_cpu_ops
+  in
+  for ci = 0 to Trace_stream.chunk_count stream - 1 do
+    let first = Trace_stream.chunk_start stream ci in
+    let len = Trace_stream.chunk_length stream ci in
+    let skip =
+      seek
+      &&
+      match sample with
+      | Some (on, off) -> not (chunk_has_on_window ~on ~off ~first ~len)
+      | None -> false
+    in
+    if skip then fast_forward t ~len
+    else begin
+      let c = Trace_stream.get_chunk stream ci in
+      r.n_ids <- 0;
+      record_span r ~addrs:c.Trace_stream.c_addrs ~metas:c.Trace_stream.c_metas
+        ~off:c.Trace_stream.c_off ~len ~first;
+      build_rows t r.outcomes r.n_outcomes;
+      time_span t r.ids r.width ~first ~len
+    end
+  done;
+  let mstats = Mem_sim.snapshot r.msim in
+  finish t ~accesses:n ~exact:(sample = None)
+    ~miss_ratio:(Mem_sim.miss_ratio mstats)
+    ~dram_bytes:mstats.Mem_sim.dram_bytes_total
+
+let run_stream ?sample ?cpu ?seek ~workload ~arch ~conn () =
+  fst (run_stream_traced ?sample ?cpu ?seek ~workload ~arch ~conn ())
 
 let record_utilization_gauges ?(registry = Mx_util.Metrics.global) () =
   let snap = Mx_util.Metrics.snapshot registry in

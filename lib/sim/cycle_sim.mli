@@ -14,13 +14,30 @@
     module state warm on every access but only accumulates timing
     during "on" windows; the paper uses a 1/9 on/off ratio.
 
-    The simulator consumes a {!Mx_trace.Trace_stream.t}: the in-memory
-    entry points ({!run}, {!run_traced}) wrap their trace in a
-    zero-copy stream, and {!run_stream} replays a file-backed stream
-    (e.g. {!Mx_trace.Trace_io.open_stream}) chunk by chunk in constant
-    memory.  Both paths walk the identical access sequence with the
-    identical arithmetic, so their results are byte-identical —
-    including under [~sample]. *)
+    {b Two stages.}  What a module does with an access does not depend
+    on the connectivity, so simulation is split in two:
+
+    - {!record} runs the module simulation ({!Mx_mem.Mem_sim}) and the
+      DRAM row-buffer model once per (workload, architecture, sampling
+      pattern) and keeps, per timed access, the id of its distinct
+      outcome (serving class, sizes, DRAM and L2 traffic, critical
+      bytes, extra latency and energy, DRAM latency) in a {!column};
+    - {!time} replays one connectivity over a column: one row per
+      distinct outcome built once per connectivity, then a loop with no
+      division, no allocation and no boxed float per access.
+
+    Every entry point is [time (record ...)], and its result equals,
+    bit for bit, a straight-line pass that computes each access's
+    module outcome and timing in place (the [Mx_check.Oracle.replay]
+    reference).  A column is immutable once recorded, so domains may
+    time it concurrently.
+
+    The streamed entry points ({!run_stream}) record and time one chunk
+    of a {!Mx_trace.Trace_stream.t} at a time, in constant memory; the
+    in-memory ones ({!run}, {!run_traced}) record the whole trace.
+    Both walk the identical access sequence with the identical
+    arithmetic, so their results are byte-identical — including under
+    [~sample]. *)
 
 type cpu_model =
   | Blocking
@@ -41,10 +58,13 @@ val run :
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Sim_result.t
-(** [cpu] defaults to [Blocking].
-    @raise Invalid_argument when the trace exercises a channel the
-    connectivity architecture does not implement, when sampling windows
-    are non-positive, or when [Overlap n] has [n <= 0]. *)
+(** [time (record ?sample ~workload ~arch ()) ~conn].  [cpu] defaults
+    to [Blocking].
+    @raise Invalid_argument when sampling windows are non-positive,
+    when [Overlap n] has [n <= 0] (both checked before any simulation),
+    or when an on-window access needs a channel the connectivity does
+    not implement.  The channel check is lazy: an access class whose
+    accesses all fall in off-windows needs no channel. *)
 
 val default_sample : int * int
 (** (1000, 9000): the paper's 1/9 on/off time-sampling ratio. *)
@@ -105,6 +125,47 @@ val run_stream_traced :
   unit ->
   Sim_result.t * bus_stat list
 (** {!run_stream} plus the per-component utilisation breakdown. *)
+
+(** {2 The two stages} *)
+
+type column
+(** The recorded module outcomes of one (workload, architecture,
+    sampling pattern): one small id per on-window access into a table
+    of distinct outcome tuples.  Ids take 1 byte each while there are
+    at most 256 distinct tuples and widen to 2, 4 or 8 bytes beyond,
+    so a column is lossless for any architecture and never holds more
+    than 8 bytes per access plus its tuple table. *)
+
+val record :
+  ?sample:int * int ->
+  workload:Mx_trace.Workload.t ->
+  arch:Mx_mem.Mem_arch.t ->
+  unit ->
+  column
+(** Run the modules and the DRAM model over the whole trace.  Under
+    [~sample] only on-window accesses get an id; off-window accesses
+    still warm the modules and the row buffers.
+    @raise Invalid_argument on bad sampling windows or a region outside
+    the architecture's binding table. *)
+
+val time :
+  ?cpu:cpu_model -> column -> conn:Mx_connect.Conn_arch.t -> Sim_result.t
+(** Time one connectivity over a column.  Records the [cycle_sim.*]
+    counters once per call.
+    @raise Invalid_argument as {!run}. *)
+
+val time_traced :
+  ?cpu:cpu_model ->
+  column ->
+  conn:Mx_connect.Conn_arch.t ->
+  Sim_result.t * bus_stat list
+(** {!time} plus the per-component utilisation breakdown. *)
+
+val distinct_outcomes : column -> int
+(** Size of the column's outcome table. *)
+
+val footprint : column -> int
+(** Bytes the column holds: its ids plus its outcome table. *)
 
 val record_utilization_gauges : ?registry:Mx_util.Metrics.t -> unit -> unit
 (** Derive [cycle_sim.bus.<component>.utilization] gauges (aggregate

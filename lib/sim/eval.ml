@@ -19,9 +19,31 @@ let make_cache capacity =
 
 let cache : Sim_result.t Memo_cache.t ref = ref (make_cache default_cache_capacity)
 
-let set_cache_capacity capacity = cache := make_cache (max 0 capacity)
+(* Recorded module outcomes, one per (workload, architecture, fidelity):
+   the connectivity variants of an architecture share one recording.
+   Phase II and Full visit an architecture's variants together, but the
+   refine pass interleaves the few architectures on the front, so the
+   memo keeps a handful beyond the largest APEX selection. *)
+let column_capacity = 16
+
+let make_columns capacity =
+  Memo_cache.create ~metrics_prefix:"eval.cache.columns"
+    ~capacity:(if capacity <= 0 then 0 else column_capacity)
+    ()
+
+let columns : Cycle_sim.column Memo_cache.t ref =
+  ref (make_columns default_cache_capacity)
+
+let set_cache_capacity capacity =
+  cache := make_cache (max 0 capacity);
+  columns := make_columns capacity
+
 let cache_stats () = Memo_cache.stats !cache
-let clear_cache () = Memo_cache.clear !cache
+let column_stats () = Memo_cache.stats !columns
+
+let clear_cache () =
+  Memo_cache.clear !cache;
+  Memo_cache.clear !columns
 
 (* Workload fingerprints are O(trace length); exploration evaluates the
    same workload thousands of times, so memoise the last one by physical
@@ -126,25 +148,34 @@ let promote c ~exact_key =
 
 (* One lookup for every rung of the ladder: the fidelity picks the key
    and the evaluator, and only [Sampled] tries promotion first.  The
-   evaluator is chosen before any lookup, so a missing profile raises
-   even when the key is cached. *)
+   evaluator is chosen before any lookup, so a missing profile or bad
+   sampling windows raise even when the key is cached.  A simulation
+   times the connectivity over its architecture's recorded column,
+   recording it on the first request. *)
 let eval_prov ~fidelity ~workload ~arch ?profile ~conn () =
+  let arch_base =
+    workload_fingerprint workload ^ "|" ^ Mem_arch.fingerprint arch
+  in
+  let simulate sample () =
+    let column =
+      Memo_cache.find_or_compute !columns ~key:(key ~base:arch_base fidelity)
+        (fun () -> Cycle_sim.record ?sample ~workload ~arch ())
+    in
+    Cycle_sim.time column ~conn
+  in
   let compute =
     match (fidelity, profile) with
     | Estimate, None ->
       invalid_arg "Eval.eval: Estimate fidelity requires ~profile"
     | Estimate, Some profile ->
       fun () -> Estimator.estimate ~workload ~arch ~profile ~conn
-    | Sampled (on, off), _ ->
-      fun () -> Cycle_sim.run ~sample:(on, off) ~workload ~arch ~conn ()
-    | Exact, _ -> fun () -> Cycle_sim.run ~workload ~arch ~conn ()
+    | Sampled (on, off), _ when on <= 0 || off < 0 ->
+      invalid_arg "Eval.eval: bad sampling windows"
+    | Sampled (on, off), _ -> simulate (Some (on, off))
+    | Exact, _ -> simulate None
   in
   let c = !cache in
-  let base =
-    workload_fingerprint workload
-    ^ "|" ^ Mem_arch.fingerprint arch
-    ^ "|" ^ Conn_arch.fingerprint conn
-  in
+  let base = arch_base ^ "|" ^ Conn_arch.fingerprint conn in
   let promoted =
     match fidelity with
     | Sampled _ -> promote c ~exact_key:(key ~base Exact)

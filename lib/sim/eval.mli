@@ -33,12 +33,26 @@
     compute once, so per-simulation counters such as [cycle_sim.runs]
     remain identical at every jobs level.  Cache traffic is recorded in
     {!Mx_util.Metrics.global} as [eval.cache.hits], [eval.cache.misses]
-    and [eval.cache.evictions]. *)
+    and [eval.cache.evictions].
+
+    {b Recorded columns.}  A simulation that has to be computed times
+    its connectivity ({!Cycle_sim.time}) over the architecture's
+    recorded module outcomes ({!Cycle_sim.record}).  Those columns sit
+    in a second, small single-flight memo keyed
+    [workload fingerprint | memory fingerprint | fidelity tag], so all
+    connectivity variants of one architecture at one fidelity share a
+    single module-level simulation.  It holds at most 16 columns (the
+    refine pass interleaves the architectures on the front), is never
+    persisted, and counts its traffic as [eval.cache.columns.hits],
+    [.misses] and [.evictions] — a [cache.] segment, so exempt from
+    the determinism contract.  [cycle_sim.*] counters are still
+    recorded once per computed simulation. *)
 
 type fidelity =
   | Estimate  (** {!Estimator.estimate}; requires [~profile] *)
-  | Sampled of int * int  (** {!Cycle_sim.run} with [(on, off)] windows *)
-  | Exact  (** {!Cycle_sim.run} over the full trace *)
+  | Sampled of int * int
+      (** time-sampled cycle simulation with [(on, off)] windows *)
+  | Exact  (** cycle simulation of the full trace *)
 
 val fidelity_tag : fidelity -> string
 (** Canonical short form used in cache keys (stable across runs). *)
@@ -58,9 +72,11 @@ val eval :
     tier, then disk tier); then one lookup under the request's own key
     goes hot tier, disk tier, compute.
     @raise Invalid_argument when [fidelity = Estimate] and no [~profile]
-    is supplied (checked before any lookup, so a cached entry does not
-    hide the mistake), or whenever the underlying evaluator rejects the
-    design (unroutable channel, bad sampling windows, empty profile). *)
+    is supplied, or when [fidelity = Sampled (on, off)] has [on <= 0]
+    or [off < 0] (both checked before any lookup, so a cached or
+    promotable entry does not hide the mistake), or whenever the
+    underlying evaluator rejects the design (unroutable channel, empty
+    profile). *)
 
 type provenance =
   | Computed  (** this call ran the evaluator *)
@@ -95,19 +111,25 @@ val default_cache_capacity : int
 
 val set_cache_capacity : int -> unit
 (** Replace the cache with a fresh one of the given capacity (dropping
-    all entries; 0 or negative disables caching).  Not safe to call
-    concurrently with running evaluations — configure before
-    exploring. *)
+    all entries; 0 or negative disables caching), and the column memo
+    with a fresh one (disabled too when the capacity is 0 or
+    negative).  Not safe to call concurrently with running
+    evaluations — configure before exploring. *)
 
 val cache_stats : unit -> Mx_util.Memo_cache.stats
 (** Hit/miss/eviction totals since the cache was created or last
     resized ({!clear_cache} keeps counters). *)
 
+val column_stats : unit -> Mx_util.Memo_cache.stats
+(** The same totals for the column memo: each miss is one
+    {!Cycle_sim.record}. *)
+
 val clear_cache : unit -> unit
-(** Drop every cached result (counters are kept).  Call between
-    independent experiment arms when warm-cache carry-over would blur a
-    comparison.  Only empties the hot tier — the persistent tier, when
-    open, is untouched (that is what makes warm-start tests honest). *)
+(** Drop every cached result and every recorded column (counters are
+    kept).  Call between independent experiment arms when warm-cache
+    carry-over would blur a comparison.  Only empties the hot tier —
+    the persistent tier, when open, is untouched (that is what makes
+    warm-start tests honest). *)
 
 (** {2 The persistent tier}
 

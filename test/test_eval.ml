@@ -340,6 +340,89 @@ let test_eval_policy_keyed_separately () =
   Helpers.check_true "each policy is served its own result"
     (r1 = r1' && r2 = r2')
 
+(* -- recorded columns ------------------------------------------------------ *)
+
+let column_misses () = (Eval.column_stats ()).Mx_util.Memo_cache.misses
+
+let test_eval_one_column_per_arch () =
+  with_pristine_cache @@ fun () ->
+  let w, arch, profile, _ = eval_fixture () in
+  let brg = Mx_connect.Brg.build arch profile in
+  let conns =
+    Mx_connect.Assign.enumerate_levels ~max_designs_per_level:4
+      ~onchip:Component.onchip_library ~offchip:Component.offchip_library
+      brg.Mx_connect.Brg.channels
+  in
+  let m0 = column_misses () in
+  List.iter
+    (fun conn ->
+      let r = Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn () in
+      Alcotest.(check string)
+        "a shared column gives the fresh result"
+        (Mx_sim.Sim_result.to_wire
+           (Mx_sim.Cycle_sim.run ~workload:w ~arch ~conn ()))
+        (Mx_sim.Sim_result.to_wire r))
+    conns;
+  Helpers.check_true "several connectivities" (List.length conns > 2);
+  Helpers.check_int "one recording for all of them" 1 (column_misses () - m0)
+
+let test_eval_column_per_fidelity () =
+  with_pristine_cache @@ fun () ->
+  let w, arch, _, conn = eval_fixture () in
+  let m0 = column_misses () in
+  ignore (Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn ());
+  let shared =
+    Helpers.shared_conn
+      (Mx_connect.Brg.build arch (Helpers.profile_of arch w))
+  in
+  let sampled =
+    Eval.eval ~fidelity:(Eval.Sampled (500, 1500)) ~workload:w ~arch
+      ~conn:shared ()
+  in
+  Helpers.check_int "exact and sampled record one column each" 2
+    (column_misses () - m0);
+  Alcotest.(check string)
+    "the sampled column is the sampled one"
+    (Mx_sim.Sim_result.to_wire
+       (Mx_sim.Cycle_sim.run ~sample:(500, 1500) ~workload:w ~arch
+          ~conn:shared ()))
+    (Mx_sim.Sim_result.to_wire sampled)
+
+let test_eval_clear_drops_columns () =
+  with_pristine_cache @@ fun () ->
+  let w, arch, _, conn = eval_fixture () in
+  ignore (Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn ());
+  let resident () = (Eval.column_stats ()).Mx_util.Memo_cache.size in
+  Helpers.check_int "one column resident" 1 (resident ());
+  Eval.clear_cache ();
+  Helpers.check_int "clear_cache drops it" 0 (resident ());
+  let m0 = column_misses () in
+  ignore (Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn ());
+  Helpers.check_int "the next evaluation records again" 1
+    (column_misses () - m0);
+  Eval.set_cache_capacity 0;
+  let m0 = column_misses () in
+  ignore (Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn ());
+  ignore (Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn ());
+  Helpers.check_int "capacity 0 keeps no column" 2 (column_misses () - m0);
+  Helpers.check_int "and holds none" 0 (resident ())
+
+let test_eval_bad_windows_rejected () =
+  with_pristine_cache @@ fun () ->
+  let w, arch, _, conn = eval_fixture () in
+  (* a cached Exact result would otherwise be promoted *)
+  ignore (Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn ());
+  List.iter
+    (fun (on, off) ->
+      Alcotest.check_raises
+        (Printf.sprintf "Sampled (%d, %d) rejected" on off)
+        (Invalid_argument "Eval.eval: bad sampling windows")
+        (fun () ->
+          ignore
+            (Eval.eval ~fidelity:(Eval.Sampled (on, off)) ~workload:w ~arch
+               ~conn ())))
+    [ (0, 9000); (10, -1); (-5, 5) ]
+
 (* -- cached vs fresh whole explorations ------------------------------------ *)
 
 let small_config jobs =
@@ -437,6 +520,14 @@ let suite =
         test_eval_distinct_sample_windows_distinct;
       Alcotest.test_case "policies keyed separately" `Quick
         test_eval_policy_keyed_separately;
+      Alcotest.test_case "one column per architecture" `Quick
+        test_eval_one_column_per_arch;
+      Alcotest.test_case "one column per fidelity" `Quick
+        test_eval_column_per_fidelity;
+      Alcotest.test_case "clear_cache drops columns" `Quick
+        test_eval_clear_drops_columns;
+      Alcotest.test_case "bad windows rejected before lookup" `Quick
+        test_eval_bad_windows_rejected;
       Alcotest.test_case "exploration cache-transparent" `Slow
         test_explore_cache_transparent;
     ] )

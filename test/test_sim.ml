@@ -106,6 +106,122 @@ let test_sampling_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* -- the recorded column -------------------------------------------------- *)
+
+(* Two regions: region 0 (cached) is read throughout, region 1 (the
+   scratchpad) only at indices 50..99 — all inside the off-window of
+   [(10, 90)] sampling. *)
+let off_window_only_workload () =
+  let t = Mx_trace.Trace.create () in
+  for i = 0 to 999 do
+    let region = if i >= 50 && i < 100 then 1 else 0 in
+    let addr =
+      if region = 1 then 0x8000 + (4 * (i mod 16)) else 4 * (i * 37 mod 2048)
+    in
+    Mx_trace.Trace.add t ~addr ~size:4 ~kind:Mx_trace.Access.Read ~region
+  done;
+  let region id name base hint =
+    { Mx_trace.Region.id; name; base; size = 8192; elem_size = 4; hint }
+  in
+  {
+    Mx_trace.Workload.name = "off-window";
+    regions =
+      [ region 0 "data" 0 Mx_trace.Region.Random_access;
+        region 1 "table" 0x8000 Mx_trace.Region.Indexed ];
+    trace = t;
+    cpu_ops = 3000;
+  }
+
+let test_channel_check_is_lazy () =
+  let w = off_window_only_workload () in
+  let arch =
+    Mx_mem.Mem_arch.make ~label:"cache+sram" ~cache:Helpers.small_cache
+      ~sram:{ Mx_mem.Params.s_size = 256; s_latency = 1 }
+      ~bindings:[| Mx_mem.Mem_arch.To_cache; Mx_mem.Mem_arch.To_sram |]
+      ()
+  in
+  let brg = Brg.build arch (Helpers.profile_of arch w) in
+  (* every channel but CPU<->SRAM *)
+  let conn =
+    Conn_arch.make
+      (List.filter_map
+         (fun ch ->
+           if ch.Mx_connect.Channel.dst = Mx_connect.Channel.Sram then None
+           else
+             Some
+               ( Cluster.of_channel ch,
+                 Component.by_name
+                   (if Mx_connect.Channel.crosses_chip ch then "off32"
+                    else "ded32") ))
+         brg.Brg.channels)
+  in
+  let sample = (10, 90) in
+  let r = Cycle_sim.run ~sample ~workload:w ~arch ~conn () in
+  Alcotest.(check string)
+    "sampled run never needs the SRAM channel"
+    (Sim_result.to_wire
+       (Mx_check.Oracle.replay ~sample ~workload:w ~arch ~conn ()))
+    (Sim_result.to_wire r);
+  Alcotest.check_raises "the exact run does"
+    (Invalid_argument
+       "Cycle_sim.run: connectivity does not implement the SRAM channel")
+    (fun () -> ignore (Cycle_sim.run ~workload:w ~arch ~conn ()))
+
+let test_column_serves_many_connectivities () =
+  let w, arch, _, brg = setup ~rich:true () in
+  let column = Cycle_sim.record ~workload:w ~arch () in
+  List.iter
+    (fun conn ->
+      Alcotest.(check string)
+        "timing a shared column equals a fresh run"
+        (Sim_result.to_wire (Cycle_sim.run ~workload:w ~arch ~conn ()))
+        (Sim_result.to_wire (Cycle_sim.time column ~conn)))
+    [ Helpers.naive_conn brg; Helpers.shared_conn brg ];
+  let accesses = Mx_trace.Trace.length w.Mx_trace.Workload.trace in
+  Helpers.check_true "a column holds at most 8 bytes per access"
+    (Cycle_sim.footprint column <= 8 * accesses)
+
+(* A deep prefetcher over 4-byte lines, chasing forward jumps of up to
+   99 000 lines, fetches a different number of lines almost every
+   access: more than 65 536 distinct outcomes, so the recorded ids widen
+   from one byte to two and then to four. *)
+let test_column_ids_widen () =
+  let t = Mx_trace.Trace.create () in
+  let g = Mx_util.Prng.create ~seed:5 in
+  let pos = ref 0 in
+  for _ = 1 to 150_000 do
+    pos := !pos + (4 * (1 + Mx_util.Prng.int g ~bound:99_000));
+    if !pos >= 1 lsl 24 then pos := 0;
+    Mx_trace.Trace.add t ~addr:!pos ~size:4 ~kind:Mx_trace.Access.Read ~region:0
+  done;
+  let w =
+    {
+      Mx_trace.Workload.name = "jumps";
+      regions =
+        [ { Mx_trace.Region.id = 0; name = "r"; base = 0; size = 1 lsl 24;
+            elem_size = 4; hint = Mx_trace.Region.Random_access } ];
+      trace = t;
+      cpu_ops = 150_000;
+    }
+  in
+  let arch =
+    Mx_mem.Mem_arch.make ~label:"deep"
+      ~sbuf:
+        { Mx_mem.Params.sb_streams = 1; sb_line = 4; sb_depth = 100_000;
+          sb_latency = 1 }
+      ~bindings:[| Mx_mem.Mem_arch.To_sbuf |]
+      ()
+  in
+  let brg = Brg.build arch (Helpers.profile_of arch w) in
+  let conn = Helpers.naive_conn brg in
+  let column = Cycle_sim.record ~workload:w ~arch () in
+  Helpers.check_true "more outcomes than two-byte ids can name"
+    (Cycle_sim.distinct_outcomes column > 65_536);
+  Alcotest.(check string)
+    "wide ids replay exactly"
+    (Sim_result.to_wire (Mx_check.Oracle.replay ~workload:w ~arch ~conn ()))
+    (Sim_result.to_wire (Cycle_sim.time column ~conn))
+
 (* -- estimator ----------------------------------------------------------- *)
 
 let test_estimator_positive_and_marked () =
@@ -190,6 +306,11 @@ let suite =
       Alcotest.test_case "missing channel" `Quick test_missing_channel_rejected;
       Alcotest.test_case "sampling accuracy" `Quick test_sampling_close_to_exact;
       Alcotest.test_case "sampling validation" `Quick test_sampling_validation;
+      Alcotest.test_case "channel check is lazy" `Quick
+        test_channel_check_is_lazy;
+      Alcotest.test_case "one column, many connectivities" `Quick
+        test_column_serves_many_connectivities;
+      Alcotest.test_case "column ids widen" `Quick test_column_ids_widen;
       Alcotest.test_case "estimator sanity" `Quick test_estimator_positive_and_marked;
       Alcotest.test_case "estimator accuracy" `Quick test_estimator_absolute_accuracy;
       Alcotest.test_case "estimator fidelity" `Quick test_estimator_fidelity_ordering;

@@ -282,6 +282,28 @@ let test_seek_requires_sample () =
           | _ -> Alcotest.fail "seek without sample accepted"
           | exception Invalid_argument _ -> ()))
 
+(* A cold-sampled result over the rich architecture and shared buses,
+   pinned bit for bit: skipped chunks, per-chunk recording and timing
+   must reproduce it exactly. *)
+let test_seek_sampled_pin () =
+  let w = Helpers.mixed_workload () in
+  let arch = Helpers.rich_arch w in
+  let brg = Mx_connect.Brg.build arch (Helpers.profile_of arch w) in
+  let conn = Helpers.shared_conn brg in
+  with_tmp (fun path ->
+      Trace_io.save ~format:Trace_io.Binary ~chunk_cap:32 w ~path;
+      let sw = Trace_io.open_stream ~path in
+      let r =
+        Cycle_sim.run_stream ~sample:(50, 450) ~seek:true ~workload:sw ~arch
+          ~conn ()
+      in
+      Trace_stream.close sw.Workload.s_stream;
+      Alcotest.(check string)
+        "pinned cold-sampled result"
+        "20000 319370 27951 0x1.bf374bc6a7efap+3 0x1.4c7749279133cp+5 \
+         0x1.e851eb851eb85p-3 5042 35488 false"
+        (Sim_result.to_wire r))
+
 let test_trace_io_metrics_counters () =
   let w, arch, conn = sim_setup () in
   with_tmp (fun path ->
@@ -338,6 +360,7 @@ let suite =
         test_streamed_sim_identical;
       Alcotest.test_case "seek skips chunks" `Quick test_seek_skips_chunks;
       Alcotest.test_case "seek requires sample" `Quick test_seek_requires_sample;
+      Alcotest.test_case "seek sampled pin" `Quick test_seek_sampled_pin;
       Alcotest.test_case "trace.io metrics counters" `Quick
         test_trace_io_metrics_counters;
     ] )
