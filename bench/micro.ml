@@ -43,6 +43,14 @@ let test_fig3_apex_explore =
      ignore
        (Mx_apex.Explore.explore ~config:Mx_apex.Explore.reduced_config profile))
 
+(* The default catalogue pairs each L1 with victim-buffer and L2
+   variants, so this one shows the shared L1 pass. *)
+let test_fig3_apex_explore_default =
+  Test.make ~name:"fig3: APEX explore, default catalogue (20k trace)"
+    (Staged.stage @@ fun () ->
+     let _, profile, _, _, _, _ = Lazy.force prepared in
+     ignore (Mx_apex.Explore.explore profile))
+
 let test_fig4_phase1_estimate =
   Test.make ~name:"fig4: ConEx phase-I estimate (one candidate)"
     (Staged.stage @@ fun () ->
@@ -151,6 +159,8 @@ let tests =
     test_table2_clustering;
     test_substrate_cache;
     test_substrate_trace_gen;
+    (* last: it grows the heap, which slows the allocating tests after it *)
+    test_fig3_apex_explore_default;
   ]
 
 (* -- parallel scaling: serial vs task-pool exploration ------------------- *)

@@ -249,6 +249,9 @@ let pareto cands =
 let thin ~max_selected pts =
   let n = List.length pts in
   if n <= max_selected || max_selected <= 0 then pts
+  else if max_selected = 1 then
+    (* one slot: the cheapest point, the spacing's [i = 0] *)
+    [ List.hd pts ]
   else begin
     let arr = Array.of_list pts in
     (* evenly spaced indices, always keeping both extremes *)

@@ -70,6 +70,8 @@ val select : ?config:config -> Mx_trace.Profile.t -> candidate list
 (** The full APEX stage: explore, prune to the pareto front, drop
     designs "many times worse than the best" (the paper's own filter),
     and thin to [max_selected] representative points (always keeping
-    both extremes).  A traditional cache-only architecture is always
-    included as the baseline — the paper's designs a/b — so the result
-    may hold [max_selected + 1] entries.  This is the input to ConEx. *)
+    both extremes; with [max_selected = 1], the lowest-cost banded
+    point; a non-positive [max_selected] keeps them all).  A
+    traditional cache-only architecture is always included as the
+    baseline — the paper's designs a/b — so the result may hold
+    [max_selected + 1] entries.  This is the input to ConEx. *)

@@ -784,18 +784,23 @@ let eval_suite =
 
 (* An APEX catalogue with every module kind and two victim, L2,
    write-buffer and LLDMA options: a group key that drops one of those
-   parameters merges candidates whose profiles differ. *)
-let group_catalogue =
+   parameters merges candidates whose profiles differ.  Every L1 and L2
+   draws its replacement policy per case, as [explore --policies]
+   crosses them all.  The 8-way L1 widens the geometries; a 3-way one
+   cannot exist, since [Params.validate_cache] makes size and line, and
+   so ways and sets, powers of two. *)
+let group_catalogue g =
   let cache c_size c_line c_assoc c_latency =
-    { Params.c_size; c_line; c_assoc; c_latency;
-      c_policy = Params.default_policy }
+    { Params.c_size; c_line; c_assoc; c_latency; c_policy = Gen.repl_policy g }
   in
+  let caches = [ cache 512 16 1 1; cache 1024 16 8 1; cache 2048 32 2 1 ] in
+  let l2s = [ cache 4096 32 2 4; cache 8192 64 4 4 ] in
   {
     Mx_apex.Explore.reduced_config with
-    caches = [ cache 512 16 1 1; cache 2048 32 2 1 ];
+    caches;
     include_no_cache = true;
     lldmas = Mx_mem.Module_lib.lldmas;
-    l2s = [ cache 4096 32 2 4; cache 8192 64 4 4 ];
+    l2s;
     victims =
       [ { Params.v_entries = 2; v_latency = 1 };
         { Params.v_entries = 8; v_latency = 1 } ];
@@ -818,7 +823,7 @@ let pipeline_suite =
         let g = Prng.create ~seed in
         let w = Gen.workload g ~size in
         let archs =
-          Mx_apex.Explore.candidates group_catalogue
+          Mx_apex.Explore.candidates (group_catalogue g)
             (Mx_trace.Profile.analyze w)
         in
         let regions = w.Workload.regions and trace = w.Workload.trace in

@@ -26,9 +26,10 @@
                     fidelity, cache-on/off equality,
                     Exact-promotes-Sampled
     - [pipeline]    composed group profiles of every APEX candidate
-                    vs one {!Mx_mem.Mem_sim.run} each, whole-flow
-                    sanity under random workloads and architectures
-                    (never crashes, metrics finite)
+                    (L1s and L2s of drawn replacement policies, with
+                    victim buffers) vs one {!Mx_mem.Mem_sim.run} each,
+                    whole-flow sanity under random workloads and
+                    architectures (never crashes, metrics finite)
     - [explore]     cache-on/off and jobs=1/jobs=N run parity,
                     estimate-vs-exact rank correlation floors,
                     event-log terminal-verdict coverage

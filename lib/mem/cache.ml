@@ -1,5 +1,7 @@
 type t = {
   p : Params.cache;
+  line : int; (* p's line size and associativity, read on every lookup *)
+  assoc : int;
   sets : int;
   tags : int array; (* sets * assoc; -1 = invalid *)
   dirty : bool array;
@@ -17,6 +19,8 @@ let create p =
   let ways = sets * p.Params.c_assoc in
   {
     p;
+    line = p.Params.c_line;
+    assoc = p.Params.c_assoc;
     sets;
     tags = Array.make ways (-1);
     dirty = Array.make ways false;
@@ -30,49 +34,63 @@ let create p =
 
 let params t = t.p
 
-let access t ~addr ~write =
+(* Lookup codes: a miss that evicted a valid line returns
+   [(line lsl 1) lor dirty], which is non-negative because addresses
+   are; the other outcomes take the two negative codes below, both of
+   which [evicted] maps to -1. *)
+let hit = -1
+let cold_fill = -2
+let evicted code = code asr 1
+let dirty code = code >= 0 && code land 1 = 1
+
+(* Inlined into [access], so the wrapper costs no extra call. *)
+let[@inline] lookup t ~addr ~write =
+  (* a negative address would alias: its tag could read as an invalid
+     way, and its line would not name it *)
+  if addr < 0 then invalid_arg "Cache.lookup: negative address";
   t.n_access <- t.n_access + 1;
-  let line = addr / t.p.Params.c_line in
+  let line = addr / t.line in
   let set = line mod t.sets in
   let tag = line / t.sets in
-  let base = set * t.p.Params.c_assoc in
-  let assoc = t.p.Params.c_assoc in
-  let repl = t.repl.(set) in
-  (* look for a hit *)
-  let way = ref (-1) in
-  for i = base to base + assoc - 1 do
-    if t.tags.(i) = tag then way := i
+  let base = set * t.assoc in
+  let stop = base + t.assoc in
+  let tags = t.tags and repl = t.repl.(set) in
+  (* tags are non-negative and unique within a set *)
+  let way = ref base in
+  while !way < stop && tags.(!way) <> tag do
+    incr way
   done;
-  if !way >= 0 then begin
+  if !way < stop then begin
     Replacement.touch repl ~way:(!way - base);
     if write then t.dirty.(!way) <- true;
-    { hit = true; fill = false; writeback = false; evicted_line = None }
+    hit
   end
   else begin
     t.n_miss <- t.n_miss + 1;
     (* choose victim: lowest-index invalid way; only a full set consults
        the replacement policy *)
-    let victim = ref (-1) in
-    (try
-       for i = base to base + assoc - 1 do
-         if t.tags.(i) = -1 then begin
-           victim := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !victim < 0 then victim := base + Replacement.victim repl;
-    let had_line = t.tags.(!victim) <> -1 in
-    let wb = had_line && t.dirty.(!victim) in
+    let free = ref base in
+    while !free < stop && tags.(!free) <> -1 do
+      incr free
+    done;
+    let victim = if !free < stop then !free else base + Replacement.victim repl in
+    let old = tags.(victim) in
+    let wb = old <> -1 && t.dirty.(victim) in
     if wb then t.n_wb <- t.n_wb + 1;
-    let evicted_line =
-      if had_line then Some ((t.tags.(!victim) * t.sets) + set) else None
-    in
-    t.tags.(!victim) <- tag;
-    t.dirty.(!victim) <- write;
-    Replacement.fill repl ~way:(!victim - base);
-    { hit = false; fill = true; writeback = wb; evicted_line }
+    tags.(victim) <- tag;
+    t.dirty.(victim) <- write;
+    Replacement.fill repl ~way:(victim - base);
+    if old = -1 then cold_fill
+    else (((old * t.sets) + set) lsl 1) lor Bool.to_int wb
   end
+
+let access t ~addr ~write =
+  let code = lookup t ~addr ~write in
+  if code = hit then
+    { hit = true; fill = false; writeback = false; evicted_line = None }
+  else
+    { hit = false; fill = true; writeback = dirty code;
+      evicted_line = (if code = cold_fill then None else Some (evicted code)) }
 
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

@@ -38,7 +38,35 @@ val create : Params.cache -> t
 val params : t -> Params.cache
 
 val access : t -> addr:int -> write:bool -> result
-(** One CPU reference.  Aligned internally to the line size. *)
+(** One CPU reference.  Aligned internally to the line size.  A
+    wrapper over {!lookup} that decodes its code into a [result].
+    @raise Invalid_argument on a negative address. *)
+
+val lookup : t -> addr:int -> write:bool -> int
+(** The cache's one lookup, as {!access} but allocating nothing: the
+    outcome comes back as an int code.
+
+    - {!hit} on a hit;
+    - {!cold_fill} on a miss that filled an invalid way;
+    - otherwise [(line lsl 1) lor wb], for a miss that evicted global
+      line [line], with [wb = 1] when that line was dirty and is
+      written back.  This code is non-negative.
+
+    {!evicted} and {!dirty} decode it.
+    @raise Invalid_argument on a negative address. *)
+
+val hit : int
+(** [-1]: the lookup code of a hit. *)
+
+val cold_fill : int
+(** [-2]: the lookup code of a miss that displaced no line. *)
+
+val evicted : int -> int
+(** The global line a lookup code's miss evicted; [-1] for {!hit} and
+    {!cold_fill}. *)
+
+val dirty : int -> bool
+(** Whether a lookup code's evicted line is written back. *)
 
 val reset : t -> unit
 (** Invalidate all lines (drops dirty data — used between independent

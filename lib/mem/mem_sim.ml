@@ -366,16 +366,20 @@ let run t trace =
    depends only on the [group] key below: the parameters of its modules
    and the regions bound to it. *)
 
+(* The groups [access] serves through a module simulator of their own. *)
+type routed =
+  | Uncached of Params.write_buffer option
+  | Scratchpad of Params.sram
+  | Streamed of Params.stream_buffer
+  | Chased of Params.lldma
+
 type group_modules =
   | Cached of {
       cache : Params.cache;
       victim : Params.victim option;
       l2 : Params.cache option;
     }
-  | Uncached of Params.write_buffer option
-  | Scratchpad of Params.sram
-  | Streamed of Params.stream_buffer
-  | Chased of Params.lldma
+  | Routed of routed
 
 type group = { modules : group_modules; members : bool array }
 
@@ -391,10 +395,10 @@ let group_of (arch : Mem_arch.t) binding =
         match arch.Mem_arch.cache with
         | Some cache ->
           Cached { cache; victim = arch.Mem_arch.victim; l2 = arch.Mem_arch.l2 }
-        | None -> Uncached arch.Mem_arch.wbuf)
-      | Mem_arch.To_sram -> Scratchpad (Option.get arch.Mem_arch.sram)
-      | Mem_arch.To_sbuf -> Streamed (Option.get arch.Mem_arch.sbuf)
-      | Mem_arch.To_lldma -> Chased (Option.get arch.Mem_arch.lldma)
+        | None -> Routed (Uncached arch.Mem_arch.wbuf))
+      | Mem_arch.To_sram -> Routed (Scratchpad (Option.get arch.Mem_arch.sram))
+      | Mem_arch.To_sbuf -> Routed (Streamed (Option.get arch.Mem_arch.sbuf))
+      | Mem_arch.To_lldma -> Routed (Chased (Option.get arch.Mem_arch.lldma))
     in
     Some { modules; members }
 
@@ -402,7 +406,8 @@ let groups_of arch =
   List.filter_map (group_of arch)
     Mem_arch.[ To_cache; To_sram; To_sbuf; To_lldma ]
 
-(* Ascending indices of the accesses bound to [members]. *)
+(* Ascending indices of the accesses bound to [members], and their
+   total size in bytes. *)
 let member_accesses members trace =
   let _, metas = Mx_trace.Trace.backing trace in
   let bound i =
@@ -416,28 +421,22 @@ let member_accesses members trace =
   for i = 0 to n - 1 do
     if bound i then incr count
   done;
-  let idx = Array.make !count 0 and j = ref 0 in
+  let idx = Array.make !count 0 and j = ref 0 and bytes = ref 0 in
   for i = 0 to n - 1 do
     if bound i then begin
       idx.(!j) <- i;
+      bytes := !bytes + Mx_trace.Trace.meta_size metas.(i);
       incr j
     end
   done;
-  idx
+  (idx, !bytes)
 
-(* One pass of [g] over its accesses, on a simulator that holds only the
-   group's modules; [arch] supplies the bindings. *)
-let run_group arch g trace idx =
+(* One pass of a routed group over its accesses, on a simulator that
+   holds only the group's module; [arch] supplies the bindings. *)
+let run_group arch routed trace idx =
   let t = bare arch in
   let t =
-    match g.modules with
-    | Cached { cache; victim; l2 } ->
-      {
-        t with
-        cache = Some (Cache.create cache);
-        victim = Option.map Victim_cache.create victim;
-        l2 = Option.map Cache.create l2;
-      }
+    match routed with
     | Uncached wbuf -> { t with wbuf = Option.map Write_buffer.create wbuf }
     | Scratchpad _ -> t
     | Streamed p -> { t with sbuf = Some (Stream_buffer.create p) }
@@ -455,6 +454,126 @@ let run_group arch g trace idx =
     idx;
   t.k
 
+(* -- cache families --------------------------------------------------------
+
+   The cache-path groups with one L1 and one region set form a family
+   whose members, the variants, differ only in their victim buffer and
+   L2.  Neither acts on the L1: a victim hit swaps back a line the L1
+   already filled on the miss, and the non-inclusive L2 never writes
+   into the L1.  So the L1's (hit, writeback, evicted line) sequence is
+   the same in every variant, and since neither the victim buffer nor
+   the L2 reads [now], a variant's own state is a function of that miss
+   sequence.  A family therefore runs its L1 once and feeds each miss,
+   in lock-step, to every variant's victim buffer, L2 and counters.
+   The variants count only what follows the L1 lookup; the L1 side
+   (CPU bytes and accesses, L1 hits) is counted once and added to each
+   at the end. *)
+
+type variant = {
+  v_victim : Victim_cache.t option;
+  v_l2 : Cache.t option;
+  v_k : counters;
+}
+
+let by_cache = serving_index By_cache
+
+(* An access whose critical path went off-chip. *)
+let demand_miss k ~bytes ~txns =
+  k.n_demand_miss <- k.n_demand_miss + 1;
+  k.miss_cnt.(by_cache) <- k.miss_cnt.(by_cache) + 1;
+  k.dram_acc.(by_cache) <- k.dram_acc.(by_cache) + bytes;
+  k.dram_txn.(by_cache) <- k.dram_txn.(by_cache) + txns;
+  k.dram_total <- k.dram_total + bytes
+
+(* [access]'s cache path after an L1 miss that evicted line [evicted]
+   (-1 for none), [dirty] when it is written back, on one variant: the
+   clean evicted line enters the victim buffer before the buffer is
+   probed for the missed line, and on the L2 path the dirty L1 line
+   drains into the L2 before the demand fill. *)
+let variant_miss v ~line ~addr ~evicted ~dirty =
+  let k = v.v_k in
+  (match v.v_victim with
+  | Some vc when evicted >= 0 && not dirty ->
+    Victim_cache.insert vc ~line:evicted
+  | _ -> ());
+  match v.v_victim with
+  | Some vc when Victim_cache.probe vc ~line:(addr / line) ->
+    k.n_victim_hit <- k.n_victim_hit + 1;
+    k.n_hit <- k.n_hit + 1
+  | _ -> (
+    match v.v_l2 with
+    | None ->
+      if dirty then demand_miss k ~bytes:(2 * line) ~txns:2
+      else demand_miss k ~bytes:line ~txns:1
+    | Some l2 ->
+      let l2_line = (Cache.params l2).Params.c_line in
+      k.n_l2_access <- k.n_l2_access + 1;
+      k.l2_bytes_acc <- k.l2_bytes_acc + if dirty then 2 * line else line;
+      k.l2_txns_acc <- k.l2_txns_acc + if dirty then 2 else 1;
+      (* DRAM bursts of the writeback: a fill on an L2 miss, plus the
+         L2's own dirty eviction *)
+      let wb_txns =
+        if not dirty then 0
+        else
+          let wr = Cache.lookup l2 ~addr:(evicted * line) ~write:true in
+          if wr = Cache.hit then 0 else if Cache.dirty wr then 2 else 1
+      in
+      let dr = Cache.lookup l2 ~addr ~write:false in
+      if dr = Cache.hit then begin
+        let bytes = wb_txns * l2_line in
+        k.n_l2_hit <- k.n_l2_hit + 1;
+        k.n_hit <- k.n_hit + 1;
+        k.dram_acc.(by_cache) <- k.dram_acc.(by_cache) + bytes;
+        k.dram_txn.(by_cache) <- k.dram_txn.(by_cache) + wb_txns;
+        k.dram_total <- k.dram_total + bytes
+      end
+      else
+        let txns = 1 + wb_txns + if Cache.dirty dr then 1 else 0 in
+        demand_miss k ~bytes:(txns * l2_line) ~txns)
+
+(* One L1 pass of a family over its accesses, [bytes] in all, feeding
+   every miss to each variant in lock-step; the variants' profiles, in
+   order. *)
+let run_family cache variants trace (idx, bytes) =
+  let l1 = Cache.create cache in
+  let vs =
+    Array.map
+      (fun (victim, l2) ->
+        {
+          v_victim = Option.map Victim_cache.create victim;
+          v_l2 = Option.map Cache.create l2;
+          v_k = zero_counters ();
+        })
+      variants
+  in
+  let line = cache.Params.c_line in
+  let addrs, metas = Mx_trace.Trace.backing trace in
+  let hits = ref 0 in
+  for j = 0 to Array.length idx - 1 do
+    let i = idx.(j) in
+    let addr = addrs.(i) and meta = metas.(i) in
+    let code =
+      Cache.lookup l1 ~addr
+        ~write:(Mx_trace.Trace.meta_kind meta = Mx_trace.Access.Write)
+    in
+    if code = Cache.hit then incr hits
+    else begin
+      let evicted = Cache.evicted code and dirty = Cache.dirty code in
+      for v = 0 to Array.length vs - 1 do
+        variant_miss vs.(v) ~line ~addr ~evicted ~dirty
+      done
+    end
+  done;
+  Array.map
+    (fun v ->
+      let k = v.v_k in
+      k.cpu_acc.(by_cache) <- bytes;
+      k.cpu_cnt.(by_cache) <- Array.length idx;
+      k.n_access <- Array.length idx;
+      k.n_hit <- k.n_hit + !hits;
+      k)
+    vs
+
 let run_all archs ~regions trace =
   List.iter (fun a -> check_regions a regions) archs;
   (* distinct groups, each with the first architecture that has it *)
@@ -469,19 +588,41 @@ let run_all archs ~regions trace =
   in
   let arch_slots = List.map (fun a -> List.map (slot a) (groups_of a)) archs in
   let profiles = Array.make (Hashtbl.length slots) (zero_counters ()) in
-  (* groups sorted by region set, so one member index is alive at a time *)
-  let by_members =
-    List.sort
-      (fun (a, _) (b, _) -> compare a.members b.members)
-      (Hashtbl.fold (fun g v acc -> (g, v) :: acc) slots [])
-  in
-  let current = ref ([||], [||]) in
+  (* one job per family and per routed group, each run over the
+     accesses bound to its region set *)
+  let families = Hashtbl.create 64 and jobs = ref [] in
+  Hashtbl.iter
+    (fun g (s, arch) ->
+      match g.modules with
+      | Cached { cache; victim; l2 } ->
+        let key = (cache, g.members) in
+        let vs = Option.value (Hashtbl.find_opt families key) ~default:[] in
+        Hashtbl.replace families key ((s, (victim, l2)) :: vs)
+      | Routed r ->
+        jobs :=
+          ( g.members,
+            fun (idx, _) -> profiles.(s) <- run_group arch r trace idx )
+          :: !jobs)
+    slots;
+  Hashtbl.iter
+    (fun (cache, members) vs ->
+      let vs = Array.of_list vs in
+      jobs :=
+        ( members,
+          fun bound ->
+            Array.iteri
+              (fun j k -> profiles.(fst vs.(j)) <- k)
+              (run_family cache (Array.map snd vs) trace bound) )
+        :: !jobs)
+    families;
+  (* sorted by region set, so one member index is alive at a time *)
+  let current = ref ([||], ([||], 0)) in
   List.iter
-    (fun (g, (s, arch)) ->
-      if fst !current <> g.members then
-        current := (g.members, member_accesses g.members trace);
-      profiles.(s) <- run_group arch g trace (snd !current))
-    by_members;
+    (fun (members, run) ->
+      if fst !current <> members then
+        current := (members, member_accesses members trace);
+      run (snd !current))
+    (List.stable_sort (fun (a, _) (b, _) -> compare a b) !jobs);
   List.map
     (fun ss ->
       let k = zero_counters () in

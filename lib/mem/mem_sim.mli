@@ -97,7 +97,14 @@ val run_all :
     profiles.  A group is keyed by its modules' parameters and the set
     of regions bound to it, and each distinct group is simulated once,
     over only its own accesses, with the global access index as [now].
-    Nothing is retained between calls.
+
+    Cache-path groups with the same L1 and region set form a family
+    and share one pass of that L1: its lookups allocate nothing, and
+    each miss goes, in lock-step, to every variant's own victim buffer,
+    L2 and counters.  This is exact because neither module acts on the
+    L1 or reads [now].  The other groups go through {!access}.  Nothing
+    is retained between calls, and no per-family miss stream is
+    recorded.
     @raise Invalid_argument as {!create} and {!access} would. *)
 
 val miss_ratio : stats -> float

@@ -1,7 +1,7 @@
 (* Pluggable per-set victim selection.  One [t] tracks the way state of
    a single cache set; the cache owns an array of them, one per set.
 
-   The contract with Cache.access:
+   The contract with Cache.lookup:
    - [touch] is called on every hit, with the hit way;
    - [victim] is consulted only when every way of the set holds a valid
      line (the cache claims invalid ways itself, lowest index first);
@@ -118,10 +118,10 @@ let victim t =
     !n - (t.ways - 1)
   | Qlru q ->
     let max_age = Array.fold_left max 0 q.ages in
-    if max_age < 3 then begin
-      let d = 3 - max_age in
-      Array.iteri (fun i a -> q.ages.(i) <- a + d) q.ages
-    end;
+    if max_age < 3 then
+      for i = 0 to t.ways - 1 do
+        q.ages.(i) <- q.ages.(i) + 3 - max_age
+      done;
     let v = ref 0 in
     (try
        for i = 0 to t.ways - 1 do

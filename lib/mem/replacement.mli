@@ -25,7 +25,7 @@
       when the set would saturate) and left clear on fill; the victim
       is the lowest-index clear bit.  [ways] bits per set.
 
-    Contract with {!Cache.access}: [touch] on every hit; [victim] only
+    Contract with {!Cache.lookup}: [touch] on every hit; [victim] only
     when every way holds a valid line (the cache claims invalid ways
     itself, lowest index first); [fill] on every miss fill.  All
     transitions are deterministic and every victim choice breaks

@@ -20,37 +20,35 @@ let create p =
 
 let params t = t.p
 
+(* The first slot in [i ..] holding [line], or -1. *)
+let rec slot_of (lines : int array) line i =
+  if i >= Array.length lines then -1
+  else if lines.(i) = line then i
+  else slot_of lines line (i + 1)
+
+(* The slot with the lowest stamp, the lowest index on ties. *)
+let rec oldest (stamps : int array) i best =
+  if i >= Array.length stamps then best
+  else oldest stamps (i + 1) (if stamps.(i) < stamps.(best) then i else best)
+
 let probe t ~line =
   t.n_probe <- t.n_probe + 1;
-  let found = ref false in
-  Array.iteri
-    (fun i l ->
-      if (not !found) && l = line then begin
-        found := true;
-        t.lines.(i) <- -1 (* the line returns to the main cache *)
-      end)
-    t.lines;
-  if !found then t.n_hit <- t.n_hit + 1;
-  !found
+  let i = slot_of t.lines line 0 in
+  if i < 0 then false
+  else begin
+    (* the line returns to the main cache *)
+    t.lines.(i) <- -1;
+    t.n_hit <- t.n_hit + 1;
+    true
+  end
 
 let insert t ~line =
   t.clock <- t.clock + 1;
   (* prefer an empty slot, else evict the LRU *)
-  let victim = ref 0 in
-  (try
-     Array.iteri
-       (fun i l ->
-         if l = -1 then begin
-           victim := i;
-           raise Exit
-         end)
-       t.lines;
-     Array.iteri
-       (fun i _ -> if t.stamps.(i) < t.stamps.(!victim) then victim := i)
-       t.lines
-   with Exit -> ());
-  t.lines.(!victim) <- line;
-  t.stamps.(!victim) <- t.clock
+  let empty = slot_of t.lines (-1) 0 in
+  let victim = if empty >= 0 then empty else oldest t.stamps 1 0 in
+  t.lines.(victim) <- line;
+  t.stamps.(victim) <- t.clock
 
 let hits t = t.n_hit
 let probes t = t.n_probe

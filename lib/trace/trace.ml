@@ -38,6 +38,7 @@ let add_packed t ~addr ~meta =
   t.len <- t.len + 1
 
 let add t ~addr ~size ~kind ~region =
+  if addr < 0 then invalid_arg "Trace.add: negative address";
   if region < 0 then invalid_arg "Trace.add: negative region id";
   add_packed t ~addr ~meta:(pack_meta ~size ~kind ~region)
 

@@ -12,8 +12,9 @@ val create : ?capacity:int -> unit -> t
 val length : t -> int
 
 val add : t -> addr:int -> size:int -> kind:Access.kind -> region:int -> unit
-(** Append one access.  @raise Invalid_argument on an unsupported access
-    width (see {!Access.size_code}) or a negative region id. *)
+(** Append one access.  @raise Invalid_argument on a negative address,
+    an unsupported access width (see {!Access.size_code}) or a negative
+    region id. *)
 
 (** {2 Packed-meta codec}
 
@@ -31,7 +32,9 @@ val meta_kind : int -> Access.kind
 val meta_region : int -> int
 
 val add_packed : t -> addr:int -> meta:int -> unit
-(** Append one access given an already-packed metadata word. *)
+(** Append one access given an already-packed metadata word.  Unlike
+    {!add} it checks nothing: the caller vouches for a non-negative
+    address and a word from {!pack_meta}. *)
 
 val backing : t -> int array * int array
 (** The underlying (addresses, metas) arrays — only the first

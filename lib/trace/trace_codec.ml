@@ -230,6 +230,7 @@ let decode_chunk r ~bases ~count ~into_addrs ~into_metas =
     let meta = (reg lsl 3) lor (meta2 land 7) in
     let delta = read_zigzag r in
     let addr = ref (last.(reg) + delta) in
+    if !addr < 0 then corrupt "negative address %d in chunk record" !addr;
     into_addrs.(!k) <- !addr;
     into_metas.(!k) <- meta;
     incr k;
@@ -239,6 +240,7 @@ let decode_chunk r ~bases ~count ~into_addrs ~into_metas =
         corrupt "run of %d overflows the chunk's %d accesses" run count;
       for _ = 1 to run do
         addr := !addr + delta;
+        if !addr < 0 then corrupt "negative address %d in chunk record" !addr;
         into_addrs.(!k) <- !addr;
         into_metas.(!k) <- meta;
         incr k

@@ -92,7 +92,8 @@ val decode_chunk :
   into_metas:int array ->
   unit
 (** Decode exactly [count] accesses into the target arrays (indices
-    [0 .. count-1]).  @raise Corrupt on malformed records. *)
+    [0 .. count-1]).  @raise Corrupt on malformed records, including
+    one that decodes to a negative address. *)
 
 (** {2 Footer and trailer} *)
 

@@ -88,7 +88,9 @@ let of_text_string s =
           trace_header_line := line;
           expected := parse_int ~line n
         | [ kind; addr; size; region ] when kind = "R" || kind = "W" ->
-          Trace.add trace ~addr:(parse_int ~line addr)
+          let a = parse_int ~line addr in
+          if a < 0 then fail ~line (Printf.sprintf "negative address %S" addr);
+          Trace.add trace ~addr:a
             ~size:(parse_int ~line size)
             ~kind:(if kind = "R" then Access.Read else Access.Write)
             ~region:(parse_int ~line region)

@@ -38,8 +38,9 @@ val save : ?format:format -> ?chunk_cap:int -> Workload.t -> path:string -> unit
 
 val load : path:string -> Workload.t
 (** Load either format, detected by content.  @raise Parse_error on
-    malformed input — including truncated binary files, which fail with
-    a trailer/layout message rather than an escaping [End_of_file];
+    malformed input — including a negative address, and truncated
+    binary files, which fail with a trailer/layout message rather than
+    an escaping [End_of_file];
     @raise Sys_error on I/O failures. *)
 
 val open_stream : path:string -> Workload.streamed

@@ -121,6 +121,28 @@ let test_select_excludes_degenerate () =
         (c.Explore.miss_ratio <= Float.max (2.0 *. best) (best +. 0.02)))
     sel
 
+let test_select_single_slot () =
+  let p = profile () in
+  let config = { Explore.reduced_config with Explore.max_selected = 1 } in
+  let front = Explore.pareto (Explore.explore ~config p) in
+  let best =
+    List.fold_left (fun acc c -> Float.min acc c.Explore.miss_ratio) infinity
+      front
+  in
+  let banded =
+    List.filter
+      (fun c -> c.Explore.miss_ratio <= Float.max (2.0 *. best) (best +. 0.02))
+      front
+  in
+  Helpers.check_true "the band has more points than the one slot"
+    (List.length banded > 1);
+  let sel = Explore.select ~config p in
+  Helpers.check_true "one point, plus the baseline at most"
+    (List.length sel <= 2);
+  let fp (c : Explore.candidate) = Mem_arch.fingerprint c.Explore.arch in
+  Helpers.check_true "keeps the lowest-cost banded point"
+    (List.exists (fun c -> fp c = fp (List.hd banded)) sel)
+
 let suite =
   ( "apex",
     [
@@ -134,4 +156,5 @@ let suite =
       Alcotest.test_case "select cap/order" `Slow test_select_cap_and_order;
       Alcotest.test_case "select deterministic" `Slow test_select_deterministic;
       Alcotest.test_case "select band" `Slow test_select_excludes_degenerate;
+      Alcotest.test_case "select single slot" `Slow test_select_single_slot;
     ] )

@@ -52,6 +52,26 @@ let test_writeback_only_when_dirty () =
   let r = Cache.access c ~addr:stride ~write:false in
   Helpers.check_true "dirty eviction writes back" r.Cache.writeback
 
+(* The kernel's int codes, on the direct-mapped geometry above: global
+   line 0 then line 16 (one stride on) share set 0. *)
+let test_lookup_codes () =
+  let c = mk ~size:256 ~line:16 ~assoc:1 () in
+  let stride = 256 in
+  Helpers.check_int "cold miss" Cache.cold_fill
+    (Cache.lookup c ~addr:0x4 ~write:true);
+  Helpers.check_int "hit" Cache.hit (Cache.lookup c ~addr:0x8 ~write:false);
+  let code = Cache.lookup c ~addr:stride ~write:false in
+  Helpers.check_int "evicts line 0" 0 (Cache.evicted code);
+  Helpers.check_true "dirty line 0 is written back" (Cache.dirty code);
+  let code = Cache.lookup c ~addr:0 ~write:false in
+  Helpers.check_int "evicts line 16" 16 (Cache.evicted code);
+  Helpers.check_true "clean line 16 is not" (not (Cache.dirty code));
+  Helpers.check_int "no line behind a hit" (-1) (Cache.evicted Cache.hit);
+  Helpers.check_true "nor a write-back" (not (Cache.dirty Cache.cold_fill));
+  match Cache.access c ~addr:(-16) ~write:false with
+  | _ -> Alcotest.fail "a negative address was looked up"
+  | exception Invalid_argument _ -> ()
+
 let test_write_allocate () =
   let c = mk () in
   let r = Cache.access c ~addr:0x42 ~write:true in
@@ -350,6 +370,7 @@ let suite =
       Alcotest.test_case "line granularity" `Quick test_line_granularity;
       Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
       Alcotest.test_case "writeback when dirty" `Quick test_writeback_only_when_dirty;
+      Alcotest.test_case "lookup codes" `Quick test_lookup_codes;
       Alcotest.test_case "write allocate" `Quick test_write_allocate;
       Alcotest.test_case "counters" `Quick test_counters;
       Alcotest.test_case "reset" `Quick test_reset;

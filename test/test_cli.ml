@@ -127,6 +127,24 @@ let test_missing_trace_file () =
     (Test_metrics.contains ~needle:"cannot load trace" err);
   check_no_internal_error r
 
+let test_negative_address_trace () =
+  let path = Filename.temp_file "conex_negative" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc
+        "# memorex-trace v1\nworkload neg\ncpu_ops 1\n\
+         region 0 a 0x1000 64 4 stream\ntrace 1\nR -0x1000 4 0\n";
+      close_out oc;
+      let ((_, _, err) as r) =
+        run_conex [ "explore"; "--trace"; path; "--reduced" ]
+      in
+      check_exit "negative-address trace is an I/O error" 1 r;
+      Helpers.check_true "diagnostic names the line"
+        (Test_metrics.contains ~needle:"line 6: negative address" err);
+      check_no_internal_error r)
+
 let test_select_missing_csv () =
   let r =
     run_conex
@@ -720,4 +738,6 @@ let suite =
         test_serve_bad_shards;
       Alcotest.test_case "serve --cache-dir warm start" `Slow
         test_serve_cache_dir_warm_start;
+      Alcotest.test_case "negative-address trace exits 1" `Quick
+        test_negative_address_trace;
     ] )

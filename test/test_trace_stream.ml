@@ -168,6 +168,89 @@ let test_region_gap_reported_at_declaration () =
   Helpers.check_int "non-contiguous region reported at its line" 4
     (parse_error_line (String.concat "\n" broken))
 
+(* -- negative addresses --------------------------------------------------- *)
+
+let test_text_negative_address () =
+  List.iter
+    (fun addr ->
+      let broken =
+        List.mapi
+          (fun i l -> if i = 5 then Printf.sprintf "R %s 4 0" addr else l)
+          text_lines
+      in
+      Helpers.check_int ("negative address " ^ addr ^ " reported at its line")
+        6
+        (parse_error_line (String.concat "\n" broken)))
+    [ "-0x1000"; "-0x4" ];
+  match
+    Trace.add (Trace.create ()) ~addr:(-4) ~size:4 ~kind:Access.Read ~region:0
+  with
+  | () -> Alcotest.fail "Trace.add accepted a negative address"
+  | exception Invalid_argument _ -> ()
+
+(* An MXTB image of one region based at 0x10 holding [addrs]: the
+   encoder takes raw arrays, so it writes what a corrupt file holds. *)
+let binary_image addrs =
+  let n = Array.length addrs in
+  let header =
+    {
+      Trace_codec.h_name = "neg";
+      h_cpu_ops = 0;
+      h_regions =
+        [ { Mx_trace.Region.id = 0; name = "r"; base = 0x10; size = 64;
+            elem_size = 4; hint = Mx_trace.Region.Stream } ];
+      h_slots = 1;
+      h_accesses = n;
+      h_chunk_cap = Trace_codec.default_chunk_cap;
+    }
+  in
+  let buf = Buffer.create 64 in
+  Trace_codec.encode_header buf header;
+  let start = Buffer.length buf in
+  Trace_codec.encode_chunk buf ~bases:(Trace_codec.bases_of_header header)
+    ~addrs
+    ~metas:(Array.make n (Trace.pack_meta ~size:4 ~kind:Access.Read ~region:0))
+    ~pos:0 ~len:n;
+  let footer_offset = Buffer.length buf in
+  Trace_codec.encode_footer buf
+    { Trace_codec.f_lens = [| footer_offset - start |]; f_counts = [| n |] };
+  Trace_codec.encode_trailer buf ~footer_offset;
+  Buffer.contents buf
+
+let test_binary_negative_address () =
+  (* sanity: the same image with non-negative addresses loads *)
+  Helpers.check_int "well-formed image loads" 4
+    (Trace.length
+       (Trace_io.of_binary_string (binary_image [| 0x18; 0x10; 0x8; 0x0 |]))
+         .Workload.trace);
+  List.iter
+    (fun (label, addrs) ->
+      let image = binary_image addrs in
+      (match Trace_io.of_binary_string image with
+      | _ -> Alcotest.failf "%s: image with a negative address loaded" label
+      | exception Trace_io.Parse_error _ -> ());
+      with_tmp (fun path ->
+          let oc = open_out_bin path in
+          output_string oc image;
+          close_out oc;
+          (match Trace_io.load ~path with
+          | _ -> Alcotest.failf "%s: file with a negative address loaded" label
+          | exception Trace_io.Parse_error _ -> ());
+          (* the stream opens (header and footer are sound) and its
+             replay fails on the chunk *)
+          let sw = Trace_io.open_stream ~path in
+          let st = sw.Workload.s_stream in
+          Fun.protect
+            ~finally:(fun () -> Trace_stream.close st)
+            (fun () ->
+              match
+                Trace_stream.iter_packed st ~f:(fun ~addr:_ ~size:_ ~kind:_
+                                                   ~region:_ -> ())
+              with
+              | () -> Alcotest.failf "%s: streamed replay accepted it" label
+              | exception Trace_io.Parse_error _ -> ())))
+    [ ("record", [| -0x4 |]); ("run", [| 0x8; 0x0; -0x8; -0x10 |]) ]
+
 (* -- streams ------------------------------------------------------------ *)
 
 let test_of_trace_chunking () =
@@ -353,6 +436,10 @@ let suite =
         test_missing_workload_header_line;
       Alcotest.test_case "region gap line" `Quick
         test_region_gap_reported_at_declaration;
+      Alcotest.test_case "text negative address" `Quick
+        test_text_negative_address;
+      Alcotest.test_case "binary negative address" `Quick
+        test_binary_negative_address;
       Alcotest.test_case "of_trace chunking" `Quick test_of_trace_chunking;
       Alcotest.test_case "file stream equals trace" `Quick
         test_file_stream_equals_trace;
