@@ -28,7 +28,7 @@ let prepared =
          ~onchip:Mx_connect.Component.onchip_library
          ~offchip:Mx_connect.Component.offchip_library brg.Mx_connect.Brg.channels
      in
-     (w, profile, arch, stats, brg, List.hd conns))
+     (w, profile, arch, stats, brg, conns))
 
 let test_fig3_apex_evaluation =
   Test.make ~name:"fig3: APEX candidate evaluation (20k trace)"
@@ -54,8 +54,20 @@ let test_fig3_apex_explore_default =
 let test_fig4_phase1_estimate =
   Test.make ~name:"fig4: ConEx phase-I estimate (one candidate)"
     (Staged.stage @@ fun () ->
-     let w, _, arch, stats, _, conn = Lazy.force prepared in
-     ignore (Mx_sim.Estimator.estimate ~workload:w ~arch ~profile:stats ~conn))
+     let w, _, arch, stats, _, conns = Lazy.force prepared in
+     ignore
+       (Mx_sim.Estimator.estimate ~workload:w ~arch ~profile:stats
+          ~conn:(List.hd conns)))
+
+(* Phase I's per-architecture loop: one plan, then every enumerated
+   connectivity of the architecture estimated over it. *)
+let test_fig4_phase1_shared_plan =
+  Test.make
+    ~name:"fig4: phase-I estimates, all connectivities, one plan"
+    (Staged.stage @@ fun () ->
+     let w, _, arch, stats, _, conns = Lazy.force prepared in
+     let plan = Mx_sim.Estimator.prepare ~workload:w ~arch ~profile:stats in
+     List.iter (fun conn -> ignore (Mx_sim.Estimator.run plan ~conn)) conns)
 
 let test_fig6_pareto_annotation =
   Test.make ~name:"fig6: pareto front over 1000 points"
@@ -85,16 +97,16 @@ let test_fig6_pareto_front3 =
 let test_table1_cycle_sim =
   Test.make ~name:"table1: full cycle simulation (20k trace)"
     (Staged.stage @@ fun () ->
-     let w, _, arch, _, _, conn = Lazy.force prepared in
-     ignore (Mx_sim.Cycle_sim.run ~workload:w ~arch ~conn ()))
+     let w, _, arch, _, _, conns = Lazy.force prepared in
+     ignore (Mx_sim.Cycle_sim.run ~workload:w ~arch ~conn:(List.hd conns) ()))
 
 let test_table1_sampled_sim =
   Test.make ~name:"table1: 1/9 time-sampled simulation (20k trace)"
     (Staged.stage @@ fun () ->
-     let w, _, arch, _, _, conn = Lazy.force prepared in
+     let w, _, arch, _, _, conns = Lazy.force prepared in
      ignore
        (Mx_sim.Cycle_sim.run ~sample:Mx_sim.Cycle_sim.default_sample ~workload:w
-          ~arch ~conn ()))
+          ~arch ~conn:(List.hd conns) ()))
 
 (* The two stages of a simulation, apart: the module-level recording
    once per architecture, then the timing of one connectivity over it
@@ -114,8 +126,8 @@ let test_table1_time =
   Test.make
     ~name:"table1: time one connectivity over a recorded column (20k trace)"
     (Staged.stage @@ fun () ->
-     let _, _, _, _, _, conn = Lazy.force prepared in
-     ignore (Mx_sim.Cycle_sim.time (Lazy.force recorded) ~conn))
+     let _, _, _, _, _, conns = Lazy.force prepared in
+     ignore (Mx_sim.Cycle_sim.time (Lazy.force recorded) ~conn:(List.hd conns)))
 
 let test_table2_clustering =
   Test.make ~name:"table2: clustering levels + feasible assignments"
@@ -150,6 +162,7 @@ let tests =
     test_fig3_apex_evaluation;
     test_fig3_apex_explore;
     test_fig4_phase1_estimate;
+    test_fig4_phase1_shared_plan;
     test_fig6_pareto_annotation;
     test_fig6_pareto_front3;
     test_table1_cycle_sim;

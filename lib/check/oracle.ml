@@ -320,13 +320,255 @@ let replay ?sample ?(cpu = Mx_sim.Cycle_sim.Blocking) ~workload ~arch ~conn ()
     exact = sample = None;
   }
 
+(* -- straight-line analytic estimate --------------------------------------- *)
+
+(* The estimator as one function: legs found by scanning the bindings,
+   service times from reservation tables, every term re-derived from
+   the profile inside the fixed point.  Its error messages are the
+   production ones, so the differential check compares failures too. *)
+let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
+  let module Params = Mx_mem.Params in
+  let module Conn_cost = Mx_connect.Conn_cost in
+  let module Rt = Mx_connect.Reservation_table in
+  let dram_core_latency = Serving.dram_core_latency in
+  let module_energy arch sv = Serving.module_energy arch sv ~write:false in
+  let critical_bytes_of (arch : Mem_arch.t) sv =
+    let lldma_bytes =
+      match arch.Mem_arch.lldma with Some l -> l.Params.ll_elem | None -> 4
+    in
+    Serving.critical_bytes arch sv ~lldma_bytes ~fallback:4
+  in
+  if profile.Mem_sim.accesses = 0 then
+    invalid_arg "Estimator.estimate: empty profile";
+  let n = float_of_int profile.Mem_sim.accesses in
+  let bindings = (conn : Conn_arch.t).Conn_arch.bindings in
+  let find_leg src dst = route bindings src dst in
+  (* per-serving traffic characterisation from the profile *)
+  let active =
+    List.filter (fun sv -> profile.Mem_sim.cpu_accesses sv > 0) Serving.all
+  in
+  let avg_size sv =
+    float_of_int (profile.Mem_sim.cpu_bytes sv)
+    /. float_of_int (max 1 (profile.Mem_sim.cpu_accesses sv))
+  in
+  let has_l2 = profile.Mem_sim.l2_txns_total > 0 in
+  let legs =
+    List.map
+      (fun sv ->
+        let node = Serving.node_of sv in
+        let cpu =
+          match find_leg Channel.Cpu node with
+          | Some l -> l
+          | None ->
+            invalid_arg
+              (Printf.sprintf
+                 "Estimator.estimate: no component carries CPU<->%s"
+                 (Channel.node_to_string node))
+        in
+        let mid =
+          if sv = Mem_sim.By_cache && has_l2 then
+            match find_leg Channel.Cache Channel.L2 with
+            | Some l -> Some l
+            | None ->
+              invalid_arg
+                "Estimator.estimate: no component carries cache<->L2"
+          else None
+        in
+        let dram_src =
+          if sv = Mem_sim.By_cache && has_l2 then Channel.L2 else node
+        in
+        let dram =
+          if node = Channel.Dram then Some cpu
+          else if profile.Mem_sim.dram_txns_by sv > 0 then
+            match find_leg dram_src Channel.Dram with
+            | Some l -> Some l
+            | None ->
+              invalid_arg
+                (Printf.sprintf
+                   "Estimator.estimate: no component carries %s<->DRAM"
+                   (Channel.node_to_string dram_src))
+          else None
+        in
+        (sv, cpu, mid, dram))
+      active
+  in
+  (* reservation-table-derived occupancy of each component instance *)
+  let busy = Array.make (List.length bindings) 0.0 in
+  let occupancy comp ~bytes =
+    float_of_int (Rt.initiation_interval comp ~bytes:(max 1 bytes))
+  in
+  List.iter
+    (fun (sv, cpu, mid, dram) ->
+      let txns = float_of_int (profile.Mem_sim.cpu_accesses sv) in
+      busy.(cpu.idx) <-
+        busy.(cpu.idx)
+        +. (txns *. occupancy cpu.comp ~bytes:(int_of_float (avg_size sv)));
+      (match mid with
+      | Some l when profile.Mem_sim.l2_txns_total > 0 ->
+        let mtx = float_of_int profile.Mem_sim.l2_txns_total in
+        let per_txn =
+          float_of_int profile.Mem_sim.l2_bytes_total /. Float.max 1.0 mtx
+        in
+        busy.(l.idx) <-
+          busy.(l.idx) +. (mtx *. occupancy l.comp ~bytes:(int_of_float per_txn))
+      | _ -> ());
+      match dram with
+      | Some l when sv <> Mem_sim.By_dram_direct ->
+        let dtxns = float_of_int (profile.Mem_sim.dram_txns_by sv) in
+        let per_txn_bytes =
+          float_of_int (profile.Mem_sim.dram_bytes_by sv)
+          /. Float.max 1.0 dtxns
+        in
+        let hold =
+          if l.comp.Component.split_txn then 0.0 else dram_core_latency ()
+        in
+        busy.(l.idx) <-
+          busy.(l.idx)
+          +. (dtxns
+             *. (occupancy l.comp ~bytes:(int_of_float per_txn_bytes) +. hold))
+      | _ -> ())
+    legs;
+  let ops_rate =
+    float_of_int workload.Mx_trace.Workload.cpu_ops
+    /. Float.max 1.0
+         (float_of_int (Mx_trace.Trace.length workload.Mx_trace.Workload.trace))
+  in
+  let wait_of total_cycles binding_id service =
+    let rho = Float.min 0.98 (busy.(binding_id) /. Float.max 1.0 total_cycles) in
+    service /. 2.0 *. (rho /. (1.0 -. rho))
+  in
+  (* fixed-point on total time *)
+  let latency = ref 5.0 in
+  let total = ref (n *. (1.0 +. ops_rate +. !latency)) in
+  let bus_wait = ref 0.0 in
+  for _ = 1 to 4 do
+    bus_wait := 0.0;
+    let l_sum =
+      List.fold_left
+        (fun acc (sv, cpu, mid, dram) ->
+          let frac =
+            float_of_int (profile.Mem_sim.cpu_accesses sv) /. n
+          in
+          let size = int_of_float (avg_size sv) in
+          let s1 = occupancy cpu.comp ~bytes:size in
+          let w1 = wait_of !total cpu.idx s1 in
+          let t1 =
+            float_of_int
+              (Component.txn_latency cpu.comp ~bytes:(max 1 size)
+                 ~contended:cpu.contended)
+          in
+          let miss_rate =
+            float_of_int (profile.Mem_sim.demand_misses_by sv)
+            /. float_of_int (max 1 (profile.Mem_sim.cpu_accesses sv))
+          in
+          (* the L1<->L2 leg is traversed at the L1 miss rate *)
+          let l2_path =
+            match mid with
+            | None -> 0.0
+            | Some l ->
+              let l1_miss_rate =
+                float_of_int profile.Mem_sim.l2_accesses
+                /. float_of_int (max 1 (profile.Mem_sim.cpu_accesses sv))
+              in
+              let s_m = occupancy l.comp ~bytes:8 in
+              let w_m = wait_of !total l.idx s_m in
+              let t_m =
+                float_of_int
+                  (Component.txn_latency l.comp ~bytes:8
+                     ~contended:l.contended)
+              in
+              let l2_lat =
+                match arch.Mem_arch.l2 with
+                | Some c -> float_of_int c.Params.c_latency
+                | None -> 0.0
+              in
+              bus_wait := !bus_wait +. (frac *. l1_miss_rate *. w_m *. n);
+              l1_miss_rate *. (w_m +. t_m +. l2_lat)
+          in
+          let miss_path =
+            match dram with
+            | None -> 0.0
+            | Some l ->
+              let crit = critical_bytes_of arch sv in
+              let t2 =
+                if sv = Mem_sim.By_dram_direct then 0.0
+                else
+                  float_of_int
+                    (Component.txn_latency l.comp ~bytes:(max 1 crit)
+                       ~contended:l.contended)
+              in
+              let s2 = occupancy l.comp ~bytes:(max 1 crit) in
+              let w2 =
+                if sv = Mem_sim.By_dram_direct then 0.0
+                else wait_of !total l.idx s2
+              in
+              bus_wait := !bus_wait +. (frac *. miss_rate *. w2 *. n);
+              w2 +. t2 +. dram_core_latency ()
+          in
+          bus_wait := !bus_wait +. (frac *. w1 *. n);
+          acc
+          +. (frac
+             *. (w1 +. t1
+                +. float_of_int (Serving.module_latency arch sv)
+                +. l2_path
+                +. (miss_rate *. miss_path))))
+        0.0 legs
+    in
+    latency := l_sum;
+    total := n *. (1.0 +. ops_rate +. !latency)
+  done;
+  (* energy: contention-independent, computed from exact profile counts *)
+  let energy_total =
+    List.fold_left
+      (fun acc (sv, cpu, mid, dram) ->
+        let accs = float_of_int (profile.Mem_sim.cpu_accesses sv) in
+        let cpu_bytes = float_of_int (profile.Mem_sim.cpu_bytes sv) in
+        let e_mod = accs *. module_energy arch sv in
+        let e_conn = cpu_bytes *. Conn_cost.energy_per_byte cpu.comp in
+        let e_l2 =
+          match mid with
+          | Some l ->
+            (float_of_int profile.Mem_sim.l2_bytes_total
+            *. Conn_cost.energy_per_byte l.comp)
+            +. (float_of_int profile.Mem_sim.l2_accesses
+               *. (match arch.Mem_arch.l2 with
+                  | Some c -> Mx_mem.Energy_model.cache_access c ~write:false
+                  | None -> 0.0))
+          | None -> 0.0
+        in
+        let e_dram =
+          match dram with
+          | None -> 0.0
+          | Some l ->
+            let bytes = profile.Mem_sim.dram_bytes_by sv in
+            let txns = max 1 (profile.Mem_sim.dram_txns_by sv) in
+            if bytes = 0 then 0.0
+            else
+              Mx_mem.Energy_model.dram_traffic ~txns ~bytes
+              +. (float_of_int bytes *. Conn_cost.energy_per_byte l.comp)
+        in
+        acc +. e_mod +. e_conn +. e_l2 +. e_dram)
+      0.0 legs
+  in
+  {
+    Mx_sim.Sim_result.accesses = profile.Mem_sim.accesses;
+    cycles = int_of_float !total;
+    total_mem_latency = int_of_float (!latency *. n);
+    avg_mem_latency = !latency;
+    avg_energy_nj = energy_total /. n;
+    miss_ratio = Mem_sim.miss_ratio profile;
+    bus_wait_cycles = int_of_float !bus_wait;
+    dram_bytes = profile.Mem_sim.dram_bytes_total;
+    exact = false;
+  }
+
 (* -- evaluation without the cache ---------------------------------------- *)
 
 let eval_direct ~fidelity ~workload ~arch ?profile ~conn () =
   match (fidelity : Mx_sim.Eval.fidelity) with
   | Mx_sim.Eval.Estimate -> (
     match profile with
-    | Some profile -> Mx_sim.Estimator.estimate ~workload ~arch ~profile ~conn
+    | Some profile -> estimate ~workload ~arch ~profile ~conn
     | None -> invalid_arg "Oracle.eval_direct: Estimate requires a profile")
   | Mx_sim.Eval.Sampled (on, off) ->
     Mx_sim.Cycle_sim.run ~sample:(on, off) ~workload ~arch ~conn ()

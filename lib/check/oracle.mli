@@ -66,6 +66,25 @@ val replay :
     @raise Invalid_argument on bad sampling windows, an [Overlap] with
     no MSHR, or a timed access whose channel is unrouted. *)
 
+val estimate :
+  workload:Mx_trace.Workload.t ->
+  arch:Mx_mem.Mem_arch.t ->
+  profile:Mx_mem.Mem_sim.stats ->
+  conn:Mx_connect.Conn_arch.t ->
+  Mx_sim.Sim_result.t
+(** The Phase I analytic model as one straight-line function: each
+    leg found by scanning the bindings, each service time measured by
+    scheduling two transactions on a reservation table
+    ({!Mx_connect.Reservation_table.initiation_interval}), every term
+    re-derived from the profile inside the four-step fixed point — the
+    specification {!Mx_sim.Estimator.run} over
+    {!Mx_sim.Estimator.prepare} must reproduce bit for bit
+    ({!Mx_sim.Sim_result.to_wire}).
+    @raise Invalid_argument with {!Mx_sim.Estimator.estimate}'s
+    messages, in the same order: an empty profile, then per active
+    serving class (in {!Mx_sim.Serving.all} order) a missing CPU,
+    cache<->L2 or DRAM leg. *)
+
 val eval_direct :
   fidelity:Mx_sim.Eval.fidelity ->
   workload:Mx_trace.Workload.t ->
@@ -74,8 +93,9 @@ val eval_direct :
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Mx_sim.Sim_result.t
-(** Direct recomputation of {!Mx_sim.Eval.eval}: calls the underlying
-    evaluator for the fidelity with no cache involved. *)
+(** Direct recomputation of {!Mx_sim.Eval.eval} with no cache
+    involved: {!estimate} for [Estimate], {!Mx_sim.Cycle_sim.run} for
+    the simulated fidelities. *)
 
 val profiles :
   regions:Mx_trace.Region.t list ->

@@ -780,6 +780,63 @@ let eval_suite =
           ]);
   ]
 
+(* -- estimate -------------------------------------------------------------- *)
+
+let estimate_outcome f =
+  match f () with
+  | r -> Ok (Sim_result.to_wire r)
+  | exception Invalid_argument msg -> Error msg
+
+let show_outcome = function Ok wire -> wire | Error msg -> "raises " ^ msg
+
+(* [conn] without its [k]-th binding: a channel the estimate may need
+   goes unrouted *)
+let drop_binding (conn : Conn_arch.t) k =
+  conn.Conn_arch.bindings
+  |> List.filteri (fun j _ -> j <> k)
+  |> List.map (fun (b : Conn_arch.binding) ->
+         (b.Conn_arch.cluster, b.Conn_arch.component))
+  |> Conn_arch.make
+
+let plan_matches_oracle pipeline ~seed ~size =
+  let g = Prng.create ~seed in
+  let p = pipeline g ~size in
+  let w = p.Gen.p_workload
+  and arch = p.Gen.p_arch
+  and profile = p.Gen.p_profile in
+  let plan = Mx_sim.Estimator.prepare ~workload:w ~arch ~profile in
+  let conns =
+    List.init (1 + Prng.int g ~bound:4) (fun _ -> Gen.conn g p.Gen.p_brg)
+  in
+  let dropped =
+    let c = List.hd conns in
+    drop_binding c (Prng.int g ~bound:(List.length c.Conn_arch.bindings))
+  in
+  R.all_of
+    (List.mapi
+       (fun k conn ->
+         let got =
+           estimate_outcome (fun () -> Mx_sim.Estimator.run plan ~conn)
+         and want =
+           estimate_outcome (fun () ->
+               Oracle.estimate ~workload:w ~arch ~profile ~conn)
+         in
+         R.check (got = want) "connectivity %d of %s: plan gives %s, oracle %s"
+           k (Mem_arch.describe arch) (show_outcome got) (show_outcome want))
+       (conns @ [ dropped ]))
+
+let estimate_suite =
+  [
+    R.prop ~cost:2
+      "simulator architectures: one plan estimates K connectivities like \
+       K oracle estimates"
+      (plan_matches_oracle Gen.sim_pipeline);
+    R.prop ~cost:2
+      "APEX architectures: one plan estimates K connectivities like K \
+       oracle estimates"
+      (plan_matches_oracle Gen.pipeline);
+  ]
+
 (* -- pipeline ------------------------------------------------------------ *)
 
 (* An APEX catalogue with every module kind and two victim, L2,
@@ -1779,7 +1836,8 @@ let selftest_suite =
 let names =
   [
     "pareto"; "cluster"; "assign"; "trace"; "stats"; "fingerprint"; "sim";
-    "eval"; "pipeline"; "explore"; "shard"; "replacement"; "persist";
+    "eval"; "estimate"; "pipeline"; "explore"; "shard"; "replacement";
+    "persist";
   ]
 
 let all ?(jobs = Mx_util.Task_pool.default_jobs ()) () =
@@ -1792,6 +1850,7 @@ let all ?(jobs = Mx_util.Task_pool.default_jobs ()) () =
     ("fingerprint", fingerprint_suite);
     ("sim", sim_suite);
     ("eval", eval_suite);
+    ("estimate", estimate_suite);
     ("pipeline", pipeline_suite);
     ("explore", explore_suite ~jobs);
     ("shard", shard_suite ~jobs);

@@ -25,6 +25,12 @@
                     connectivities sharing recorded columns per
                     fidelity, cache-on/off equality,
                     Exact-promotes-Sampled
+    - [estimate]    one {!Mx_sim.Estimator.prepare} plan run under
+                    several generated connectivities (one with a
+                    binding dropped) vs {!Oracle.estimate} per
+                    connectivity, bit-exact on the wire form and on
+                    the [Invalid_argument] message, over simulator and
+                    APEX-style architectures
     - [pipeline]    composed group profiles of every APEX candidate
                     (L1s and L2s of drawn replacement policies, with
                     victim buffers) vs one {!Mx_mem.Mem_sim.run} each,

@@ -11,8 +11,15 @@ let node_to_string = function
   | Lldma -> "lldma"
   | Dram -> "DRAM"
 
+let add_endpoints b c =
+  Buffer.add_string b (node_to_string c.src);
+  Buffer.add_string b "<->";
+  Buffer.add_string b (node_to_string c.dst)
+
 let endpoints_to_string c =
-  Printf.sprintf "%s<->%s" (node_to_string c.src) (node_to_string c.dst)
+  let b = Buffer.create 16 in
+  add_endpoints b c;
+  Buffer.contents b
 
 let crosses_chip c = c.src = Dram || c.dst = Dram
 

@@ -20,6 +20,10 @@ type t = {
 
 val node_to_string : node -> string
 val endpoints_to_string : t -> string
+(** e.g. ["CPU<->cache"]. *)
+
+val add_endpoints : Buffer.t -> t -> unit
+(** Append {!endpoints_to_string} to a buffer. *)
 
 val crosses_chip : t -> bool
 (** True when either endpoint is [Dram]. *)

@@ -5,9 +5,19 @@ let of_channel (c : Channel.t) =
 
 let initial channels = List.map of_channel channels
 
+let add_description b t =
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i ch ->
+      if i > 0 then Buffer.add_string b ", ";
+      Channel.add_endpoints b ch)
+    t.channels;
+  Buffer.add_char b '}'
+
 let describe t =
-  let names = List.map Channel.endpoints_to_string t.channels in
-  Printf.sprintf "{%s}" (String.concat ", " names)
+  let b = Buffer.create 32 in
+  add_description b t;
+  Buffer.contents b
 
 let merge a b =
   if a.offchip <> b.offchip then

@@ -48,4 +48,9 @@ val levels_ordered : order -> Channel.t list -> t list list
 (** {!levels} under an explicit merge-order policy. *)
 
 val describe : t -> string
+(** e.g. ["{CPU<->cache, CPU<->SRAM}"]. *)
+
+val add_description : Buffer.t -> t -> unit
+(** Append {!describe} to a buffer. *)
+
 val pp : Format.formatter -> t -> unit

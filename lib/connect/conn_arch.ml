@@ -60,11 +60,14 @@ let fingerprint t =
   ^ String.concat "+" (List.sort String.compare (List.map binding t.bindings))
 
 let describe t =
-  t.bindings
-  |> List.map (fun b ->
-         Printf.sprintf "%s%s" b.component.Component.name
-           (Cluster.describe b.cluster))
-  |> String.concat " + "
+  let buf = Buffer.create 64 in
+  List.iteri
+    (fun i b ->
+      if i > 0 then Buffer.add_string buf " + ";
+      Buffer.add_string buf b.component.Component.name;
+      Cluster.add_description buf b.cluster)
+    t.bindings;
+  Buffer.contents buf
 
 let pp fmt t =
   Format.fprintf fmt "%s (%d gates)" (describe t) t.cost_gates

@@ -10,7 +10,58 @@ type t = {
   victim : Params.victim option;
   wbuf : Params.write_buffer option;
   bindings : binding array;
+  fingerprint : string;
 }
+
+(* Canonical structural fingerprint: every parameter of every present
+   module plus the region binding table, one unambiguous field order.
+   The label is deliberately excluded — two architectures with the same
+   modules and bindings behave identically whatever they are called, so
+   they may share evaluation-cache entries. *)
+let fingerprint_of ~cache ~sbuf ~lldma ~sram ~l2 ~victim ~wbuf bindings =
+  let b = Buffer.create 96 in
+  let opt tag f = function
+    | None -> Buffer.add_string b (tag ^ "=-;")
+    | Some p -> Buffer.add_string b (Printf.sprintf "%s=%s;" tag (f p))
+  in
+  let cache_fp (c : Params.cache) =
+    Printf.sprintf "%d/%d/%d/%d/%s" c.c_size c.c_line c.c_assoc c.c_latency
+      (Params.policy_tag c.c_policy)
+  in
+  Buffer.add_string b "mem:";
+  opt "c" cache_fp cache;
+  opt "l2" cache_fp l2;
+  opt "sb"
+    (fun (s : Params.stream_buffer) ->
+      Printf.sprintf "%d/%d/%d/%d" s.sb_streams s.sb_line s.sb_depth
+        s.sb_latency)
+    sbuf;
+  opt "ll"
+    (fun (l : Params.lldma) ->
+      Printf.sprintf "%d/%d/%d/%d" l.ll_entries l.ll_elem l.ll_max_gap
+        l.ll_latency)
+    lldma;
+  opt "sr"
+    (fun (s : Params.sram) -> Printf.sprintf "%d/%d" s.s_size s.s_latency)
+    sram;
+  opt "v"
+    (fun (v : Params.victim) -> Printf.sprintf "%d/%d" v.v_entries v.v_latency)
+    victim;
+  opt "wb"
+    (fun (w : Params.write_buffer) ->
+      Printf.sprintf "%d/%d" w.wb_entries w.wb_drain)
+    wbuf;
+  Buffer.add_string b "b=";
+  Array.iter
+    (fun bind ->
+      Buffer.add_char b
+        (match bind with
+        | To_cache -> 'c'
+        | To_sram -> 's'
+        | To_sbuf -> 'b'
+        | To_lldma -> 'l'))
+    bindings;
+  Buffer.contents b
 
 let make ~label ?cache ?sbuf ?lldma ?sram ?l2 ?victim ?wbuf ~bindings () =
   Option.iter Params.validate_cache cache;
@@ -40,7 +91,21 @@ let make ~label ?cache ?sbuf ?lldma ?sram ?l2 ?victim ?wbuf ~bindings () =
       | To_sbuf -> if sbuf = None then missing "stream buffer"
       | To_lldma -> if lldma = None then missing "lldma")
     bindings;
-  { label; cache; sbuf; lldma; sram; l2; victim; wbuf; bindings }
+  (* a copy, so a caller's later write cannot desync the fingerprint *)
+  let bindings = Array.copy bindings in
+  {
+    label;
+    cache;
+    sbuf;
+    lldma;
+    sram;
+    l2;
+    victim;
+    wbuf;
+    bindings;
+    fingerprint =
+      fingerprint_of ~cache ~sbuf ~lldma ~sram ~l2 ~victim ~wbuf bindings;
+  }
 
 let cost_gates t =
   let opt f = function Some p -> f p | None -> 0 in
@@ -68,55 +133,7 @@ let binding_of t ~region =
     invalid_arg "Mem_arch.binding_of: region id out of range";
   t.bindings.(region)
 
-(* Canonical structural fingerprint: every parameter of every present
-   module plus the region binding table, one unambiguous field order.
-   The label is deliberately excluded — two architectures with the same
-   modules and bindings behave identically whatever they are called, so
-   they may share evaluation-cache entries. *)
-let fingerprint t =
-  let b = Buffer.create 96 in
-  let opt tag f = function
-    | None -> Buffer.add_string b (tag ^ "=-;")
-    | Some p -> Buffer.add_string b (Printf.sprintf "%s=%s;" tag (f p))
-  in
-  let cache (c : Params.cache) =
-    Printf.sprintf "%d/%d/%d/%d/%s" c.c_size c.c_line c.c_assoc c.c_latency
-      (Params.policy_tag c.c_policy)
-  in
-  Buffer.add_string b "mem:";
-  opt "c" cache t.cache;
-  opt "l2" cache t.l2;
-  opt "sb"
-    (fun (s : Params.stream_buffer) ->
-      Printf.sprintf "%d/%d/%d/%d" s.sb_streams s.sb_line s.sb_depth
-        s.sb_latency)
-    t.sbuf;
-  opt "ll"
-    (fun (l : Params.lldma) ->
-      Printf.sprintf "%d/%d/%d/%d" l.ll_entries l.ll_elem l.ll_max_gap
-        l.ll_latency)
-    t.lldma;
-  opt "sr"
-    (fun (s : Params.sram) -> Printf.sprintf "%d/%d" s.s_size s.s_latency)
-    t.sram;
-  opt "v"
-    (fun (v : Params.victim) -> Printf.sprintf "%d/%d" v.v_entries v.v_latency)
-    t.victim;
-  opt "wb"
-    (fun (w : Params.write_buffer) ->
-      Printf.sprintf "%d/%d" w.wb_entries w.wb_drain)
-    t.wbuf;
-  Buffer.add_string b "b=";
-  Array.iter
-    (fun bind ->
-      Buffer.add_char b
-        (match bind with
-        | To_cache -> 'c'
-        | To_sram -> 's'
-        | To_sbuf -> 'b'
-        | To_lldma -> 'l'))
-    t.bindings;
-  Buffer.contents b
+let fingerprint t = t.fingerprint
 
 let describe t =
   let parts =

@@ -25,7 +25,9 @@ type t = private {
       (** victim buffer behind the cache (requires [cache]) *)
   wbuf : Params.write_buffer option;
       (** posted-write buffer for direct off-chip stores *)
-  bindings : binding array;  (** indexed by region id *)
+  bindings : binding array;
+      (** indexed by region id; {!make} keeps its own copy *)
+  fingerprint : string;  (** {!fingerprint}, computed once by {!make} *)
 }
 
 val make :
@@ -40,7 +42,9 @@ val make :
   bindings:binding array ->
   unit ->
   t
-(** @raise Invalid_argument when a binding targets a module the
+(** The only constructor ([t] is private): validates the modules,
+    copies [bindings] and computes the {!fingerprint} once.
+    @raise Invalid_argument when a binding targets a module the
     architecture does not contain, when a victim buffer is requested
     without a cache, or when parameters are malformed. *)
 
@@ -59,7 +63,8 @@ val fingerprint : t -> string
     over structure, so it is safe as a content-address for evaluation
     results.  The [label] is excluded: identically-structured
     architectures fingerprint identically whatever they are called.
-    Any single parameter change produces a different fingerprint. *)
+    Any single parameter change produces a different fingerprint.
+    Computed once by {!make}, so this is a field read. *)
 
 val describe : t -> string
 (** Short human description, e.g. ["cache 8KB/32/2 + sbuf(4) + lldma"]. *)

@@ -2,14 +2,54 @@ module Mem_sim = Mx_mem.Mem_sim
 module Mem_arch = Mx_mem.Mem_arch
 module Params = Mx_mem.Params
 module Channel = Mx_connect.Channel
+module Cluster = Mx_connect.Cluster
 module Component = Mx_connect.Component
 module Conn_arch = Mx_connect.Conn_arch
 module Conn_cost = Mx_connect.Conn_cost
-module Rt = Mx_connect.Reservation_table
 
-let node_of = Serving.node_of
+(* Where a serving class's off-chip traffic goes. *)
+type dram_leg =
+  | No_dram  (** no DRAM transactions *)
+  | Direct  (** the class is DRAM itself: its CPU leg reaches DRAM *)
+  | From of Channel.node  (** a fill leg from this node to DRAM *)
 
-let dram_core_latency = Serving.dram_core_latency
+(* Every connectivity-independent term of one active serving class. *)
+type serving_plan = {
+  sv : Mem_sim.serving;
+  via_l2 : bool;  (** misses cross a cache<->L2 leg *)
+  dram : dram_leg;
+  accesses : float;
+  size : int;  (** average access size, at least 1 byte *)
+  frac : float;  (** share of all accesses *)
+  miss_rate : float;
+  frac_miss : float;  (** [frac *. miss_rate] *)
+  l1_miss_rate : float;  (** L2 probes per access of this class *)
+  frac_l1_miss : float;  (** [frac *. l1_miss_rate] *)
+  module_latency : float;
+  crit : int;  (** critical-word bytes of a fill, at least 1 *)
+  dram_txns : float;
+  dram_txn_bytes : int;  (** average DRAM transaction, at least 1 byte *)
+  dram_bytes : int;
+  e_module : float;
+  cpu_bytes : float;
+  e_dram_traffic : float;
+}
+
+type plan = {
+  servings : serving_plan array;
+      (** active classes, in [Serving.all] order *)
+  n : float;
+  ops_rate : float;
+  l2_txns : float;
+  l2_txn_bytes : int;  (** average L1<->L2 transaction, at least 1 byte *)
+  l2_latency : float;
+  l2_bytes : float;
+  e_l2_access : float;  (** L2 access energy of every L2 probe *)
+  dram_core : float;
+  total_accesses : int;
+  miss_ratio : float;
+  dram_bytes_total : int;
+}
 
 (* the estimator characterises a read-dominated average access *)
 let module_energy arch sv = Serving.module_energy arch sv ~write:false
@@ -23,256 +63,261 @@ let critical_bytes_of (arch : Mem_arch.t) sv =
   in
   Serving.critical_bytes arch sv ~lldma_bytes ~fallback:4
 
-let module_latency = Serving.module_latency
-
-type leg = {
-  comp : Component.t;
-  binding_id : int;
-  contended : bool;
-}
-
-let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
+let prepare ~workload ~arch ~(profile : Mem_sim.stats) =
   if profile.Mem_sim.accesses = 0 then
     invalid_arg "Estimator.estimate: empty profile";
   let n = float_of_int profile.Mem_sim.accesses in
-  let bindings = Array.of_list (conn : Conn_arch.t).Conn_arch.bindings in
-  let find_leg src dst =
-    let probe = { Channel.src; dst; bandwidth = 0.0; txn_bytes = 0.0 } in
-    let found = ref None in
-    Array.iteri
-      (fun i (b : Conn_arch.binding) ->
-        if
-          !found = None
-          && List.exists (Channel.same_endpoints probe)
-               b.Conn_arch.cluster.Mx_connect.Cluster.channels
-        then
-          found :=
-            Some
-              {
-                comp = b.Conn_arch.component;
-                binding_id = i;
-                contended =
-                  List.length b.Conn_arch.cluster.Mx_connect.Cluster.channels
-                  > 1;
-              })
-      bindings;
-    !found
-  in
-  (* per-serving traffic characterisation from the profile *)
-  let active =
-    List.filter (fun sv -> profile.Mem_sim.cpu_accesses sv > 0) Serving.all
-  in
-  let avg_size sv =
-    float_of_int (profile.Mem_sim.cpu_bytes sv)
-    /. float_of_int (max 1 (profile.Mem_sim.cpu_accesses sv))
-  in
   let has_l2 = profile.Mem_sim.l2_txns_total > 0 in
-  let legs =
-    List.map
-      (fun sv ->
-        let node = node_of sv in
-        let cpu =
-          match find_leg Channel.Cpu node with
-          | Some l -> l
-          | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Estimator.estimate: no component carries CPU<->%s"
-                 (Channel.node_to_string node))
-        in
-        let mid =
-          if sv = Mem_sim.By_cache && has_l2 then
-            match find_leg Channel.Cache Channel.L2 with
-            | Some l -> Some l
-            | None ->
-              invalid_arg
-                "Estimator.estimate: no component carries cache<->L2"
-          else None
-        in
-        let dram_src =
-          if sv = Mem_sim.By_cache && has_l2 then Channel.L2 else node
-        in
-        let dram =
-          if node = Channel.Dram then Some cpu
-          else if profile.Mem_sim.dram_txns_by sv > 0 then
-            match find_leg dram_src Channel.Dram with
-            | Some l -> Some l
-            | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "Estimator.estimate: no component carries %s<->DRAM"
-                   (Channel.node_to_string dram_src))
-          else None
-        in
-        (sv, cpu, mid, dram))
-      active
+  let serving_plan sv =
+    let count = profile.Mem_sim.cpu_accesses sv in
+    let accesses = float_of_int count in
+    let per_access x = float_of_int x /. float_of_int (max 1 count) in
+    let via_l2 = sv = Mem_sim.By_cache && has_l2 in
+    let node = Serving.node_of sv in
+    let frac = accesses /. n in
+    let miss_rate = per_access (profile.Mem_sim.demand_misses_by sv) in
+    let l1_miss_rate = per_access profile.Mem_sim.l2_accesses in
+    let dram_txns = float_of_int (profile.Mem_sim.dram_txns_by sv) in
+    let dram_bytes = profile.Mem_sim.dram_bytes_by sv in
+    {
+      sv;
+      via_l2;
+      dram =
+        (if node = Channel.Dram then Direct
+         else if profile.Mem_sim.dram_txns_by sv > 0 then
+           From (if via_l2 then Channel.L2 else node)
+         else No_dram);
+      accesses;
+      size = max 1 (int_of_float (per_access (profile.Mem_sim.cpu_bytes sv)));
+      frac;
+      miss_rate;
+      frac_miss = frac *. miss_rate;
+      l1_miss_rate;
+      frac_l1_miss = frac *. l1_miss_rate;
+      module_latency = float_of_int (Serving.module_latency arch sv);
+      crit = max 1 (critical_bytes_of arch sv);
+      dram_txns;
+      dram_txn_bytes =
+        max 1 (int_of_float (float_of_int dram_bytes /. Float.max 1.0 dram_txns));
+      dram_bytes;
+      e_module = accesses *. module_energy arch sv;
+      cpu_bytes = float_of_int (profile.Mem_sim.cpu_bytes sv);
+      e_dram_traffic =
+        Mx_mem.Energy_model.dram_traffic
+          ~txns:(max 1 (profile.Mem_sim.dram_txns_by sv))
+          ~bytes:dram_bytes;
+    }
   in
-  (* reservation-table-derived occupancy of each component instance *)
+  let l2_txns = float_of_int profile.Mem_sim.l2_txns_total in
+  let trace_length =
+    Mx_trace.Trace.length workload.Mx_trace.Workload.trace
+  in
+  {
+    servings =
+      Serving.all
+      |> List.filter (fun sv -> profile.Mem_sim.cpu_accesses sv > 0)
+      |> List.map serving_plan |> Array.of_list;
+    n;
+    ops_rate =
+      float_of_int workload.Mx_trace.Workload.cpu_ops
+      /. Float.max 1.0 (float_of_int trace_length);
+    l2_txns;
+    l2_txn_bytes =
+      max 1
+        (int_of_float
+           (float_of_int profile.Mem_sim.l2_bytes_total
+           /. Float.max 1.0 l2_txns));
+    l2_latency =
+      (match arch.Mem_arch.l2 with
+      | Some c -> float_of_int c.Params.c_latency
+      | None -> 0.0);
+    l2_bytes = float_of_int profile.Mem_sim.l2_bytes_total;
+    e_l2_access =
+      float_of_int profile.Mem_sim.l2_accesses
+      *. (match arch.Mem_arch.l2 with
+         | Some c -> Mx_mem.Energy_model.cache_access c ~write:false
+         | None -> 0.0);
+    dram_core = Serving.dram_core_latency ();
+    total_accesses = profile.Mem_sim.accesses;
+    miss_ratio = Mem_sim.miss_ratio profile;
+    dram_bytes_total = profile.Mem_sim.dram_bytes_total;
+  }
+
+(* Channels are direction-insensitive ([Channel.same_endpoints]), so a
+   leg is named by its unordered endpoint pair. *)
+let node_index = function
+  | Channel.Cpu -> 0
+  | Channel.Cache -> 1
+  | Channel.L2 -> 2
+  | Channel.Sram -> 3
+  | Channel.Sbuf -> 4
+  | Channel.Lldma -> 5
+  | Channel.Dram -> 6
+
+let pair a b =
+  let a = node_index a and b = node_index b in
+  if a <= b then (a * 7) + b else (b * 7) + a
+
+let missing what =
+  invalid_arg ("Estimator.estimate: no component carries " ^ what)
+
+(* Leg slots: serving [i]'s CPU leg is [3 i], its cache<->L2 leg
+   [3 i + 1] and its DRAM leg [3 i + 2]. *)
+let run p ~conn =
+  let bindings = Array.of_list (conn : Conn_arch.t).Conn_arch.bindings in
+  (* the first binding carrying each endpoint pair *)
+  let carrier = Array.make 49 (-1) in
+  Array.iteri
+    (fun i (b : Conn_arch.binding) ->
+      List.iter
+        (fun (ch : Channel.t) ->
+          let k = pair ch.Channel.src ch.Channel.dst in
+          if carrier.(k) < 0 then carrier.(k) <- i)
+        b.Conn_arch.cluster.Cluster.channels)
+    bindings;
+  let ns = Array.length p.servings in
+  let leg = Array.make (3 * ns) (-1) in
+  Array.iteri
+    (fun i s ->
+      let node = Serving.node_of s.sv in
+      let cpu = carrier.(pair Channel.Cpu node) in
+      if cpu < 0 then missing ("CPU<->" ^ Channel.node_to_string node);
+      leg.(3 * i) <- cpu;
+      if s.via_l2 then begin
+        let b = carrier.(pair Channel.Cache Channel.L2) in
+        if b < 0 then missing "cache<->L2";
+        leg.((3 * i) + 1) <- b
+      end;
+      match s.dram with
+      | No_dram -> ()
+      | Direct -> leg.((3 * i) + 2) <- cpu
+      | From src ->
+        let b = carrier.(pair src Channel.Dram) in
+        if b < 0 then missing (Channel.node_to_string src ^ "<->DRAM");
+        leg.((3 * i) + 2) <- b)
+    p.servings;
+  let comp k = bindings.(leg.(k)).Conn_arch.component in
+  let contended k =
+    match bindings.(leg.(k)).Conn_arch.cluster.Cluster.channels with
+    | _ :: _ :: _ -> true
+    | _ -> false
+  in
+  (* per-leg half service time and transaction latency, and the busy
+     time of each binding, none of which depends on the total time *)
+  let half = Array.make (3 * ns) 0.0 and lat = Array.make (3 * ns) 0.0 in
   let busy = Array.make (Array.length bindings) 0.0 in
-  let occupancy comp ~bytes =
-    float_of_int (Rt.initiation_interval comp ~bytes:(max 1 bytes))
+  let add_busy k cycles =
+    let b = leg.(k) in
+    busy.(b) <- busy.(b) +. cycles
   in
-  List.iter
-    (fun (sv, cpu, mid, dram) ->
-      let txns = float_of_int (profile.Mem_sim.cpu_accesses sv) in
-      busy.(cpu.binding_id) <-
-        busy.(cpu.binding_id)
-        +. (txns *. occupancy cpu.comp ~bytes:(int_of_float (avg_size sv)));
-      (match mid with
-      | Some l when profile.Mem_sim.l2_txns_total > 0 ->
-        let mtx = float_of_int profile.Mem_sim.l2_txns_total in
-        let per_txn =
-          float_of_int profile.Mem_sim.l2_bytes_total /. Float.max 1.0 mtx
-        in
-        busy.(l.binding_id) <-
-          busy.(l.binding_id)
-          +. (mtx *. occupancy l.comp ~bytes:(int_of_float per_txn))
-      | _ -> ());
-      match dram with
-      | Some l when sv <> Mem_sim.By_dram_direct ->
-        let dtxns = float_of_int (profile.Mem_sim.dram_txns_by sv) in
-        let per_txn_bytes =
-          float_of_int (profile.Mem_sim.dram_bytes_by sv)
-          /. Float.max 1.0 dtxns
-        in
-        let hold =
-          if l.comp.Component.split_txn then 0.0 else dram_core_latency ()
-        in
-        busy.(l.binding_id) <-
-          busy.(l.binding_id)
-          +. (dtxns
-             *. (occupancy l.comp ~bytes:(int_of_float per_txn_bytes) +. hold))
-      | _ -> ())
-    legs;
-  let ops_rate =
-    float_of_int workload.Mx_trace.Workload.cpu_ops
-    /. Float.max 1.0 (float_of_int (Mx_trace.Trace.length workload.Mx_trace.Workload.trace))
+  let time_leg k ~bytes =
+    half.(k) <- float_of_int (Component.occupancy (comp k) ~bytes) /. 2.0;
+    lat.(k) <-
+      float_of_int
+        (Component.txn_latency (comp k) ~bytes ~contended:(contended k))
   in
-  let wait_of total_cycles binding_id service =
-    let rho = Float.min 0.98 (busy.(binding_id) /. Float.max 1.0 total_cycles) in
-    service /. 2.0 *. (rho /. (1.0 -. rho))
-  in
-  (* fixed-point on total time *)
+  Array.iteri
+    (fun i s ->
+      let k = 3 * i in
+      add_busy k
+        (s.accesses *. float_of_int (Component.occupancy (comp k) ~bytes:s.size));
+      time_leg k ~bytes:s.size;
+      if s.via_l2 then begin
+        add_busy (k + 1)
+          (p.l2_txns
+          *. float_of_int
+               (Component.occupancy (comp (k + 1)) ~bytes:p.l2_txn_bytes));
+        time_leg (k + 1) ~bytes:8
+      end;
+      match s.dram with
+      | No_dram | Direct -> ()
+      | From _ ->
+        let c = comp (k + 2) in
+        let hold = if c.Component.split_txn then 0.0 else p.dram_core in
+        add_busy (k + 2)
+          (s.dram_txns
+          *. (float_of_int (Component.occupancy c ~bytes:s.dram_txn_bytes)
+             +. hold));
+        time_leg (k + 2) ~bytes:s.crit)
+    p.servings;
+  (* fixed point on total time *)
   let latency = ref 5.0 in
-  let total = ref (n *. (1.0 +. ops_rate +. !latency)) in
+  let total = ref (p.n *. (1.0 +. p.ops_rate +. !latency)) in
   let bus_wait = ref 0.0 in
   for _ = 1 to 4 do
     bus_wait := 0.0;
-    let l_sum =
-      List.fold_left
-        (fun acc (sv, cpu, mid, dram) ->
-          let frac =
-            float_of_int (profile.Mem_sim.cpu_accesses sv) /. n
-          in
-          let size = int_of_float (avg_size sv) in
-          let s1 = occupancy cpu.comp ~bytes:size in
-          let w1 = wait_of !total cpu.binding_id s1 in
-          let t1 =
-            float_of_int
-              (Component.txn_latency cpu.comp ~bytes:(max 1 size)
-                 ~contended:cpu.contended)
-          in
-          let miss_rate =
-            float_of_int (profile.Mem_sim.demand_misses_by sv)
-            /. float_of_int (max 1 (profile.Mem_sim.cpu_accesses sv))
-          in
-          (* the L1<->L2 leg is traversed at the L1 miss rate *)
-          let l2_path =
-            match mid with
-            | None -> 0.0
-            | Some l ->
-              let l1_miss_rate =
-                float_of_int profile.Mem_sim.l2_accesses
-                /. float_of_int (max 1 (profile.Mem_sim.cpu_accesses sv))
-              in
-              let s_m = occupancy l.comp ~bytes:8 in
-              let w_m = wait_of !total l.binding_id s_m in
-              let t_m =
-                float_of_int
-                  (Component.txn_latency l.comp ~bytes:8
-                     ~contended:l.contended)
-              in
-              let l2_lat =
-                match arch.Mem_arch.l2 with
-                | Some c -> float_of_int c.Params.c_latency
-                | None -> 0.0
-              in
-              bus_wait := !bus_wait +. (frac *. l1_miss_rate *. w_m *. n);
-              l1_miss_rate *. (w_m +. t_m +. l2_lat)
-          in
-          let miss_path =
-            match dram with
-            | None -> 0.0
-            | Some l ->
-              let crit = critical_bytes_of arch sv in
-              let t2 =
-                if sv = Mem_sim.By_dram_direct then 0.0
-                else
-                  float_of_int
-                    (Component.txn_latency l.comp ~bytes:(max 1 crit)
-                       ~contended:l.contended)
-              in
-              let s2 = occupancy l.comp ~bytes:(max 1 crit) in
-              let w2 =
-                if sv = Mem_sim.By_dram_direct then 0.0
-                else wait_of !total l.binding_id s2
-              in
-              bus_wait := !bus_wait +. (frac *. miss_rate *. w2 *. n);
-              w2 +. t2 +. dram_core_latency ()
-          in
-          bus_wait := !bus_wait +. (frac *. w1 *. n);
-          acc
-          +. (frac
-             *. (w1 +. t1
-                +. float_of_int (module_latency arch sv)
-                +. l2_path
-                +. (miss_rate *. miss_path))))
-        0.0 legs
+    let cycles = Float.max 1.0 !total in
+    let[@inline] wait k =
+      let rho = Float.min 0.98 (busy.(leg.(k)) /. cycles) in
+      half.(k) *. (rho /. (1.0 -. rho))
     in
-    latency := l_sum;
-    total := n *. (1.0 +. ops_rate +. !latency)
+    let l_sum = ref 0.0 in
+    for i = 0 to ns - 1 do
+      let s = p.servings.(i) and k = 3 * i in
+      let w1 = wait k in
+      (* the L1<->L2 leg is traversed at the L1 miss rate *)
+      let l2_path =
+        if s.via_l2 then begin
+          let w_m = wait (k + 1) in
+          bus_wait := !bus_wait +. (s.frac_l1_miss *. w_m *. p.n);
+          s.l1_miss_rate *. (w_m +. lat.(k + 1) +. p.l2_latency)
+        end
+        else 0.0
+      in
+      let miss_path =
+        match s.dram with
+        | No_dram -> 0.0
+        | Direct -> p.dram_core
+        | From _ ->
+          let w2 = wait (k + 2) in
+          bus_wait := !bus_wait +. (s.frac_miss *. w2 *. p.n);
+          w2 +. lat.(k + 2) +. p.dram_core
+      in
+      bus_wait := !bus_wait +. (s.frac *. w1 *. p.n);
+      l_sum :=
+        !l_sum
+        +. (s.frac
+           *. (w1 +. lat.(k) +. s.module_latency +. l2_path
+              +. (s.miss_rate *. miss_path)))
+    done;
+    latency := !l_sum;
+    total := p.n *. (1.0 +. p.ops_rate +. !latency)
   done;
   (* energy: contention-independent, computed from exact profile counts *)
-  let energy_total =
-    List.fold_left
-      (fun acc (sv, cpu, mid, dram) ->
-        let accs = float_of_int (profile.Mem_sim.cpu_accesses sv) in
-        let cpu_bytes = float_of_int (profile.Mem_sim.cpu_bytes sv) in
-        let e_mod = accs *. module_energy arch sv in
-        let e_conn = cpu_bytes *. Conn_cost.energy_per_byte cpu.comp in
-        let e_l2 =
-          match mid with
-          | Some l ->
-            (float_of_int profile.Mem_sim.l2_bytes_total
-            *. Conn_cost.energy_per_byte l.comp)
-            +. (float_of_int profile.Mem_sim.l2_accesses
-               *. (match arch.Mem_arch.l2 with
-                  | Some c -> Mx_mem.Energy_model.cache_access c ~write:false
-                  | None -> 0.0))
-          | None -> 0.0
-        in
-        let e_dram =
-          match dram with
-          | None -> 0.0
-          | Some l ->
-            let bytes = profile.Mem_sim.dram_bytes_by sv in
-            let txns = max 1 (profile.Mem_sim.dram_txns_by sv) in
-            if bytes = 0 then 0.0
-            else
-              Mx_mem.Energy_model.dram_traffic ~txns ~bytes
-              +. (float_of_int bytes *. Conn_cost.energy_per_byte l.comp)
-        in
-        acc +. e_mod +. e_conn +. e_l2 +. e_dram)
-      0.0 legs
-  in
+  let energy = ref 0.0 in
+  Array.iteri
+    (fun i s ->
+      let k = 3 * i in
+      let e_conn = s.cpu_bytes *. Conn_cost.energy_per_byte (comp k) in
+      let e_l2 =
+        if s.via_l2 then
+          (p.l2_bytes *. Conn_cost.energy_per_byte (comp (k + 1)))
+          +. p.e_l2_access
+        else 0.0
+      in
+      let e_dram =
+        match s.dram with
+        | No_dram -> 0.0
+        | Direct | From _ ->
+          if s.dram_bytes = 0 then 0.0
+          else
+            s.e_dram_traffic
+            +. (float_of_int s.dram_bytes
+               *. Conn_cost.energy_per_byte (comp (k + 2)))
+      in
+      energy := !energy +. s.e_module +. e_conn +. e_l2 +. e_dram)
+    p.servings;
   {
-    Sim_result.accesses = profile.Mem_sim.accesses;
+    Sim_result.accesses = p.total_accesses;
     cycles = int_of_float !total;
-    total_mem_latency = int_of_float (!latency *. n);
+    total_mem_latency = int_of_float (!latency *. p.n);
     avg_mem_latency = !latency;
-    avg_energy_nj = energy_total /. n;
-    miss_ratio = Mem_sim.miss_ratio profile;
+    avg_energy_nj = !energy /. p.n;
+    miss_ratio = p.miss_ratio;
     bus_wait_cycles = int_of_float !bus_wait;
-    dram_bytes = profile.Mem_sim.dram_bytes_total;
+    dram_bytes = p.dram_bytes_total;
     exact = false;
   }
+
+let estimate ~workload ~arch ~profile ~conn =
+  run (prepare ~workload ~arch ~profile) ~conn

@@ -19,11 +19,14 @@ let make_cache capacity =
 
 let cache : Sim_result.t Memo_cache.t ref = ref (make_cache default_cache_capacity)
 
-(* Recorded module outcomes, one per (workload, architecture, fidelity):
-   the connectivity variants of an architecture share one recording.
-   Phase II and Full visit an architecture's variants together, but the
-   refine pass interleaves the few architectures on the front, so the
-   memo keeps a handful beyond the largest APEX selection. *)
+(* What an architecture's connectivities share, one per (workload,
+   architecture, fidelity): the recorded module outcomes of a
+   simulation, or the estimator's plan.  Phase I, Phase II and Full
+   visit an architecture's variants together, but the refine pass
+   interleaves the few architectures on the front, so the memo keeps a
+   handful beyond the largest APEX selection. *)
+type prepared = Column of Cycle_sim.column | Plan of Estimator.plan
+
 let column_capacity = 16
 
 let make_columns capacity =
@@ -31,7 +34,7 @@ let make_columns capacity =
     ~capacity:(if capacity <= 0 then 0 else column_capacity)
     ()
 
-let columns : Cycle_sim.column Memo_cache.t ref =
+let columns : prepared Memo_cache.t ref =
   ref (make_columns default_cache_capacity)
 
 let set_cache_capacity capacity =
@@ -149,26 +152,37 @@ let promote c ~exact_key =
 (* One lookup for every rung of the ladder: the fidelity picks the key
    and the evaluator, and only [Sampled] tries promotion first.  The
    evaluator is chosen before any lookup, so a missing profile or bad
-   sampling windows raise even when the key is cached.  A simulation
-   times the connectivity over its architecture's recorded column,
-   recording it on the first request. *)
+   sampling windows raise even when the key is cached.  A computed
+   result runs the connectivity over what its architecture shares at
+   that fidelity — a recorded column or an estimator plan — built on
+   the first request.  The fidelity tag in the key decides which of the
+   two an entry holds. *)
 let eval_prov ~fidelity ~workload ~arch ?profile ~conn () =
   let arch_base =
     workload_fingerprint workload ^ "|" ^ Mem_arch.fingerprint arch
   in
+  let shared build =
+    Memo_cache.find_or_compute !columns ~key:(key ~base:arch_base fidelity)
+      build
+  in
   let simulate sample () =
-    let column =
-      Memo_cache.find_or_compute !columns ~key:(key ~base:arch_base fidelity)
-        (fun () -> Cycle_sim.record ?sample ~workload ~arch ())
-    in
-    Cycle_sim.time column ~conn
+    match
+      shared (fun () -> Column (Cycle_sim.record ?sample ~workload ~arch ()))
+    with
+    | Column column -> Cycle_sim.time column ~conn
+    | Plan _ -> assert false
   in
   let compute =
     match (fidelity, profile) with
     | Estimate, None ->
       invalid_arg "Eval.eval: Estimate fidelity requires ~profile"
-    | Estimate, Some profile ->
-      fun () -> Estimator.estimate ~workload ~arch ~profile ~conn
+    | Estimate, Some profile -> (
+      fun () ->
+        match
+          shared (fun () -> Plan (Estimator.prepare ~workload ~arch ~profile))
+        with
+        | Plan plan -> Estimator.run plan ~conn
+        | Column _ -> assert false)
     | Sampled (on, off), _ when on <= 0 || off < 0 ->
       invalid_arg "Eval.eval: bad sampling windows"
     | Sampled (on, off), _ -> simulate (Some (on, off))

@@ -35,13 +35,18 @@
     {!Mx_util.Metrics.global} as [eval.cache.hits], [eval.cache.misses]
     and [eval.cache.evictions].
 
-    {b Recorded columns.}  A simulation that has to be computed times
-    its connectivity ({!Cycle_sim.time}) over the architecture's
-    recorded module outcomes ({!Cycle_sim.record}).  Those columns sit
-    in a second, small single-flight memo keyed
+    {b Recorded columns and estimator plans.}  A simulation that has to
+    be computed times its connectivity ({!Cycle_sim.time}) over the
+    architecture's recorded module outcomes ({!Cycle_sim.record}); an
+    estimate that has to be computed runs its connectivity
+    ({!Estimator.run}) over the architecture's plan
+    ({!Estimator.prepare}).  Columns and plans sit in a second, small
+    single-flight memo keyed
     [workload fingerprint | memory fingerprint | fidelity tag], so all
     connectivity variants of one architecture at one fidelity share a
-    single module-level simulation.  It holds at most 16 columns (the
+    single module-level simulation, or a single plan.  The plan, like
+    the result key, takes the profile to be determined by the workload
+    and the architecture.  The memo holds at most 16 entries (the
     refine pass interleaves the architectures on the front), is never
     persisted, and counts its traffic as [eval.cache.columns.hits],
     [.misses] and [.evictions] — a [cache.] segment, so exempt from
@@ -49,7 +54,9 @@
     recorded once per computed simulation. *)
 
 type fidelity =
-  | Estimate  (** {!Estimator.estimate}; requires [~profile] *)
+  | Estimate
+      (** the analytic model ({!Estimator.run} over the architecture's
+          shared {!Estimator.prepare} plan); requires [~profile] *)
   | Sampled of int * int
       (** time-sampled cycle simulation with [(on, off)] windows *)
   | Exact  (** cycle simulation of the full trace *)
@@ -111,9 +118,9 @@ val default_cache_capacity : int
 
 val set_cache_capacity : int -> unit
 (** Replace the cache with a fresh one of the given capacity (dropping
-    all entries; 0 or negative disables caching), and the column memo
-    with a fresh one (disabled too when the capacity is 0 or
-    negative).  Not safe to call concurrently with running
+    all entries; 0 or negative disables caching), and the memo of
+    columns and plans with a fresh one (disabled too when the capacity
+    is 0 or negative).  Not safe to call concurrently with running
     evaluations — configure before exploring. *)
 
 val cache_stats : unit -> Mx_util.Memo_cache.stats
@@ -121,12 +128,12 @@ val cache_stats : unit -> Mx_util.Memo_cache.stats
     resized ({!clear_cache} keeps counters). *)
 
 val column_stats : unit -> Mx_util.Memo_cache.stats
-(** The same totals for the column memo: each miss is one
-    {!Cycle_sim.record}. *)
+(** The same totals for the memo of columns and plans: each miss is
+    one {!Cycle_sim.record} or one {!Estimator.prepare}. *)
 
 val clear_cache : unit -> unit
-(** Drop every cached result and every recorded column (counters are
-    kept).  Call between independent experiment arms when warm-cache
+(** Drop every cached result, recorded column and estimator plan
+    (counters are kept).  Call between independent experiment arms when warm-cache
     carry-over would blur a comparison.  Only empties the hot tier —
     the persistent tier, when open, is untouched (that is what makes
     warm-start tests honest). *)

@@ -14,8 +14,8 @@
 
     {b Eviction.}  Capacity is a bound on resident entries.  When an
     insert exceeds it, the least-recently-used completed entry is
-    dropped (LRU on lookup order).  Entries still being computed are
-    never evicted.  Because the lookup order across domains depends on
+    dropped (exact LRU on lookup order, O(1) per eviction).  Entries
+    still being computed are never evicted.  Because the lookup order across domains depends on
     scheduling, {e which} entry is evicted — and thus the hit/miss
     pattern of a run that overflows the capacity — may differ between
     jobs levels; size the cache to the working set when bit-identical

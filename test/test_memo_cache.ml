@@ -86,6 +86,47 @@ let test_lru_eviction () =
   Helpers.check_int "b recomputed after eviction" 2 (Hashtbl.find computes "b");
   Helpers.check_int "a never recomputed" 1 (Hashtbl.find computes "a")
 
+(* Past capacity every insert evicts exactly the least recently used
+   entry, hits included in the recency order. *)
+let test_lru_survivors_under_overflow () =
+  let capacity = 64 and n = 1000 in
+  let c = fresh ~capacity () in
+  let last_use = Hashtbl.create n and tick = ref 0 in
+  let lookup key =
+    ignore (Memo_cache.find_or_compute c ~key (fun () -> key));
+    incr tick;
+    Hashtbl.replace last_use key !tick
+  in
+  (* the model: the [capacity] most recently used keys, newest first *)
+  let resident () =
+    Hashtbl.fold (fun k t acc -> (t, k) :: acc) last_use []
+    |> List.sort (fun a b -> compare b a)
+    |> List.filteri (fun i _ -> i < capacity)
+    |> List.map snd
+  in
+  for i = 0 to n - 1 do
+    lookup (string_of_int i);
+    (* every third insert, hit the least recently used resident key *)
+    if i mod 3 = 2 then begin
+      let r = resident () in
+      lookup (List.nth r (List.length r - 1))
+    end
+  done;
+  let s = Memo_cache.stats c in
+  Helpers.check_int "every hit found its key" (n / 3) s.Memo_cache.hits;
+  Helpers.check_int "one miss per distinct key" n s.Memo_cache.misses;
+  Helpers.check_int "evictions = N - C" (n - capacity) s.Memo_cache.evictions;
+  Helpers.check_int "capacity respected" capacity (Memo_cache.length c);
+  let survivors =
+    List.filter
+      (fun i -> Memo_cache.peek c ~key:(string_of_int i) <> None)
+      (List.init n Fun.id)
+  in
+  Alcotest.(check (list string))
+    "exactly the C most recently used keys survive"
+    (List.sort compare (resident ()))
+    (List.sort compare (List.map string_of_int survivors))
+
 let test_failure_not_cached () =
   let c = fresh ~capacity:8 () in
   let attempts = ref 0 in
@@ -176,6 +217,8 @@ let suite =
       Alcotest.test_case "capacity 0 disables" `Quick
         test_capacity_zero_disables;
       Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
+      Alcotest.test_case "LRU survivors under overflow" `Quick
+        test_lru_survivors_under_overflow;
       Alcotest.test_case "failures not cached" `Quick test_failure_not_cached;
       Alcotest.test_case "clear keeps counters" `Quick
         test_clear_keeps_counters;
