@@ -129,6 +129,23 @@ let test_table1_time =
      let _, _, _, _, _, conns = Lazy.force prepared in
      ignore (Mx_sim.Cycle_sim.time (Lazy.force recorded) ~conn:(List.hd conns)))
 
+(* The same timing over a 1/9-sampled column: the loop visits the timed
+   accesses only, a tenth of the trace. *)
+let recorded_sampled =
+  lazy
+    (let w, _, arch, _, _, _ = Lazy.force prepared in
+     Mx_sim.Cycle_sim.record ~sample:Mx_sim.Cycle_sim.default_sample
+       ~workload:w ~arch ())
+
+let test_table1_time_sampled =
+  Test.make
+    ~name:"table1: time one connectivity over a 1/9-sampled column (20k trace)"
+    (Staged.stage @@ fun () ->
+     let _, _, _, _, _, conns = Lazy.force prepared in
+     ignore
+       (Mx_sim.Cycle_sim.time (Lazy.force recorded_sampled)
+          ~conn:(List.hd conns)))
+
 let test_table2_clustering =
   Test.make ~name:"table2: clustering levels + feasible assignments"
     (Staged.stage @@ fun () ->
@@ -169,6 +186,7 @@ let tests =
     test_table1_sampled_sim;
     test_table1_record;
     test_table1_time;
+    test_table1_time_sampled;
     test_table2_clustering;
     test_substrate_cache;
     test_substrate_trace_gen;

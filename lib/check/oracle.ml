@@ -123,8 +123,8 @@ let route bindings (src : Channel.node) (dst : Channel.node) =
   in
   go 0 bindings
 
-let replay ?sample ?(cpu = Mx_sim.Cycle_sim.Blocking) ~workload ~arch ~conn ()
-    =
+let replay_traced ?sample ?(cpu = Mx_sim.Cycle_sim.Blocking) ~workload ~arch
+    ~conn () =
   (match sample with
   | Some (on, off) when on <= 0 || off < 0 ->
     invalid_arg "Oracle.replay: bad sampling windows"
@@ -138,6 +138,15 @@ let replay ?sample ?(cpu = Mx_sim.Cycle_sim.Blocking) ~workload ~arch ~conn ()
   in
   let bindings = (conn : Conn_arch.t).Conn_arch.bindings in
   let busy = Array.make (max 1 (List.length bindings)) 0 in
+  (* per-binding totals, added access by access *)
+  let txns = Array.make (Array.length busy) 0 in
+  let busy_cycles = Array.make (Array.length busy) 0 in
+  let waits = Array.make (Array.length busy) 0 in
+  let carry (l : leg) ~occ ~wait =
+    txns.(l.idx) <- txns.(l.idx) + 1;
+    busy_cycles.(l.idx) <- busy_cycles.(l.idx) + occ;
+    waits.(l.idx) <- waits.(l.idx) + wait
+  in
   (* with an L2 the cache's off-chip traffic leaves from the L2 *)
   let has_l2 = arch.Mem_arch.l2 <> None in
   let cpu_leg = Array.make 5 None and dram_leg = Array.make 5 None in
@@ -203,6 +212,7 @@ let replay ?sample ?(cpu = Mx_sim.Cycle_sim.Blocking) ~workload ~arch ~conn ()
           Component.txn_latency l1.comp ~bytes:size ~contended:l1.contended
         in
         let occ1 = Component.occupancy l1.comp ~bytes:size in
+        carry l1 ~occ:occ1 ~wait:wait1;
         let mem_lat = Serving.module_latency arch sv in
         let crit =
           if not o.Mem_sim.dram_critical then 0
@@ -220,12 +230,16 @@ let replay ?sample ?(cpu = Mx_sim.Cycle_sim.Blocking) ~workload ~arch ~conn ()
           let t_req = !now + wait1 + lat1 in
           let start_m = max t_req busy.(lm.idx) in
           let wait_m = start_m - t_req in
-          busy.(lm.idx) <- start_m + Component.occupancy lm.comp ~bytes:crit_m;
-          if o.Mem_sim.l2_bytes > crit_m then
-            busy.(lm.idx) <-
-              max busy.(lm.idx) !now
-              + Component.occupancy lm.comp
-                  ~bytes:(o.Mem_sim.l2_bytes - crit_m);
+          let occ_m = Component.occupancy lm.comp ~bytes:crit_m in
+          busy.(lm.idx) <- start_m + occ_m;
+          carry lm ~occ:occ_m ~wait:wait_m;
+          if o.Mem_sim.l2_bytes > crit_m then begin
+            let occ_bg =
+              Component.occupancy lm.comp ~bytes:(o.Mem_sim.l2_bytes - crit_m)
+            in
+            busy.(lm.idx) <- max busy.(lm.idx) !now + occ_bg;
+            carry lm ~occ:occ_bg ~wait:0
+          end;
           let l2_lat =
             match arch.Mem_arch.l2 with
             | Some c -> c.Mx_mem.Params.c_latency
@@ -258,18 +272,20 @@ let replay ?sample ?(cpu = Mx_sim.Cycle_sim.Blocking) ~workload ~arch ~conn ()
                 Component.txn_latency l2.comp ~bytes:crit
                   ~contended:l2.contended
               in
+              let occ2 = Component.occupancy l2.comp ~bytes:crit in
               busy.(l2.idx) <-
-                start2
-                + Component.occupancy l2.comp ~bytes:crit
+                start2 + occ2
                 + (if l2.comp.Component.split_txn then 0 else dram_lat);
+              carry l2 ~occ:occ2 ~wait:wait2;
               miss_path := !miss_path + wait2 + lat2 + dram_lat;
               total_wait := !total_wait + wait2
             end
           end;
           if bg > 0 then begin
             ignore (Mx_mem.Dram.access dram ~addr);
-            busy.(l2.idx) <-
-              max busy.(l2.idx) !now + Component.occupancy l2.comp ~bytes:bg
+            let occ_bg = Component.occupancy l2.comp ~bytes:bg in
+            busy.(l2.idx) <- max busy.(l2.idx) !now + occ_bg;
+            carry l2 ~occ:occ_bg ~wait:0
           end;
           energy :=
             !energy
@@ -307,18 +323,23 @@ let replay ?sample ?(cpu = Mx_sim.Cycle_sim.Blocking) ~workload ~arch ~conn ()
       end);
   let timed = max 1 !timed in
   let mstats = Mem_sim.snapshot msim in
-  {
-    Mx_sim.Sim_result.accesses = n;
-    cycles =
-      int_of_float (float_of_int !now *. (float_of_int n /. float_of_int timed));
-    total_mem_latency = !total_lat;
-    avg_mem_latency = float_of_int !total_lat /. float_of_int timed;
-    avg_energy_nj = !energy /. float_of_int timed;
-    miss_ratio = Mem_sim.miss_ratio mstats;
-    bus_wait_cycles = !total_wait;
-    dram_bytes = mstats.Mem_sim.dram_bytes_total;
-    exact = sample = None;
-  }
+  ( {
+      Mx_sim.Sim_result.accesses = n;
+      cycles =
+        int_of_float
+          (float_of_int !now *. (float_of_int n /. float_of_int timed));
+      total_mem_latency = !total_lat;
+      avg_mem_latency = float_of_int !total_lat /. float_of_int timed;
+      avg_energy_nj = !energy /. float_of_int timed;
+      miss_ratio = Mem_sim.miss_ratio mstats;
+      bus_wait_cycles = !total_wait;
+      dram_bytes = mstats.Mem_sim.dram_bytes_total;
+      exact = sample = None;
+    },
+    List.mapi (fun i _ -> (txns.(i), busy_cycles.(i), waits.(i))) bindings )
+
+let replay ?sample ?cpu ~workload ~arch ~conn () =
+  fst (replay_traced ?sample ?cpu ~workload ~arch ~conn ())
 
 (* -- straight-line analytic estimate --------------------------------------- *)
 

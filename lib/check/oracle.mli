@@ -66,6 +66,20 @@ val replay :
     @raise Invalid_argument on bad sampling windows, an [Overlap] with
     no MSHR, or a timed access whose channel is unrouted. *)
 
+val replay_traced :
+  ?sample:int * int ->
+  ?cpu:Mx_sim.Cycle_sim.cpu_model ->
+  workload:Mx_trace.Workload.t ->
+  arch:Mx_mem.Mem_arch.t ->
+  conn:Mx_connect.Conn_arch.t ->
+  unit ->
+  Mx_sim.Sim_result.t * (int * int * int) list
+(** {!replay} plus, per connectivity binding in binding order, the
+    [(txns, busy_cycles, wait_cycles)] it carried, each added access by
+    access as the timing model charges it — the specification of
+    those fields of {!Mx_sim.Cycle_sim.time_traced}'s bus statistics.
+    {!replay} is its first component. *)
+
 val estimate :
   workload:Mx_trace.Workload.t ->
   arch:Mx_mem.Mem_arch.t ->

@@ -391,18 +391,22 @@ let trace_suite =
             R.all_of
               (List.map
                  (fun (label, sample, cpu) ->
-                   let mat =
-                     Mx_sim.Cycle_sim.run ?sample ~cpu ~workload:w ~arch ~conn
-                       ()
+                   let mat, mat_stats =
+                     Mx_sim.Cycle_sim.run_traced ?sample ~cpu ~workload:w ~arch
+                       ~conn ()
                    in
                    let sw = Mx_trace.Trace_io.open_stream ~path in
-                   let str =
-                     Mx_sim.Cycle_sim.run_stream ?sample ~cpu ~workload:sw
-                       ~arch ~conn ()
+                   let str, str_stats =
+                     Mx_sim.Cycle_sim.run_stream_traced ?sample ~cpu
+                       ~workload:sw ~arch ~conn ()
                    in
                    Mx_trace.Trace_stream.close sw.Workload.s_stream;
                    match wire_diff mat str with
-                   | None -> R.Pass
+                   | None ->
+                     (* the streamed path totals the bus statistics
+                        across chunks *)
+                     R.check (str_stats = mat_stats)
+                       "streamed bus statistics diverge under %s" label
                    | Some diff ->
                      R.failf "streamed replay diverges under %s (%s)" label
                        diff)
@@ -572,6 +576,24 @@ let wire_mismatch ~what sim orc =
   | None -> R.Pass
   | Some diff -> R.failf "%s: simulator vs oracle: %s" what diff
 
+(* Transactions, busy and wait cycles per binding against the oracle's
+   straight-line totals. *)
+let bus_mismatch ~what stats totals =
+  let got =
+    List.map
+      (fun (s : Mx_sim.Cycle_sim.bus_stat) ->
+        (s.Mx_sim.Cycle_sim.txns, s.busy_cycles, s.wait_cycles))
+      stats
+  in
+  if got = totals then R.Pass
+  else
+    let show l =
+      String.concat "; "
+        (List.map (fun (t, b, w) -> Printf.sprintf "%d/%d/%d" t b w) l)
+    in
+    R.failf "%s: bus txns/busy/wait: simulator [%s] vs oracle [%s]" what
+      (show got) (show totals)
+
 let sample_tag = function
   | None -> "exact"
   | Some (on, off) -> Printf.sprintf "sample %d/%d" on off
@@ -608,13 +630,16 @@ let sim_suite =
              (1 + Prng.int g ~bound:4)
              (fun k ->
                let conn = Gen.conn g p.Gen.p_brg and cpu = Gen.cpu_model g in
-               wire_mismatch
-                 ~what:
-                   (Printf.sprintf "connectivity %d of %s, %s, %s" k
-                      (Mem_arch.describe arch) (sample_tag sample)
-                      (cpu_tag cpu))
-                 (Mx_sim.Cycle_sim.time ~cpu column ~conn)
-                 (Oracle.replay ?sample ~cpu ~workload:w ~arch ~conn ()))));
+               let what =
+                 Printf.sprintf "connectivity %d of %s, %s, %s" k
+                   (Mem_arch.describe arch) (sample_tag sample) (cpu_tag cpu)
+               in
+               let sim, stats = Mx_sim.Cycle_sim.time_traced ~cpu column ~conn
+               and orc, totals =
+                 Oracle.replay_traced ?sample ~cpu ~workload:w ~arch ~conn ()
+               in
+               R.all_of
+                 [ wire_mismatch ~what sim orc; bus_mismatch ~what stats totals ])));
     R.prop ~cost:4 "cycle simulator is deterministic" (fun ~seed ~size ->
         let g = Prng.create ~seed in
         let p = Gen.pipeline g ~size in

@@ -84,11 +84,14 @@ let chunk_has_on_window ~on ~off ~first ~len =
    Everything the timing model reads about an access, except the
    connectivity's own state, depends only on the architecture, the
    workload and the sampling pattern: [Mem_sim.access] takes the access
-   index as [now], and the DRAM row-buffer model is called at the same
+   index as [now], the DRAM row-buffer model is called at the same
    accesses whatever the connectivity (in an on-window once per critical
    fill and once per background transfer, in an off-window once per
-   access with DRAM traffic).  A recorder runs both once and keeps, per
-   on-window access, the id of its distinct outcome tuple. *)
+   access with DRAM traffic), and the compute gap before an access
+   follows from the workload's ops-per-access rate and the access index
+   alone.  A recorder runs all three once and keeps, per on-window
+   access, the id of its distinct outcome tuple, and per tuple the
+   number of on-window accesses that have it. *)
 
 type outcome = {
   serving : Mem_sim.serving;
@@ -101,6 +104,7 @@ type outcome = {
   extra_latency : int;
   extra_energy : float;
   dram_latency : int;  (** row-buffer latency of the critical fill, or 0 *)
+  gap : int;  (** compute cycles the CPU spends before the access *)
 }
 
 type recorder = {
@@ -108,10 +112,14 @@ type recorder = {
   msim : Mem_sim.t;
   on : int;
   period : int;
+  rate : float;  (** CPU ops per access *)
+  mutable ops_acc : float;
+      (** the fraction the compute-gap recurrence carries over *)
   mutable slots : int array;
       (** open-addressing index over [outcomes]: id + 1, or 0 when free *)
   mutable outcomes : outcome array;
   mutable hashes : int array;  (** [hash_outcome] of each outcome *)
+  mutable counts : int array;  (** on-window accesses of each outcome *)
   mutable n_outcomes : int;
   mutable ids : Bytes.t;  (** one id per on-window access *)
   mutable width : int;  (** bytes per id: 1, 2, 4 or 8 *)
@@ -131,23 +139,28 @@ let set_id ids width j id =
   else if width = 4 then Bytes.set_int32_le ids (4 * j) (Int32.of_int id)
   else Bytes.set_int64_le ids (8 * j) (Int64.of_int id)
 
-let recorder ?sample ~arch ~regions () =
+let recorder ?sample ~arch ~regions ~accesses ~cpu_ops () =
   let on, period = window_of sample in
   {
     arch;
     msim = Mem_sim.create arch ~regions;
     on;
     period;
+    rate =
+      (if accesses = 0 then 0.0
+       else float_of_int cpu_ops /. float_of_int accesses);
+    ops_acc = 0.0;
     slots = Array.make 64 0;
     outcomes = [||];
     hashes = [||];
+    counts = [||];
     n_outcomes = 0;
     ids = Bytes.create 256;
     width = 1;
     n_ids = 0;
   }
 
-let hash_outcome (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency =
+let hash_outcome (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency ~gap =
   let mix h v = (h * 0x2f0b3d29) lxor v in
   let h = mix (Serving.index o.Mem_sim.serving) size in
   let h = mix h (Bool.to_int write) in
@@ -158,10 +171,12 @@ let hash_outcome (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency =
   let h = mix h o.Mem_sim.extra_latency in
   let h = mix h (Int64.to_int (Int64.bits_of_float o.Mem_sim.extra_energy)) in
   let h = mix h dram_latency in
+  let h = mix h gap in
   h lxor (h lsr 29)
 
 (* bitwise on the float: interning must be lossless *)
-let same_outcome u (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency =
+let same_outcome u (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency
+    ~gap =
   u.serving = o.Mem_sim.serving
   && u.size = size && u.write = write
   && u.dram_bytes = o.Mem_sim.dram_bytes
@@ -170,20 +185,21 @@ let same_outcome u (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency =
   && u.l2_bytes = o.Mem_sim.l2_bytes
   && u.extra_latency = o.Mem_sim.extra_latency
   && u.dram_latency = dram_latency
+  && u.gap = gap
   && Int64.equal
        (Int64.bits_of_float u.extra_energy)
        (Int64.bits_of_float o.Mem_sim.extra_energy)
 
 (* The id of the outcome tuple of [o], added when new.  Allocates only
    for a new tuple. *)
-let intern r (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency =
-  let h = hash_outcome o ~size ~write ~crit ~dram_latency in
+let intern r (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency ~gap =
+  let h = hash_outcome o ~size ~write ~crit ~dram_latency ~gap in
   let mask = Array.length r.slots - 1 in
   let rec probe k =
     let s = r.slots.(k) in
     if s = 0 then add k
     else if
-      same_outcome r.outcomes.(s - 1) o ~size ~write ~crit ~dram_latency
+      same_outcome r.outcomes.(s - 1) o ~size ~write ~crit ~dram_latency ~gap
     then s - 1
     else probe ((k + 1) land mask)
   and add k =
@@ -200,13 +216,15 @@ let intern r (o : Mem_sim.outcome) ~size ~write ~crit ~dram_latency =
         extra_latency = o.Mem_sim.extra_latency;
         extra_energy = o.Mem_sim.extra_energy;
         dram_latency;
+        gap;
       }
     in
     if id = Array.length r.outcomes then begin
       let cap = max 16 (2 * id) in
       let grow a fill = Array.init cap (fun i -> if i < id then a.(i) else fill) in
       r.outcomes <- grow r.outcomes u;
-      r.hashes <- grow r.hashes 0
+      r.hashes <- grow r.hashes 0;
+      r.counts <- grow r.counts 0
     end;
     r.outcomes.(id) <- u;
     r.hashes.(id) <- h;
@@ -252,8 +270,13 @@ let push_id r id =
    from [first], through the modules and the DRAM model. *)
 let record_span r ~addrs ~metas ~off ~len ~first =
   let dram = Mem_sim.dram r.msim in
+  let rate = r.rate and ops_acc = ref r.ops_acc in
   let phase = ref (first mod r.period) in
   for k = off to off + len - 1 do
+    (* interleaved compute cycles, advanced on- and off-window *)
+    ops_acc := !ops_acc +. rate;
+    let gap = int_of_float !ops_acc in
+    ops_acc := !ops_acc -. float_of_int gap;
     let addr = addrs.(k) and meta = metas.(k) in
     let size = Trace.meta_size meta in
     let write = Trace.meta_kind meta = Mx_trace.Access.Write in
@@ -273,21 +296,36 @@ let record_span r ~addrs ~metas ~off ~len ~first =
         end
         else 0
       in
-      push_id r (intern r o ~size ~write ~crit ~dram_latency)
+      let id = intern r o ~size ~write ~crit ~dram_latency ~gap in
+      r.counts.(id) <- r.counts.(id) + 1;
+      push_id r id
     end
     else if o.Mem_sim.dram_bytes > 0 then
       (* off window: keep the row buffers warm, no timing *)
       ignore (Mx_mem.Dram.access dram ~addr);
     incr phase;
     if !phase = r.period then phase := 0
-  done
+  done;
+  r.ops_acc <- !ops_acc
+
+(* A skipped span must still advance the compute-gap recurrence, so the
+   accesses that ARE recorded get the same gaps as in a full pass.
+   Same float ops per access as [record_span]. *)
+let fast_forward r ~len =
+  let ops_acc = ref r.ops_acc and rate = r.rate in
+  for _ = 1 to len do
+    ops_acc := !ops_acc +. rate;
+    let gap = int_of_float !ops_acc in
+    ops_acc := !ops_acc -. float_of_int gap
+  done;
+  r.ops_acc <- !ops_acc
 
 type column = {
   c_arch : Mem_arch.t;
   c_sample : (int * int) option;
   c_accesses : int;
-  c_cpu_ops : int;
   c_outcomes : outcome array;
+  c_counts : int array;  (** on-window accesses of each outcome *)
   c_ids : Bytes.t;
   c_width : int;
   c_miss_ratio : float;
@@ -295,10 +333,13 @@ type column = {
 }
 
 let record ?sample ~(workload : Workload.t) ~arch () =
-  let r = recorder ?sample ~arch ~regions:workload.Workload.regions () in
   let trace = workload.Workload.trace in
-  let addrs, metas = Trace.backing trace in
   let n = Trace.length trace in
+  let r =
+    recorder ?sample ~arch ~regions:workload.Workload.regions ~accesses:n
+      ~cpu_ops:workload.Workload.cpu_ops ()
+  in
+  let addrs, metas = Trace.backing trace in
   (* room for every on-window id at one byte each *)
   r.ids <- Bytes.create (((n / r.period) * r.on) + min r.on (n mod r.period));
   record_span r ~addrs ~metas ~off:0 ~len:n ~first:0;
@@ -307,8 +348,8 @@ let record ?sample ~(workload : Workload.t) ~arch () =
     c_arch = arch;
     c_sample = sample;
     c_accesses = n;
-    c_cpu_ops = workload.Workload.cpu_ops;
     c_outcomes = Array.sub r.outcomes 0 r.n_outcomes;
+    c_counts = Array.sub r.counts 0 r.n_outcomes;
     c_ids =
       (if Bytes.length r.ids = r.n_ids * r.width then r.ids
        else Bytes.sub r.ids 0 (r.n_ids * r.width));
@@ -321,14 +362,17 @@ let distinct_outcomes c = Array.length c.c_outcomes
 
 let footprint c =
   Bytes.length c.c_ids
-  + (Obj.reachable_words (Obj.repr c.c_outcomes) * (Sys.word_size / 8))
+  + (Obj.reachable_words (Obj.repr c.c_outcomes)
+     + Obj.reachable_words (Obj.repr c.c_counts))
+    * (Sys.word_size / 8)
 
 (* -- stage 2: time ---------------------------------------------------------
 
    Each distinct outcome becomes one row, built once per connectivity:
-   the routed legs, their transaction latencies and occupancies, and
-   the energy terms.  [Component] and [Conn_cost] are pure, so a row
-   field is the value the per-access call would have returned.
+   the compute gap, the routed legs, their transaction latencies and
+   occupancies, and the energy terms.  [Component] and [Conn_cost] are
+   pure, so a row field is the value the per-access call would have
+   returned.
 
    The channel check stays lazy: a column holds outcomes of timed
    (on-window) accesses only, with ids in order of first appearance,
@@ -336,37 +380,45 @@ let footprint c =
    on-window access that needs it, and building that row raises the
    error that access would have raised. *)
 
-(* What timing one outcome needs under one connectivity.  [lm] is -1
-   without L2 traffic; [dram] is 0 without DRAM traffic, 1 over the
-   class's DRAM leg, 2 for a direct access riding its CPU leg. *)
-type row = {
-  l1 : int;  (** CPU-side binding *)
-  lat1 : int;
-  occ1 : int;
-  split1 : bool;  (** the CPU-side component is split-transaction *)
-  lm : int;  (** L1<->L2 binding *)
-  lat_m : int;  (** L2 leg latency plus the L2's access latency *)
-  occ_m : int;
-  bg_m : bool;  (** the L2 leg carries background bytes *)
-  occ_bg_m : int;
-  dram : int;
-  d : int;  (** the binding carrying the DRAM traffic *)
-  critical : bool;  (** a critical fill *)
-  occ2 : int;
-  hold2 : int;  (** [occ2] plus the DRAM latency when not split *)
-  lat2 : int;  (** leg latency plus the DRAM latency *)
-  dram_lat : int;
-  bg : bool;  (** background DRAM bytes *)
-  occ_bg : int;
-  mem : int;  (** module latency plus extra latency *)
-  (* the energy addends, summed in this order *)
-  e_l2 : float;
-  e_dram : float;
-  e_dram_bus : float;
-  e_module : float;
-  e_extra : float;
-  e_cpu_bus : float;
-}
+(* Rows are flat: [stride] ints per outcome in [ri] and [fstride]
+   energy addends per outcome in [rf], at offsets [id * stride] and
+   [id * fstride]. *)
+let stride = 16
+
+let r_gap = 0
+let r_l1 = 1 (* CPU-side binding *)
+let r_lat1 = 2
+let r_occ1 = 3
+let r_lm = 4 (* L1<->L2 binding, or -1 without L2 traffic *)
+let r_lat_m = 5 (* L2 leg latency plus the L2's access latency *)
+let r_occ_m = 6
+let r_occ_bg_m = 7 (* occupancy of the L2 leg's background bytes, or 0 *)
+let r_d = 8 (* the binding carrying the DRAM traffic *)
+let r_occ2 = 9
+let r_hold2 = 10 (* [occ2] plus the DRAM latency when not split *)
+let r_lat2 = 11 (* leg latency plus the DRAM latency *)
+let r_dram_lat = 12
+let r_occ_bg = 13 (* occupancy of the background DRAM bytes, or 0 *)
+let r_mem = 14 (* module latency plus extra latency *)
+let r_flags = 15
+
+(* the bits of [r_flags] *)
+let fl_split1 = 1 (* the CPU-side component is split-transaction *)
+let fl_bg_m = 2 (* the L2 leg carries background bytes *)
+let fl_dram = 4 (* DRAM traffic, over [r_d] *)
+let fl_direct = 8 (* a direct access: the DRAM leg is the CPU leg *)
+let fl_critical = 16 (* a critical fill *)
+let fl_bg = 32 (* background DRAM bytes *)
+
+(* the energy addends, summed in this order *)
+let fstride = 6
+
+let e_l2 = 0
+let e_dram = 1
+let e_dram_bus = 2
+let e_module = 3
+let e_extra = 4
+let e_cpu_bus = 5
 
 type timer = {
   t_arch : Mem_arch.t;
@@ -376,23 +428,20 @@ type timer = {
   cpu_leg : leg option array;
   dram_leg : leg option array;
   l2_leg : leg option;
-  busy : int array;
+  busy : int array;  (** per binding, like the three below *)
   busy_acc : int array;
   wait_acc : int array;
   txn_acc : int array;
-  ops_rate : float;
-  t_on : int;
-  t_period : int;
-  mutable rows : row array;
+  mutable ri : int array;
+  mutable rf : float array;
+  mutable rows : int;  (** rows built *)
   mutable now : int;
-  mutable ops_acc : float;
   mutable sampled : int;
-  mutable total_lat : int;
-  mutable total_wait : int;
+  mutable gaps : int;  (** compute cycles before the timed accesses *)
   mutable energy : float;
 }
 
-let timer ~cpu ~arch ~conn ~on ~period ~accesses ~cpu_ops =
+let timer ~cpu ~arch ~conn =
   check_cpu cpu;
   let bindings = (conn : Conn_arch.t).Conn_arch.bindings in
   let nbind = max 1 (List.length bindings) in
@@ -423,17 +472,12 @@ let timer ~cpu ~arch ~conn ~on ~period ~accesses ~cpu_ops =
     busy_acc = Array.make nbind 0;
     wait_acc = Array.make nbind 0;
     txn_acc = Array.make nbind 0;
-    ops_rate =
-      (if accesses = 0 then 0.0
-       else float_of_int cpu_ops /. float_of_int accesses);
-    t_on = on;
-    t_period = period;
-    rows = [||];
+    ri = [||];
+    rf = [||];
+    rows = 0;
     now = 0;
-    ops_acc = 0.0;
     sampled = 0;
-    total_lat = 0;
-    total_wait = 0;
+    gaps = 0;
     energy = 0.0;
   }
 
@@ -443,8 +487,15 @@ let missing node =
        "Cycle_sim.run: connectivity does not implement the %s channel"
        (Channel.node_to_string node))
 
-(* The row of outcome [o]. *)
-let build_row t (o : outcome) =
+(* A leg's binding index, checked against the per-binding arrays: the
+   timing loop indexes them unchecked. *)
+let binding t (l : leg) =
+  if l.idx < 0 || l.idx >= Array.length t.busy then
+    invalid_arg "Cycle_sim.run: leg routed outside the bindings";
+  l.idx
+
+(* Write row [id], the row of outcome [o]. *)
+let build_row t (o : outcome) id =
   let arch = t.t_arch in
   let sv = o.serving and k = Serving.index o.serving in
   let direct = sv = Mem_sim.By_dram_direct in
@@ -456,224 +507,229 @@ let build_row t (o : outcome) =
   | Some _ when o.dram_bytes > 0 && (not direct) && t.dram_leg.(k) = None ->
     missing (Serving.node_of sv)
   | Some l1 ->
-    let row =
-      {
-        l1 = l1.idx;
-        lat1 =
-          Component.txn_latency l1.comp ~bytes:o.size ~contended:l1.contended;
-        occ1 = Component.occupancy l1.comp ~bytes:o.size;
-        split1 = l1.comp.Component.split_txn;
-        lm = -1;
-        lat_m = 0;
-        occ_m = 0;
-        bg_m = false;
-        occ_bg_m = 0;
-        dram = 0;
-        d = 0;
-        critical = false;
-        occ2 = 0;
-        hold2 = 0;
-        lat2 = 0;
-        dram_lat = 0;
-        bg = false;
-        occ_bg = 0;
-        mem = Serving.module_latency arch sv + o.extra_latency;
-        e_l2 = 0.0;
-        e_dram = 0.0;
-        e_dram_bus = 0.0;
-        e_module = Serving.module_energy arch sv ~write:o.write;
-        e_extra = o.extra_energy;
-        e_cpu_bus = float_of_int o.size *. Conn_cost.energy_per_byte l1.comp;
-      }
-    in
-    let row =
-      match t.l2_leg with
-      | Some lm when o.l2_bytes > 0 ->
-        let crit_m = min 8 o.l2_bytes in
-        let bg_m = o.l2_bytes - crit_m in
-        let l2_lat =
-          match arch.Mem_arch.l2 with Some c -> c.Params.c_latency | None -> 0
-        in
-        {
-          row with
-          lm = lm.idx;
-          lat_m =
-            Component.txn_latency lm.comp ~bytes:crit_m ~contended:lm.contended
-            + l2_lat;
-          occ_m = Component.occupancy lm.comp ~bytes:crit_m;
-          bg_m = bg_m > 0;
-          occ_bg_m =
-            (if bg_m > 0 then Component.occupancy lm.comp ~bytes:bg_m else 0);
-          e_l2 = float_of_int o.l2_bytes *. Conn_cost.energy_per_byte lm.comp;
-        }
-      | _ -> row
-    in
-    if o.dram_bytes = 0 then row
-    else begin
+    let ri = t.ri and rf = t.rf in
+    let b = id * stride and e = id * fstride in
+    let flags = ref (if l1.comp.Component.split_txn then fl_split1 else 0) in
+    ri.(b + r_gap) <- o.gap;
+    ri.(b + r_l1) <- binding t l1;
+    ri.(b + r_lat1) <-
+      Component.txn_latency l1.comp ~bytes:o.size ~contended:l1.contended;
+    ri.(b + r_occ1) <- Component.occupancy l1.comp ~bytes:o.size;
+    ri.(b + r_lm) <- -1;
+    ri.(b + r_mem) <- Serving.module_latency arch sv + o.extra_latency;
+    (match t.l2_leg with
+    | Some lm when o.l2_bytes > 0 ->
+      let crit_m = min 8 o.l2_bytes in
+      let bg_m = o.l2_bytes - crit_m in
+      let l2_lat =
+        match arch.Mem_arch.l2 with Some c -> c.Params.c_latency | None -> 0
+      in
+      ri.(b + r_lm) <- binding t lm;
+      ri.(b + r_lat_m) <-
+        Component.txn_latency lm.comp ~bytes:crit_m ~contended:lm.contended
+        + l2_lat;
+      ri.(b + r_occ_m) <- Component.occupancy lm.comp ~bytes:crit_m;
+      if bg_m > 0 then begin
+        flags := !flags lor fl_bg_m;
+        ri.(b + r_occ_bg_m) <- Component.occupancy lm.comp ~bytes:bg_m
+      end;
+      rf.(e + e_l2) <-
+        float_of_int o.l2_bytes *. Conn_cost.energy_per_byte lm.comp
+    | _ -> ());
+    if o.dram_bytes > 0 then begin
       let leg = if direct then l1 else Option.get t.dram_leg.(k) in
       let crit = o.crit and bg = o.dram_bytes - o.crit in
       let occ2 =
         if crit > 0 then Component.occupancy leg.comp ~bytes:crit else 0
       in
-      {
-        row with
-        dram = (if direct then 2 else 1);
-        d = leg.idx;
-        critical = crit > 0;
-        occ2;
-        hold2 =
-          (occ2 + if leg.comp.Component.split_txn then 0 else o.dram_latency);
-        lat2 =
-          (if crit > 0 then
-             Component.txn_latency leg.comp ~bytes:crit
-               ~contended:leg.contended
-           else 0)
-          + o.dram_latency;
-        dram_lat = o.dram_latency;
-        bg = bg > 0;
-        occ_bg = (if bg > 0 then Component.occupancy leg.comp ~bytes:bg else 0);
-        e_dram =
-          Mx_mem.Energy_model.dram_traffic ~txns:o.dram_txns
-            ~bytes:o.dram_bytes;
-        e_dram_bus =
-          float_of_int o.dram_bytes *. Conn_cost.energy_per_byte leg.comp;
-      }
-    end
+      flags := !flags lor fl_dram;
+      if direct then flags := !flags lor fl_direct;
+      if crit > 0 then flags := !flags lor fl_critical;
+      ri.(b + r_d) <- binding t leg;
+      ri.(b + r_occ2) <- occ2;
+      ri.(b + r_hold2) <-
+        (occ2 + if leg.comp.Component.split_txn then 0 else o.dram_latency);
+      ri.(b + r_lat2) <-
+        (if crit > 0 then
+           Component.txn_latency leg.comp ~bytes:crit ~contended:leg.contended
+         else 0)
+        + o.dram_latency;
+      ri.(b + r_dram_lat) <- o.dram_latency;
+      if bg > 0 then begin
+        flags := !flags lor fl_bg;
+        ri.(b + r_occ_bg) <- Component.occupancy leg.comp ~bytes:bg
+      end;
+      rf.(e + e_dram) <-
+        Mx_mem.Energy_model.dram_traffic ~txns:o.dram_txns ~bytes:o.dram_bytes;
+      rf.(e + e_dram_bus) <-
+        float_of_int o.dram_bytes *. Conn_cost.energy_per_byte leg.comp
+    end;
+    rf.(e + e_module) <- Serving.module_energy arch sv ~write:o.write;
+    rf.(e + e_extra) <- o.extra_energy;
+    rf.(e + e_cpu_bus) <-
+      float_of_int o.size *. Conn_cost.energy_per_byte l1.comp;
+    ri.(b + r_flags) <- !flags
 
 (* Make rows exist for the first [n] outcomes. *)
 let build_rows t outcomes n =
-  let built = Array.length t.rows in
-  if n > built then
-    t.rows <-
-      Array.append t.rows
-        (Array.init (n - built) (fun i -> build_row t outcomes.(built + i)))
+  if n > t.rows then begin
+    if n * stride > Array.length t.ri then begin
+      let cap = max n (2 * t.rows) in
+      let grow a len zero =
+        let g = Array.make len zero in
+        Array.blit a 0 g 0 (Array.length a);
+        g
+      in
+      t.ri <- grow t.ri (cap * stride) 0;
+      t.rf <- grow t.rf (cap * fstride) 0.0
+    end;
+    for id = t.rows to n - 1 do
+      build_row t outcomes.(id) id
+    done;
+    t.rows <- n
+  end
 
 let imax (a : int) b = if a >= b then a else b
 
-(* Time accesses [first, first+len); the on-window ones read their
-   outcome ids from [ids] in order.  The state lives in locals for the
-   loop and goes back to [t] at the end, so the loop allocates
-   nothing. *)
-let time_span t ids width ~first ~len =
-  let rows = t.rows and busy = t.busy in
-  let busy_acc = t.busy_acc and wait_acc = t.wait_acc and txn_acc = t.txn_acc in
+let[@inline] ( .%() ) (a : int array) i = Array.unsafe_get a i
+let[@inline] ( .%()<- ) (a : int array) i v = Array.unsafe_set a i v
+
+(* Park a miss in the MSHR that frees first (lowest index on ties); the
+   CPU stalls only until that slot is free.  Out of line, so the timing
+   loop keeps its registers for the common path. *)
+let[@inline never] park mshrs ~now ~on_chip ~miss_path =
+  let slot = ref 0 in
+  for s = 1 to Array.length mshrs - 1 do
+    if mshrs.(s) < mshrs.(!slot) then slot := s
+  done;
+  let stall = imax 0 (mshrs.(!slot) - now) in
+  mshrs.(!slot) <- now + stall + on_chip + miss_path;
+  on_chip + stall
+
+(* Time [n] timed accesses whose outcome ids are [ids], in order.  Only
+   the state that evolves lives here: the clock, the per-bus free times
+   and waits, and energy.  [add_totals] derives busy cycles,
+   transactions and compute gaps from the per-outcome counts, and
+   [finish] the total latency and wait from the clock and the per-bus
+   waits.  The state lives in locals for the loop and goes back to [t]
+   at the end, so the loop allocates nothing.
+
+   Rows and per-bus arrays are read unchecked ([.%()]): every id is
+   below [t.rows] (a column's ids index its own outcome table, whose
+   rows are all built before timing; a streamed chunk's rows are built
+   before the chunk is timed), and [binding] checked every leg's index
+   against the per-bus arrays when its row was built. *)
+let time_span t ids width ~n =
+  let ri = t.ri and rf = t.rf and busy = t.busy and wait_acc = t.wait_acc in
   let mshrs = t.mshrs and overlap = t.overlap in
-  let on = t.t_on and period = t.t_period and rate = t.ops_rate in
-  let now = ref t.now and ops_acc = ref t.ops_acc in
-  let sampled = ref t.sampled and total_lat = ref t.total_lat in
-  let total_wait = ref t.total_wait and energy = ref t.energy in
-  let phase = ref (first mod period) and j = ref 0 in
-  for _ = 1 to len do
-    (* interleaved compute cycles *)
-    ops_acc := !ops_acc +. rate;
-    let gap = int_of_float !ops_acc in
-    ops_acc := !ops_acc -. float_of_int gap;
-    if !phase < on then begin
-      let r = rows.(get_id ids width !j) in
-      incr j;
-      let l1 = r.l1 in
-      now := !now + gap;
-      let start1 = imax !now busy.(l1) in
-      let wait1 = start1 - !now in
-      busy_acc.(l1) <- busy_acc.(l1) + r.occ1;
-      wait_acc.(l1) <- wait_acc.(l1) + wait1;
-      txn_acc.(l1) <- txn_acc.(l1) + 1;
-      let miss_path = ref 0 in
-      (* the L1<->L2 leg comes first on an L1 miss when an L2 exists *)
-      let lm = r.lm in
-      if lm >= 0 then begin
-        let t_req = !now + wait1 + r.lat1 in
-        let start_m = imax t_req busy.(lm) in
-        let wait_m = start_m - t_req in
-        busy.(lm) <- start_m + r.occ_m;
-        busy_acc.(lm) <- busy_acc.(lm) + r.occ_m;
-        wait_acc.(lm) <- wait_acc.(lm) + wait_m;
-        txn_acc.(lm) <- txn_acc.(lm) + 1;
-        if r.bg_m then begin
-          busy.(lm) <- imax busy.(lm) !now + r.occ_bg_m;
-          busy_acc.(lm) <- busy_acc.(lm) + r.occ_bg_m;
-          txn_acc.(lm) <- txn_acc.(lm) + 1
-        end;
-        miss_path := wait_m + r.lat_m;
-        total_wait := !total_wait + wait_m;
-        energy := !energy +. r.e_l2
-      end;
-      (* off-chip leg: a direct access rides its CPU channel, the others
-         go through their module's DRAM channel *)
-      if r.dram > 0 then begin
-        let d = r.d in
-        if r.critical then begin
-          if r.dram = 2 then miss_path := r.dram_lat
-          else begin
-            let t_req = !now + wait1 + r.lat1 + !miss_path in
-            let start2 = imax t_req busy.(d) in
-            let wait2 = start2 - t_req in
-            busy.(d) <- start2 + r.hold2;
-            busy_acc.(d) <- busy_acc.(d) + r.occ2;
-            wait_acc.(d) <- wait_acc.(d) + wait2;
-            txn_acc.(d) <- txn_acc.(d) + 1;
-            miss_path := !miss_path + wait2 + r.lat2;
-            total_wait := !total_wait + wait2
-          end
-        end;
-        if r.bg then begin
-          (* prefetch/writeback traffic occupies the off-chip leg
-             without stalling the CPU *)
-          busy.(d) <- imax busy.(d) !now + r.occ_bg;
-          busy_acc.(d) <- busy_acc.(d) + r.occ_bg;
-          txn_acc.(d) <- txn_acc.(d) + 1
-        end;
-        (* off-chip energy: DRAM core (per burst) + pad/bus switching *)
-        energy := !energy +. r.e_dram +. r.e_dram_bus
-      end;
-      (* hold a non-split CPU-side component for the whole miss *)
-      busy.(l1) <- start1 + r.occ1 + (if r.split1 then 0 else !miss_path);
-      let on_chip = wait1 + r.lat1 + r.mem in
-      let latency =
-        if not overlap then on_chip + !miss_path
-        else if !miss_path = 0 then on_chip
-        else begin
-          (* park the miss in an MSHR; stall only when all are busy *)
-          let slot = ref 0 in
-          for s = 1 to Array.length mshrs - 1 do
-            if mshrs.(s) < mshrs.(!slot) then slot := s
-          done;
-          let stall = imax 0 (mshrs.(!slot) - !now) in
-          mshrs.(!slot) <- !now + stall + on_chip + !miss_path;
-          on_chip + stall
-        end
-      in
-      now := !now + latency;
-      total_lat := !total_lat + latency;
-      total_wait := !total_wait + wait1;
-      incr sampled;
-      energy := !energy +. r.e_module +. r.e_extra +. r.e_cpu_bus
+  let now = ref t.now and energy = ref t.energy in
+  for j = 0 to n - 1 do
+    (* one-byte ids, the common case, without a call *)
+    let id =
+      if width = 1 then Char.code (Bytes.unsafe_get ids j)
+      else get_id ids width j
+    in
+    let b = id * stride and e = id * fstride in
+    let flags = ri.%(b + r_flags) in
+    now := !now + ri.%(b + r_gap);
+    let l1 = ri.%(b + r_l1) and lat1 = ri.%(b + r_lat1) in
+    let start1 = imax !now busy.%(l1) in
+    let wait1 = start1 - !now in
+    wait_acc.%(l1) <- wait_acc.%(l1) + wait1;
+    let miss_path = ref 0 in
+    (* the L1<->L2 leg comes first on an L1 miss when an L2 exists *)
+    let lm = ri.%(b + r_lm) in
+    if lm >= 0 then begin
+      let t_req = !now + wait1 + lat1 in
+      let start_m = imax t_req busy.%(lm) in
+      let wait_m = start_m - t_req in
+      busy.%(lm) <- start_m + ri.%(b + r_occ_m);
+      wait_acc.%(lm) <- wait_acc.%(lm) + wait_m;
+      if flags land fl_bg_m <> 0 then
+        busy.%(lm) <- imax busy.%(lm) !now + ri.%(b + r_occ_bg_m);
+      miss_path := wait_m + ri.%(b + r_lat_m);
+      energy := !energy +. Array.unsafe_get rf (e + e_l2)
     end;
-    incr phase;
-    if !phase = period then phase := 0
+    (* off-chip leg: a direct access rides its CPU channel, the others
+       go through their module's DRAM channel *)
+    if flags land fl_dram <> 0 then begin
+      let d = ri.%(b + r_d) in
+      if flags land fl_critical <> 0 then begin
+        if flags land fl_direct <> 0 then miss_path := ri.%(b + r_dram_lat)
+        else begin
+          let t_req = !now + wait1 + lat1 + !miss_path in
+          let start2 = imax t_req busy.%(d) in
+          let wait2 = start2 - t_req in
+          busy.%(d) <- start2 + ri.%(b + r_hold2);
+          wait_acc.%(d) <- wait_acc.%(d) + wait2;
+          miss_path := !miss_path + wait2 + ri.%(b + r_lat2)
+        end
+      end;
+      if flags land fl_bg <> 0 then
+        (* prefetch/writeback traffic occupies the off-chip leg
+           without stalling the CPU *)
+        busy.%(d) <- imax busy.%(d) !now + ri.%(b + r_occ_bg);
+      (* off-chip energy: DRAM core (per burst) + pad/bus switching *)
+      energy :=
+        !energy
+        +. Array.unsafe_get rf (e + e_dram)
+        +. Array.unsafe_get rf (e + e_dram_bus)
+    end;
+    (* hold a non-split CPU-side component for the whole miss *)
+    busy.%(l1) <-
+      start1 + ri.%(b + r_occ1)
+      + if flags land fl_split1 <> 0 then 0 else !miss_path;
+    let on_chip = wait1 + lat1 + ri.%(b + r_mem) in
+    let latency =
+      if not overlap then on_chip + !miss_path
+      else if !miss_path = 0 then on_chip
+      else park mshrs ~now:!now ~on_chip ~miss_path:!miss_path
+    in
+    now := !now + latency;
+    energy :=
+      !energy
+      +. Array.unsafe_get rf (e + e_module)
+      +. Array.unsafe_get rf (e + e_extra)
+      +. Array.unsafe_get rf (e + e_cpu_bus)
   done;
   t.now <- !now;
-  t.ops_acc <- !ops_acc;
-  t.sampled <- !sampled;
-  t.total_lat <- !total_lat;
-  t.total_wait <- !total_wait;
+  t.sampled <- t.sampled + n;
   t.energy <- !energy
 
-(* A skipped span must still advance the compute-gap recurrence, so the
-   accesses that ARE replayed see the same interleaved gaps as a full
-   pass.  Same float ops per access as [time_span]. *)
-let fast_forward t ~len =
-  let ops_acc = ref t.ops_acc and rate = t.ops_rate in
-  for _ = 1 to len do
-    ops_acc := !ops_acc +. rate;
-    let gap = int_of_float !ops_acc in
-    ops_acc := !ops_acc -. float_of_int gap
-  done;
-  t.ops_acc <- !ops_acc
+(* Busy cycles, transactions and compute gaps: every timed access adds
+   constants of its row to them, so each outcome adds
+   [count * constant]. *)
+let add_totals t counts n =
+  let ri = t.ri in
+  let add i ~c ~busy ~txns =
+    t.busy_acc.(i) <- t.busy_acc.(i) + (c * busy);
+    t.txn_acc.(i) <- t.txn_acc.(i) + (c * txns)
+  in
+  for id = 0 to n - 1 do
+    let c = counts.(id) and b = id * stride in
+    let flags = ri.(b + r_flags) in
+    t.gaps <- t.gaps + (c * ri.(b + r_gap));
+    add ri.(b + r_l1) ~c ~busy:ri.(b + r_occ1) ~txns:1;
+    let lm = ri.(b + r_lm) in
+    if lm >= 0 then
+      add lm ~c
+        ~busy:(ri.(b + r_occ_m) + ri.(b + r_occ_bg_m))
+        ~txns:(if flags land fl_bg_m <> 0 then 2 else 1);
+    if flags land fl_dram <> 0 then begin
+      let d = ri.(b + r_d) in
+      if flags land (fl_critical lor fl_direct) = fl_critical then
+        add d ~c ~busy:ri.(b + r_occ2) ~txns:1;
+      if flags land fl_bg <> 0 then add d ~c ~busy:ri.(b + r_occ_bg) ~txns:1
+    end
+  done
 
 let finish t ~accesses ~exact ~miss_ratio ~dram_bytes =
+  (* the clock advanced by each timed access's gap and latency, and
+     every wait is some bus's *)
+  let total_lat = t.now - t.gaps in
+  let total_wait = Array.fold_left ( + ) 0 t.wait_acc in
   let sampled = max 1 t.sampled in
-  let avg_lat = float_of_int t.total_lat /. float_of_int sampled in
+  let avg_lat = float_of_int total_lat /. float_of_int sampled in
   let scale = float_of_int accesses /. float_of_int sampled in
   (* routing statistics are exact even when sampling: the module state
      saw every access *)
@@ -681,11 +737,11 @@ let finish t ~accesses ~exact ~miss_ratio ~dram_bytes =
     {
       Sim_result.accesses;
       cycles = int_of_float (float_of_int t.now *. scale);
-      total_mem_latency = t.total_lat;
+      total_mem_latency = total_lat;
       avg_mem_latency = avg_lat;
       avg_energy_nj = t.energy /. float_of_int sampled;
       miss_ratio;
-      bus_wait_cycles = t.total_wait;
+      bus_wait_cycles = total_wait;
       dram_bytes;
       exact;
     }
@@ -712,7 +768,7 @@ let finish t ~accesses ~exact ~miss_ratio ~dram_bytes =
      Mx_util.Metrics.incr m "cycle_sim.runs";
      Mx_util.Metrics.incr m ~by:accesses "cycle_sim.accesses";
      Mx_util.Metrics.incr m ~by:t.sampled "cycle_sim.sampled_accesses";
-     Mx_util.Metrics.incr m ~by:t.total_wait "cycle_sim.stall_cycles";
+     Mx_util.Metrics.incr m ~by:total_wait "cycle_sim.stall_cycles";
      Mx_util.Metrics.incr m ~by:total_cycles "cycle_sim.cycles";
      Mx_util.Metrics.observe m ~unit_:"cycles" "cycle_sim.avg_mem_latency"
        avg_lat;
@@ -727,13 +783,11 @@ let finish t ~accesses ~exact ~miss_ratio ~dram_bytes =
   (result, stats)
 
 let time_traced ?(cpu = Blocking) c ~conn =
-  let on, period = window_of c.c_sample in
-  let t =
-    timer ~cpu ~arch:c.c_arch ~conn ~on ~period ~accesses:c.c_accesses
-      ~cpu_ops:c.c_cpu_ops
-  in
-  build_rows t c.c_outcomes (Array.length c.c_outcomes);
-  time_span t c.c_ids c.c_width ~first:0 ~len:c.c_accesses;
+  let t = timer ~cpu ~arch:c.c_arch ~conn in
+  let rows = Array.length c.c_outcomes in
+  build_rows t c.c_outcomes rows;
+  time_span t c.c_ids c.c_width ~n:(Bytes.length c.c_ids / c.c_width);
+  add_totals t c.c_counts rows;
   finish t ~accesses:c.c_accesses ~exact:(c.c_sample = None)
     ~miss_ratio:c.c_miss_ratio ~dram_bytes:c.c_dram_bytes
 
@@ -751,20 +805,21 @@ let run ?sample ?cpu ~workload ~arch ~conn () =
 
 (* Record and time one chunk at a time, so memory stays constant in the
    trace length: the recorder's id buffer is reused chunk after chunk,
-   and the timer grows its rows as new outcomes appear. *)
+   the timer grows its rows as new outcomes appear, and the recorder's
+   per-outcome counts give the bus totals after the last chunk. *)
 let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
     ~(workload : Workload.streamed) ~arch ~conn () =
-  let on, period = window_of sample in
+  ignore (window_of sample);
   if seek && sample = None then
     invalid_arg "Cycle_sim.run_stream: ~seek requires ~sample";
   check_cpu cpu;
   let stream = workload.Workload.s_stream in
   let n = Trace_stream.length stream in
-  let r = recorder ?sample ~arch ~regions:workload.Workload.s_regions () in
-  let t =
-    timer ~cpu ~arch ~conn ~on ~period ~accesses:n
-      ~cpu_ops:workload.Workload.s_cpu_ops
+  let r =
+    recorder ?sample ~arch ~regions:workload.Workload.s_regions ~accesses:n
+      ~cpu_ops:workload.Workload.s_cpu_ops ()
   in
+  let t = timer ~cpu ~arch ~conn in
   for ci = 0 to Trace_stream.chunk_count stream - 1 do
     let first = Trace_stream.chunk_start stream ci in
     let len = Trace_stream.chunk_length stream ci in
@@ -775,16 +830,17 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
       | Some (on, off) -> not (chunk_has_on_window ~on ~off ~first ~len)
       | None -> false
     in
-    if skip then fast_forward t ~len
+    if skip then fast_forward r ~len
     else begin
       let c = Trace_stream.get_chunk stream ci in
       r.n_ids <- 0;
       record_span r ~addrs:c.Trace_stream.c_addrs ~metas:c.Trace_stream.c_metas
         ~off:c.Trace_stream.c_off ~len ~first;
       build_rows t r.outcomes r.n_outcomes;
-      time_span t r.ids r.width ~first ~len
+      time_span t r.ids r.width ~n:r.n_ids
     end
   done;
+  add_totals t r.counts r.n_outcomes;
   let mstats = Mem_sim.snapshot r.msim in
   finish t ~accesses:n ~exact:(sample = None)
     ~miss_ratio:(Mem_sim.miss_ratio mstats)

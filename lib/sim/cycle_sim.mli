@@ -17,14 +17,20 @@
     {b Two stages.}  What a module does with an access does not depend
     on the connectivity, so simulation is split in two:
 
-    - {!record} runs the module simulation ({!Mx_mem.Mem_sim}) and the
-      DRAM row-buffer model once per (workload, architecture, sampling
-      pattern) and keeps, per timed access, the id of its distinct
-      outcome (serving class, sizes, DRAM and L2 traffic, critical
-      bytes, extra latency and energy, DRAM latency) in a {!column};
-    - {!time} replays one connectivity over a column: one row per
-      distinct outcome built once per connectivity, then a loop with no
-      division, no allocation and no boxed float per access.
+    - {!record} runs the module simulation ({!Mx_mem.Mem_sim}), the
+      DRAM row-buffer model and the compute-gap recurrence once per
+      (workload, architecture, sampling pattern) and keeps, per timed
+      access, the id of its distinct outcome (serving class, sizes,
+      DRAM and L2 traffic, critical bytes, extra latency and energy,
+      DRAM latency, compute gap) in a {!column}, with the number of
+      timed accesses of each outcome;
+    - {!time} replays one connectivity over a column: one flat row per
+      distinct outcome built once per connectivity, then a loop over
+      the timed accesses only that updates just the state that evolves
+      (clock, per-bus free times and waits, energy), with no division,
+      no allocation and no boxed float per access.  Per-bus busy
+      cycles and transactions are the per-outcome counts times row
+      constants.
 
     Every entry point is [time (record ...)], and its result equals,
     bit for bit, a straight-line pass that computes each access's
@@ -131,10 +137,14 @@ val run_stream_traced :
 type column
 (** The recorded module outcomes of one (workload, architecture,
     sampling pattern): one small id per on-window access into a table
-    of distinct outcome tuples.  Ids take 1 byte each while there are
-    at most 256 distinct tuples and widen to 2, 4 or 8 bytes beyond,
-    so a column is lossless for any architecture and never holds more
-    than 8 bytes per access plus its tuple table. *)
+    of distinct outcome tuples, each tuple including the compute gap
+    before its access, and the number of on-window accesses of each
+    tuple.  A gap takes one of two values (the floor of the
+    ops-per-access rate, or one more), so it at most doubles the table.
+    Ids take 1 byte each while there are at most 256 distinct tuples
+    and widen to 2, 4 or 8 bytes beyond, so a column is lossless for
+    any architecture and never holds more than 8 bytes per access plus
+    its tuple table. *)
 
 val record :
   ?sample:int * int ->
@@ -162,10 +172,12 @@ val time_traced :
 (** {!time} plus the per-component utilisation breakdown. *)
 
 val distinct_outcomes : column -> int
-(** Size of the column's outcome table. *)
+(** Size of the column's outcome table: distinct tuples, compute gap
+    included. *)
 
 val footprint : column -> int
-(** Bytes the column holds: its ids plus its outcome table. *)
+(** Bytes the column holds: its ids plus its outcome table and
+    counts. *)
 
 val record_utilization_gauges : ?registry:Mx_util.Metrics.t -> unit -> unit
 (** Derive [cycle_sim.bus.<component>.utilization] gauges (aggregate
