@@ -169,6 +169,21 @@ let test_substrate_cache =
       in
       Array.iter (fun addr -> ignore (Mx_mem.Cache.access c ~addr ~write:false)) addrs)
 
+(* APEX's inner loop: one L1 over every access of the trace, by lookup
+   code, as each cache family runs it. *)
+let test_mem_l1_pass =
+  Test.make ~name:"mem: one L1 lookup pass over a 20k trace (8K/32/2)"
+    (Staged.stage @@ fun () ->
+     let w, _, arch, _, _, _ = Lazy.force prepared in
+     let trace = w.Mx_trace.Workload.trace in
+     let addrs, metas = Mx_trace.Trace.backing trace in
+     let c = Mx_mem.Cache.create (Option.get arch.Mx_mem.Mem_arch.cache) in
+     for i = 0 to Mx_trace.Trace.length trace - 1 do
+       ignore
+         (Mx_mem.Cache.lookup c ~addr:addrs.(i)
+            ~write:(Mx_trace.Trace.meta_kind metas.(i) = Mx_trace.Access.Write))
+     done)
+
 let test_substrate_trace_gen =
   Test.make ~name:"substrate: compress kernel trace generation (5k)"
     (Staged.stage @@ fun () ->
@@ -189,6 +204,7 @@ let tests =
     test_table1_time_sampled;
     test_table2_clustering;
     test_substrate_cache;
+    test_mem_l1_pass;
     test_substrate_trace_gen;
     (* last: it grows the heap, which slows the allocating tests after it *)
     test_fig3_apex_explore_default;

@@ -1523,6 +1523,24 @@ let replacement_suite =
           R.check (big <= small)
             "%d->%d ways at %d sets raised misses %d -> %d" ways (2 * ways)
             sets small big);
+      R.prop "high addresses match the oracle" (fun ~seed ~size ->
+          (* [repl_stream]'s lines stay below twice the capacity; a base
+             of 2^40 lines or more puts the tags in high bits, where the
+             cache's shifts and masks must agree with the oracle's
+             divisions, evicted line numbers included *)
+          let g = Prng.create ~seed in
+          let geometry =
+            { (Gen.repl_geometry g ~size) with
+              Params.c_policy = Gen.repl_policy g }
+          in
+          let base = (1 lsl 40) + Prng.int g ~bound:(1 lsl 52) in
+          let stream =
+            List.map
+              (fun (addr, write) ->
+                (addr + (base * geometry.Params.c_line), write))
+              (Gen.repl_stream g ~size ~geometry)
+          in
+          repl_compare ~cache_geo:geometry ~oracle_geo:geometry stream);
     ]
 
 (* Deliberately-broken policy for the failure-path contract: the

@@ -1,8 +1,12 @@
 type t = {
   p : Params.cache;
-  line : int; (* p's line size and associativity, read on every lookup *)
+  (* p's geometry as read on every lookup: line and set count are
+     powers of two, so a line number is [addr lsr line_bits], its set
+     [line land set_mask] and its tag [line lsr set_bits] *)
+  line_bits : int;
+  set_bits : int;
+  set_mask : int;
   assoc : int;
-  sets : int;
   tags : int array; (* sets * assoc; -1 = invalid *)
   dirty : bool array;
   repl : Replacement.t array; (* one policy state per set *)
@@ -19,9 +23,10 @@ let create p =
   let ways = sets * p.Params.c_assoc in
   {
     p;
-    line = p.Params.c_line;
+    line_bits = Params.log2i p.Params.c_line;
+    set_bits = Params.log2i sets;
+    set_mask = sets - 1;
     assoc = p.Params.c_assoc;
-    sets;
     tags = Array.make ways (-1);
     dirty = Array.make ways false;
     repl =
@@ -46,12 +51,14 @@ let dirty code = code >= 0 && code land 1 = 1
 (* Inlined into [access], so the wrapper costs no extra call. *)
 let[@inline] lookup t ~addr ~write =
   (* a negative address would alias: its tag could read as an invalid
-     way, and its line would not name it *)
+     way, and its line would not name it.  The shifts below rely on
+     this check too: they equal the divisions only for a non-negative
+     address. *)
   if addr < 0 then invalid_arg "Cache.lookup: negative address";
   t.n_access <- t.n_access + 1;
-  let line = addr / t.line in
-  let set = line mod t.sets in
-  let tag = line / t.sets in
+  let line = addr lsr t.line_bits in
+  let set = line land t.set_mask in
+  let tag = line lsr t.set_bits in
   let base = set * t.assoc in
   let stop = base + t.assoc in
   let tags = t.tags and repl = t.repl.(set) in
@@ -81,7 +88,7 @@ let[@inline] lookup t ~addr ~write =
     t.dirty.(victim) <- write;
     Replacement.fill repl ~way:(victim - base);
     if old = -1 then cold_fill
-    else (((old * t.sets) + set) lsl 1) lor Bool.to_int wb
+    else (((old lsl t.set_bits) lor set) lsl 1) lor Bool.to_int wb
   end
 
 let access t ~addr ~write =

@@ -19,7 +19,15 @@
       been filled — resolve to the lowest way).
 
     Together these make the full hit/miss/evict sequence a pure
-    function of the access stream and the cache parameters. *)
+    function of the access stream and the cache parameters.
+
+    {b Indexing.}  {!Params.validate_cache} makes size and line powers
+    of two, and an associativity that divides a power-of-two line count
+    is one too, so the set count is a power of two.  A lookup therefore
+    finds an address's line, set and tag by shift and mask, with no
+    division, and rebuilds an evicted line's number the same way.  The
+    shifts equal the divisions because addresses are non-negative,
+    which {!lookup} checks. *)
 
 type t
 

@@ -1,9 +1,5 @@
 let gates_per_bit = 1.7
 
-let log2i n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-  go 0 n
-
 let of_bits bits = int_of_float (float_of_int bits *. gates_per_bit)
 
 let cache (c : Params.cache) =
@@ -11,7 +7,7 @@ let cache (c : Params.cache) =
   let data_bits = c.c_size * 8 in
   let lines = c.c_size / c.c_line in
   let sets = lines / c.c_assoc in
-  let tag_bits_per_line = 32 - log2i sets - log2i c.c_line in
+  let tag_bits_per_line = 32 - Params.log2i sets - Params.log2i c.c_line in
   (* +2 status bits (valid, dirty) per line; replacement state is
      charged per set by the policy's own accounting (true LRU's
      ways*log2(ways) stamp bits per set equal the historical

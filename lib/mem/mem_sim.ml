@@ -42,6 +42,7 @@ type t = {
   victim : Victim_cache.t option;
   wbuf : Write_buffer.t option;
   dram : Dram.t;
+  line_bits : int; (* the cache's line shift; 0 without a cache *)
   k : counters;
 }
 
@@ -101,6 +102,7 @@ let bare arch =
     victim = None;
     wbuf = None;
     dram = Dram.create Module_lib.default_dram;
+    line_bits = 0;
     k = zero_counters ();
   }
 
@@ -121,6 +123,10 @@ let create (arch : Mem_arch.t) ~regions =
     lldma = Option.map Lldma.create arch.Mem_arch.lldma;
     victim = Option.map Victim_cache.create arch.Mem_arch.victim;
     wbuf = Option.map Write_buffer.create arch.Mem_arch.wbuf;
+    line_bits =
+      (match arch.Mem_arch.cache with
+      | Some c -> Params.log2i c.Params.c_line
+      | None -> 0);
   }
 
 let arch t = t.arch
@@ -146,6 +152,23 @@ let record t serving ~size ~(o : outcome) =
 let base serving ~hit ~dram_bytes ~dram_txns ~dram_critical =
   { serving; hit; dram_bytes; dram_txns; dram_critical; l2_bytes = 0;
     l2_txns = 0; l2_critical = false; extra_latency = 0; extra_energy = 0.0 }
+
+(* An L1 miss that the victim buffer, if any, did not recover, served
+   through the non-inclusive [l2]: the evicted L1 line, when [dirty],
+   drains into the L2 before the L2 serves the demand fill of [addr].
+   The result is the miss's DRAM bursts of one L2 line each: the fill on
+   an L2 miss, and the L2's own dirty evictions.  It is negated when the
+   fill hit the L2, so a hit is a result of at most 0. *)
+let l2_fill l2 ~line_bits ~addr ~evicted ~dirty =
+  let wb_txns =
+    if not dirty then 0
+    else
+      let wr = Cache.lookup l2 ~addr:(evicted lsl line_bits) ~write:true in
+      if wr = Cache.hit then 0 else if Cache.dirty wr then 2 else 1
+  in
+  let dr = Cache.lookup l2 ~addr ~write:false in
+  if dr = Cache.hit then -wb_txns
+  else 1 + wb_txns + Bool.to_int (Cache.dirty dr)
 
 let access t ~now ~addr ~size ~write ~region =
   let binding = Mem_arch.binding_of t.arch ~region in
@@ -181,19 +204,20 @@ let access t ~now ~addr ~size ~write ~region =
     | Mem_arch.To_cache -> (
       match t.cache with
       | Some c -> (
-        let r = Cache.access c ~addr ~write in
-        let line = (Cache.params c).Params.c_line in
-        (* clean evictions feed the victim buffer *)
-        (match (t.victim, r.Cache.evicted_line) with
-        | Some v, Some el when not r.Cache.writeback ->
-          Victim_cache.insert v ~line:el
-        | _ -> ());
-        if r.Cache.hit then
+        let code = Cache.lookup c ~addr ~write in
+        if code = Cache.hit then
           base By_cache ~hit:true ~dram_bytes:0 ~dram_txns:0
             ~dram_critical:false
         else
+          let evicted = Cache.evicted code and dirty = Cache.dirty code in
+          let line = (Cache.params c).Params.c_line in
+          (* clean evictions feed the victim buffer *)
+          (match t.victim with
+          | Some v when evicted >= 0 && not dirty ->
+            Victim_cache.insert v ~line:evicted
+          | _ -> ());
           match t.victim with
-          | Some v when Victim_cache.probe v ~line:(addr / line) ->
+          | Some v when Victim_cache.probe v ~line:(addr lsr t.line_bits) ->
             (* conflict miss recovered on-chip: swap back, no DRAM *)
             t.k.n_victim_hit <- t.k.n_victim_hit + 1;
             {
@@ -207,67 +231,35 @@ let access t ~now ~addr ~size ~write ~region =
             let probe_energy =
               if victim_opt <> None then Energy_model.victim_probe else 0.0
             in
-            let wb = if r.Cache.writeback then line else 0 in
+            let wb = if dirty then line else 0 in
             match t.l2 with
             | None ->
               {
                 (base By_cache ~hit:false ~dram_bytes:(line + wb)
-                   ~dram_txns:(if r.Cache.writeback then 2 else 1)
+                   ~dram_txns:(if dirty then 2 else 1)
                    ~dram_critical:true)
                 with
                 extra_energy = probe_energy;
               }
             | Some l2 ->
-              let l2_line = (Cache.params l2).Params.c_line in
               t.k.n_l2_access <- t.k.n_l2_access + 1;
-              (* the dirty L1 line drains into the L2 *)
-              let wb_dram_bytes = ref 0 and wb_dram_txns = ref 0 in
-              (match (r.Cache.writeback, r.Cache.evicted_line) with
-              | true, Some el ->
-                let wr = Cache.access l2 ~addr:(el * line) ~write:true in
-                if not wr.Cache.hit then begin
-                  wb_dram_bytes := l2_line;
-                  incr wb_dram_txns;
-                  if wr.Cache.writeback then begin
-                    wb_dram_bytes := !wb_dram_bytes + l2_line;
-                    incr wb_dram_txns
-                  end
-                end
-              | _ -> ());
-              (* demand fill through the L2 *)
-              let dr = Cache.access l2 ~addr ~write:false in
-              let l2_energy =
-                Energy_model.cache_access (Cache.params l2) ~write:false
+              let txns =
+                l2_fill l2 ~line_bits:t.line_bits ~addr ~evicted ~dirty
               in
-              if dr.Cache.hit then begin
-                t.k.n_l2_hit <- t.k.n_l2_hit + 1;
-                {
-                  (base By_cache ~hit:true ~dram_bytes:!wb_dram_bytes
-                     ~dram_txns:!wb_dram_txns ~dram_critical:false)
-                  with
-                  l2_bytes = line + wb;
-                  l2_txns = (if wb > 0 then 2 else 1);
-                  l2_critical = true;
-                  extra_energy = probe_energy +. l2_energy;
-                }
-              end
-              else begin
-                let dram = ref (l2_line + !wb_dram_bytes)
-                and txns = ref (1 + !wb_dram_txns) in
-                if dr.Cache.writeback then begin
-                  dram := !dram + l2_line;
-                  incr txns
-                end;
-                {
-                  (base By_cache ~hit:false ~dram_bytes:!dram ~dram_txns:!txns
-                     ~dram_critical:true)
-                  with
-                  l2_bytes = line + wb;
-                  l2_txns = (if wb > 0 then 2 else 1);
-                  l2_critical = true;
-                  extra_energy = probe_energy +. l2_energy;
-                }
-              end))
+              let hit = txns <= 0 and txns = abs txns in
+              if hit then t.k.n_l2_hit <- t.k.n_l2_hit + 1;
+              {
+                (base By_cache ~hit
+                   ~dram_bytes:(txns * (Cache.params l2).Params.c_line)
+                   ~dram_txns:txns ~dram_critical:(not hit))
+                with
+                l2_bytes = line + wb;
+                l2_txns = (if dirty then 2 else 1);
+                l2_critical = true;
+                extra_energy =
+                  probe_energy
+                  +. Energy_model.cache_access (Cache.params l2) ~write:false;
+              }))
       | None -> (
         (* no cache: direct off-chip access, optionally through the
            posted-write buffer *)
@@ -364,12 +356,12 @@ let run t trace =
    DRAM model, and every counter is an integer sum.  So a profile is the
    field-by-field sum of its groups' profiles, and a group's profile
    depends only on the [group] key below: the parameters of its modules
-   and the regions bound to it. *)
+   and the regions bound to it.  Two groups hold no state at all, so
+   their profiles follow from their accesses' count and bytes. *)
 
 (* The groups [access] serves through a module simulator of their own. *)
 type routed =
-  | Uncached of Params.write_buffer option
-  | Scratchpad of Params.sram
+  | Buffered of Params.write_buffer
   | Streamed of Params.stream_buffer
   | Chased of Params.lldma
 
@@ -379,6 +371,8 @@ type group_modules =
       victim : Params.victim option;
       l2 : Params.cache option;
     }
+  | Scratchpad (* every access an on-chip hit *)
+  | Direct (* no cache nor write buffer: every access one DRAM burst *)
   | Routed of routed
 
 type group = { modules : group_modules; members : bool array }
@@ -392,11 +386,12 @@ let group_of (arch : Mem_arch.t) binding =
     let modules =
       match binding with
       | Mem_arch.To_cache -> (
-        match arch.Mem_arch.cache with
-        | Some cache ->
+        match (arch.Mem_arch.cache, arch.Mem_arch.wbuf) with
+        | Some cache, _ ->
           Cached { cache; victim = arch.Mem_arch.victim; l2 = arch.Mem_arch.l2 }
-        | None -> Routed (Uncached arch.Mem_arch.wbuf))
-      | Mem_arch.To_sram -> Routed (Scratchpad (Option.get arch.Mem_arch.sram))
+        | None, Some wbuf -> Routed (Buffered wbuf)
+        | None, None -> Direct)
+      | Mem_arch.To_sram -> Scratchpad
       | Mem_arch.To_sbuf -> Routed (Streamed (Option.get arch.Mem_arch.sbuf))
       | Mem_arch.To_lldma -> Routed (Chased (Option.get arch.Mem_arch.lldma))
     in
@@ -431,14 +426,32 @@ let member_accesses members trace =
   done;
   (idx, !bytes)
 
+(* A stateless group's profile from its [n] accesses of [bytes] in all,
+   the counters [access] would have recorded one access at a time. *)
+let counted modules ~n ~bytes =
+  let k = zero_counters () in
+  let on_chip = modules = Scratchpad in
+  let i = serving_index (if on_chip then By_sram else By_dram_direct) in
+  k.cpu_acc.(i) <- bytes;
+  k.cpu_cnt.(i) <- n;
+  k.n_access <- n;
+  if on_chip then k.n_hit <- n
+  else begin
+    k.dram_acc.(i) <- bytes;
+    k.dram_txn.(i) <- n;
+    k.n_demand_miss <- n;
+    k.miss_cnt.(i) <- n;
+    k.dram_total <- bytes
+  end;
+  k
+
 (* One pass of a routed group over its accesses, on a simulator that
    holds only the group's module; [arch] supplies the bindings. *)
 let run_group arch routed trace idx =
   let t = bare arch in
   let t =
     match routed with
-    | Uncached wbuf -> { t with wbuf = Option.map Write_buffer.create wbuf }
-    | Scratchpad _ -> t
+    | Buffered p -> { t with wbuf = Some (Write_buffer.create p) }
     | Streamed p -> { t with sbuf = Some (Stream_buffer.create p) }
     | Chased p -> { t with lldma = Some (Lldma.create p) }
   in
@@ -463,116 +476,126 @@ let run_group arch routed trace idx =
    into the L1.  So the L1's (hit, writeback, evicted line) sequence is
    the same in every variant, and since neither the victim buffer nor
    the L2 reads [now], a variant's own state is a function of that miss
-   sequence.  A family therefore runs its L1 once and feeds each miss,
-   in lock-step, to every variant's victim buffer, L2 and counters.
-   The variants count only what follows the L1 lookup; the L1 side
-   (CPU bytes and accesses, L1 hits) is counted once and added to each
-   at the end. *)
+   sequence.  A family therefore runs its L1 once and does each
+   module's distinct work once:
 
-type variant = {
-  v_victim : Victim_cache.t option;
-  v_l2 : Cache.t option;
-  v_k : counters;
-}
+   - a victim buffer sees only the L1's misses, so the variants with
+     one victim parameter share one buffer, fed each miss in lock-step;
+   - each variant with an L2 runs its own, on every L1 miss or, behind
+     a victim buffer, on that buffer's misses;
+   - every counter is an integer sum, so the rest is counted: an
+     L2-less variant's profile follows from the L1's miss and dirty
+     counts and its buffer's hits, and an L2 variant counts only its
+     L2 hits and DRAM bursts per access. *)
 
 let by_cache = serving_index By_cache
 
-(* An access whose critical path went off-chip. *)
-let demand_miss k ~bytes ~txns =
-  k.n_demand_miss <- k.n_demand_miss + 1;
-  k.miss_cnt.(by_cache) <- k.miss_cnt.(by_cache) + 1;
-  k.dram_acc.(by_cache) <- k.dram_acc.(by_cache) + bytes;
-  k.dram_txn.(by_cache) <- k.dram_txn.(by_cache) + txns;
-  k.dram_total <- k.dram_total + bytes
+type l2_variant = {
+  l2 : Cache.t;
+  behind : int; (* the victim buffer in front of it; -1 for none *)
+  mutable l2_hits : int;
+  mutable l2_bursts : int;
+}
 
-(* [access]'s cache path after an L1 miss that evicted line [evicted]
-   (-1 for none), [dirty] when it is written back, on one variant: the
-   clean evicted line enters the victim buffer before the buffer is
-   probed for the missed line, and on the L2 path the dirty L1 line
-   drains into the L2 before the demand fill. *)
-let variant_miss v ~line ~addr ~evicted ~dirty =
-  let k = v.v_k in
-  (match v.v_victim with
-  | Some vc when evicted >= 0 && not dirty ->
-    Victim_cache.insert vc ~line:evicted
-  | _ -> ());
-  match v.v_victim with
-  | Some vc when Victim_cache.probe vc ~line:(addr / line) ->
-    k.n_victim_hit <- k.n_victim_hit + 1;
-    k.n_hit <- k.n_hit + 1
-  | _ -> (
-    match v.v_l2 with
-    | None ->
-      if dirty then demand_miss k ~bytes:(2 * line) ~txns:2
-      else demand_miss k ~bytes:line ~txns:1
-    | Some l2 ->
-      let l2_line = (Cache.params l2).Params.c_line in
-      k.n_l2_access <- k.n_l2_access + 1;
-      k.l2_bytes_acc <- k.l2_bytes_acc + if dirty then 2 * line else line;
-      k.l2_txns_acc <- k.l2_txns_acc + if dirty then 2 else 1;
-      (* DRAM bursts of the writeback: a fill on an L2 miss, plus the
-         L2's own dirty eviction *)
-      let wb_txns =
-        if not dirty then 0
-        else
-          let wr = Cache.lookup l2 ~addr:(evicted * line) ~write:true in
-          if wr = Cache.hit then 0 else if Cache.dirty wr then 2 else 1
-      in
-      let dr = Cache.lookup l2 ~addr ~write:false in
-      if dr = Cache.hit then begin
-        let bytes = wb_txns * l2_line in
-        k.n_l2_hit <- k.n_l2_hit + 1;
-        k.n_hit <- k.n_hit + 1;
-        k.dram_acc.(by_cache) <- k.dram_acc.(by_cache) + bytes;
-        k.dram_txn.(by_cache) <- k.dram_txn.(by_cache) + wb_txns;
-        k.dram_total <- k.dram_total + bytes
-      end
-      else
-        let txns = 1 + wb_txns + if Cache.dirty dr then 1 else 0 in
-        demand_miss k ~bytes:(txns * l2_line) ~txns)
+(* A variant's profile from its family's counts: [n] accesses of [bytes]
+   in all, [misses] L1 misses of which [dirty] wrote back, and [vhits]
+   of those recovered by the victim buffer, [vhits_dirty] of them on a
+   dirty miss.  The misses [past] the buffer go to the L2 when there is
+   one, and otherwise each is a demand miss bursting its line, plus the
+   evicted line when dirty. *)
+let family_profile ~n ~bytes ~line ~misses ~dirty ~vhits ~vhits_dirty l2 =
+  let k = zero_counters () in
+  let past = misses - vhits and past_dirty = dirty - vhits_dirty in
+  let l2_hits, bursts, burst_bytes =
+    match l2 with
+    | None -> (0, past + past_dirty, line)
+    | Some v ->
+      k.n_l2_access <- past;
+      k.n_l2_hit <- v.l2_hits;
+      k.l2_bytes_acc <- line * (past + past_dirty);
+      k.l2_txns_acc <- past + past_dirty;
+      (v.l2_hits, v.l2_bursts, (Cache.params v.l2).Params.c_line)
+  in
+  k.cpu_acc.(by_cache) <- bytes;
+  k.cpu_cnt.(by_cache) <- n;
+  k.n_access <- n;
+  k.n_hit <- n - misses + vhits + l2_hits;
+  k.n_victim_hit <- vhits;
+  k.n_demand_miss <- past - l2_hits;
+  k.miss_cnt.(by_cache) <- past - l2_hits;
+  k.dram_acc.(by_cache) <- bursts * burst_bytes;
+  k.dram_txn.(by_cache) <- bursts;
+  k.dram_total <- bursts * burst_bytes;
+  k
 
-(* One L1 pass of a family over its accesses, [bytes] in all, feeding
-   every miss to each variant in lock-step; the variants' profiles, in
-   order. *)
+(* One L1 pass of a family over its accesses, [bytes] in all; the
+   variants' profiles, in order.  On each L1 miss every victim buffer
+   takes the clean evicted line and is then probed for the missed one,
+   and every L2 the buffer in front of it missed serves the miss. *)
 let run_family cache variants trace (idx, bytes) =
   let l1 = Cache.create cache in
-  let vs =
-    Array.map
+  let line = cache.Params.c_line in
+  let line_bits = Params.log2i line in
+  let victims =
+    Array.of_list (List.sort_uniq compare (List.filter_map fst variants))
+  in
+  let buffer = function
+    | None -> -1
+    | Some v -> Option.get (Array.find_index (( = ) v) victims)
+  in
+  let bufs = Array.map Victim_cache.create victims in
+  let vhit = Array.make (Array.length bufs) false
+  and vhits_dirty = Array.make (Array.length bufs) 0 in
+  let routes =
+    List.map
       (fun (victim, l2) ->
-        {
-          v_victim = Option.map Victim_cache.create victim;
-          v_l2 = Option.map Cache.create l2;
-          v_k = zero_counters ();
-        })
+        let behind = buffer victim in
+        ( behind,
+          Option.map
+            (fun p ->
+              { l2 = Cache.create p; behind; l2_hits = 0; l2_bursts = 0 })
+            l2 ))
       variants
   in
-  let line = cache.Params.c_line in
+  let l2s = Array.of_list (List.filter_map snd routes) in
   let addrs, metas = Mx_trace.Trace.backing trace in
-  let hits = ref 0 in
   for j = 0 to Array.length idx - 1 do
     let i = idx.(j) in
-    let addr = addrs.(i) and meta = metas.(i) in
+    let addr = addrs.(i) in
     let code =
       Cache.lookup l1 ~addr
-        ~write:(Mx_trace.Trace.meta_kind meta = Mx_trace.Access.Write)
+        ~write:(Mx_trace.Trace.meta_kind metas.(i) = Mx_trace.Access.Write)
     in
-    if code = Cache.hit then incr hits
-    else begin
+    if code <> Cache.hit then begin
       let evicted = Cache.evicted code and dirty = Cache.dirty code in
-      for v = 0 to Array.length vs - 1 do
-        variant_miss vs.(v) ~line ~addr ~evicted ~dirty
+      let clean = evicted >= 0 && not dirty and missed = addr lsr line_bits in
+      for b = 0 to Array.length bufs - 1 do
+        let vc = bufs.(b) in
+        if clean then Victim_cache.insert vc ~line:evicted;
+        let h = Victim_cache.probe vc ~line:missed in
+        vhit.(b) <- h;
+        if h && dirty then vhits_dirty.(b) <- vhits_dirty.(b) + 1
+      done;
+      for v = 0 to Array.length l2s - 1 do
+        let x = l2s.(v) in
+        if x.behind < 0 || not vhit.(x.behind) then begin
+          let bursts = l2_fill x.l2 ~line_bits ~addr ~evicted ~dirty in
+          if bursts <= 0 then x.l2_hits <- x.l2_hits + 1;
+          x.l2_bursts <- x.l2_bursts + abs bursts
+        end
       done
     end
   done;
-  Array.map
-    (fun v ->
-      let k = v.v_k in
-      k.cpu_acc.(by_cache) <- bytes;
-      k.cpu_cnt.(by_cache) <- Array.length idx;
-      k.n_access <- Array.length idx;
-      k.n_hit <- k.n_hit + !hits;
-      k)
-    vs
+  let n = Array.length idx
+  and misses = Cache.misses l1
+  and dirty = Cache.writebacks l1 in
+  List.map
+    (fun (b, l2) ->
+      let vhits, vhits_dirty =
+        if b < 0 then (0, 0) else (Victim_cache.hits bufs.(b), vhits_dirty.(b))
+      in
+      family_profile ~n ~bytes ~line ~misses ~dirty ~vhits ~vhits_dirty l2)
+    routes
 
 let run_all archs ~regions trace =
   List.iter (fun a -> check_regions a regions) archs;
@@ -588,9 +611,10 @@ let run_all archs ~regions trace =
   in
   let arch_slots = List.map (fun a -> List.map (slot a) (groups_of a)) archs in
   let profiles = Array.make (Hashtbl.length slots) (zero_counters ()) in
-  (* one job per family and per routed group, each run over the
-     accesses bound to its region set *)
+  (* one job per family and per other group, each over the accesses
+     bound to its region set *)
   let families = Hashtbl.create 64 and jobs = ref [] in
+  let job members run = jobs := (members, run) :: !jobs in
   Hashtbl.iter
     (fun g (s, arch) ->
       match g.modules with
@@ -598,22 +622,20 @@ let run_all archs ~regions trace =
         let key = (cache, g.members) in
         let vs = Option.value (Hashtbl.find_opt families key) ~default:[] in
         Hashtbl.replace families key ((s, (victim, l2)) :: vs)
+      | (Scratchpad | Direct) as m ->
+        job g.members (fun (idx, bytes) ->
+            profiles.(s) <- counted m ~n:(Array.length idx) ~bytes)
       | Routed r ->
-        jobs :=
-          ( g.members,
-            fun (idx, _) -> profiles.(s) <- run_group arch r trace idx )
-          :: !jobs)
+        job g.members (fun (idx, _) ->
+            profiles.(s) <- run_group arch r trace idx))
     slots;
   Hashtbl.iter
     (fun (cache, members) vs ->
-      let vs = Array.of_list vs in
-      jobs :=
-        ( members,
-          fun bound ->
-            Array.iteri
-              (fun j k -> profiles.(fst vs.(j)) <- k)
-              (run_family cache (Array.map snd vs) trace bound) )
-        :: !jobs)
+      job members (fun bound ->
+          List.iter2
+            (fun (s, _) k -> profiles.(s) <- k)
+            vs
+            (run_family cache (List.map snd vs) trace bound)))
     families;
   (* sorted by region set, so one member index is alive at a time *)
   let current = ref ([||], ([||], 0)) in

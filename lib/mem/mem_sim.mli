@@ -99,12 +99,17 @@ val run_all :
     over only its own accesses, with the global access index as [now].
 
     Cache-path groups with the same L1 and region set form a family
-    and share one pass of that L1: its lookups allocate nothing, and
-    each miss goes, in lock-step, to every variant's own victim buffer,
-    L2 and counters.  This is exact because neither module acts on the
-    L1 or reads [now].  The other groups go through {!access}.  Nothing
-    is retained between calls, and no per-family miss stream is
-    recorded.
+    and share one pass of that L1, whose lookups allocate nothing.  Each
+    miss goes, in lock-step, to one victim buffer per distinct victim
+    parameter and to each variant's own L2, which sees only the misses
+    its buffer did not recover; the L2-less variants' counters are
+    derived from the L1's miss and dirty counts and the buffers' hits.
+    This is exact because neither module acts on the L1 or reads
+    [now], and every counter is an integer sum.  The scratchpad group
+    and the cacheless group without a write buffer hold no state, so
+    they are totalled from their accesses' count and bytes; the other
+    groups go through {!access}.  Nothing is retained between calls,
+    and no per-family miss stream is recorded.
     @raise Invalid_argument as {!create} and {!access} would. *)
 
 val miss_ratio : stats -> float

@@ -75,6 +75,10 @@ type dram = { d_banks : int; d_row : int; d_cas : int; d_rcd : int; d_rp : int }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+let log2i n =
+  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
+  go 0 n
+
 let validate_cache c =
   if not (is_pow2 c.c_size) then invalid_arg "cache size must be a power of two";
   if not (is_pow2 c.c_line) then invalid_arg "cache line must be a power of two";

@@ -90,7 +90,14 @@ type dram = {
 
 val validate_cache : cache -> unit
 (** @raise Invalid_argument on a malformed geometry (including a
-    [Tree_plru] policy with non-power-of-two associativity). *)
+    [Tree_plru] policy with non-power-of-two associativity).  A valid
+    geometry is all powers of two: size and line are checked to be, and
+    an associativity that divides a power-of-two line count is one, so
+    the set count is one too. *)
+
+val log2i : int -> int
+(** [log2i n] is the floor of log2 [n] for [n >= 1], and 0 below: the
+    shift of a power of two. *)
 
 val validate_dram : dram -> unit
 val validate_victim : victim -> unit

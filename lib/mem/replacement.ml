@@ -34,10 +34,6 @@ type state =
 
 type t = { policy : Params.policy; ways : int; state : state }
 
-let log2i n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-  go 0 n
-
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let create policy ~ways =
@@ -160,8 +156,8 @@ let reset t =
 let state_bits_per_set (policy : Params.policy) ~ways =
   if ways <= 0 then invalid_arg "Replacement.state_bits_per_set";
   match policy with
-  | Params.True_lru -> ways * log2i ways
-  | Params.Fifo -> log2i ways
+  | Params.True_lru -> ways * Params.log2i ways
+  | Params.Fifo -> Params.log2i ways
   | Params.Tree_plru -> ways - 1
   | Params.Qlru_h11_m1 | Params.Qlru_h00_m0 -> 2 * ways
   | Params.Mru_n -> ways

@@ -42,9 +42,10 @@ let test_evaluate_counts () =
   Helpers.check_int "profile covers the trace"
     p.Mx_trace.Profile.total_accesses c.Explore.profile.Mx_mem.Mem_sim.accesses
 
-let test_explore_equals_evaluate () =
+(* [Explore.explore] runs [Mem_sim.run_all], while [Explore.evaluate]
+   routes every access of one candidate through [Mem_sim.access]. *)
+let check_explore_equals_evaluate config =
   let p = profile () in
-  let config = Explore.default_config in
   let composed = Explore.explore ~config p
   and reference = List.map (Explore.evaluate p) (Explore.candidates config p) in
   Helpers.check_int "one result per candidate" (List.length reference)
@@ -65,6 +66,36 @@ let test_explore_equals_evaluate () =
         (Mx_check.Oracle.profile_canon r.Explore.profile)
         (Mx_check.Oracle.profile_canon c.Explore.profile))
     composed reference
+
+let test_explore_equals_evaluate () =
+  check_explore_equals_evaluate Explore.default_config
+
+(* Every cache family has two victim buffers and two L2s, so its
+   variants share buffers, run L2s behind them and derive the L2-less
+   profiles from counts; the cacheless architectures add write-buffer
+   groups and the counted direct-DRAM and scratchpad groups. *)
+let test_explore_equals_evaluate_two_each () =
+  let cache c_size c_line c_assoc c_latency c_policy =
+    { Mx_mem.Params.c_size; c_line; c_assoc; c_latency; c_policy }
+  in
+  check_explore_equals_evaluate
+    {
+      Explore.reduced_config with
+      caches =
+        [ cache 512 16 1 1 Mx_mem.Params.Fifo;
+          cache 2048 32 2 1 Mx_mem.Params.Tree_plru ];
+      include_no_cache = true;
+      lldmas = Mx_mem.Module_lib.lldmas;
+      l2s = [ cache 4096 32 2 4 Mx_mem.Params.default_policy;
+              cache 8192 64 4 4 Mx_mem.Params.Qlru_h11_m1 ];
+      victims =
+        [ { Mx_mem.Params.v_entries = 2; v_latency = 1 };
+          { Mx_mem.Params.v_entries = 8; v_latency = 1 } ];
+      write_buffers =
+        [ { Mx_mem.Params.wb_entries = 2; wb_drain = 3 };
+          { Mx_mem.Params.wb_entries = 4; wb_drain = 4 } ];
+      sram_budget = 4096;
+    }
 
 let test_pareto_is_front () =
   let p = profile () in
@@ -157,4 +188,7 @@ let suite =
       Alcotest.test_case "select deterministic" `Slow test_select_deterministic;
       Alcotest.test_case "select band" `Slow test_select_excludes_degenerate;
       Alcotest.test_case "select single slot" `Slow test_select_single_slot;
+      Alcotest.test_case
+        "explore equals evaluate, two victims and two L2s per cache" `Slow
+        test_explore_equals_evaluate_two_each;
     ] )
