@@ -560,6 +560,8 @@ let persist () =
         && cold.Explore.simulated = warm.Explore.simulated
         && cold.Explore.pareto_cost_perf = warm.Explore.pareto_cost_perf);
       check "cold run wrote the store (records > 0)" (written > 0);
+      check "the store holds no estimates (records written <= simulations)"
+        (written <= cold.Explore.n_simulations);
       check "restart recovered every record written" (recovered >= written);
       check "warm-start run was served from disk (hits > 0)" (disk_hits > 0);
       check "warm-start run is measurably faster (<= 0.8x cold wall time)"

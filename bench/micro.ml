@@ -69,6 +69,25 @@ let test_fig4_phase1_shared_plan =
      let plan = Mx_sim.Estimator.prepare ~workload:w ~arch ~profile:stats in
      List.iter (fun conn -> ignore (Mx_sim.Estimator.run plan ~conn)) conns)
 
+(* Phase I of one architecture end to end: planning, shard enumeration,
+   the cross-level dedup and every estimate, from a cold result cache so
+   no estimate is served by an earlier run. *)
+let candidate =
+  lazy
+    (let _, profile, arch, _, _, _ = Lazy.force prepared in
+     Mx_apex.Explore.evaluate profile arch)
+
+let test_fig4_phase1_cold =
+  Test.make ~name:"fig4: Phase I of one candidate, cold result cache"
+    (Staged.stage @@ fun () ->
+     let w, _, _, _, _, _ = Lazy.force prepared in
+     let cand = Lazy.force candidate in
+     Mx_sim.Eval.clear_cache ();
+     ignore
+       (Conex.Explore.connectivity_exploration
+          { Conex.Explore.default_config with Conex.Explore.jobs = 1 }
+          w cand))
+
 let test_fig6_pareto_annotation =
   Test.make ~name:"fig6: pareto front over 1000 points"
     (Staged.stage
@@ -195,6 +214,7 @@ let tests =
     test_fig3_apex_explore;
     test_fig4_phase1_estimate;
     test_fig4_phase1_shared_plan;
+    test_fig4_phase1_cold;
     test_fig6_pareto_annotation;
     test_fig6_pareto_front3;
     test_table1_cycle_sim;

@@ -102,10 +102,11 @@ let jobs_arg =
 let cache_size_arg =
   let doc =
     "Capacity of the evaluation result cache, in entries (0 disables it).  \
-     Cached evaluations are keyed by structural fingerprints, so re-evaluating \
-     a design already estimated or simulated — including across strategies in \
-     one run — is free; cache traffic appears as $(b,eval.cache.*) counters \
-     under --metrics."
+     Cached simulations are keyed by structural fingerprints, so re-simulating \
+     a design already simulated — including across strategies in one run — is \
+     free; estimates are cheaper to compute than to look up and are never \
+     cached.  Cache traffic appears as $(b,eval.cache.*) counters under \
+     --metrics."
   in
   Arg.(
     value
@@ -115,11 +116,12 @@ let cache_size_arg =
 let cache_dir_arg =
   let doc =
     "Directory of the persistent evaluation store (created if missing): \
-     results land on disk as they are computed and later runs with the same \
-     $(docv) warm-start from them, byte-identically.  Entries are keyed by \
-     structural fingerprints and stamped with the evaluator revision, so a \
-     store written by an older model is ignored wholesale.  Disk traffic \
-     appears as $(b,eval.cache.disk.*) counters under --metrics."
+     simulation results land on disk as they are computed and later runs \
+     with the same $(docv) warm-start from them, byte-identically.  Entries \
+     are keyed by structural fingerprints and stamped with the evaluator \
+     revision, so a store written by an older model is ignored wholesale.  \
+     Disk traffic appears as $(b,eval.cache.disk.*) counters under \
+     --metrics."
   in
   Arg.(
     value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)

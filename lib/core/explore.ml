@@ -256,24 +256,31 @@ let phase1 ?(interrupt = never) cfg workload cands =
                stream
            in
            Mx_util.Metrics.incr metrics ~by:(List.length kept) "assign.kept";
+           (* one plan per architecture, shared read-only by the domains;
+              an estimate is cheaper to compute than to look up, so none
+              enters the result tiers *)
+           let arch = p.cand.Mx_apex.Explore.arch in
            let pairs =
-             Mx_util.Task_pool.parallel_map ~jobs:cfg.jobs
-               ~chunk:estimate_chunk
-               (fun (shard_fp, conn) ->
-                 let est, prov =
-                   Mx_sim.Eval.eval_prov ~fidelity:Mx_sim.Eval.Estimate
-                     ~workload ~arch:p.cand.Mx_apex.Explore.arch
-                     ~profile:p.cand.Mx_apex.Explore.profile ~conn ()
-                 in
-                 ( Design.make ~workload_name:workload.Mx_trace.Workload.name
-                     ~mem:p.cand.Mx_apex.Explore.arch ~conn ~est (),
-                   prov,
-                   shard_fp ))
-               kept
+             match kept with
+             | [] -> []
+             | _ ->
+               let plan =
+                 Mx_sim.Estimator.prepare ~workload ~arch
+                   ~profile:p.cand.Mx_apex.Explore.profile
+               in
+               Mx_util.Task_pool.parallel_map ~jobs:cfg.jobs
+                 ~chunk:estimate_chunk
+                 (fun (shard_fp, conn) ->
+                   ( Design.make ~workload_name:workload.Mx_trace.Workload.name
+                       ~mem:arch ~conn
+                       ~est:(Mx_sim.Estimator.run plan ~conn)
+                       (),
+                     shard_fp ))
+                 kept
            in
            if Ev.is_on Ev.global then begin
              List.iter
-               (fun ((d : Design.t), _, _) ->
+               (fun ((d : Design.t), _) ->
                  Ev.emit Ev.global ~stage:"phase1" "design.created"
                    [
                      ("design", Ev.Str (Design.structural_key d));
@@ -282,8 +289,9 @@ let phase1 ?(interrupt = never) cfg workload cands =
                    ])
                pairs;
              let ftag = Mx_sim.Eval.fidelity_tag Mx_sim.Eval.Estimate in
+             let source = Mx_sim.Eval.provenance_tag Mx_sim.Eval.Computed in
              List.iter
-               (fun ((d : Design.t), prov, shard_fp) ->
+               (fun ((d : Design.t), shard_fp) ->
                  let key = Design.structural_key d in
                  Ev.emit Ev.global ~stage:"phase1" "design.evaluated"
                    [ ("design", Ev.Str key); ("fidelity", Ev.Str ftag) ];
@@ -291,12 +299,12 @@ let phase1 ?(interrupt = never) cfg workload cands =
                    [
                      ("design", Ev.Str key);
                      ("fidelity", Ev.Str ftag);
-                     ("source", Ev.Str (Mx_sim.Eval.provenance_tag prov));
+                     ("source", Ev.Str source);
                      ("shard", Ev.Str shard_fp);
                    ])
                pairs
            end;
-           let ests = List.map (fun (d, _, _) -> d) pairs in
+           let ests = List.map fst pairs in
            Mx_util.Snapshot.eval_committed ~by:(List.length ests) ();
            Mx_util.Metrics.incr metrics ~by:(List.length ests)
              "explore.estimates";

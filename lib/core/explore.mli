@@ -102,9 +102,15 @@ val phase1 :
     architecture into shards (serially — cluster.*, assign.* and
     [shard.planned] records are deterministic), enumerate the combined
     queue on the task pool, then merge, dedup and estimate per
-    architecture in candidate order.  Returns one estimate list per
+    architecture in candidate order.  Each architecture with at least
+    one kept connectivity gets one {!Mx_sim.Estimator.prepare} plan,
+    shared read-only by the domains, and each connectivity one
+    {!Mx_sim.Estimator.run}; no estimate enters the result cache or
+    the store (see {!Mx_sim.Eval}).  Returns one estimate list per
     candidate, byte-identical at every [shards]/[jobs] setting, or
-    [None] when [interrupt] fired while the queue was draining. *)
+    [None] when [interrupt] fired while the queue was draining.
+    @raise Invalid_argument as {!Mx_sim.Estimator.prepare} and
+    {!Mx_sim.Estimator.run} do. *)
 
 val connectivity_exploration :
   config ->

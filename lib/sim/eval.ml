@@ -19,14 +19,12 @@ let make_cache capacity =
 
 let cache : Sim_result.t Memo_cache.t ref = ref (make_cache default_cache_capacity)
 
-(* What an architecture's connectivities share, one per (workload,
-   architecture, fidelity): the recorded module outcomes of a
-   simulation, or the estimator's plan.  Phase I, Phase II and Full
-   visit an architecture's variants together, but the refine pass
-   interleaves the few architectures on the front, so the memo keeps a
-   handful beyond the largest APEX selection. *)
-type prepared = Column of Cycle_sim.column | Plan of Estimator.plan
-
+(* The recorded module outcomes of a simulation, one column per
+   (workload, architecture, fidelity).  Phase II and Full visit an
+   architecture's variants together, but the refine pass interleaves
+   the few architectures on the front, so the memo keeps a handful
+   beyond the largest APEX selection (APEX's [select] returns up to
+   [max_selected + 1] architectures). *)
 let column_capacity = 16
 
 let make_columns capacity =
@@ -34,7 +32,7 @@ let make_columns capacity =
     ~capacity:(if capacity <= 0 then 0 else column_capacity)
     ()
 
-let columns : prepared Memo_cache.t ref =
+let columns : Cycle_sim.column Memo_cache.t ref =
   ref (make_columns default_cache_capacity)
 
 let set_cache_capacity capacity =
@@ -66,9 +64,9 @@ let workload_fingerprint (w : Workload.t) =
 
 let key ~base fidelity = base ^ "|" ^ fidelity_tag fidelity
 
-(* The persistent (disk) tier.  Bump the revision whenever a change to
-   the estimator, the cycle simulator or the fingerprint scheme can
-   alter any evaluation result: segments written under the old revision
+(* The persistent (disk) tier, for simulations only.  Bump the revision
+   whenever a change to the cycle simulator or the fingerprint scheme
+   can alter any stored result: segments written under the old revision
    are then ignored on open, so a stale store silently self-invalidates
    instead of serving yesterday's numbers. *)
 let model_revision = "conex-eval-1"
@@ -149,44 +147,20 @@ let promote c ~exact_key =
         fst (Memo_cache.find_or_compute_prov c ~key:exact_key (fun () -> r)))
       (persist_get exact_key)
 
-(* One lookup for every rung of the ladder: the fidelity picks the key
-   and the evaluator, and only [Sampled] tries promotion first.  The
-   evaluator is chosen before any lookup, so a missing profile or bad
-   sampling windows raise even when the key is cached.  A computed
-   result runs the connectivity over what its architecture shares at
-   that fidelity — a recorded column or an estimator plan — built on
-   the first request.  The fidelity tag in the key decides which of the
-   two an entry holds. *)
-let eval_prov ~fidelity ~workload ~arch ?profile ~conn () =
+(* The simulated rungs: only [Sampled] tries promotion first, then one
+   hot -> disk -> compute lookup.  A computed result times the
+   connectivity over its architecture's recorded column, built on the
+   first request at that fidelity. *)
+let simulate ~fidelity ?sample ~workload ~arch ~conn () =
   let arch_base =
     workload_fingerprint workload ^ "|" ^ Mem_arch.fingerprint arch
   in
-  let shared build =
-    Memo_cache.find_or_compute !columns ~key:(key ~base:arch_base fidelity)
-      build
-  in
-  let simulate sample () =
-    match
-      shared (fun () -> Column (Cycle_sim.record ?sample ~workload ~arch ()))
-    with
-    | Column column -> Cycle_sim.time column ~conn
-    | Plan _ -> assert false
-  in
-  let compute =
-    match (fidelity, profile) with
-    | Estimate, None ->
-      invalid_arg "Eval.eval: Estimate fidelity requires ~profile"
-    | Estimate, Some profile -> (
-      fun () ->
-        match
-          shared (fun () -> Plan (Estimator.prepare ~workload ~arch ~profile))
-        with
-        | Plan plan -> Estimator.run plan ~conn
-        | Column _ -> assert false)
-    | Sampled (on, off), _ when on <= 0 || off < 0 ->
-      invalid_arg "Eval.eval: bad sampling windows"
-    | Sampled (on, off), _ -> simulate (Some (on, off))
-    | Exact, _ -> simulate None
+  let compute () =
+    let column =
+      Memo_cache.find_or_compute !columns ~key:(key ~base:arch_base fidelity)
+        (fun () -> Cycle_sim.record ?sample ~workload ~arch ())
+    in
+    Cycle_sim.time column ~conn
   in
   let c = !cache in
   let base = arch_base ^ "|" ^ Conn_arch.fingerprint conn in
@@ -198,6 +172,21 @@ let eval_prov ~fidelity ~workload ~arch ?profile ~conn () =
   match promoted with
   | Some r -> (r, Promoted)
   | None -> find_via_tiers c ~key:(key ~base fidelity) compute
+
+(* Bad sampling windows raise before any lookup, so a cached or
+   promotable entry does not hide them.  An estimate costs less to
+   compute than a hot-tier hit, so it never enters either tier. *)
+let eval_prov ~fidelity ~workload ~arch ?profile ~conn () =
+  match (fidelity, profile) with
+  | Estimate, None ->
+    invalid_arg "Eval.eval: Estimate fidelity requires ~profile"
+  | Estimate, Some profile ->
+    (Estimator.estimate ~workload ~arch ~profile ~conn, Computed)
+  | Sampled (on, off), _ when on <= 0 || off < 0 ->
+    invalid_arg "Eval.eval: bad sampling windows"
+  | Sampled (on, off), _ ->
+    simulate ~fidelity ~sample:(on, off) ~workload ~arch ~conn ()
+  | Exact, _ -> simulate ~fidelity ~workload ~arch ~conn ()
 
 let eval ~fidelity ~workload ~arch ?profile ~conn () =
   fst (eval_prov ~fidelity ~workload ~arch ?profile ~conn ())

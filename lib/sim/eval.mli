@@ -1,6 +1,6 @@
-(** The unified evaluation engine: one entry point for every
-    performance/energy evaluation in the exploration funnel, with a
-    content-addressed result cache behind it.
+(** The unified evaluation engine: one entry point for the exploration
+    funnel's simulations and for one-off estimates, with a
+    content-addressed result cache behind the simulated rungs.
 
     The funnel's three evaluators become one {!fidelity} ladder:
 
@@ -13,17 +13,28 @@
                           (refinement / final reporting; ground truth)
     v}
 
-    Every call is routed through a process-wide {!Mx_util.Memo_cache}
-    keyed by canonical structural fingerprints:
+    {b Estimates skip the tiers.}  An [Estimate] is computed on every
+    request ({!Estimator.estimate}) and never enters either tier: no
+    key is built, nothing is kept in memory and nothing is written to
+    the store.  Measured on li at scale 100 000 (means over its 54 322
+    Phase I estimates, 2-vCPU VM), an estimate computed from its
+    architecture's plan takes 1.0–1.7 µs, a hot-tier hit 2.1 µs and a
+    disk hit 5.7 µs, so a tier would only make each estimate slower and
+    fill the heap and the store.  Phase I calls {!Estimator.prepare}
+    once per architecture and {!Estimator.run} per connectivity
+    itself.
+
+    Every simulation is routed through a process-wide
+    {!Mx_util.Memo_cache} keyed by canonical structural fingerprints:
 
     [workload fingerprint | memory fingerprint | connectivity
     fingerprint | fidelity tag]
 
-    so a design already evaluated at {e equal or higher} fidelity is
-    never recomputed: an [Exact] result satisfies a later [Sampled]
+    so a design already simulated at {e equal or higher} fidelity is
+    never re-simulated: an [Exact] result satisfies a later [Sampled]
     request for the same design (both are produced by the cycle
-    simulator; the exact run is strictly better).  [Estimate] results
-    are kept separate in both directions — the analytic model is a
+    simulator; the exact run is strictly better).  [Estimate] never
+    crosses the ladder in either direction — the analytic model is a
     different estimator, and silently substituting simulator output
     would change what the caller asked for (and vice versa).
     [Sampled] entries only satisfy requests with identical windows.
@@ -33,30 +44,25 @@
     compute once, so per-simulation counters such as [cycle_sim.runs]
     remain identical at every jobs level.  Cache traffic is recorded in
     {!Mx_util.Metrics.global} as [eval.cache.hits], [eval.cache.misses]
-    and [eval.cache.evictions].
+    and [eval.cache.evictions]; they count simulations only.
 
-    {b Recorded columns and estimator plans.}  A simulation that has to
-    be computed times its connectivity ({!Cycle_sim.time}) over the
-    architecture's recorded module outcomes ({!Cycle_sim.record}); an
-    estimate that has to be computed runs its connectivity
-    ({!Estimator.run}) over the architecture's plan
-    ({!Estimator.prepare}).  Columns and plans sit in a second, small
-    single-flight memo keyed
+    {b Recorded columns.}  A simulation that has to be computed times
+    its connectivity ({!Cycle_sim.time}) over the architecture's
+    recorded module outcomes ({!Cycle_sim.record}).  Columns sit in a
+    second, small single-flight memo keyed
     [workload fingerprint | memory fingerprint | fidelity tag], so all
     connectivity variants of one architecture at one fidelity share a
-    single module-level simulation, or a single plan.  The plan, like
-    the result key, takes the profile to be determined by the workload
-    and the architecture.  The memo holds at most 16 entries (the
-    refine pass interleaves the architectures on the front), is never
-    persisted, and counts its traffic as [eval.cache.columns.hits],
-    [.misses] and [.evictions] — a [cache.] segment, so exempt from
-    the determinism contract.  [cycle_sim.*] counters are still
-    recorded once per computed simulation. *)
+    single module-level simulation.  The memo holds at most 16 columns
+    (the refine pass interleaves the architectures on the front), is
+    never persisted, and counts its traffic as
+    [eval.cache.columns.hits], [.misses] and [.evictions] — a [cache.]
+    segment, so exempt from the determinism contract.  [cycle_sim.*]
+    counters are still recorded once per computed simulation. *)
 
 type fidelity =
   | Estimate
-      (** the analytic model ({!Estimator.run} over the architecture's
-          shared {!Estimator.prepare} plan); requires [~profile] *)
+      (** the analytic model ({!Estimator.estimate}), computed on every
+          request and never cached; requires [~profile] *)
   | Sampled of int * int
       (** time-sampled cycle simulation with [(on, off)] windows *)
   | Exact  (** cycle simulation of the full trace *)
@@ -73,11 +79,11 @@ val eval :
   unit ->
   Sim_result.t
 (** Evaluate one (workload, memory, connectivity) design point at the
-    requested fidelity, serving it from the cache when an entry of equal
-    or higher fidelity exists.  Every fidelity takes the same path: a
-    [Sampled] request first tries Exact-serves-Sampled promotion (hot
-    tier, then disk tier); then one lookup under the request's own key
-    goes hot tier, disk tier, compute.
+    requested fidelity.  An [Estimate] is always computed.  A simulation
+    is served from the cache when an entry of equal or higher fidelity
+    exists: a [Sampled] request first tries Exact-serves-Sampled
+    promotion (hot tier, then disk tier); then one lookup under the
+    request's own key goes hot tier, disk tier, compute.
     @raise Invalid_argument when [fidelity = Estimate] and no [~profile]
     is supplied, or when [fidelity = Sampled (on, off)] has [on <= 0]
     or [off < 0] (both checked before any lookup, so a cached or
@@ -107,40 +113,43 @@ val eval_prov :
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Sim_result.t * provenance
-(** {!eval} that also reports where the result came from.  Provenance is
-    schedule-dependent (cache contents depend on cross-domain timing),
-    so events derived from it must carry a [cache.] segment in their
-    name — see {!Mx_util.Metrics.schedule_dependent}. *)
+(** {!eval} that also reports where the result came from; an
+    [Estimate] is always [Computed].  Provenance is schedule-dependent
+    (cache contents depend on cross-domain timing), so events derived
+    from it must carry a [cache.] segment in their name — see
+    {!Mx_util.Metrics.schedule_dependent}. *)
 
 val default_cache_capacity : int
 (** 65536 entries — far above the working set of any bundled experiment,
     so nothing is evicted and cache behaviour stays deterministic. *)
 
 val set_cache_capacity : int -> unit
-(** Replace the cache with a fresh one of the given capacity (dropping
-    all entries; 0 or negative disables caching), and the memo of
-    columns and plans with a fresh one (disabled too when the capacity
-    is 0 or negative).  Not safe to call concurrently with running
-    evaluations — configure before exploring. *)
+(** Replace the result cache with a fresh one of the given capacity
+    (dropping all entries; 0 or negative disables caching), and the
+    column memo with a fresh one (disabled too when the capacity is 0
+    or negative).  Estimates use neither.  Not safe to call
+    concurrently with running evaluations — configure before
+    exploring. *)
 
 val cache_stats : unit -> Mx_util.Memo_cache.stats
 (** Hit/miss/eviction totals since the cache was created or last
     resized ({!clear_cache} keeps counters). *)
 
 val column_stats : unit -> Mx_util.Memo_cache.stats
-(** The same totals for the memo of columns and plans: each miss is
-    one {!Cycle_sim.record} or one {!Estimator.prepare}. *)
+(** The same totals for the column memo, which holds recorded
+    columns only: each miss is one {!Cycle_sim.record}. *)
 
 val clear_cache : unit -> unit
-(** Drop every cached result, recorded column and estimator plan
-    (counters are kept).  Call between independent experiment arms when warm-cache
+(** Drop every cached simulation result and recorded column (counters
+    are kept).  Call between independent experiment arms when warm-cache
     carry-over would blur a comparison.  Only empties the hot tier —
     the persistent tier, when open, is untouched (that is what makes
     warm-start tests honest). *)
 
 (** {2 The persistent tier}
 
-    An optional second cache level backed by {!Mx_util.Persist_cache}:
+    An optional second cache level for simulations, backed by
+    {!Mx_util.Persist_cache} (estimates never reach it):
     hot tier → disk tier → compute, with the single-flight guarantee
     covering all three (the disk probe and the write-back happen inside
     the memo slot, so concurrent requests for one key do one disk read
@@ -152,9 +161,10 @@ val clear_cache : unit -> unit
 
 val model_revision : string
 (** Version stamp written into every segment the disk tier creates.
-    Bumped whenever the estimator, the cycle simulator or the
-    fingerprint scheme changes in a result-affecting way; stores written
-    under another revision are ignored wholesale on open. *)
+    Bumped whenever the cycle simulator or the fingerprint scheme
+    changes in a result-affecting way; stores written under another
+    revision are ignored wholesale on open.  Estimate records that
+    older stores hold are never read. *)
 
 val open_persist : dir:string -> (unit, string) result
 (** Attach the process-wide disk tier rooted at [dir] (creating it if

@@ -483,6 +483,85 @@ let test_explore_cache_transparent () =
         [ 1; Helpers.test_jobs ])
     [ 11; 42 ]
 
+(* -- Phase I and the result tiers ------------------------------------------ *)
+
+(* Phase I estimates each connectivity from its architecture's plan:
+   every estimate equals a direct estimator call, and neither the hot
+   tier nor an open store sees one, at every jobs level. *)
+let test_phase1_bypasses_tiers () =
+  with_pristine_cache @@ fun () ->
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mx-eval-phase1-%d" (Unix.getpid ()))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Eval.close_persist ();
+      if Sys.file_exists dir && Sys.is_directory dir then begin
+        Array.iter
+          (fun name -> Sys.remove (Filename.concat dir name))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+  @@ fun () ->
+  (match Eval.open_persist ~dir with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "open_persist: %s" e);
+  let w = Helpers.mixed_workload ~scale:4000 () in
+  let cands =
+    Mx_apex.Explore.select ~config:(small_config 1).Explore.apex
+      (Mx_trace.Profile.analyze w)
+  in
+  let wire = Mx_sim.Sim_result.to_wire in
+  List.iter
+    (fun jobs ->
+      Eval.set_cache_capacity Eval.default_cache_capacity;
+      let s0 = Eval.cache_stats () in
+      let per_arch =
+        match Explore.phase1 (small_config jobs) w cands with
+        | Some per_arch -> per_arch
+        | None -> Alcotest.fail "Phase I stopped without an interrupt"
+      in
+      let s1 = Eval.cache_stats () in
+      let expected, got =
+        List.split
+          (List.concat
+             (List.map2
+                (fun (c : Mx_apex.Explore.candidate) designs ->
+                  List.map
+                    (fun (d : Design.t) ->
+                      ( wire
+                          (Mx_sim.Estimator.estimate ~workload:w
+                             ~arch:c.Mx_apex.Explore.arch
+                             ~profile:c.Mx_apex.Explore.profile
+                             ~conn:d.Design.conn),
+                        Option.fold ~none:"no estimate" ~some:wire
+                          d.Design.est ))
+                    designs)
+                cands per_arch))
+      in
+      Helpers.check_true
+        (Printf.sprintf "jobs %d: Phase I estimated designs" jobs)
+        (List.length got > List.length cands);
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs %d: every estimate equals the estimator" jobs)
+        expected got;
+      Helpers.check_int
+        (Printf.sprintf "jobs %d: no result looked up" jobs)
+        0
+        (s1.Mx_util.Memo_cache.misses - s0.Mx_util.Memo_cache.misses);
+      Helpers.check_int
+        (Printf.sprintf "jobs %d: no result resident" jobs)
+        0 s1.Mx_util.Memo_cache.size;
+      Helpers.check_int
+        (Printf.sprintf "jobs %d: nothing written to the store" jobs)
+        0
+        (match Eval.persist_stats () with
+        | Some s -> s.Mx_util.Persist_cache.appended
+        | None -> -1))
+    [ 1; Helpers.test_jobs ]
+
 let suite =
   ( "eval",
     [
@@ -530,4 +609,6 @@ let suite =
         test_eval_bad_windows_rejected;
       Alcotest.test_case "exploration cache-transparent" `Slow
         test_explore_cache_transparent;
+      Alcotest.test_case "Phase I bypasses the result tiers" `Quick
+        test_phase1_bypasses_tiers;
     ] )

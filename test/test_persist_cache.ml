@@ -319,9 +319,10 @@ let test_eval_disk_tier () =
           Helpers.check_true "disk-promoted Exact serves Sampled"
             (p3 = Eval.Promoted && r3 = r1)))
 
-(* The ladder cells beside Exact that go through the same tiered
-   lookup: Estimate through hot and disk tier, a Sampled result with no
-   Exact entry to promote from, and the eager profile check. *)
+(* The ladder cells beside Exact: a Sampled result with no Exact entry
+   to promote from goes through the hot and disk tier; an Estimate is
+   computed on every request, before and after a restart, and writes
+   nothing to the store; the profile check stays eager. *)
 let test_eval_ladder_tiers () =
   with_dir (fun dir ->
       let w = Helpers.mixed_workload ~scale:4000 () in
@@ -352,15 +353,19 @@ let test_eval_ladder_tiers () =
             eval "cold estimate is computed" Eval.Estimate ~profile
               Eval.Computed
           in
+          Helpers.check_int "an estimate writes nothing to the store" 0
+            (match Eval.persist_stats () with
+            | Some s -> s.Persist.appended
+            | None -> -1);
           let e2 =
-            eval "repeated estimate hits the hot tier" Eval.Estimate ~profile
-              Eval.Cache_hit
+            eval "repeated estimate is computed" Eval.Estimate ~profile
+              Eval.Computed
           in
           let s1 = eval "cold sampled is computed" sampled Eval.Computed in
           restart ();
           let e3 =
-            eval "restarted estimate hits the disk" Eval.Estimate ~profile
-              Eval.Disk_hit
+            eval "restarted estimate is computed" Eval.Estimate ~profile
+              Eval.Computed
           in
           let s2 =
             eval "restarted sampled hits the disk" sampled Eval.Disk_hit
