@@ -969,6 +969,10 @@ let serve_cmd =
   let run cache_dir socket jobs shards cache_size =
     check_shards shards;
     let jobs = max 1 jobs in
+    (* a client that vanishes before its reply must not kill the
+       server: a write to it then fails with EPIPE, a [Sys_error] that
+       ends only that connection *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     tiers_begin ~cache_size cache_dir;
     let counters =
       { Serve.requests = 0; ok = 0; errors = 0; dedup = 0 }
@@ -994,7 +998,12 @@ let serve_cmd =
       done
     in
     (match socket with
-    | None -> serve_channel stdin stdout
+    | None -> (
+      (* a closed stdout ends the session like end of input; closing
+         the channel drops the reply it could not write, which a later
+         flush would otherwise retry and fail on at exit *)
+      try serve_channel stdin stdout
+      with Sys_error _ -> close_out_noerr stdout)
     | Some path ->
       if Sys.file_exists path then Sys.remove path;
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1009,8 +1018,10 @@ let serve_cmd =
         let ic = Unix.in_channel_of_descr client in
         let oc = Unix.out_channel_of_descr client in
         (try serve_channel ic oc with Sys_error _ -> ());
-        (try flush oc with Sys_error _ -> ());
-        (try Unix.close client with Unix.Unix_error _ -> ())
+        (* flushes what it can and closes [client]; a reply the peer
+           never read is dropped with the channel, so no later flush
+           can write it to a reused descriptor *)
+        close_out_noerr oc
       done;
       (try Unix.close fd with Unix.Unix_error _ -> ());
       if Sys.file_exists path then Sys.remove path);

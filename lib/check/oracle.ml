@@ -638,8 +638,10 @@ type repl_event = {
 
    - True_lru / Fifo are order-based: a set is a plain list of lines in
      recency (resp. fill) order, no way indexes at all — the victim is
-     simply the last element.  This is deliberately a different
-     representation from the production per-way stamp arrays.
+     simply the last element.  The production cache keeps these sets
+     in order too, in its way arrays, so for them this model checks
+     the kernel's shifts but not the representation; [stack_hits]
+     below is true LRU's independent check.
    - Tree_plru / QLRU / MRU_N depend on way placement, so their sets
      are an array of slots (filled lowest index first, like the
      production cache) plus the policy's state written as a naive
@@ -851,6 +853,25 @@ let stack_hits ~capacity lines =
       stack := line :: rest;
       match depth with Some d -> d < capacity | None -> false)
     lines
+
+(* -- victim buffer ------------------------------------------------------ *)
+
+(* The buffer as a list in insertion order, oldest first: a clean
+   eviction appends its line, dropping the head when the buffer is
+   full, and a probe hit removes its line. *)
+let victim_buffer ~entries misses =
+  let buf = ref [] in
+  List.map
+    (fun (evicted, line) ->
+      Option.iter
+        (fun e ->
+          let b = !buf @ [ e ] in
+          buf := if List.length b > entries then List.tl b else b)
+        evicted;
+      let hit = List.mem line !buf in
+      if hit then buf := List.filter (fun l -> l <> line) !buf;
+      hit)
+    misses
 
 (* -- statistics --------------------------------------------------------- *)
 

@@ -136,16 +136,25 @@ val repl_cache :
     stream through a naive model of the geometry's replacement policy
     and returns the full hit/writeback/evict sequence — the
     specification of {!Mx_mem.Cache.access}.  True LRU and FIFO sets
-    are recency/fill-ordered lists (no way indexes at all); tree-PLRU
-    uses a recursive binary tree; QLRU and MRU_N transcribe their
-    age/bit rules directly.  @raise Invalid_argument on a malformed
-    geometry. *)
+    are recency/fill-ordered lists (no way indexes at all), the order
+    the production cache also keeps, so {!stack_hits} is true LRU's
+    independent check; tree-PLRU uses a recursive binary tree; QLRU
+    and MRU_N transcribe their age/bit rules directly.
+    @raise Invalid_argument on a malformed geometry. *)
 
 val stack_hits : capacity:int -> int list -> bool list
 (** Fully-associative LRU by stack distance over a line-number stream:
     a reference hits iff its line was seen before with fewer than
     [capacity] distinct lines touched since — the classical
     stack-algorithm specification of single-set true LRU. *)
+
+val victim_buffer : entries:int -> (int option * int) list -> bool list
+(** A victim buffer of [entries] lines as a list in insertion order,
+    replayed over a main cache's misses, each the clean line it evicted
+    (if any) and the missed line: the eviction is appended, dropping
+    the oldest line when the buffer is full, and then the missed line
+    is probed, a hit removing it.  The hit of each miss — the
+    specification of {!Mx_mem.Victim_cache.recover}. *)
 
 val percentile : float list -> p:float -> float option
 (** Nearest-rank percentile by direct sort-and-index — the

@@ -10,6 +10,7 @@ module Conn_arch = Mx_connect.Conn_arch
 module Brg = Mx_connect.Brg
 module Params = Mx_mem.Params
 module Cache = Mx_mem.Cache
+module Victim_cache = Mx_mem.Victim_cache
 module Mem_arch = Mx_mem.Mem_arch
 module Mem_sim = Mx_mem.Mem_sim
 module Workload = Mx_trace.Workload
@@ -1455,28 +1456,94 @@ let replacement_suite =
           in
           let stream = Gen.repl_stream g ~size ~geometry in
           repl_compare ~cache_geo:geometry ~oracle_geo:geometry stream);
-      R.prop "fully-associative true-lru matches the stack-distance oracle"
+      R.prop "per-set true-lru matches the stack-distance oracle"
         (fun ~seed ~size ->
+          (* each set of a true-LRU cache is a fully-associative LRU of
+             [ways] lines over the references that map to it *)
           let g = Prng.create ~seed in
           let ways = 1 lsl Prng.int g ~bound:(min 4 (1 + size)) in
+          let sets = 1 lsl Prng.int g ~bound:3 in
           let line = 16 in
           let geometry =
-            { Params.c_size = ways * line; c_line = line; c_assoc = ways;
-              c_latency = 1; c_policy = Params.True_lru }
+            { Params.c_size = sets * ways * line; c_line = line;
+              c_assoc = ways; c_latency = 1; c_policy = Params.True_lru }
           in
           let stream = Gen.repl_stream g ~size ~geometry in
-          let cache_hits =
-            List.map
-              (fun e -> e.Oracle.o_hit)
+          let refs =
+            List.map2
+              (fun (addr, _) e -> (addr / line, e.Oracle.o_hit))
+              stream
               (repl_events_of_cache geometry stream)
-          and stack =
-            Oracle.stack_hits ~capacity:ways
-              (List.map (fun (addr, _) -> addr / line) stream)
           in
-          R.check (cache_hits = stack)
-            "single-set %d-way true-lru diverges from the stack algorithm \
-             on %d accesses"
-            ways (List.length stream));
+          R.all_of
+            (List.init sets (fun set ->
+                 let lines, hits =
+                   List.split
+                     (List.filter (fun (l, _) -> l land (sets - 1) = set) refs)
+                 in
+                 R.check
+                   (hits = Oracle.stack_hits ~capacity:ways lines)
+                   "set %d of %d: %d-way true-lru diverges from the stack \
+                    algorithm on %d accesses"
+                   set sets ways (List.length lines))));
+      R.prop "victim buffer matches its insertion-order oracle"
+        (fun ~seed ~size ->
+          (* a small L1, replayed by the oracle, supplies each miss's
+             clean eviction and missed line; a line universe just over
+             the L1 and the buffer together keeps full buffers probed
+             for their oldest entry *)
+          let g = Prng.create ~seed in
+          let entries = 1 + Prng.int g ~bound:16 in
+          let geometry =
+            { (Gen.repl_geometry g ~size) with
+              Params.c_policy = Gen.repl_policy g }
+          in
+          let line = geometry.Params.c_line in
+          let universe =
+            (geometry.Params.c_size / line) + entries + 1 + Prng.int g ~bound:4
+          in
+          let n = (8 * size) + 1 + Prng.int g ~bound:(8 * size) in
+          let stream =
+            List.init n (fun _ ->
+                (Prng.int g ~bound:universe * line, Prng.bool g ~p:0.3))
+          in
+          let misses =
+            List.concat
+              (List.map2
+                 (fun (addr, _) (e : Oracle.repl_event) ->
+                   if e.Oracle.o_hit then []
+                   else
+                     [ ((if e.Oracle.o_writeback then None
+                         else e.Oracle.o_evicted_line),
+                        addr / line) ])
+                 stream
+                 (Oracle.repl_cache geometry stream))
+          in
+          let v =
+            Victim_cache.create { Params.v_entries = entries; v_latency = 1 }
+          in
+          let got =
+            List.map
+              (fun (evicted, line) ->
+                Victim_cache.recover v
+                  ~evicted:(Option.value evicted ~default:(-1))
+                  ~line)
+              misses
+          and want = Oracle.victim_buffer ~entries misses in
+          let word hit = if hit then "hits" else "misses" in
+          let rec first i = function
+            | a :: rest_a, b :: rest_b ->
+              if a = b then first (i + 1) (rest_a, rest_b)
+              else
+                R.failf "miss %d of %d: buffer %s, oracle %s (%d entries)" i
+                  (List.length misses) (word a) (word b) entries
+            | _ ->
+              let n_want = List.length (List.filter Fun.id want) in
+              R.check
+                (Victim_cache.hits v = n_want)
+                "buffer counts %d hits, oracle %d" (Victim_cache.hits v) n_want
+          in
+          first 0 (got, want));
       R.prop "all policies agree on compulsory misses" (fun ~seed ~size ->
           let g = Prng.create ~seed in
           let geometry = Gen.repl_geometry g ~size in

@@ -1,3 +1,10 @@
+(* How a set finds its victim.  True_lru and Fifo keep each set's lines
+   in order in its ways, most recent (resp. newest fill) first, with the
+   invalid ways at the tail, so the last way is always the victim.  The
+   other policies depend on way placement and keep a Replacement state
+   per set. *)
+type order = Recency | Fill_order | Per_set of Replacement.t array
+
 type t = {
   p : Params.cache;
   (* p's geometry as read on every lookup: line and set count are
@@ -9,7 +16,7 @@ type t = {
   assoc : int;
   tags : int array; (* sets * assoc; -1 = invalid *)
   dirty : bool array;
-  repl : Replacement.t array; (* one policy state per set *)
+  order : order;
   mutable n_access : int;
   mutable n_miss : int;
   mutable n_wb : int;
@@ -29,9 +36,14 @@ let create p =
     assoc = p.Params.c_assoc;
     tags = Array.make ways (-1);
     dirty = Array.make ways false;
-    repl =
-      Array.init sets (fun _ ->
-          Replacement.create p.Params.c_policy ~ways:p.Params.c_assoc);
+    order =
+      (match p.Params.c_policy with
+      | Params.True_lru -> Recency
+      | Params.Fifo -> Fill_order
+      | policy ->
+        Per_set
+          (Array.init sets (fun _ ->
+               Replacement.create policy ~ways:p.Params.c_assoc)));
     n_access = 0;
     n_miss = 0;
     n_wb = 0;
@@ -48,6 +60,25 @@ let cold_fill = -2
 let evicted code = code asr 1
 let dirty code = code >= 0 && code land 1 = 1
 
+(* Unchecked reads and writes for the lookup below: every index it uses
+   lies in its set's [base, stop), and [stop <= sets * assoc], the
+   length of [tags] and [dirty], because [set <= set_mask]. *)
+let[@inline] ( .%() ) (a : int array) i = Array.unsafe_get a i
+let[@inline] ( .%()<- ) (a : int array) i v = Array.unsafe_set a i v
+let[@inline] ( .!() ) (a : bool array) i = Array.unsafe_get a i
+let[@inline] ( .!()<- ) (a : bool array) i v = Array.unsafe_set a i v
+
+(* Move [way] of the set at [base] to the front of its order, the ways
+   before it down one, each dirty bit with its line. *)
+let[@inline] promote (tags : int array) (dirty : bool array) ~base ~way =
+  let tag = tags.%(way) and d = dirty.!(way) in
+  for k = way downto base + 1 do
+    tags.%(k) <- tags.%(k - 1);
+    dirty.!(k) <- dirty.!(k - 1)
+  done;
+  tags.%(base) <- tag;
+  dirty.!(base) <- d
+
 (* Inlined into [access], so the wrapper costs no extra call. *)
 let[@inline] lookup t ~addr ~write =
   (* a negative address would alias: its tag could read as an invalid
@@ -61,32 +92,43 @@ let[@inline] lookup t ~addr ~write =
   let tag = line lsr t.set_bits in
   let base = set * t.assoc in
   let stop = base + t.assoc in
-  let tags = t.tags and repl = t.repl.(set) in
+  let tags = t.tags and dirty = t.dirty in
   (* tags are non-negative and unique within a set *)
   let way = ref base in
-  while !way < stop && tags.(!way) <> tag do
+  while !way < stop && tags.%(!way) <> tag do
     incr way
   done;
-  if !way < stop then begin
-    Replacement.touch repl ~way:(!way - base);
-    if write then t.dirty.(!way) <- true;
+  let way = !way in
+  if way < stop then begin
+    if write then dirty.!(way) <- true;
+    (match t.order with
+    | Recency -> promote tags dirty ~base ~way
+    | Fill_order -> ()
+    | Per_set repl -> Replacement.touch repl.(set) ~way:(way - base));
     hit
   end
   else begin
     t.n_miss <- t.n_miss + 1;
-    (* choose victim: lowest-index invalid way; only a full set consults
-       the replacement policy *)
-    let free = ref base in
-    while !free < stop && tags.(!free) <> -1 do
-      incr free
-    done;
-    let victim = if !free < stop then !free else base + Replacement.victim repl in
-    let old = tags.(victim) in
-    let wb = old <> -1 && t.dirty.(victim) in
+    let victim =
+      match t.order with
+      | Recency | Fill_order -> stop - 1
+      | Per_set repl ->
+        (* the lowest-index invalid way; only a full set consults the
+           replacement policy *)
+        let free = ref base in
+        while !free < stop && tags.%(!free) <> -1 do
+          incr free
+        done;
+        if !free < stop then !free else base + Replacement.victim repl.(set)
+    in
+    let old = tags.%(victim) in
+    let wb = old <> -1 && dirty.!(victim) in
     if wb then t.n_wb <- t.n_wb + 1;
-    tags.(victim) <- tag;
-    t.dirty.(victim) <- write;
-    Replacement.fill repl ~way:(victim - base);
+    tags.%(victim) <- tag;
+    dirty.!(victim) <- write;
+    (match t.order with
+    | Recency | Fill_order -> promote tags dirty ~base ~way:victim
+    | Per_set repl -> Replacement.fill repl.(set) ~way:(victim - base));
     if old = -1 then cold_fill
     else (((old lsl t.set_bits) lor set) lsl 1) lor Bool.to_int wb
   end
@@ -102,7 +144,9 @@ let access t ~addr ~write =
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.iter Replacement.reset t.repl;
+  (match t.order with
+  | Recency | Fill_order -> ()
+  | Per_set repl -> Array.iter Replacement.reset repl);
   t.n_access <- 0;
   t.n_miss <- 0;
   t.n_wb <- 0

@@ -10,13 +10,18 @@
     {b Victim tie-breaking contract} (load-bearing for determinism, and
     pinned by regression tests):
 
-    - on a miss, invalid ways are claimed first, in ascending way-index
-      order, before the replacement policy is consulted;
-    - only a set whose every way holds a valid line asks
-      {!Replacement.victim} for the eviction way, and every policy
-      breaks its remaining ties toward the lowest way index (for
-      [True_lru], equal stamps — which only arise before the set has
-      been filled — resolve to the lowest way).
+    - a set that is not yet full evicts nothing: a miss claims an
+      invalid way;
+    - [True_lru] and [Fifo] keep each set's lines in order in its ways,
+      most recent (resp. newest fill) first, with the invalid ways at
+      the tail.  A miss evicts the last way, the least recently used
+      line (resp. the oldest fill), shifts the set down one and fills
+      the front; a [True_lru] hit moves its line to the front, a [Fifo]
+      hit moves nothing.  A line's dirty bit moves with it;
+    - the bit/age policies claim invalid ways in ascending way-index
+      order; only a set whose every way holds a valid line asks
+      {!Replacement.victim} for the eviction way, and every such policy
+      breaks its remaining ties toward the lowest way index.
 
     Together these make the full hit/miss/evict sequence a pure
     function of the access stream and the cache parameters.

@@ -212,12 +212,11 @@ let access t ~now ~addr ~size ~write ~region =
           let evicted = Cache.evicted code and dirty = Cache.dirty code in
           let line = (Cache.params c).Params.c_line in
           (* clean evictions feed the victim buffer *)
-          (match t.victim with
-          | Some v when evicted >= 0 && not dirty ->
-            Victim_cache.insert v ~line:evicted
-          | _ -> ());
+          let clean = if dirty then -1 else evicted in
           match t.victim with
-          | Some v when Victim_cache.probe v ~line:(addr lsr t.line_bits) ->
+          | Some v
+            when Victim_cache.recover v ~evicted:clean
+                   ~line:(addr lsr t.line_bits) ->
             (* conflict miss recovered on-chip: swap back, no DRAM *)
             t.k.n_victim_hit <- t.k.n_victim_hit + 1;
             {
@@ -568,11 +567,9 @@ let run_family cache variants trace (idx, bytes) =
     in
     if code <> Cache.hit then begin
       let evicted = Cache.evicted code and dirty = Cache.dirty code in
-      let clean = evicted >= 0 && not dirty and missed = addr lsr line_bits in
+      let clean = if dirty then -1 else evicted and missed = addr lsr line_bits in
       for b = 0 to Array.length bufs - 1 do
-        let vc = bufs.(b) in
-        if clean then Victim_cache.insert vc ~line:evicted;
-        let h = Victim_cache.probe vc ~line:missed in
+        let h = Victim_cache.recover bufs.(b) ~evicted:clean ~line:missed in
         vhit.(b) <- h;
         if h && dirty then vhits_dirty.(b) <- vhits_dirty.(b) + 1
       done;

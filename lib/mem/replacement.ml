@@ -1,5 +1,7 @@
-(* Pluggable per-set victim selection.  One [t] tracks the way state of
-   a single cache set; the cache owns an array of them, one per set.
+(* Pluggable per-set victim selection for the policies that depend on
+   way placement.  One [t] tracks the way state of a single cache set;
+   the cache owns an array of them, one per set.  True LRU and FIFO
+   need no state here: the cache keeps their sets in order itself.
 
    The contract with Cache.lookup:
    - [touch] is called on every hit, with the hit way;
@@ -12,10 +14,6 @@
    break remaining ties toward the lowest way index. *)
 
 type state =
-  (* True LRU and FIFO share the stamp representation: a per-set clock
-     and one stamp per way.  True_lru restamps on touch and fill (last
-     use); Fifo restamps on fill only (insertion order). *)
-  | Stamps of { stamps : int array; mutable clock : int; on_touch : bool }
   (* Tree-PLRU: ways-1 bits, heap-indexed (node n has children 2n+1 /
      2n+2; leaf k is heap index ways-1+k).  A false bit sends the
      victim walk left, true right; touching a way points every bit on
@@ -40,10 +38,9 @@ let create policy ~ways =
   if ways <= 0 then invalid_arg "Replacement.create: non-positive ways";
   let state =
     match (policy : Params.policy) with
-    | Params.True_lru ->
-      Stamps { stamps = Array.make ways 0; clock = 0; on_touch = true }
-    | Params.Fifo ->
-      Stamps { stamps = Array.make ways 0; clock = 0; on_touch = false }
+    | Params.True_lru | Params.Fifo ->
+      invalid_arg
+        "Replacement.create: the cache keeps true-lru and fifo in order"
     | Params.Tree_plru ->
       if not (is_pow2 ways) then
         invalid_arg "Replacement.create: tree-plru needs power-of-two ways";
@@ -78,11 +75,6 @@ let mru_set bits ~way =
 let touch t ~way =
   if way < 0 || way >= t.ways then invalid_arg "Replacement.touch: bad way";
   match t.state with
-  | Stamps s ->
-    if s.on_touch then begin
-      s.clock <- s.clock + 1;
-      s.stamps.(way) <- s.clock
-    end
   | Plru p -> plru_touch p.bits t.ways ~way
   | Qlru q -> q.ages.(way) <- q.hit_ages.(q.ages.(way))
   | Mru m -> mru_set m.bits ~way
@@ -90,22 +82,12 @@ let touch t ~way =
 let fill t ~way =
   if way < 0 || way >= t.ways then invalid_arg "Replacement.fill: bad way";
   match t.state with
-  | Stamps s ->
-    s.clock <- s.clock + 1;
-    s.stamps.(way) <- s.clock
   | Plru p -> plru_touch p.bits t.ways ~way
   | Qlru q -> q.ages.(way) <- q.fill_age
   | Mru m -> m.bits.(way) <- false
 
 let victim t =
   match t.state with
-  | Stamps s ->
-    (* lowest stamp; the strict < keeps the lowest index on ties *)
-    let v = ref 0 in
-    for i = 1 to t.ways - 1 do
-      if s.stamps.(i) < s.stamps.(!v) then v := i
-    done;
-    !v
   | Plru p ->
     let n = ref 0 in
     while !n < t.ways - 1 do
@@ -142,17 +124,14 @@ let victim t =
 
 let reset t =
   match t.state with
-  | Stamps s ->
-    Array.fill s.stamps 0 t.ways 0;
-    s.clock <- 0
   | Plru p -> Array.fill p.bits 0 (Array.length p.bits) false
   | Qlru q -> Array.fill q.ages 0 t.ways 3
   | Mru m -> Array.fill m.bits 0 t.ways false
 
 (* Hardware state-bit budget per set, charged by the cost model.  For
-   True_lru this is [ways * log2 ways] stamp bits per set — exactly the
-   historical [log2 assoc] bits per line — so default-policy gate counts
-   are unchanged by the policy refactor. *)
+   True_lru this is a [log2 ways]-bit recency rank per way — exactly
+   the historical [log2 assoc] bits per line — so default-policy gate
+   counts are unchanged by the policy refactor. *)
 let state_bits_per_set (policy : Params.policy) ~ways =
   if ways <= 0 then invalid_arg "Replacement.state_bits_per_set";
   match policy with

@@ -1,16 +1,20 @@
-(** Pluggable per-set cache replacement policies.
+(** Cache replacement policies: the per-set state of the policies that
+    depend on way placement, and every policy's hardware state-bit
+    charge.
 
-    One [t] tracks the victim-selection state of a single cache set;
-    {!Cache} owns an array of them, one per set.  Implemented families
+    {!Cache} keeps the sets of the two order-based policies in order
+    itself and needs no state from this module for them; for the
+    others it owns an array of [t], one per set.  Implemented families
     (the reverse-engineered CPU policies from the CacheTrace line of
     work, plus the two classical baselines):
 
-    - {b True_lru} — per-way last-use stamps from a per-set clock; the
-      victim is the lowest stamp.  Bit-for-bit the historical cache
-      behaviour.  [ways * log2 ways] state bits per set.
-    - {b Fifo} — stamps written on fill only, hits do not promote; the
-      victim is the oldest fill.  [log2 ways] bits per set (a fill
-      pointer in hardware).
+    - {b True_lru} — the set in recency order; the victim is the least
+      recently used line.  Bit-for-bit the historical cache behaviour.
+      [ways * log2 ways] state bits per set.  Kept in order by
+      {!Cache}.
+    - {b Fifo} — the set in fill order, hits do not promote; the victim
+      is the oldest fill.  [log2 ways] bits per set (a fill pointer in
+      hardware).  Kept in order by {!Cache}.
     - {b Tree_plru} — the binary-tree pseudo-LRU of Core 2-era L1s:
       [ways - 1] direction bits per set, each pointing the victim walk
       away from the recently used subtree.  Requires power-of-two ways.
@@ -34,8 +38,10 @@
 type t
 
 val create : Params.policy -> ways:int -> t
-(** @raise Invalid_argument on non-positive [ways], or non-power-of-two
-    [ways] for [Tree_plru]. *)
+(** The state of one set under a placement-based policy.
+    @raise Invalid_argument on non-positive [ways], on [True_lru] and
+    [Fifo] (which {!Cache} keeps in order without a [t]), or on
+    non-power-of-two [ways] for [Tree_plru]. *)
 
 val policy : t -> Params.policy
 val ways : t -> int

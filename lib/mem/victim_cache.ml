@@ -1,9 +1,8 @@
 type t = {
   p : Params.victim;
   lines : int array; (* -1 = empty *)
-  stamps : int array;
+  stamps : int array; (* insertion time of each full slot *)
   mutable clock : int;
-  mutable n_probe : int;
   mutable n_hit : int;
 }
 
@@ -14,48 +13,47 @@ let create p =
     lines = Array.make p.Params.v_entries (-1);
     stamps = Array.make p.Params.v_entries 0;
     clock = 0;
-    n_probe = 0;
     n_hit = 0;
   }
 
 let params t = t.p
 
-(* The first slot in [i ..] holding [line], or -1. *)
-let rec slot_of (lines : int array) line i =
-  if i >= Array.length lines then -1
-  else if lines.(i) = line then i
-  else slot_of lines line (i + 1)
-
-(* The slot with the lowest stamp, the lowest index on ties. *)
-let rec oldest (stamps : int array) i best =
-  if i >= Array.length stamps then best
-  else oldest stamps (i + 1) (if stamps.(i) < stamps.(best) then i else best)
-
-let probe t ~line =
-  t.n_probe <- t.n_probe + 1;
-  let i = slot_of t.lines line 0 in
-  if i < 0 then false
+let recover t ~evicted ~line =
+  let lines = t.lines and stamps = t.stamps in
+  (* one scan: the first empty slot, the oldest full slot (the lowest
+     index on ties) and the slot holding [line] *)
+  let empty = ref (-1) and oldest = ref 0 and found = ref (-1) in
+  for i = 0 to Array.length lines - 1 do
+    let l = lines.(i) in
+    if l < 0 then begin
+      if !empty < 0 then empty := i
+    end
+    else begin
+      if l = line then found := i;
+      if stamps.(i) < stamps.(!oldest) then oldest := i
+    end
+  done;
+  if evicted >= 0 then begin
+    (* an empty slot if any, else displace the oldest insertion; [oldest]
+       is only read when every slot is full *)
+    let slot = if !empty >= 0 then !empty else !oldest in
+    t.clock <- t.clock + 1;
+    lines.(slot) <- evicted;
+    stamps.(slot) <- t.clock;
+    if slot = !found then found := -1
+  end;
+  if !found < 0 then false
   else begin
     (* the line returns to the main cache *)
-    t.lines.(i) <- -1;
+    lines.(!found) <- -1;
     t.n_hit <- t.n_hit + 1;
     true
   end
 
-let insert t ~line =
-  t.clock <- t.clock + 1;
-  (* prefer an empty slot, else evict the LRU *)
-  let empty = slot_of t.lines (-1) 0 in
-  let victim = if empty >= 0 then empty else oldest t.stamps 1 0 in
-  t.lines.(victim) <- line;
-  t.stamps.(victim) <- t.clock
-
 let hits t = t.n_hit
-let probes t = t.n_probe
 
 let reset t =
   Array.fill t.lines 0 (Array.length t.lines) (-1);
   Array.fill t.stamps 0 (Array.length t.stamps) 0;
   t.clock <- 0;
-  t.n_probe <- 0;
   t.n_hit <- 0

@@ -196,22 +196,37 @@ let test_lru_eviction_order () =
   | _ -> assert false
 
 let test_replacement_equal_stamps_lowest_way () =
-  (* equal True_lru stamps (only possible before the set has filled, or
-     after reset) resolve to the lowest way index *)
-  let r = Replacement.create Params.True_lru ~ways:4 in
-  Helpers.check_int "fresh state: way 0" 0 (Replacement.victim r);
-  Replacement.fill r ~way:1;
-  Replacement.fill r ~way:2;
-  Replacement.fill r ~way:3;
-  Helpers.check_int "stamp-0 way 0 beats all stamped ways" 0
-    (Replacement.victim r);
-  Replacement.fill r ~way:0;
-  Replacement.touch r ~way:0;
-  Helpers.check_int "with way 0 fresh, the oldest fill (way 1) wins" 1
-    (Replacement.victim r);
-  Replacement.reset r;
-  Helpers.check_int "reset restores the all-equal tie" 0
-    (Replacement.victim r)
+  (* the observable order of a true-LRU set (this case once pinned the
+     tie-break of per-way stamps, hence its name): a part-full set
+     evicts nothing, a touched line survives the next eviction, and
+     reset restores the empty set *)
+  let c = mk ~size:1024 ~line:16 ~assoc:4 () in
+  let evicted addr = (Cache.access c ~addr ~write:false).Cache.evicted_line in
+  match conflict_addrs ~size:1024 ~line:16 ~assoc:4 6 with
+  | [ a; b; cc; d; e; f ] ->
+    List.iter
+      (fun addr ->
+        Helpers.check_true "a part-full set evicts nothing" (evicted addr = None))
+      [ b; cc; d; a ];
+    Helpers.check_true "touch the newest fill"
+      (Cache.access c ~addr:a ~write:false).Cache.hit;
+    Helpers.check_true "with it fresh, the oldest fill is evicted"
+      (evicted e = Some (line_of b));
+    Helpers.check_true "the touched line survives"
+      (Cache.access c ~addr:a ~write:false).Cache.hit;
+    Cache.reset c;
+    List.iter
+      (fun addr ->
+        Helpers.check_true "reset restores the empty set" (evicted addr = None))
+      [ f; e; d; cc ];
+    Helpers.check_true "refilled, the first fill after reset goes first"
+      (evicted a = Some (line_of f));
+    Helpers.check_true "the cache keeps true LRU without a Replacement state"
+      (try
+         ignore (Replacement.create Params.True_lru ~ways:4);
+         false
+       with Invalid_argument _ -> true)
+  | _ -> assert false
 
 (* -- per-policy behaviour (hand-checked sequences) ------------------------- *)
 

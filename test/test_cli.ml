@@ -674,6 +674,174 @@ let test_serve_cache_dir_warm_start () =
       Helpers.check_true "warm stats shows resident persist entries"
         (Test_metrics.contains ~needle:"\"persist\": {\"entries\":" stats_line))
 
+let with_sigpipe behaviour f =
+  let old = Sys.signal Sys.sigpipe behaviour in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old) f
+
+(* Start conex with SIGPIPE at its default action, as a shell would
+   (the test runner may ignore it, and an ignored signal stays ignored
+   across exec), so the server's own handling is what is tested. *)
+let spawn_conex bin args ~stdin ~stdout ~stderr =
+  with_sigpipe Sys.Signal_default (fun () ->
+      Unix.create_process bin (Array.of_list (bin :: args)) stdin stdout
+        stderr)
+
+(* The exit status of [pid], killing it if it has not exited within
+   [secs] seconds. *)
+let await ?(secs = 60.0) pid =
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      go ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.failf "conex did not exit within %.0f s" secs
+    | _, status -> status
+  in
+  go ()
+
+let exit_status_str = function
+  | Unix.WEXITED c -> Printf.sprintf "exit %d" c
+  | Unix.WSIGNALED s when s = Sys.sigpipe -> "killed by SIGPIPE"
+  | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
+
+let slurp_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_serve_vanished_client () =
+  (* client A sends explore and disconnects before the reply; the
+     server must answer client B's ping, exit 0 on its shutdown and
+     still close the store *)
+  match conex_bin with
+  | None -> Alcotest.skip ()
+  | Some bin ->
+    with_run_dir (fun sock_dir ->
+        with_run_dir (fun cache_dir ->
+            Unix.mkdir sock_dir 0o700;
+            let path = Filename.concat sock_dir "serve.sock" in
+            let err = Filename.concat sock_dir "stderr.txt" in
+            let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+            let errfd =
+              Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600
+            in
+            let pid =
+              Fun.protect
+                ~finally:(fun () ->
+                  Unix.close null;
+                  Unix.close errfd)
+                (fun () ->
+                  spawn_conex bin
+                    [ "serve"; "--socket"; path; "--jobs"; "1";
+                      "--cache-dir"; cache_dir ]
+                    ~stdin:null ~stdout:null ~stderr:errfd)
+            in
+            let status = ref None in
+            Fun.protect
+              ~finally:(fun () ->
+                if !status = None then begin
+                  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+                  ignore (Unix.waitpid [] pid)
+                end)
+              (fun () ->
+                (* a server that dies mid-test must fail the test, not
+                   kill the runner on a client write *)
+                with_sigpipe Sys.Signal_ignore @@ fun () ->
+                let connect () =
+                  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+                  Unix.connect fd (Unix.ADDR_UNIX path);
+                  fd
+                in
+                (* the socket file appears at bind, before listen *)
+                let rec first_connect tries =
+                  match connect () with
+                  | fd -> fd
+                  | exception Unix.Unix_error
+                                ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+                    when tries > 0 ->
+                    Unix.sleepf 0.05;
+                    first_connect (tries - 1)
+                in
+                let send fd line =
+                  let line = line ^ "\n" in
+                  ignore
+                    (Unix.write_substring fd line 0 (String.length line))
+                in
+                let exited () =
+                  let st = await pid in
+                  status := Some st;
+                  st
+                in
+                let a = first_connect 600 in
+                send a (serve_explore ~id:1);
+                Unix.close a;
+                let ping, shutdown =
+                  try
+                    let b = connect () in
+                    send b "{\"id\": 2, \"op\": \"ping\"}";
+                    send b "{\"id\": 3, \"op\": \"shutdown\"}";
+                    let ic = Unix.in_channel_of_descr b in
+                    Fun.protect
+                      ~finally:(fun () -> close_in_noerr ic)
+                      (fun () ->
+                        let ping = input_line ic in
+                        (ping, input_line ic))
+                  with (Unix.Unix_error _ | Sys_error _ | End_of_file) as e ->
+                    Alcotest.failf "client B: %s; serve %s (stderr: %s)"
+                      (Printexc.to_string e)
+                      (exit_status_str (exited ()))
+                      (slurp_file err)
+                in
+                Helpers.check_true "client B's ping is answered"
+                  (Test_metrics.contains ~needle:"\"op\": \"ping\"" ping);
+                Helpers.check_true "client B's shutdown is acknowledged"
+                  (Test_metrics.contains ~needle:"\"op\": \"shutdown\""
+                     shutdown);
+                let st = exited () in
+                if st <> Unix.WEXITED 0 then
+                  Alcotest.failf "serve: %s (stderr: %s)" (exit_status_str st)
+                    (slurp_file err);
+                Helpers.check_true "the store is closed on shutdown"
+                  (Test_metrics.contains ~needle:"persistent cache:"
+                     (slurp_file err)))))
+
+let test_serve_closed_stdout () =
+  (* stdout is a pipe with no reader: the first reply fails, and the
+     session ends as at end of input, closing the store *)
+  match conex_bin with
+  | None -> Alcotest.skip ()
+  | Some bin ->
+    with_run_dir (fun dir ->
+        with_run_dir (fun cache_dir ->
+            Unix.mkdir dir 0o700;
+            let inp = Filename.concat dir "in.jsonl"
+            and err = Filename.concat dir "stderr.txt" in
+            Out_channel.with_open_bin inp (fun oc ->
+                output_string oc "{\"id\": 1, \"op\": \"ping\"}\n");
+            let infd = Unix.openfile inp [ Unix.O_RDONLY ] 0
+            and errfd =
+              Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600
+            in
+            let r, w = Unix.pipe () in
+            Unix.close r;
+            let pid =
+              Fun.protect
+                ~finally:(fun () -> List.iter Unix.close [ infd; errfd; w ])
+                (fun () ->
+                  spawn_conex bin [ "serve"; "--cache-dir"; cache_dir ]
+                    ~stdin:infd ~stdout:w ~stderr:errfd)
+            in
+            let st = await pid in
+            if st <> Unix.WEXITED 0 then
+              Alcotest.failf "serve: %s (stderr: %s)" (exit_status_str st)
+                (slurp_file err);
+            Helpers.check_true "the store is closed"
+              (Test_metrics.contains ~needle:"persistent cache:"
+                 (slurp_file err))))
+
 let suite =
   ( "cli",
     [
@@ -738,6 +906,10 @@ let suite =
         test_serve_bad_shards;
       Alcotest.test_case "serve --cache-dir warm start" `Slow
         test_serve_cache_dir_warm_start;
+      Alcotest.test_case "serve survives a vanished client" `Slow
+        test_serve_vanished_client;
+      Alcotest.test_case "serve ends on a closed stdout" `Quick
+        test_serve_closed_stdout;
       Alcotest.test_case "negative-address trace exits 1" `Quick
         test_negative_address_trace;
     ] )

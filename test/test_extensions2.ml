@@ -71,19 +71,31 @@ let test_dijkstra_edges_chased () =
 
 let victim_params = { Params.v_entries = 4; v_latency = 1 }
 
+(* [probe]: a main-cache miss on [line] that evicted nothing clean.
+   [insert]: a miss that evicted clean [line], on a line never
+   buffered. *)
+let probe v ~line = Victim.recover v ~evicted:(-1) ~line
+let insert v ~line = ignore (Victim.recover v ~evicted:line ~line:1000)
+
 let test_victim_probe_insert () =
   let v = Victim.create victim_params in
-  Helpers.check_true "empty probe misses" (not (Victim.probe v ~line:42));
-  Victim.insert v ~line:42;
-  Helpers.check_true "inserted line hits" (Victim.probe v ~line:42);
+  Helpers.check_true "empty probe misses" (not (probe v ~line:42));
+  insert v ~line:42;
+  Helpers.check_true "inserted line hits" (probe v ~line:42);
   (* the probe removed it (swap back into the main cache) *)
-  Helpers.check_true "probe consumes the line" (not (Victim.probe v ~line:42))
+  Helpers.check_true "probe consumes the line" (not (probe v ~line:42))
 
 let test_victim_lru_displacement () =
   let v = Victim.create victim_params in
-  List.iter (fun l -> Victim.insert v ~line:l) [ 1; 2; 3; 4; 5 ];
-  Helpers.check_true "oldest displaced" (not (Victim.probe v ~line:1));
-  Helpers.check_true "newest resident" (Victim.probe v ~line:5)
+  List.iter (fun l -> insert v ~line:l) [ 1; 2; 3; 4; 5 ];
+  Helpers.check_true "oldest displaced" (not (probe v ~line:1));
+  Helpers.check_true "newest resident" (probe v ~line:5);
+  (* full again as 2 3 4 6: the miss on 2 evicts clean line 7, whose
+     insertion displaces 2 before the probe looks for it *)
+  insert v ~line:6;
+  Helpers.check_true "a miss's own eviction displaces the missed line"
+    (not (Victim.recover v ~evicted:7 ~line:2));
+  Helpers.check_true "the eviction is resident" (probe v ~line:7)
 
 let test_victim_reduces_conflict_misses () =
   (* a conflict working set that thrashes a direct-mapped cache is fully
