@@ -69,9 +69,9 @@ let test_fig4_phase1_shared_plan =
      let plan = Mx_sim.Estimator.prepare ~workload:w ~arch ~profile:stats in
      List.iter (fun conn -> ignore (Mx_sim.Estimator.run plan ~conn)) conns)
 
-(* Phase I of one architecture end to end: planning, shard enumeration,
-   the cross-level dedup and every estimate, from a cold result cache so
-   no estimate is served by an earlier run. *)
+(* Phase I of one architecture end to end: planning, shard enumeration
+   and every estimate, from a cold result cache so no estimate is served
+   by an earlier run. *)
 let candidate =
   lazy
     (let _, profile, arch, _, _, _ = Lazy.force prepared in

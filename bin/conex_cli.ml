@@ -810,25 +810,13 @@ let strategies_cmd =
 module Serve = struct
   module J = Mx_util.Json
 
-  let str s = "\"" ^ J.escape s ^ "\""
-
   (* request ids are echoed verbatim; anything non-scalar is nulled *)
-  let render_id = function
-    | Some (J.Num f) -> J.number f
-    | Some (J.Str s) -> str s
-    | Some (J.Bool b) -> string_of_bool b
-    | _ -> "null"
+  let id_json = function
+    | Some ((J.Num _ | J.Str _ | J.Bool _) as v) -> v
+    | _ -> J.Null
 
-  let response ~id fields =
-    "{\"id\": " ^ render_id id ^ ", "
-    ^ String.concat ", " fields
-    ^ "}"
-
-  let error ~id fmt =
-    Printf.ksprintf
-      (fun msg ->
-        response ~id [ "\"status\": \"error\""; "\"error\": " ^ str msg ])
-      fmt
+  let response ~id fields = J.to_string (J.Obj (("id", id_json id) :: fields))
+  let ok_op op = [ ("status", J.Str "ok"); ("op", J.Str op) ]
 
   type counters = {
     mutable requests : int;
@@ -839,58 +827,63 @@ module Serve = struct
 
   let metric name = Mx_util.Metrics.incr Mx_util.Metrics.global name
 
-  (* the deterministic part of an explore response: everything but the
-     caller's id and the dedup flag.  This exact string is what the
-     response cache stores, so duplicates answer byte-identically. *)
+  (* the deterministic fields of an explore response: everything but
+     the caller's id and the dedup flag.  These are what the response
+     cache stores, so duplicates answer byte-identically. *)
   let explore_body ~jobs ~shards ~workload ~scale ~seed ~reduced () =
     let w = make_workload workload ~scale ~seed in
     let config = config_of_reduced ~shards reduced jobs in
     let r = Conex.Explore.run ~config w in
-    let front =
-      r.Conex.Explore.pareto_cost_perf
-      |> List.map (fun d ->
-             Printf.sprintf
-               "{\"design\": %s, \"cost_gates\": %d, \"avg_mem_latency\": %s, \
-                \"avg_energy_nj\": %s}"
-               (str (Conex.Design.id d))
-               d.Conex.Design.cost_gates
-               (J.number (Conex.Design.latency d))
-               (J.number (Conex.Design.energy d)))
-      |> String.concat ", "
+    let point d =
+      J.Obj
+        [
+          ("design", J.Str (Conex.Design.id d));
+          ("cost_gates", J.int d.Conex.Design.cost_gates);
+          ("avg_mem_latency", J.Num (Conex.Design.latency d));
+          ("avg_energy_nj", J.Num (Conex.Design.energy d));
+        ]
     in
-    Printf.sprintf
-      "\"status\": \"ok\", \"op\": \"explore\", \"workload\": %s, \"scale\": \
-       %d, \"seed\": %d, \"reduced\": %b, \"n_estimates\": %d, \
-       \"n_simulations\": %d, \"front\": [%s]"
-      (str workload) scale seed reduced r.Conex.Explore.n_estimates
-      r.Conex.Explore.n_simulations front
+    ok_op "explore"
+    @ [
+        ("workload", J.Str workload);
+        ("scale", J.int scale);
+        ("seed", J.int seed);
+        ("reduced", J.Bool reduced);
+        ("n_estimates", J.int r.Conex.Explore.n_estimates);
+        ("n_simulations", J.int r.Conex.Explore.n_simulations);
+        ("front", J.Arr (List.map point r.Conex.Explore.pareto_cost_perf));
+      ]
 
   let stats_body c =
-    let serve =
-      Printf.sprintf
-        "\"serve\": {\"requests\": %d, \"ok\": %d, \"errors\": %d, \"dedup\": \
-         %d}"
-        c.requests c.ok c.errors c.dedup
+    let ints kv = J.Obj (List.map (fun (k, v) -> (k, J.int v)) kv) in
+    let mc : Mx_util.Memo_cache.stats = Mx_sim.Eval.cache_stats () in
+    let persist (s : Mx_util.Persist_cache.stats) =
+      ints
+        [
+          ("entries", s.entries);
+          ("hits", s.get_hits);
+          ("writes", s.appended);
+          ("recovered", s.recovered);
+        ]
     in
-    let mc = Mx_sim.Eval.cache_stats () in
-    let eval_cache =
-      Printf.sprintf "\"eval_cache\": {\"entries\": %d, \"hits\": %d, \
-                      \"misses\": %d}"
-        mc.Mx_util.Memo_cache.size mc.Mx_util.Memo_cache.hits
-        mc.Mx_util.Memo_cache.misses
-    in
-    let persist =
-      match Mx_sim.Eval.persist_stats () with
-      | None -> "\"persist\": null"
-      | Some s ->
-        Printf.sprintf
-          "\"persist\": {\"entries\": %d, \"hits\": %d, \"writes\": %d, \
-           \"recovered\": %d}"
-          s.Mx_util.Persist_cache.entries s.Mx_util.Persist_cache.get_hits
-          s.Mx_util.Persist_cache.appended s.Mx_util.Persist_cache.recovered
-    in
-    String.concat ", "
-      [ "\"status\": \"ok\""; "\"op\": \"stats\""; serve; eval_cache; persist ]
+    ok_op "stats"
+    @ [
+        ( "serve",
+          ints
+            [
+              ("requests", c.requests);
+              ("ok", c.ok);
+              ("errors", c.errors);
+              ("dedup", c.dedup);
+            ] );
+        ( "eval_cache",
+          ints
+            [ ("entries", mc.size); ("hits", mc.hits); ("misses", mc.misses) ]
+        );
+        ( "persist",
+          Option.fold ~none:J.Null ~some:persist (Mx_sim.Eval.persist_stats ())
+        );
+      ]
 
   (* handle one request line; returns the response and whether to keep
      serving.  Every failure path is a per-request error response. *)
@@ -902,13 +895,14 @@ module Serve = struct
         (fun msg ->
           c.errors <- c.errors + 1;
           metric "serve.errors";
-          (error ~id "%s" msg, `Continue))
+          ( response ~id [ ("status", J.Str "error"); ("error", J.Str msg) ],
+            `Continue ))
         fmt
     in
-    let ok ~id ?(extra = []) body =
+    let ok ~id ?(verdict = `Continue) fields =
       c.ok <- c.ok + 1;
       metric "serve.ok";
-      (response ~id (extra @ [ body ]), `Continue)
+      (response ~id fields, verdict)
     in
     match J.parse line with
     | Error msg -> fail ~id:None "malformed request: %s" msg
@@ -916,13 +910,9 @@ module Serve = struct
       let id = J.member "id" req in
       match Option.bind (J.member "op" req) J.to_string_opt with
       | None -> fail ~id "missing or non-string \"op\""
-      | Some "ping" -> ok ~id "\"status\": \"ok\", \"op\": \"ping\""
+      | Some "ping" -> ok ~id (ok_op "ping")
       | Some "stats" -> ok ~id (stats_body c)
-      | Some "shutdown" ->
-        c.ok <- c.ok + 1;
-        metric "serve.ok";
-        (response ~id [ "\"status\": \"ok\""; "\"op\": \"shutdown\"" ],
-         `Shutdown)
+      | Some "shutdown" -> ok ~id ~verdict:`Shutdown (ok_op "shutdown")
       | Some "explore" -> (
         let workload =
           match Option.bind (J.member "workload" req) J.to_string_opt with
@@ -958,9 +948,7 @@ module Serve = struct
               c.dedup <- c.dedup + 1;
               metric "serve.dedup"
             end;
-            ok ~id
-              ~extra:[ Printf.sprintf "\"dedup\": %b" deduped ]
-              body
+            ok ~id (("dedup", J.Bool deduped) :: body)
           | exception exn -> fail ~id "explore failed: %s" (Printexc.to_string exn))
       | Some other -> fail ~id "unknown op %S" other)
 end
@@ -977,7 +965,7 @@ let serve_cmd =
     let counters =
       { Serve.requests = 0; ok = 0; errors = 0; dedup = 0 }
     in
-    let resp_cache : string Mx_util.Memo_cache.t =
+    let resp_cache : (string * Mx_util.Json.t) list Mx_util.Memo_cache.t =
       Mx_util.Memo_cache.create ~metrics_prefix:"serve.cache" ~capacity:4096 ()
     in
     let stop = ref false in

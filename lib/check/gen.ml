@@ -1,4 +1,5 @@
 module Prng = Mx_util.Prng
+module Json = Mx_util.Json
 module Region = Mx_trace.Region
 module Synthetic = Mx_trace.Synthetic
 module Params = Mx_mem.Params
@@ -36,6 +37,59 @@ let special_points g ~size ~dim =
   Array.to_list pts
 
 let floats g ~size = List.init size (fun _ -> Prng.float g *. 100.0)
+
+(* -- JSON values ----------------------------------------------------------- *)
+
+(* bytes the writer must escape, or must pass through untouched *)
+let json_specials =
+  [| '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '\128'; '\255';
+     '/' |]
+
+let json_string g ~size =
+  String.init
+    (Prng.int g ~bound:(size + 2))
+    (fun _ ->
+      if Prng.bool g ~p:0.3 then Prng.pick g json_specials
+      else Char.chr (Prng.int g ~bound:256))
+
+let json_number g =
+  let x =
+    match Prng.int g ~bound:6 with
+    | 0 -> float_of_int (Prng.int_in g ~lo:(-1_000_000) ~hi:1_000_000)
+    | 1 ->
+      Prng.pick g
+        [| 0.0; -0.0; 0.1; 1e15; 1e21; 5e-324; Float.min_float;
+           Float.max_float; 9007199254740993.0 |]
+    | 2 -> Float.ldexp (Prng.float g) (-Prng.int g ~bound:1075)
+    | 3 -> Float.ldexp (Prng.float g) (Prng.int g ~bound:1025)
+    | 4 -> Int64.float_of_bits (Prng.next_int64 g)
+    | _ -> (Prng.float g -. 0.5) *. 1e6
+  in
+  let x = if Float.is_finite x then x else 0.0 in
+  if Prng.bool g ~p:0.5 then -.x else x
+
+let json g ~size =
+  let rec value depth =
+    let n = Prng.int g ~bound:(min 6 size + 1) in
+    match Prng.int g ~bound:(if depth = 0 then 4 else 6) with
+    | 0 -> Json.Null
+    | 1 -> Json.Bool (Prng.bool g ~p:0.5)
+    | 2 -> Json.Num (json_number g)
+    | 3 -> Json.Str (json_string g ~size)
+    | 4 -> Json.Arr (List.init n (fun _ -> value (depth - 1)))
+    | _ ->
+      let keys = ref [] in
+      Json.Obj
+        (List.init n (fun _ ->
+             let k =
+               if !keys <> [] && Prng.bool g ~p:0.25 then
+                 Prng.pick g (Array.of_list !keys)
+               else json_string g ~size
+             in
+             keys := k :: !keys;
+             (k, value (depth - 1))))
+  in
+  value (1 + (size / 3))
 
 let onchip_nodes =
   [| Channel.Cpu; Channel.Cache; Channel.Sram; Channel.Sbuf; Channel.Lldma |]

@@ -28,6 +28,14 @@ val special_points :
 val floats : Mx_util.Prng.t -> size:int -> float list
 (** Exactly [size] floats in [\[0, 100)]. *)
 
+val json : Mx_util.Prng.t -> size:int -> Mx_util.Json.t
+(** A JSON value nested up to [1 + size / 3] levels, with up to
+    [min 6 size] items per array or object: strings and keys of
+    arbitrary bytes (quotes, backslashes, control and high bytes drawn
+    often), objects that repeat a key, and finite numbers — integers,
+    negatives, signed zero, subnormals, values near [max_float] and
+    random bit patterns. *)
+
 val channel : Mx_util.Prng.t -> Mx_connect.Channel.t
 (** One BRG arc with a dyadic bandwidth (so cross-level bandwidth sums
     are float-exact) and a standard transaction size; off-chip with

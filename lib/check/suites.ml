@@ -1,4 +1,5 @@
 module Prng = Mx_util.Prng
+module Json = Mx_util.Json
 module Stats = Mx_util.Stats
 module Pareto = Mx_util.Pareto
 module Ev = Mx_util.Event_log
@@ -276,7 +277,7 @@ let assign_suite =
         let keys = List.map Conn_arch.describe conns in
         R.check
           (List.length keys = List.length (List.sort_uniq compare keys))
-          "duplicate designs survived cross-level deduplication");
+          "a design is enumerated twice across levels");
   ]
 
 (* -- trace --------------------------------------------------------------- *)
@@ -497,6 +498,33 @@ let stats_suite =
         | a, b ->
           R.check ((a = None) = (b = None))
             "definedness changed under a monotone transform");
+  ]
+
+(* -- json ------------------------------------------------------------------ *)
+
+(* structural equality with numbers compared bit for bit, so -0 and 0
+   differ *)
+let rec json_same (a : Json.t) (b : Json.t) =
+  match (a, b) with
+  | Num x, Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Arr xs, Arr ys -> List.equal json_same xs ys
+  | Obj xs, Obj ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && json_same x y) xs ys
+  | _ -> a = b
+
+let json_suite =
+  [
+    R.prop "parse (to_string v) = v, on one line" (fun ~seed ~size ->
+        let v = Gen.json (Prng.create ~seed) ~size in
+        let s = Json.to_string v in
+        match Json.parse s with
+        | Error e -> R.failf "%S does not parse: %s" s e
+        | Ok v' ->
+          R.all_of
+            [
+              R.check (json_same v' v) "%S does not read back bit for bit" s;
+              R.check (not (String.contains s '\n')) "%S spans two lines" s;
+            ]);
   ]
 
 (* -- fingerprint --------------------------------------------------------- *)
@@ -1184,18 +1212,6 @@ let shard_plan_of_pipeline g (p : Gen.pipeline) =
   in
   (shards, `Ctx (workload_fp, arch_label, arch_fp, onchip, offchip, levels, cap))
 
-let dedup_by_describe conns =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun c ->
-      let key = Conn_arch.describe c in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    conns
-
 let shard_suite ~jobs =
   let x (p : float array) = p.(0) and y (p : float array) = p.(1) in
   let axes2 = [ x; y ] in
@@ -1231,9 +1247,7 @@ let shard_suite ~jobs =
           Assign.enumerate_levels ~max_designs_per_level:cap ~onchip ~offchip
             p.Gen.p_brg.Brg.channels
         in
-        let merged =
-          dedup_by_describe (List.concat_map Shard.enumerate shards)
-        in
+        let merged = List.concat_map Shard.enumerate shards in
         R.check
           (List.map Conn_arch.describe merged
           = List.map Conn_arch.describe mono)
@@ -1945,8 +1959,8 @@ let selftest_suite =
 
 let names =
   [
-    "pareto"; "cluster"; "assign"; "trace"; "stats"; "fingerprint"; "sim";
-    "eval"; "estimate"; "pipeline"; "explore"; "shard"; "replacement";
+    "pareto"; "cluster"; "assign"; "trace"; "stats"; "json"; "fingerprint";
+    "sim"; "eval"; "estimate"; "pipeline"; "explore"; "shard"; "replacement";
     "persist";
   ]
 
@@ -1957,6 +1971,7 @@ let all ?(jobs = Mx_util.Task_pool.default_jobs ()) () =
     ("assign", assign_suite);
     ("trace", trace_suite);
     ("stats", stats_suite);
+    ("json", json_suite);
     ("fingerprint", fingerprint_suite);
     ("sim", sim_suite);
     ("eval", eval_suite);

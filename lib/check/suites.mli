@@ -9,10 +9,14 @@
     - [cluster]     levels vs naive bottom-up oracle, conservation laws,
                     ordered-variant invariants
     - [assign]      enumeration vs exhaustive cartesian oracle,
-                    feasibility, deduplication
+                    feasibility, no design repeated across levels
     - [trace]       Trace_io round-trips
     - [stats]       percentile/stddev/spearman vs naive oracles,
                     totality on degenerate inputs
+    - [json]        [parse (to_string v) = v], numbers bit for bit,
+                    over generated values (arbitrary bytes in strings
+                    and keys, duplicate keys, nesting, finite numbers
+                    of every magnitude), and the rendering is one line
     - [fingerprint] relabeling invariance, mutation sensitivity,
                     assembly-order insensitivity, content addressing
     - [sim]         recorded-column simulator vs straight-line

@@ -58,33 +58,19 @@ let enumerate ?(max_designs = max_int) ~onchip ~offchip clusters =
 
 let enumerate_levels ?(order = Cluster.Lowest_bandwidth_first)
     ?(max_designs_per_level = max_int) ~onchip ~offchip channels =
-  let seen = Hashtbl.create 64 in
   let levels = Cluster.levels_ordered order channels in
   Metrics.incr Metrics.global ~by:(List.length levels) "assign.levels";
   let kept =
-    levels
-    |> List.concat_map (fun level ->
-           enumerate ~max_designs:max_designs_per_level ~onchip ~offchip level)
-    |> List.filter (fun arch ->
-           let key = Conn_arch.describe arch in
-           if Hashtbl.mem seen key then begin
-             Metrics.incr Metrics.global "assign.dedup_pruned";
-             if Event_log.is_on Event_log.global then
-               Event_log.emit Event_log.global ~stage:"assign" "assign.rejected"
-                 [
-                   ("conn", Event_log.Str key);
-                   ("reason", Event_log.Str "duplicate");
-                 ];
-             false
-           end
-           else begin
-             Hashtbl.add seen key ();
-             if Event_log.is_on Event_log.global then
-               Event_log.emit Event_log.global ~stage:"assign" "assign.kept"
-                 [ ("conn", Event_log.Str key) ];
-             true
-           end)
+    List.concat_map
+      (enumerate ~max_designs:max_designs_per_level ~onchip ~offchip)
+      levels
   in
+  if Event_log.is_on Event_log.global then
+    List.iter
+      (fun arch ->
+        Event_log.emit Event_log.global ~stage:"assign" "assign.kept"
+          [ ("conn", Event_log.Str (Conn_arch.describe arch)) ])
+      kept;
   Metrics.incr Metrics.global ~by:(List.length kept) "assign.kept";
   kept
 

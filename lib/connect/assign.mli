@@ -29,9 +29,11 @@ val enumerate_levels :
   offchip:Component.t list ->
   Channel.t list ->
   Conn_arch.t list
-(** Union over every clustering level, deduplicated by
-    {!Conn_arch.describe}.  [order] selects the merge policy (default
-    {!Cluster.Lowest_bandwidth_first}, the paper's heuristic). *)
+(** Every clustering level's assignments, finest level first.  No
+    design repeats: levels differ in cluster count, and one level's
+    product never repeats an assignment.  [order] selects the merge
+    policy (default {!Cluster.Lowest_bandwidth_first}, the paper's
+    heuristic). *)
 
 val count_levels : Channel.t list -> int
 (** Number of clustering levels for a channel set (diagnostics and

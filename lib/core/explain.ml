@@ -58,12 +58,12 @@ let summary ?(truncated = false) events =
   line "  Clustering: %d merges" (count "cluster.merge");
   line
     "  Assignment: %d levels (%d infeasible), %d enumerated, %d cap-pruned, \
-     %d kept, %d duplicates rejected"
+     %d kept"
     (count "assign.level" + count "assign.level_infeasible")
     (count "assign.level_infeasible")
     (sum_attr "assign.level" "enumerated")
     (sum_attr "assign.level" "cap_pruned")
-    (count "assign.kept") (count "assign.rejected");
+    (count "assign.kept");
   (* shard work-queue: planned at clustering time, finished in commit
      order; stolen/started records live under sched. and are dropped
      from canonical dumps, so only report them when present *)

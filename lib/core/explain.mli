@@ -9,7 +9,7 @@
 
 val summary : ?truncated:bool -> Mx_util.Event_log.event list -> string
 (** Human-readable funnel reconstruction: cluster merges, assignment
-    enumeration (levels, cap-pruned, duplicates), Phase I verdicts
+    enumeration (levels, cap-pruned, kept), Phase I verdicts
     (created / kept / thinned / dominated), Phase II simulations,
     refinements, per-scenario selections, strategy outcomes, and —
     marked as schedule-dependent — the cache provenance mix.

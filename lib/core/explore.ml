@@ -213,14 +213,14 @@ let phase1 ?(interrupt = never) cfg workload cands =
   in
   if committed < n_shards then None
   else
-    (* merge, dedup and estimate per architecture, in candidate order *)
+    (* merge and estimate per architecture, in candidate order *)
     let offset = ref 0 in
     Some
       (List.map
          (fun p ->
            let label = p.cand.Mx_apex.Explore.arch.Mx_mem.Mem_arch.label in
            Mx_util.Metrics.with_span metrics ("phase1:" ^ label) @@ fun () ->
-           let stream =
+           let kept =
              List.concat_map
                (fun shard ->
                  let i = !offset in
@@ -229,32 +229,14 @@ let phase1 ?(interrupt = never) cfg workload cands =
                  List.map (fun conn -> (fp, conn)) slices.(i))
                p.shards
            in
-           (* cross-level dedup, first occurrence wins — the monolithic
-              [Assign.enumerate_levels] contract, now at merge time *)
-           let seen = Hashtbl.create 64 in
-           let kept =
-             List.filter
+           (* levels differ in cluster count and one level's product
+              never repeats an assignment, so every design is kept *)
+           if Ev.is_on Ev.global then
+             List.iter
                (fun (_, conn) ->
-                 let key = Conn_arch.describe conn in
-                 if Hashtbl.mem seen key then begin
-                   Mx_util.Metrics.incr metrics "assign.dedup_pruned";
-                   if Ev.is_on Ev.global then
-                     Ev.emit Ev.global ~stage:"assign" "assign.rejected"
-                       [
-                         ("conn", Ev.Str key);
-                         ("reason", Ev.Str "duplicate");
-                       ];
-                   false
-                 end
-                 else begin
-                   Hashtbl.add seen key ();
-                   if Ev.is_on Ev.global then
-                     Ev.emit Ev.global ~stage:"assign" "assign.kept"
-                       [ ("conn", Ev.Str key) ];
-                   true
-                 end)
-               stream
-           in
+                 Ev.emit Ev.global ~stage:"assign" "assign.kept"
+                   [ ("conn", Ev.Str (Conn_arch.describe conn)) ])
+               kept;
            Mx_util.Metrics.incr metrics ~by:(List.length kept) "assign.kept";
            (* one plan per architecture, shared read-only by the domains;
               an estimate is cheaper to compute than to look up, so none
@@ -419,7 +401,7 @@ let run ?(config = default_config) ?(interrupt = never) workload =
   Mx_util.Metrics.incr metrics ~by:(List.length apex_selected)
     "explore.architectures";
   (* Phase I: the sharded connectivity enumeration of every selected
-     memory architecture runs on the task pool; merge, dedup and the
+     memory architecture runs on the task pool; the merge and the
      estimate fan-out happen per architecture in deterministic order. *)
   let per_arch =
     Mx_util.Snapshot.set_phase "explore.phase1";

@@ -101,9 +101,9 @@ val phase1 :
 (** Phase I over the shard work-queue: plan every candidate
     architecture into shards (serially — cluster.*, assign.* and
     [shard.planned] records are deterministic), enumerate the combined
-    queue on the task pool, then merge, dedup and estimate per
-    architecture in candidate order.  Each architecture with at least
-    one kept connectivity gets one {!Mx_sim.Estimator.prepare} plan,
+    queue on the task pool, then merge and estimate per architecture
+    in candidate order.  Each architecture with at least one
+    connectivity gets one {!Mx_sim.Estimator.prepare} plan,
     shared read-only by the domains, and each connectivity one
     {!Mx_sim.Estimator.run}; no estimate enters the result cache or
     the store (see {!Mx_sim.Eval}).  Returns one estimate list per

@@ -1,5 +1,5 @@
-(* Manifests are small JSON documents rendered by hand (like every
-   other emitter in the repo) and read back through Mx_util.Json.  The
+(* Manifests are small JSON documents built as Mx_util.Json values,
+   rendered by its one writer and read back through its reader.  The
    canonical/exempt split mirrors the metrics determinism contract so
    the whole observability surface tells one story: anything named
    timing/cache/sched may vary between schedules, nothing else may. *)
@@ -28,7 +28,9 @@ type manifest = {
   cache_misses : int;
 }
 
-let schema_version = 1
+(* version 2 prints every number exactly; version 1 rounded to 6
+   significant digits *)
+let schema_version = 2
 
 (* -- run identity --------------------------------------------------------- *)
 
@@ -118,73 +120,51 @@ let cache_hit_rate m =
 
 (* -- serialisation -------------------------------------------------------- *)
 
-let num = Json.number
+let obj render kv = Json.Obj (List.map (fun (k, v) -> (k, render v)) kv)
+let str v = Json.Str v
 
-let add_canonical b m =
-  Buffer.add_string b
-    (Printf.sprintf "{\"version\": %d, \"run_id\": \"%s\", \"kind\": \"%s\",\n"
-       m.version (Json.escape m.run_id) (Json.escape m.kind));
-  Buffer.add_string b
-    (Printf.sprintf
-       " \"workload\": {\"name\": \"%s\", \"fingerprint\": \"%s\"},\n"
-       (Json.escape m.workload_name)
-       (Json.escape m.workload_fp));
-  let kv_obj name kv render =
-    Buffer.add_string b (Printf.sprintf " \"%s\": {" name);
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string b ", ";
-        Buffer.add_string b
-          (Printf.sprintf "\"%s\": %s" (Json.escape k) (render v)))
-      kv;
-    Buffer.add_string b "}"
-  in
-  kv_obj "config" m.config_kv (fun v -> "\"" ^ Json.escape v ^ "\"");
-  Buffer.add_string b ",\n";
-  kv_obj "counters" m.counters string_of_int;
-  Buffer.add_string b ",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       " \"funnel\": {\"n_estimates\": %d, \"n_simulations\": %d, \
-        \"interrupted\": %b},\n"
-       m.n_estimates m.n_simulations m.interrupted);
-  Buffer.add_string b " \"front\": [";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"cost\": %s, \"latency\": %s, \"energy\": %s}"
-           (num p.f_cost) (num p.f_latency) (num p.f_energy)))
-    m.front;
-  Buffer.add_string b "]"
+let canonical_fields m =
+  [
+    ("version", Json.int m.version);
+    ("run_id", str m.run_id);
+    ("kind", str m.kind);
+    ( "workload",
+      obj str [ ("name", m.workload_name); ("fingerprint", m.workload_fp) ] );
+    ("config", obj str m.config_kv);
+    ("counters", obj Json.int m.counters);
+    ( "funnel",
+      Json.Obj
+        [
+          ("n_estimates", Json.int m.n_estimates);
+          ("n_simulations", Json.int m.n_simulations);
+          ("interrupted", Json.Bool m.interrupted);
+        ] );
+    ( "front",
+      Json.Arr
+        (List.map
+           (fun p ->
+             Json.Obj
+               [
+                 ("cost", Json.Num p.f_cost);
+                 ("latency", Json.Num p.f_latency);
+                 ("energy", Json.Num p.f_energy);
+               ])
+           m.front) );
+  ]
 
-let canonical_json m =
-  let b = Buffer.create 1024 in
-  add_canonical b m;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+let render fields = Json.to_string (Json.Obj fields) ^ "\n"
+let canonical_json m = render (canonical_fields m)
 
 let to_json m =
-  let b = Buffer.create 1024 in
-  add_canonical b m;
-  Buffer.add_string b
-    (Printf.sprintf ",\n \"created_at\": \"%s\",\n" (Json.escape m.created_at));
-  Buffer.add_string b
-    (Printf.sprintf " \"timing\": {\"wall_seconds\": %s},\n"
-       (num m.wall_seconds));
-  Buffer.add_string b
-    (Printf.sprintf " \"cache\": {\"hits\": %d, \"misses\": %d},\n"
-       m.cache_hits m.cache_misses);
-  Buffer.add_string b " \"sched\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\": \"%s\"" (Json.escape k) (Json.escape v)))
-    m.sched_kv;
-  Buffer.add_string b "}}\n";
-  Buffer.contents b
+  render
+    (canonical_fields m
+    @ [
+        ("created_at", str m.created_at);
+        ("timing", Json.Obj [ ("wall_seconds", Json.Num m.wall_seconds) ]);
+        ( "cache",
+          obj Json.int [ ("hits", m.cache_hits); ("misses", m.cache_misses) ] );
+        ("sched", obj str m.sched_kv);
+      ])
 
 let of_json text =
   match Json.parse (String.trim text) with
@@ -226,6 +206,10 @@ let of_json text =
       | None -> Ok []
     in
     let* version = int_field "version" in
+    let* () =
+      if version = 1 || version = 2 then Ok ()
+      else Error (Printf.sprintf "unsupported manifest version %d" version)
+    in
     let* run_id = str_field "run_id" in
     let* kind = str_field "kind" in
     let* workload_name = str_field ~inside:"workload" "name" in
@@ -407,9 +391,11 @@ let coverage ~of_:fa ~by:fb =
     /. float_of_int (List.length fa)
 
 let compare_runs ?(thresholds = default_thresholds) a b =
+  (* a version-1 front point, rounded to 6 digits, can sit just above
+     the same point written exactly, so fronts compare within a version *)
   let comparable =
-    a.kind = b.kind && a.workload_fp = b.workload_fp
-    && a.config_kv = b.config_kv
+    a.version = b.version && a.kind = b.kind
+    && a.workload_fp = b.workload_fp && a.config_kv = b.config_kv
   in
   let wall_ratio =
     if a.wall_seconds > 0.0 then b.wall_seconds /. a.wall_seconds else 1.0
@@ -447,9 +433,10 @@ let render_diff d =
   ident "A" d.a;
   ident "B" d.b;
   if not d.comparable then
-    line
-      "  runs are not comparable (different kind, workload or config) — \
-       no thresholds applied";
+    line "  runs are not comparable (%s) — no thresholds applied"
+      (if d.a.version <> d.b.version then
+         Printf.sprintf "manifest versions %d and %d" d.a.version d.b.version
+       else "different kind, workload or config");
   let verdict regressed = if regressed then "REGRESSION" else "ok" in
   line "  wall time   %.2fs -> %.2fs  (x%.2f)  %s" d.a.wall_seconds
     d.b.wall_seconds d.wall_ratio

@@ -9,7 +9,8 @@
     hit rate, the jobs/shards schedule.  The first group is the
     {b canonical} part: for the same workload and configuration it is
     byte-identical across every [--shards x --jobs] combination
-    ({!canonical_json}; the run id is derived from it).  The second
+    ({!canonical_json}).  The run id hashes the kind, the workload
+    fingerprint and the deterministic config, not the JSON.  The second
     group lives in explicitly exempt [timing] / [cache] / [sched]
     sections, mirroring the {!Mx_util.Metrics} determinism contract.
 
@@ -48,6 +49,8 @@ type manifest = {
 }
 
 val schema_version : int
+(** 2: every number is printed exactly ({!Mx_util.Json.number}).
+    Version 1 printed them at 6 significant digits. *)
 
 val make :
   kind:string ->
@@ -65,11 +68,17 @@ val cache_hit_rate : manifest -> float
 
 (** {1 Serialisation} *)
 
-val to_json : manifest -> string
-val of_json : string -> (manifest, string) result
 val canonical_json : manifest -> string
 (** The canonical part only — no [created_at], [timing], [cache] or
-    [sched] — byte-comparable across schedule settings. *)
+    [sched] — byte-comparable across schedule settings: one
+    {!Mx_util.Json.to_string} line ended by a newline. *)
+
+val to_json : manifest -> string
+(** {!canonical_json}'s document with the exempt fields appended. *)
+
+val of_json : string -> (manifest, string) result
+(** Reads manifests of versions 1 and 2; any other version is an
+    [Error]. *)
 
 (** {1 The ledger directory} *)
 
@@ -107,8 +116,10 @@ type diff = {
   a : manifest;
   b : manifest;
   comparable : bool;
-      (** same kind, workload fingerprint and deterministic config —
-          thresholds only apply to comparable pairs *)
+      (** same schema version, kind, workload fingerprint and
+          deterministic config — thresholds only apply to comparable
+          pairs.  A version-1 front point is rounded, so it may sit
+          just outside the same point written exactly by version 2. *)
   wall_ratio : float;  (** [wall_b / wall_a]; 1 when [wall_a = 0] *)
   hit_drop_pp : float;  (** hit-rate drop in percentage points *)
   front_coverage : float;

@@ -151,49 +151,34 @@ let deterministic_events evs =
 
 (* -- JSONL rendering ------------------------------------------------------ *)
 
-let escape = Json.escape
-let json_float = Json.number
+let value_json = function
+  | Str s -> Json.Str s
+  | Int i -> Json.int i
+  | Float f -> Json.Num f
+  | Bool b -> Json.Bool b
 
-let value_to_json = function
-  | Str s -> "\"" ^ escape s ^ "\""
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | Bool b -> string_of_bool b
+let attrs_json attrs =
+  Json.Obj (List.map (fun (k, v) -> (k, value_json v)) attrs)
 
-let line_of_event ?(time = true) e =
-  let b = Buffer.create 128 in
-  Buffer.add_string b (Printf.sprintf "{\"stage\": \"%s\"" (escape e.stage));
-  Buffer.add_string b (Printf.sprintf ", \"seq\": %d" e.seq);
-  if time then
-    Buffer.add_string b (Printf.sprintf ", \"t_ms\": %s" (json_float e.t_ms));
-  Buffer.add_string b (Printf.sprintf ", \"event\": \"%s\"" (escape e.name));
-  Buffer.add_string b ", \"attrs\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\": %s" (escape k) (value_to_json v)))
-    e.attrs;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+let event_json ~time e =
+  Json.Obj
+    ([ ("stage", Json.Str e.stage); ("seq", Json.int e.seq) ]
+    @ (if time then [ ("t_ms", Json.Num e.t_ms) ] else [])
+    @ [ ("event", Json.Str e.name); ("attrs", attrs_json e.attrs) ])
 
-let to_jsonl t =
+let line_of_event ?(time = true) e = Json.to_string (event_json ~time e)
+
+let jsonl ~time evs =
   let b = Buffer.create 4096 in
   List.iter
     (fun e ->
-      Buffer.add_string b (line_of_event e);
+      Json.to_buffer b (event_json ~time e);
       Buffer.add_char b '\n')
-    (events t);
+    evs;
   Buffer.contents b
 
-let canonical_dump evs =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string b (line_of_event ~time:false e);
-      Buffer.add_char b '\n')
-    (deterministic_events evs);
-  Buffer.contents b
+let to_jsonl t = jsonl ~time:true (events t)
+let canonical_dump evs = jsonl ~time:false (deterministic_events evs)
 
 (* -- JSONL parsing (via the shared Mx_util.Json reader) ------------------- *)
 
@@ -277,39 +262,37 @@ let load_jsonl ~path =
 (* -- Chrome trace exporter ------------------------------------------------ *)
 
 let to_chrome_trace ~(snapshot : Metrics.snapshot) evs =
-  let b = Buffer.create 8192 in
-  let first = ref true in
-  let entry s =
-    if not !first then Buffer.add_string b ",\n";
-    first := false;
-    Buffer.add_string b ("    " ^ s)
+  let common = [ ("pid", Json.int 1); ("tid", Json.int 1) ] in
+  let rec spans (sp : Metrics.span) =
+    Json.Obj
+      ([
+         ("name", Json.Str sp.Metrics.span_name);
+         ("cat", Json.Str "span");
+         ("ph", Json.Str "X");
+         ("ts", Json.Num (sp.Metrics.start *. 1e6));
+         ("dur", Json.Num (sp.Metrics.seconds *. 1e6));
+       ]
+      @ common)
+    :: List.concat_map spans sp.Metrics.children
   in
-  Buffer.add_string b "{\"traceEvents\": [\n";
-  let rec span (sp : Metrics.span) =
-    entry
-      (Printf.sprintf
-         "{\"name\": \"%s\", \"cat\": \"span\", \"ph\": \"X\", \"ts\": %.3f, \
-          \"dur\": %.3f, \"pid\": 1, \"tid\": 1}"
-         (escape sp.Metrics.span_name)
-         (sp.Metrics.start *. 1e6)
-         (sp.Metrics.seconds *. 1e6));
-    List.iter span sp.Metrics.children
+  let instant e =
+    Json.Obj
+      ([
+         ("name", Json.Str e.name);
+         ("cat", Json.Str e.stage);
+         ("ph", Json.Str "i");
+         ("ts", Json.Num (e.t_ms *. 1e3));
+       ]
+      @ common
+      @ [ ("s", Json.Str "t"); ("args", attrs_json e.attrs) ])
   in
-  List.iter span snapshot.Metrics.spans;
-  List.iter
-    (fun e ->
-      let args =
-        String.concat ", "
-          (List.map
-             (fun (k, v) ->
-               Printf.sprintf "\"%s\": %s" (escape k) (value_to_json v))
-             e.attrs)
-      in
-      entry
-        (Printf.sprintf
-           "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", \"ts\": %.3f, \
-            \"pid\": 1, \"tid\": 1, \"s\": \"t\", \"args\": {%s}}"
-           (escape e.name) (escape e.stage) (e.t_ms *. 1e3) args))
-    evs;
-  Buffer.add_string b "\n  ],\n  \"displayTimeUnit\": \"ms\"\n}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [
+         ( "traceEvents",
+           Json.Arr
+             (List.concat_map spans snapshot.Metrics.spans
+             @ List.map instant evs) );
+         ("displayTimeUnit", Json.Str "ms");
+       ])
+  ^ "\n"

@@ -4,11 +4,11 @@
     Where {!Metrics} aggregates (counters, histograms, spans), the
     event log records the individual decisions of an exploration as a
     bounded stream of structured events: every cluster merge, every
-    enumerated or rejected assignment, and the full lifecycle of every
-    design — created, evaluated (with fidelity and cache provenance),
-    pruned-dominated-by / thinned / kept, refined, selected.  The
-    [conex explain] subcommand reconstructs the funnel from a saved
-    log.
+    enumerated assignment and infeasible level, and the full lifecycle
+    of every design — created, evaluated (with fidelity and cache
+    provenance), pruned-dominated-by / thinned / kept, refined,
+    selected.  The [conex explain] subcommand reconstructs the funnel
+    from a saved log.
 
     {b Cost discipline.}  Like the metrics registry, the ambient log
     ({!global}) is disabled at program start; every {!emit} begins with

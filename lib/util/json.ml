@@ -174,10 +174,9 @@ let to_int_opt = function
     Some (int_of_float f)
   | _ -> None
 
-(* -- rendering helpers ---------------------------------------------------- *)
+(* -- the writer ------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -187,7 +186,55 @@ let escape s =
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  add_escaped b s;
   Buffer.contents b
 
-let number v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
+(* 15 digits print 0.1 as 0.1 and integers as integers; 17 digits are
+   needed only where 15 do not read back as the same float *)
+let number v =
+  if not (Float.is_finite v) then "null"
+  else
+    let s = Printf.sprintf "%.15g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+
+let int n = Num (float_of_int n)
+
+let rec to_buffer b v =
+  let str s =
+    Buffer.add_char b '"';
+    add_escaped b s;
+    Buffer.add_char b '"'
+  in
+  let sep i = if i > 0 then Buffer.add_string b ", " in
+  match v with
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (string_of_bool x)
+  | Num f -> Buffer.add_string b (number f)
+  | Str s -> str s
+  | Arr items ->
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i v ->
+        sep i;
+        to_buffer b v)
+      items;
+    Buffer.add_char b ']'
+  | Obj fields ->
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (k, v) ->
+        sep i;
+        str k;
+        Buffer.add_string b ": ";
+        to_buffer b v)
+      fields;
+    Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  to_buffer b v;
+  Buffer.contents b

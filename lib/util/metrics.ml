@@ -275,47 +275,42 @@ let to_text t =
    end);
   Buffer.contents b
 
-let escape = Json.escape
-let json_float = Json.number
-
-let to_json t =
+let to_json_value t =
   let s = snapshot t in
-  let b = Buffer.create 2048 in
-  let obj name rows render =
-    Buffer.add_string b (Printf.sprintf "  \"%s\": {" name);
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\n    \"%s\": %s" (escape k) (render v)))
-      rows;
-    Buffer.add_string b (if rows = [] then "}" else "\n  }")
+  let obj rows render =
+    Json.Obj (List.map (fun (k, v) -> (k, render v)) rows)
   in
-  Buffer.add_string b "{\n";
-  obj "counters" s.counters string_of_int;
-  Buffer.add_string b ",\n";
-  obj "gauges" s.gauges json_float;
-  Buffer.add_string b ",\n";
-  obj "histograms" s.histograms (fun h ->
-      Printf.sprintf
-        "{\"unit\": \"%s\", \"count\": %d, \"sum\": %s, \"min\": %s, \"max\": \
-         %s, \"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s}"
-        (escape h.h_unit) h.count (json_float h.sum)
-        (json_float (if h.count = 0 then 0.0 else h.min_v))
-        (json_float (if h.count = 0 then 0.0 else h.max_v))
-        (json_float (hist_mean h)) (json_float h.p50) (json_float h.p95)
-        (json_float h.p99));
-  Buffer.add_string b ",\n  \"spans\": [";
-  let rec span_json (sp : span) =
-    Printf.sprintf
-      "{\"name\": \"%s\", \"start\": %s, \"seconds\": %s, \"children\": [%s]}"
-      (escape sp.span_name) (json_float sp.start) (json_float sp.seconds)
-      (String.concat ", " (List.map span_json sp.children))
+  let hist h =
+    let num x = Json.Num x in
+    let seen x = num (if h.count = 0 then 0.0 else x) in
+    Json.Obj
+      [
+        ("unit", Json.Str h.h_unit);
+        ("count", Json.int h.count);
+        ("sum", num h.sum);
+        ("min", seen h.min_v);
+        ("max", seen h.max_v);
+        ("mean", num (hist_mean h));
+        ("p50", num h.p50);
+        ("p95", num h.p95);
+        ("p99", num h.p99);
+      ]
   in
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b ("\n    " ^ span_json sp))
-    s.spans;
-  Buffer.add_string b (if s.spans = [] then "]\n" else "\n  ]\n");
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let rec span (sp : span) =
+    Json.Obj
+      [
+        ("name", Json.Str sp.span_name);
+        ("start", Json.Num sp.start);
+        ("seconds", Json.Num sp.seconds);
+        ("children", Json.Arr (List.map span sp.children));
+      ]
+  in
+  Json.Obj
+    [
+      ("counters", obj s.counters Json.int);
+      ("gauges", obj s.gauges (fun v -> Json.Num v));
+      ("histograms", obj s.histograms hist);
+      ("spans", Json.Arr (List.map span s.spans));
+    ]
+
+let to_json t = Json.to_string (to_json_value t) ^ "\n"

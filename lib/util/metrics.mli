@@ -120,16 +120,20 @@ val to_text : t -> string
 (** Human-readable rendering: counters, gauges, histograms, then the
     span forest indented two spaces per level. *)
 
-val to_json : t -> string
-(** One JSON object:
+val to_json_value : t -> Json.t
+(** The registry as one JSON object:
     {v
-    { "counters":   {"name": int, ...},
-      "gauges":     {"name": float, ...},
-      "histograms": {"name": {"unit": s, "count": n, "sum": x,
-                              "min": x, "max": x, "mean": x,
-                              "p50": x, "p95": x, "p99": x}, ...},
-      "spans":      [{"name": s, "start": x, "seconds": x,
-                      "children": [...]}, ...] }
+    {"counters": {"name": int, ...},
+     "gauges": {"name": float, ...},
+     "histograms": {"name": {"unit": s, "count": n, "sum": x,
+                             "min": x, "max": x, "mean": x,
+                             "p50": x, "p95": x, "p99": x}, ...},
+     "spans": [{"name": s, "start": x, "seconds": x,
+                "children": [...]}, ...]}
     v}
-    Keys are sorted; floats are finite decimals (inf/nan render as
-    [null]); the document ends with a newline. *)
+    Keys are sorted; numbers follow {!Json.number} (exact, inf/nan as
+    [null]). *)
+
+val to_json : t -> string
+(** {!to_json_value} rendered by {!Json.to_string}: one line, ended by
+    a newline. *)

@@ -36,50 +36,55 @@ let schema_version = 1
 
 (* -- rendering ------------------------------------------------------------ *)
 
-let num = Json.number
+let canonical_fields s =
+  [
+    ("version", Json.int s.version);
+    ("phase", Json.Str s.phase);
+    ( "progress",
+      Json.Obj
+        [
+          ("shards_planned", Json.int s.progress.shards_planned);
+          ("shards_committed", Json.int s.progress.shards_committed);
+          ("evals_committed", Json.int s.progress.evals_committed);
+          ("archive_size", Json.int s.progress.archive_size);
+        ] );
+  ]
+
+let render fields = Json.to_string (Json.Obj fields) ^ "\n"
+let canonical_json s = render (canonical_fields s)
 
 let to_json s =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"version\": %d, \"phase\": \"%s\",\n" s.version
-       (Json.escape s.phase));
-  Buffer.add_string b
-    (Printf.sprintf
-       " \"progress\": {\"shards_planned\": %d, \"shards_committed\": %d, \
-        \"evals_committed\": %d, \"archive_size\": %d},\n"
-       s.progress.shards_planned s.progress.shards_committed
-       s.progress.evals_committed s.progress.archive_size);
-  Buffer.add_string b
-    (Printf.sprintf
-       " \"timing\": {\"elapsed_s\": %s, \"eval_rate\": %s, \"eta_s\": %s, \
-        \"last_commit_age_s\": %s, \"stalled\": %b},\n"
-       (num s.timing.elapsed_s) (num s.timing.eval_rate)
-       (match s.timing.eta_s with Some e -> num e | None -> "null")
-       (num s.timing.last_commit_age_s)
-       s.timing.stalled);
-  Buffer.add_string b
-    (Printf.sprintf
-       " \"cache\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %s},\n"
-       s.cache.hits s.cache.misses (num s.cache.hit_rate));
-  Buffer.add_string b " \"sched\": {\"domains\": [";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "{\"id\": %d, \"busy_s\": %s, \"utilization\": %s}"
-           d.dom_id (num d.busy_s) (num d.utilization)))
-    s.domains;
-  Buffer.add_string b "]}}\n";
-  Buffer.contents b
-
-let canonical_json s =
-  Printf.sprintf
-    "{\"version\": %d, \"phase\": \"%s\", \"progress\": {\"shards_planned\": \
-     %d, \"shards_committed\": %d, \"evals_committed\": %d, \
-     \"archive_size\": %d}}\n"
-    s.version (Json.escape s.phase) s.progress.shards_planned
-    s.progress.shards_committed s.progress.evals_committed
-    s.progress.archive_size
+  let t = s.timing and num x = Json.Num x in
+  let domain d =
+    Json.Obj
+      [
+        ("id", Json.int d.dom_id);
+        ("busy_s", num d.busy_s);
+        ("utilization", num d.utilization);
+      ]
+  in
+  render
+    (canonical_fields s
+    @ [
+        ( "timing",
+          Json.Obj
+            [
+              ("elapsed_s", num t.elapsed_s);
+              ("eval_rate", num t.eval_rate);
+              ("eta_s", Option.fold ~none:Json.Null ~some:num t.eta_s);
+              ("last_commit_age_s", num t.last_commit_age_s);
+              ("stalled", Json.Bool t.stalled);
+            ] );
+        ( "cache",
+          Json.Obj
+            [
+              ("hits", Json.int s.cache.hits);
+              ("misses", Json.int s.cache.misses);
+              ("hit_rate", num s.cache.hit_rate);
+            ] );
+        ( "sched",
+          Json.Obj [ ("domains", Json.Arr (List.map domain s.domains)) ] );
+      ])
 
 let of_json text =
   match Json.parse (String.trim text) with

@@ -69,7 +69,7 @@ type t = {
 val schema_version : int
 
 val to_json : t -> string
-(** The full document, newline-terminated:
+(** The full document, one {!Json.to_string} line ended by a newline:
     {v
     { "version": n, "phase": s,
       "progress": {"shards_planned": n, "shards_committed": n,
@@ -87,8 +87,9 @@ val of_json : string -> (t, string) result
 
 val canonical_json : t -> string
 (** Only the deterministic part — [version], [phase], [progress] —
-    rendered with sorted, fixed keys; byte-comparable across jobs and
-    shard levels. *)
+    rendered with fixed keys in the same layout; byte-comparable across
+    jobs and shard levels.  {!to_json} is this document with the exempt
+    sections appended. *)
 
 val to_text : t -> string
 (** Human-readable rendering for [conex status]: one header line

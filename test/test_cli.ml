@@ -159,18 +159,11 @@ let test_metrics_json_on_stdout () =
     run_conex ([ "explore"; "-w"; "mixed"; "--metrics"; "json" ] @ fast)
   in
   check_exit "explore --metrics json" 0 r;
-  (* the JSON document is the last thing on stdout: split it off at the
-     final line that is exactly "{" *)
-  let lines = String.split_on_char '\n' out in
-  let start =
-    List.fold_left
-      (fun (i, found) l -> (i + 1, if l = "{" then i else found))
-      (0, -1) lines
-    |> snd
-  in
-  Helpers.check_true "a JSON object starts on its own line" (start >= 0);
+  (* the JSON document is the last line on stdout *)
   let doc =
-    String.concat "\n" (List.filteri (fun i _ -> i >= start) lines)
+    match List.rev (String.split_on_char '\n' (String.trim out)) with
+    | last :: _ -> last
+    | [] -> ""
   in
   Test_metrics.check_json "--metrics json document" doc;
   List.iter
@@ -506,16 +499,16 @@ let test_run_dir_and_runs () =
          exactly under the default thresholds. *)
       check_exit "diff of an identical pair" 0
         (run_conex [ "runs"; "diff"; a; b; "--max-wall-ratio"; "1000" ]);
-      (* inject a wall-time regression into a copy of B *)
+      (* inject a wall-time regression into a copy of B by replacing
+         the "wall_seconds" value, as CI's sed does *)
       let slow = Filename.concat dir "run-injected-slow.json" in
       let doc =
-        slurp_file b |> String.split_on_char '\n'
-        |> List.map (fun l ->
-               if Test_metrics.contains ~needle:"\"wall_seconds\"" l then
-                 " \"timing\": {\"wall_seconds\": 9999.0},"
-               else l)
-        |> String.concat "\n"
+        Str.global_replace
+          (Str.regexp {|"wall_seconds": [0-9.eE+-]*|})
+          {|"wall_seconds": 9999.0|} (slurp_file b)
       in
+      Helpers.check_true "the wall time was replaced"
+        (Test_metrics.contains ~needle:{|"wall_seconds": 9999.0|} doc);
       Out_channel.with_open_text slow (fun oc ->
           Out_channel.output_string oc doc);
       let ((_, out, _) as rd) = run_conex [ "runs"; "diff"; a; slow ] in
@@ -637,6 +630,23 @@ let test_serve_protocol () =
     (Test_metrics.contains ~needle:"\"persist\": null" (nth 6));
   Helpers.check_true "shutdown is acknowledged"
     (Test_metrics.contains ~needle:"\"op\": \"shutdown\"" (nth 7))
+
+(* ids are echoed exactly: numbers are printed with as many digits as
+   reading them back needs *)
+let test_serve_exact_ids () =
+  let input =
+    {|{"id": 1234567, "op": "ping"}
+{"id": 0.1234567, "op": "ping"}
+|}
+  in
+  let ((_, out, _) as r) = run_conex_in ~input [ "serve" ] in
+  check_exit "serve session" 0 r;
+  Helpers.check_true "both ids come back verbatim"
+    (String.split_on_char '\n' (String.trim out)
+    = [
+        {|{"id": 1234567, "status": "ok", "op": "ping"}|};
+        {|{"id": 0.1234567, "status": "ok", "op": "ping"}|};
+      ])
 
 let test_serve_eof_shutdown () =
   (* a closed stdin ends the session as cleanly as an explicit shutdown *)
@@ -912,4 +922,6 @@ let suite =
         test_serve_closed_stdout;
       Alcotest.test_case "negative-address trace exits 1" `Quick
         test_negative_address_trace;
+      Alcotest.test_case "serve echoes numeric ids exactly" `Quick
+        test_serve_exact_ids;
     ] )

@@ -384,6 +384,18 @@ let test_json_escaping () =
   Metrics.set_gauge m "nan" nan;
   check_json "escaped names and non-finite floats" (Metrics.to_json m)
 
+let test_json_numbers () =
+  List.iter
+    (fun (x, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%h" x) want
+        (Mx_util.Json.to_string (Mx_util.Json.Num x)))
+    [
+      (infinity, "null"); (neg_infinity, "null"); (nan, "null");
+      (1234567.0, "1234567"); (0.1, "0.1"); (-0.0, "-0");
+      (1.0 /. 3.0, "0.33333333333333331");
+    ]
+
 let test_empty_registry_json () =
   check_json "empty registry" (Metrics.to_json (Metrics.create ~enabled:true ()))
 
@@ -511,4 +523,6 @@ let suite =
       Alcotest.test_case "serial = parallel counters" `Slow
         test_explore_counter_parity;
       Alcotest.test_case "span tree shape" `Slow test_explore_span_tree;
+      Alcotest.test_case "json numbers: exact, non-finite as null" `Quick
+        test_json_numbers;
     ] )
