@@ -476,7 +476,7 @@ let cache () =
     (cold.Explore.wall_seconds /. Float.max 1e-9 warm.Explore.wall_seconds)
     hits misses;
   check "warm run reproduces the cold run exactly"
-    (cold.Explore.estimated = warm.Explore.estimated
+    (cold.Explore.n_estimates = warm.Explore.n_estimates
     && cold.Explore.simulated = warm.Explore.simulated
     && cold.Explore.pareto_cost_perf = warm.Explore.pareto_cost_perf);
   check "warm run was served from the cache (hits > 0)" (hits > 0);
@@ -556,7 +556,7 @@ let persist () =
         (cold_s /. Float.max 1e-9 warm_s)
         disk_hits recovered;
       check "warm-start run reproduces the cold run exactly"
-        (cold.Explore.estimated = warm.Explore.estimated
+        (cold.Explore.n_estimates = warm.Explore.n_estimates
         && cold.Explore.simulated = warm.Explore.simulated
         && cold.Explore.pareto_cost_perf = warm.Explore.pareto_cost_perf);
       check "cold run wrote the store (records > 0)" (written > 0);
@@ -631,8 +631,10 @@ let events () =
     (100.0 *. ((on_s /. Float.max 1e-9 off_s) -. 1.0))
     (List.length events) (List.length created)
     (Mx_util.Event_log.dropped log);
+  (* events on, the run takes Phase I's collect sink; off, its front
+     sink: the two must agree end to end *)
   check "recording events changes no result"
-    (off.Explore.estimated = on.Explore.estimated
+    (off.Explore.n_estimates = on.Explore.n_estimates
     && off.Explore.simulated = on.Explore.simulated
     && off.Explore.pareto_cost_perf = on.Explore.pareto_cost_perf);
   check "the log is non-empty and nothing was dropped"

@@ -59,8 +59,9 @@ let test_fig4_phase1_estimate =
        (Mx_sim.Estimator.estimate ~workload:w ~arch ~profile:stats
           ~conn:(List.hd conns)))
 
-(* Phase I's per-architecture loop: one plan, then every enumerated
-   connectivity of the architecture estimated over it. *)
+(* Every enumerated connectivity of the architecture estimated over one
+   plan, one [Estimator.run] (a one-choice level) each: the
+   per-connectivity path of one-off callers. *)
 let test_fig4_phase1_shared_plan =
   Test.make
     ~name:"fig4: phase-I estimates, all connectivities, one plan"
@@ -87,6 +88,50 @@ let test_fig4_phase1_cold =
        (Conex.Explore.connectivity_exploration
           { Conex.Explore.default_config with Conex.Explore.jobs = 1 }
           w cand))
+
+(* One assignment of the finest clustering level from its level plan:
+   the plan and the level's tables are built once, so this times the
+   table lookups and the fixed point alone. *)
+let level_plan =
+  lazy
+    (let w, _, arch, stats, brg, _ = Lazy.force prepared in
+     let plan = Mx_sim.Estimator.prepare ~workload:w ~arch ~profile:stats in
+     let level =
+       List.hd
+         (Mx_connect.Cluster.levels_ordered
+            Mx_connect.Cluster.Lowest_bandwidth_first brg.Mx_connect.Brg.channels)
+     in
+     let clusters =
+       Array.of_list
+         (List.map
+            (fun cl ->
+              ( cl,
+                Array.of_list
+                  (Mx_connect.Assign.choices
+                     ~onchip:Mx_connect.Component.onchip_library
+                     ~offchip:Mx_connect.Component.offchip_library cl) ))
+            level)
+     in
+     (Mx_sim.Estimator.level plan clusters, Array.make (Array.length clusters) 0))
+
+let test_fig4_level_estimate =
+  Test.make ~name:"fig4: estimate one connectivity from a level plan"
+    (Staged.stage @@ fun () ->
+     let lv, choice = Lazy.force level_plan in
+     Mx_sim.Estimator.assess lv choice)
+
+(* Phase I of the same candidate through the front sink: every estimate
+   feeds its shard's front, and only the architecture's front points
+   become designs. *)
+let test_fig4_phase1_stream =
+  Test.make ~name:"fig4: stream one architecture's Phase I into its front"
+    (Staged.stage @@ fun () ->
+     let w, _, _, _, _, _ = Lazy.force prepared in
+     let cand = Lazy.force candidate in
+     ignore
+       (Conex.Explore.promising
+          { Conex.Explore.default_config with Conex.Explore.jobs = 1 }
+          w [ cand ]))
 
 let test_fig6_pareto_annotation =
   Test.make ~name:"fig6: pareto front over 1000 points"
@@ -215,6 +260,8 @@ let tests =
     test_fig4_phase1_estimate;
     test_fig4_phase1_shared_plan;
     test_fig4_phase1_cold;
+    test_fig4_level_estimate;
+    test_fig4_phase1_stream;
     test_fig6_pareto_annotation;
     test_fig6_pareto_front3;
     test_table1_cycle_sim;

@@ -91,9 +91,9 @@ val estimate :
     scheduling two transactions on a reservation table
     ({!Mx_connect.Reservation_table.initiation_interval}), every term
     re-derived from the profile inside the four-step fixed point — the
-    specification {!Mx_sim.Estimator.run} over
-    {!Mx_sim.Estimator.prepare} must reproduce bit for bit
-    ({!Mx_sim.Sim_result.to_wire}).
+    specification {!Mx_sim.Estimator.run} and
+    {!Mx_sim.Estimator.assess} over {!Mx_sim.Estimator.prepare} must
+    reproduce bit for bit ({!Mx_sim.Sim_result.to_wire}).
     @raise Invalid_argument with {!Mx_sim.Estimator.estimate}'s
     messages, in the same order: an empty profile, then per active
     serving class (in {!Mx_sim.Serving.all} order) a missing CPU,

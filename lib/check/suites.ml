@@ -55,6 +55,38 @@ let front_vs_oracle name points =
         (bits got = bits want)
         "front differs from quadratic oracle on %d points" (List.length pts))
 
+(* The incremental front over random contiguous chunks of the input,
+   each chunk in its own front, merged in input order: the members must
+   be the oracle's front, in input order. *)
+let chunked_flat_front ~seed ~size =
+  let g = Prng.create ~seed in
+  let dim = 2 + Prng.int g ~bound:2 in
+  let points =
+    Prng.pick g [| Gen.grid_points; Gen.continuous_points; Gen.special_points |]
+  in
+  let pts = Array.of_list (points g ~size ~dim) in
+  let n = Array.length pts in
+  let whole = Pareto.Flat.create ~dims:dim in
+  let chunks = ref 0 and i = ref 0 in
+  while !i < n do
+    let len = 1 + Prng.int g ~bound:(n - !i) in
+    let chunk = Pareto.Flat.create ~dims:dim in
+    for k = !i to !i + len - 1 do
+      Pareto.Flat.offer chunk pts.(k) k
+    done;
+    Pareto.Flat.merge ~into:whole chunk;
+    incr chunks;
+    i := !i + len
+  done;
+  let got =
+    List.init (Pareto.Flat.size whole) (fun m -> pts.(Pareto.Flat.id whole m))
+  in
+  let want = Oracle.pareto_front ~axes:(axes_of_dim dim) (Array.to_list pts) in
+  R.check
+    (bits got = bits want)
+    "merged front of %d points in %d chunks: %d members, oracle %d" n !chunks
+    (List.length got) (List.length want)
+
 let pareto_suite =
   [
     front_vs_oracle "front matches quadratic oracle (tied grid points)"
@@ -64,6 +96,10 @@ let pareto_suite =
     front_vs_oracle
       "front matches quadratic oracle (NaN, infinities, signed zeros, repeats)"
       Gen.special_points;
+    R.prop
+      "the incremental front, fed in random chunks and merged, equals the \
+       quadratic oracle in input order"
+      chunked_flat_front;
     R.prop "front is idempotent" (fun ~seed ~size ->
         let g = Prng.create ~seed in
         let axes = axes_of_dim 3 in
@@ -525,6 +561,43 @@ let json_suite =
               R.check (json_same v' v) "%S does not read back bit for bit" s;
               R.check (not (String.contains s '\n')) "%S spans two lines" s;
             ]);
+    R.prop "every code point escaped reads back as its UTF-8 bytes"
+      (fun ~seed ~size ->
+        let g = Prng.create ~seed in
+        let utf8 = Buffer.create 64 and lit = Buffer.create 64 in
+        let escape cp =
+          let hex = Printf.sprintf "%04x" cp in
+          Buffer.add_string lit "\\u";
+          Buffer.add_string lit
+            (if Prng.bool g ~p:0.5 then hex else String.uppercase_ascii hex)
+        in
+        Buffer.add_char lit '"';
+        for _ = 1 to 1 + Prng.int g ~bound:(4 * size) do
+          (* one, two, three or four UTF-8 bytes; never a surrogate *)
+          let cp =
+            match Prng.int g ~bound:4 with
+            | 0 -> Prng.int g ~bound:0x80
+            | 1 -> Prng.int_in g ~lo:0x80 ~hi:0x7FF
+            | 2 ->
+              let c = Prng.int_in g ~lo:0x800 ~hi:(0xFFFF - 0x800) in
+              if c >= 0xD800 then c + 0x800 else c
+            | _ -> Prng.int_in g ~lo:0x10000 ~hi:0x10FFFF
+          in
+          Buffer.add_utf_8_uchar utf8 (Uchar.of_int cp);
+          if cp < 0x10000 then escape cp
+          else begin
+            let v = cp - 0x10000 in
+            escape (0xD800 lor (v lsr 10));
+            escape (0xDC00 lor (v land 0x3FF))
+          end
+        done;
+        Buffer.add_char lit '"';
+        let lit = Buffer.contents lit and want = Buffer.contents utf8 in
+        match Json.parse lit with
+        | Ok (Json.Str got) ->
+          R.check (got = want) "%s reads back as %S, not %S" lit got want
+        | Ok _ -> R.failf "%s is not read as a string" lit
+        | Error e -> R.failf "%s does not parse: %s" lit e);
   ]
 
 (* -- fingerprint --------------------------------------------------------- *)
@@ -879,6 +952,78 @@ let plan_matches_oracle pipeline ~seed ~size =
            k (Mem_arch.describe arch) (show_outcome got) (show_outcome want))
        (conns @ [ dropped ]))
 
+(* [conn]'s choice vector: each binding's component as an index into
+   its cluster's choices *)
+let choice_vector clusters (conn : Conn_arch.t) =
+  Array.of_list
+    (List.mapi
+       (fun j (b : Conn_arch.binding) ->
+         let _, choices = clusters.(j) in
+         let rec find i =
+           if choices.(i).Component.name = b.Conn_arch.component.Component.name
+           then i
+           else find (i + 1)
+         in
+         find 0)
+       conn.Conn_arch.bindings)
+
+(* One level plan over a clustering level (sometimes missing a cluster,
+   so that a needed channel goes unrouted), full choice lists and a
+   drawn cap: every assignment, and then the first one again, must
+   estimate like the oracle on the materialised connectivity. *)
+let level_matches_oracle pipeline ~seed ~size =
+  let g = Prng.create ~seed in
+  let p = pipeline g ~size in
+  let w = p.Gen.p_workload
+  and arch = p.Gen.p_arch
+  and profile = p.Gen.p_profile in
+  let plan = Mx_sim.Estimator.prepare ~workload:w ~arch ~profile in
+  let levels =
+    Cluster.levels_ordered Cluster.Lowest_bandwidth_first
+      p.Gen.p_brg.Brg.channels
+  in
+  let level = List.nth levels (Prng.int g ~bound:(List.length levels)) in
+  let level =
+    if List.length level > 1 && Prng.bool g ~p:0.3 then
+      let k = Prng.int g ~bound:(List.length level) in
+      List.filteri (fun j _ -> j <> k) level
+    else level
+  in
+  let onchip = Component.onchip_library
+  and offchip = Component.offchip_library in
+  let clusters =
+    Array.of_list
+      (List.map
+         (fun cl -> (cl, Array.of_list (Assign.choices ~onchip ~offchip cl)))
+         level)
+  in
+  let cap = 1 + Prng.int g ~bound:64 in
+  let conns = Assign.enumerate ~max_designs:cap ~onchip ~offchip level in
+  let lv =
+    match Mx_sim.Estimator.level plan clusters with
+    | lv -> Ok lv
+    | exception Invalid_argument msg -> Error msg
+  in
+  let check k conn =
+    let got =
+      match lv with
+      | Error msg -> Error msg
+      | Ok lv ->
+        estimate_outcome (fun () ->
+            Mx_sim.Estimator.assess lv (choice_vector clusters conn);
+            Mx_sim.Estimator.result lv)
+    and want =
+      estimate_outcome (fun () ->
+          Oracle.estimate ~workload:w ~arch ~profile ~conn)
+    in
+    R.check (got = want) "assignment %d of %d (cap %d) of %s: level gives %s, oracle %s"
+      k (List.length conns) cap (Mem_arch.describe arch) (show_outcome got)
+      (show_outcome want)
+  in
+  R.all_of
+    (List.mapi check conns
+    @ match conns with c :: _ -> [ check 0 c ] | [] -> [])
+
 let estimate_suite =
   [
     R.prop ~cost:2
@@ -889,6 +1034,13 @@ let estimate_suite =
       "APEX architectures: one plan estimates K connectivities like K \
        oracle estimates"
       (plan_matches_oracle Gen.pipeline);
+    R.prop ~cost:2
+      "one level plan estimates every assignment of a level like the oracle"
+      (level_matches_oracle Gen.pipeline);
+    R.prop ~cost:2
+      "simulator architectures: one level plan estimates every assignment \
+       of a level like the oracle"
+      (level_matches_oracle Gen.sim_pipeline);
   ]
 
 (* -- pipeline ------------------------------------------------------------ *)
@@ -1236,6 +1388,53 @@ let shard_suite ~jobs =
                      "shards=%d jobs=%d diverges from the monolithic run"
                      shards jobs)
                  [ (4, 1); (1, max 2 jobs); (4, max 2 jobs) ])));
+    R.prop ~cost:80 ~max_size:2
+      "the streamed run equals collect + local_promising"
+      (fun ~seed ~size ->
+        let g = Prng.create ~seed in
+        let w = Gen.workload g ~size in
+        let est (d : Design.t) =
+          (Design.structural_key d, Option.map Sim_result.to_wire d.Design.est)
+        in
+        let was = Ev.is_on Ev.global in
+        with_default_cache @@ fun () ->
+        Fun.protect
+          ~finally:(fun () ->
+            Ev.set_enabled Ev.global was;
+            Ev.reset Ev.global)
+        @@ fun () ->
+        (* cache off so no arm is served results computed by another *)
+        Eval.set_cache_capacity 0;
+        Ev.set_enabled Ev.global false;
+        let config = shard_config ~shards:1 ~jobs:1 in
+        let cands =
+          Mx_apex.Explore.select ~config:config.Explore.apex
+            (Mx_trace.Profile.analyze w)
+        in
+        match Explore.phase1 config w cands with
+        | None -> R.failf "Phase I stopped without an interrupt"
+        | Some per_arch ->
+          let n = List.fold_left (fun n l -> n + List.length l) 0 per_arch in
+          let want =
+            List.map est (List.concat_map (Explore.local_promising config) per_arch)
+          in
+          R.all_of
+            (List.concat_map
+               (fun (shards, jobs) ->
+                 List.map
+                   (fun events ->
+                     Ev.reset Ev.global;
+                     Ev.set_enabled Ev.global events;
+                     let r = Explore.run ~config:(shard_config ~shards ~jobs) w in
+                     R.check
+                       (r.Explore.n_estimates = n
+                       && List.map est r.Explore.simulated = want)
+                       "shards=%d jobs=%d events=%b: %d estimates and %d \
+                        survivors, collect + local_promising %d and %d"
+                       shards jobs events r.Explore.n_estimates
+                       (List.length r.Explore.simulated) n (List.length want))
+                   [ false; true ])
+               [ (1, 1); (4, 1); (1, max 2 jobs); (4, max 2 jobs) ]));
     R.prop ~cost:10 "shard plan concatenation = monolithic enumeration"
       (fun ~seed ~size ->
         let g = Prng.create ~seed in

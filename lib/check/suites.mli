@@ -3,9 +3,11 @@
     Each suite bundles the properties of one subsystem:
 
     - [pareto]      front vs quadratic oracle (tied, continuous and
-                    NaN/infinity/signed-zero/repeated points),
-                    idempotence, permutation invariance, front2/front
-                    agreement
+                    NaN/infinity/signed-zero/repeated points), the
+                    incremental {!Mx_util.Pareto.Flat} front fed in
+                    random chunks and merged vs the oracle in input
+                    order, idempotence, permutation invariance,
+                    front2/front agreement
     - [cluster]     levels vs naive bottom-up oracle, conservation laws,
                     ordered-variant invariants
     - [assign]      enumeration vs exhaustive cartesian oracle,
@@ -16,7 +18,9 @@
     - [json]        [parse (to_string v) = v], numbers bit for bit,
                     over generated values (arbitrary bytes in strings
                     and keys, duplicate keys, nesting, finite numbers
-                    of every magnitude), and the rendering is one line
+                    of every magnitude), and the rendering is one line;
+                    a valid UTF-8 string written with every code point
+                    escaped reads back as the same bytes
     - [fingerprint] relabeling invariance, mutation sensitivity,
                     assembly-order insensitivity, content addressing
     - [sim]         recorded-column simulator vs straight-line
@@ -34,7 +38,11 @@
                     binding dropped) vs {!Oracle.estimate} per
                     connectivity, bit-exact on the wire form and on
                     the [Invalid_argument] message, over simulator and
-                    APEX-style architectures
+                    APEX-style architectures; one
+                    {!Mx_sim.Estimator.level} over every assignment of
+                    a clustering level (full choice lists, a drawn
+                    cap, sometimes a cluster missing) vs the oracle on
+                    each materialised connectivity
     - [pipeline]    composed group profiles of every APEX candidate
                     (L1s and L2s of drawn replacement policies, with
                     victim buffers) vs one {!Mx_mem.Mem_sim.run} each,
@@ -43,6 +51,13 @@
     - [explore]     cache-on/off and jobs=1/jobs=N run parity,
                     estimate-vs-exact rank correlation floors,
                     event-log terminal-verdict coverage
+    - [shard]       sharded vs monolithic runs, the streamed run (front
+                    sink with events off, collect sink with events on,
+                    shards 1/4 x jobs 1/N) vs collect +
+                    {!Conex.Explore.local_promising}, shard plans vs
+                    the monolithic enumeration and through the wire
+                    format, the anytime archive vs front2, eps and
+                    capacity thinning, interrupted runs
     - [replacement] per-policy differential fuzz of {!Mx_mem.Cache}
                     against the {!Oracle.repl_cache} reference
                     simulators (identical hit/writeback/evict

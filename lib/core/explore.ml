@@ -2,6 +2,7 @@ module Component = Mx_connect.Component
 module Conn_arch = Mx_connect.Conn_arch
 module Cluster = Mx_connect.Cluster
 module Brg = Mx_connect.Brg
+module Conn_cost = Mx_connect.Conn_cost
 module Ev = Mx_util.Event_log
 module Pareto = Mx_util.Pareto
 
@@ -59,7 +60,6 @@ let reduced_config =
 type result = {
   workload : Mx_trace.Workload.t;
   apex_selected : Mx_apex.Explore.candidate list;
-  estimated : Design.t list;
   simulated : Design.t list;
   pareto_cost_perf : Design.t list;
   n_estimates : int;
@@ -69,11 +69,6 @@ type result = {
 }
 
 let never = fun () -> false
-
-(* Estimates are cheap (micro- to milliseconds each), so chunk them to
-   amortise dispatch; simulations are seconds each, so they are
-   dispatched one by one for load balance. *)
-let estimate_chunk = 32
 
 (* -- the anytime archive ------------------------------------------------------
 
@@ -133,26 +128,41 @@ let archive_insert archive (d : Design.t) =
         evicted
   end
 
-(* -- Phase I: the shard work-queue --------------------------------------------
+(* -- Phase I: one stream per shard --------------------------------------------
 
-   Each selected memory architecture is planned (serially, on the
-   calling domain: BRG, clustering levels, shard split — so cluster.*,
-   assign.* and shard.planned events are deterministic), the shards of
-   every architecture are concatenated into one work-queue, and the
-   queue is consumed by the task pool.  Shard enumeration is silent on
-   the workers; results commit in queue order, so the merged per-
-   architecture design stream is byte-identical to the monolithic
-   [Assign.enumerate_levels] whatever the shard count or jobs level. *)
+   Each selected memory architecture is planned serially on the calling
+   domain — BRG, clustering levels, shard split and one estimator plan,
+   so cluster.*, assign.* and shard.planned events are deterministic.
+   The shards of every architecture form one work-queue, drained once
+   by the task pool.  A shard task walks its choice vectors and
+   estimates each from a level plan of its own; what it keeps is up to
+   the sink:
+   - the collect sink ([phase1]) keeps every connectivity with its
+     estimate, for the callers that need them all;
+   - the front sink ([promising]) keeps the shard's (cost, latency,
+     energy) front, each point named by its position in its
+     architecture's stream, and builds designs for the points of the
+     architecture's merged front only.
+   Results are taken in queue order, so each architecture's stream,
+   and so its front, is byte-identical whatever the shard count or
+   jobs level. *)
 
-type planned = {
+type task = {
   cand : Mx_apex.Explore.candidate;
-  shards : Shard.resolved list;
+  shard : Shard.resolved;
+  offset : int;  (** the stream position of the shard's first vector *)
+  plan : (Mx_sim.Estimator.plan, exn) Stdlib.result;
 }
 
-let plan_candidate (cfg : config) ~workload_fp
+let cap t = (Shard.descriptor t.shard).Shard.cap
+let shard_fp t = Shard.fingerprint (Shard.descriptor t.shard)
+
+(* one architecture's queue entries, in plan order *)
+let plan_candidate (cfg : config) workload ~workload_fp
     (cand : Mx_apex.Explore.candidate) =
   let arch = cand.Mx_apex.Explore.arch in
-  let brg = Brg.build arch cand.Mx_apex.Explore.profile in
+  let profile = cand.Mx_apex.Explore.profile in
+  let brg = Brg.build arch profile in
   let levels =
     Cluster.levels_ordered Cluster.Lowest_bandwidth_first brg.Brg.channels
   in
@@ -163,38 +173,52 @@ let plan_candidate (cfg : config) ~workload_fp
       ~arch_fp:(Mx_mem.Mem_arch.fingerprint arch)
       ~onchip:cfg.onchip ~offchip:cfg.offchip levels
   in
-  { cand; shards }
+  match shards with
+  | [] -> []
+  | _ ->
+    (* one plan per architecture, shared read-only by the domains; its
+       failure is raised when the caller reaches the architecture *)
+    let plan =
+      match Mx_sim.Estimator.prepare ~workload ~arch ~profile with
+      | plan -> Ok plan
+      | exception e -> Error e
+    in
+    let offset = ref 0 in
+    List.map
+      (fun shard ->
+        let t = { cand; shard; offset = !offset; plan } in
+        offset := !offset + cap t;
+        t)
+      shards
 
-let phase1 ?(interrupt = never) cfg workload cands =
+(* Plan every candidate, drain the queue once — [work] runs each task on
+   any domain — and hand each architecture's tasks with their results,
+   in candidate and then queue order, to [finish] on the calling domain.
+   A failed task is kept as its exception and raised when [finish]'s
+   turn reaches its architecture, so an interrupted drain never raises:
+   it returns [None]. *)
+let stream ~interrupt cfg workload cands ~work ~finish =
   let metrics = Mx_util.Metrics.global in
   let workload_fp = Mx_trace.Workload.fingerprint workload in
-  let planned =
+  let per_arch =
     Mx_util.Metrics.with_span metrics "explore.plan" (fun () ->
-        List.map (plan_candidate cfg ~workload_fp) cands)
+        List.map (plan_candidate cfg workload ~workload_fp) cands)
   in
-  (* the global queue: every architecture's shards, in plan order *)
-  let queue =
-    List.concat_map
-      (fun p -> List.map (fun s -> (p.cand, s)) p.shards)
-      planned
-  in
+  let queue = List.concat per_arch in
   let n_shards = List.length queue in
   Mx_util.Snapshot.add_shards_planned n_shards;
-  let slices = Array.make (max 1 n_shards) [] in
+  let results = Array.make n_shards None in
   let committed =
     Mx_util.Task_pool.parallel_map_commit ~jobs:cfg.jobs ~chunk:1
       ~should_stop:interrupt
-      ~commit:(fun i (_, shard) conns ->
-        slices.(i) <- conns;
+      ~commit:(fun i t r ->
+        results.(i) <- Some r;
         Mx_util.Snapshot.shard_committed ();
         Mx_util.Metrics.incr metrics "shard.finished";
         if Ev.is_on Ev.global then
           Ev.emit Ev.global ~stage:"shard" "shard.finished"
-            [
-              ("shard", Ev.Str (Shard.fingerprint (Shard.descriptor shard)));
-              ("designs", Ev.Int (List.length conns));
-            ])
-      (fun (_, shard) ->
+            [ ("shard", Ev.Str (shard_fp t)); ("designs", Ev.Int (cap t)) ])
+      (fun t ->
         (* which domain ran a shard — and whether a pool worker stole it
            from the caller — is scheduling, hence the sched. segment; it
            gets its own stage so the per-stage seq numbering of the
@@ -205,93 +229,101 @@ let phase1 ?(interrupt = never) cfg workload cands =
                "shard.sched.stolen"
              else "shard.sched.started")
             [
-              ("shard", Ev.Str (Shard.fingerprint (Shard.descriptor shard)));
+              ("shard", Ev.Str (shard_fp t));
               ("domain", Ev.Int (Domain.self () :> int));
             ];
-        Shard.enumerate shard)
+        match t.plan with
+        | Error e -> Error e
+        | Ok plan -> ( try Ok (work plan t) with e -> Error e))
       queue
   in
   if committed < n_shards then None
-  else
-    (* merge and estimate per architecture, in candidate order *)
-    let offset = ref 0 in
+  else begin
+    let next = ref 0 in
     Some
-      (List.map
-         (fun p ->
-           let label = p.cand.Mx_apex.Explore.arch.Mx_mem.Mem_arch.label in
+      (List.map2
+         (fun (cand : Mx_apex.Explore.candidate) tasks ->
+           let label = cand.Mx_apex.Explore.arch.Mx_mem.Mem_arch.label in
            Mx_util.Metrics.with_span metrics ("phase1:" ^ label) @@ fun () ->
-           let kept =
-             List.concat_map
-               (fun shard ->
-                 let i = !offset in
-                 incr offset;
-                 let fp = Shard.fingerprint (Shard.descriptor shard) in
-                 List.map (fun conn -> (fp, conn)) slices.(i))
-               p.shards
+           let done_ =
+             List.map
+               (fun t ->
+                 let r = results.(!next) in
+                 incr next;
+                 match r with
+                 | Some (Ok r) -> (t, r)
+                 | Some (Error e) -> raise e
+                 | None -> assert false (* every task committed *))
+               tasks
            in
-           (* levels differ in cluster count and one level's product
-              never repeats an assignment, so every design is kept *)
-           if Ev.is_on Ev.global then
-             List.iter
-               (fun (_, conn) ->
-                 Ev.emit Ev.global ~stage:"assign" "assign.kept"
-                   [ ("conn", Ev.Str (Conn_arch.describe conn)) ])
-               kept;
-           Mx_util.Metrics.incr metrics ~by:(List.length kept) "assign.kept";
-           (* one plan per architecture, shared read-only by the domains;
-              an estimate is cheaper to compute than to look up, so none
-              enters the result tiers *)
-           let arch = p.cand.Mx_apex.Explore.arch in
-           let pairs =
-             match kept with
-             | [] -> []
-             | _ ->
-               let plan =
-                 Mx_sim.Estimator.prepare ~workload ~arch
-                   ~profile:p.cand.Mx_apex.Explore.profile
-               in
-               Mx_util.Task_pool.parallel_map ~jobs:cfg.jobs
-                 ~chunk:estimate_chunk
-                 (fun (shard_fp, conn) ->
-                   ( Design.make ~workload_name:workload.Mx_trace.Workload.name
-                       ~mem:arch ~conn
-                       ~est:(Mx_sim.Estimator.run plan ~conn)
-                       (),
-                     shard_fp ))
-                 kept
-           in
-           if Ev.is_on Ev.global then begin
-             List.iter
-               (fun ((d : Design.t), _) ->
-                 Ev.emit Ev.global ~stage:"phase1" "design.created"
-                   [
-                     ("design", Ev.Str (Design.structural_key d));
-                     ("id", Ev.Str (Design.id d));
-                     ("arch", Ev.Str label);
-                   ])
-               pairs;
-             let ftag = Mx_sim.Eval.fidelity_tag Mx_sim.Eval.Estimate in
-             let source = Mx_sim.Eval.provenance_tag Mx_sim.Eval.Computed in
-             List.iter
-               (fun ((d : Design.t), shard_fp) ->
-                 let key = Design.structural_key d in
-                 Ev.emit Ev.global ~stage:"phase1" "design.evaluated"
-                   [ ("design", Ev.Str key); ("fidelity", Ev.Str ftag) ];
-                 Ev.emit Ev.global ~stage:"phase1" "eval.cache.provenance"
-                   [
-                     ("design", Ev.Str key);
-                     ("fidelity", Ev.Str ftag);
-                     ("source", Ev.Str source);
-                     ("shard", Ev.Str shard_fp);
-                   ])
-               pairs
-           end;
-           let ests = List.map fst pairs in
-           Mx_util.Snapshot.eval_committed ~by:(List.length ests) ();
-           Mx_util.Metrics.incr metrics ~by:(List.length ests)
-             "explore.estimates";
-           ests)
-         planned)
+           let n = List.fold_left (fun n t -> n + cap t) 0 tasks in
+           Mx_util.Metrics.incr metrics ~by:n "assign.kept";
+           let r = finish cand done_ in
+           Mx_util.Snapshot.eval_committed ~by:n ();
+           Mx_util.Metrics.incr metrics ~by:n "explore.estimates";
+           (r, n))
+         cands per_arch)
+  end
+
+let phase1 ?(interrupt = never) cfg workload cands =
+  let workload_name = workload.Mx_trace.Workload.name in
+  stream ~interrupt cfg workload cands
+    ~work:(fun plan t ->
+      let lv = Mx_sim.Estimator.level plan (Shard.clusters t.shard) in
+      let out = ref [] in
+      Shard.iter t.shard (fun _ v ->
+          Mx_sim.Estimator.assess lv v;
+          out :=
+            (Shard.connectivity t.shard v, Mx_sim.Estimator.result lv) :: !out);
+      List.rev !out)
+    ~finish:(fun cand done_ ->
+      let mem = cand.Mx_apex.Explore.arch in
+      let label = mem.Mx_mem.Mem_arch.label in
+      (* levels differ in cluster count and one level's product never
+         repeats an assignment, so every design is kept *)
+      let kept =
+        List.concat_map
+          (fun (t, pairs) ->
+            let fp = shard_fp t in
+            List.map
+              (fun (conn, est) ->
+                (fp, Design.make ~workload_name ~mem ~conn ~est ()))
+              pairs)
+          done_
+      in
+      if Ev.is_on Ev.global then begin
+        List.iter
+          (fun (_, (d : Design.t)) ->
+            Ev.emit Ev.global ~stage:"assign" "assign.kept"
+              [ ("conn", Ev.Str (Conn_arch.describe d.Design.conn)) ])
+          kept;
+        List.iter
+          (fun (_, (d : Design.t)) ->
+            Ev.emit Ev.global ~stage:"phase1" "design.created"
+              [
+                ("design", Ev.Str (Design.structural_key d));
+                ("id", Ev.Str (Design.id d));
+                ("arch", Ev.Str label);
+              ])
+          kept;
+        let ftag = Mx_sim.Eval.fidelity_tag Mx_sim.Eval.Estimate in
+        let source = Mx_sim.Eval.provenance_tag Mx_sim.Eval.Computed in
+        List.iter
+          (fun (shard_fp, (d : Design.t)) ->
+            let key = Design.structural_key d in
+            Ev.emit Ev.global ~stage:"phase1" "design.evaluated"
+              [ ("design", Ev.Str key); ("fidelity", Ev.Str ftag) ];
+            Ev.emit Ev.global ~stage:"phase1" "eval.cache.provenance"
+              [
+                ("design", Ev.Str key);
+                ("fidelity", Ev.Str ftag);
+                ("source", Ev.Str source);
+                ("shard", Ev.Str shard_fp);
+              ])
+          kept
+      end;
+      List.map snd kept)
+  |> Option.map (List.map fst)
 
 let connectivity_exploration cfg workload (cand : Mx_apex.Explore.candidate) =
   match phase1 cfg workload [ cand ] with
@@ -309,8 +341,8 @@ let thin_by_cost ~keep designs =
     else List.init keep (fun i -> arr.(i * (n - 1) / (keep - 1)))
   end
 
-let local_promising cfg designs =
-  let front = Mx_util.Pareto.front ~axes designs in
+(* Phase I selection once the front is known: both sinks end here *)
+let thin_front cfg front =
   let kept = thin_by_cost ~keep:cfg.phase1_keep front in
   if Mx_util.Metrics.is_on Mx_util.Metrics.global then begin
     Mx_util.Metrics.observe Mx_util.Metrics.global ~unit_:"designs"
@@ -319,6 +351,11 @@ let local_promising cfg designs =
     Mx_util.Metrics.incr Mx_util.Metrics.global ~by:(List.length kept)
       "explore.phase1_kept"
   end;
+  kept
+
+let local_promising cfg designs =
+  let front = Mx_util.Pareto.front ~axes designs in
+  let kept = thin_front cfg front in
   (* terminal Phase I verdict for every input design: kept, thinned off
      the front by the cost subsample, or pruned — with the competitor
      that dominates it (pareto fronts preserve physical identity, so
@@ -348,6 +385,60 @@ let local_promising cfg designs =
         end)
       designs;
   kept
+
+let promising ?(interrupt = never) cfg workload cands =
+  let workload_name = workload.Mx_trace.Workload.name in
+  stream ~interrupt cfg workload cands
+    ~work:(fun plan t ->
+      let clusters = Shard.clusters t.shard in
+      let lv = Mx_sim.Estimator.level plan clusters in
+      let gates =
+        Array.map
+          (fun ((cl : Cluster.t), choices) ->
+            let channels = List.length cl.Cluster.channels in
+            Array.map (fun c -> Conn_cost.cost_gates c ~channels) choices)
+          clusters
+      in
+      let mem_gates = Mx_mem.Mem_arch.cost_gates t.cand.Mx_apex.Explore.arch in
+      let o = Mx_sim.Estimator.outcome lv in
+      (* the point's axes, in the order of [axes] *)
+      let x = Array.make 3 0.0 in
+      let front = Pareto.Flat.create ~dims:3 in
+      Shard.iter t.shard (fun i v ->
+          Mx_sim.Estimator.assess lv v;
+          let g = ref mem_gates in
+          for j = 0 to Array.length v - 1 do
+            g := !g + gates.(j).(v.(j))
+          done;
+          x.(0) <- float_of_int !g;
+          x.(1) <- o.Mx_sim.Estimator.latency;
+          x.(2) <- o.Mx_sim.Estimator.energy_nj;
+          Pareto.Flat.offer front x (t.offset + i));
+      (lv, front))
+    ~finish:(fun cand done_ ->
+      let mem = cand.Mx_apex.Explore.arch in
+      let front = Pareto.Flat.create ~dims:3 in
+      List.iter (fun (_, (_, f)) -> Pareto.Flat.merge ~into:front f) done_;
+      (* members are in stream order, so one walk finds their shards *)
+      let rec seek id = function
+        | _ :: ((t, _) :: _ as tl) when t.offset <= id -> seek id tl
+        | l -> l
+      in
+      let rest = ref done_ and designs = ref [] in
+      for m = 0 to Pareto.Flat.size front - 1 do
+        let id = Pareto.Flat.id front m in
+        rest := seek id !rest;
+        let t, (lv, _) = List.hd !rest in
+        let v = Shard.vector t.shard (id - t.offset) in
+        Mx_sim.Estimator.assess lv v;
+        designs :=
+          Design.make ~workload_name ~mem ~conn:(Shard.connectivity t.shard v)
+            ~est:(Mx_sim.Estimator.result lv) ()
+          :: !designs
+      done;
+      thin_front cfg (List.rev !designs))
+  |> Option.map (fun per_arch ->
+         (List.map fst per_arch, List.fold_left (fun n (_, k) -> n + k) 0 per_arch))
 
 let fidelity_of_sample = function
   | None -> Mx_sim.Eval.Exact
@@ -400,15 +491,24 @@ let run ?(config = default_config) ?(interrupt = never) workload =
   in
   Mx_util.Metrics.incr metrics ~by:(List.length apex_selected)
     "explore.architectures";
-  (* Phase I: the sharded connectivity enumeration of every selected
-     memory architecture runs on the task pool; the merge and the
-     estimate fan-out happen per architecture in deterministic order. *)
-  let per_arch =
+  (* Phase I: one stream per shard of every selected memory
+     architecture.  With the event log on, the collect sink keeps every
+     estimate so that each design gets its verdict; otherwise each
+     architecture keeps only its front. *)
+  let phase1_out =
     Mx_util.Snapshot.set_phase "explore.phase1";
-    Mx_util.Metrics.with_span metrics "explore.phase1" (fun () ->
-        phase1 ~interrupt config workload apex_selected)
+    if Ev.is_on Ev.global then
+      Mx_util.Metrics.with_span metrics "explore.phase1" (fun () ->
+          phase1 ~interrupt config workload apex_selected)
+      |> Option.map (fun per_arch ->
+             ( List.concat_map (local_promising config) per_arch,
+               List.fold_left (fun n l -> n + List.length l) 0 per_arch ))
+    else
+      Mx_util.Metrics.with_span metrics "explore.phase1" (fun () ->
+          promising ~interrupt config workload apex_selected)
+      |> Option.map (fun (per_arch, n) -> (List.concat per_arch, n))
   in
-  match per_arch with
+  match phase1_out with
   | None ->
     (* interrupted while the shard queue was draining: there are no
        simulated designs yet, so the valid anytime front is empty *)
@@ -416,7 +516,6 @@ let run ?(config = default_config) ?(interrupt = never) workload =
     {
       workload;
       apex_selected;
-      estimated = [];
       simulated = [];
       pareto_cost_perf = [];
       n_estimates = 0;
@@ -424,9 +523,7 @@ let run ?(config = default_config) ?(interrupt = never) workload =
       wall_seconds = Unix.gettimeofday () -. t0;
       interrupted = true;
     }
-  | Some per_arch ->
-    let survivors = List.concat_map (local_promising config) per_arch in
-    let estimated = List.concat per_arch in
+  | Some (survivors, n_estimates) ->
     (* Phase II: simulation of the combined candidates (optionally
        time-sampled); every committed result feeds the anytime archive,
        so interrupting mid-phase still leaves a valid front of the
@@ -514,10 +611,9 @@ let run ?(config = default_config) ?(interrupt = never) workload =
     {
       workload;
       apex_selected;
-      estimated;
       simulated;
       pareto_cost_perf;
-      n_estimates = List.length estimated;
+      n_estimates;
       n_simulations = List.length simulated;
       wall_seconds = Unix.gettimeofday () -. t0;
       interrupted;

@@ -14,13 +14,20 @@
     fully simulates the combined survivors and selects the global
     pareto designs.
 
-    {b Sharded, anytime execution.}  Phase I is organised as a
-    work-queue of design-space {!Shard}s (cluster-level ×
+    {b Sharded, streamed, anytime execution.}  Phase I is organised as
+    a work-queue of design-space {!Shard}s (cluster-level ×
     assignment-prefix slices, one queue across all selected
-    architectures) consumed by the {!Mx_util.Task_pool}; results commit
-    in queue order, so the design stream — and therefore the final
-    front — is byte-identical at every [shards] and [jobs] setting.
-    Phase II feeds every committed simulation into a
+    architectures) drained once by the {!Mx_util.Task_pool}.  A shard
+    task walks its choice vectors and estimates each from an
+    {!Mx_sim.Estimator.level}, into one of two sinks: the collect sink
+    ({!phase1}) keeps every estimate; the front sink ({!promising})
+    keeps each shard's (cost, latency, energy) front and builds a
+    {!Design.t} only for the points of each architecture's merged
+    front.  {!run} uses the front sink, or the collect sink when the
+    event log is on, so that every design gets its verdict event.
+    Results are taken in queue order, so the design stream — and
+    therefore every front — is byte-identical at every [shards] and
+    [jobs] setting.  Phase II feeds every committed simulation into a
     {!Mx_util.Pareto.Archive}, so the cost/latency front can be emitted
     at any moment: interrupt a run (see [?interrupt] on {!run}) and the
     returned front is a valid pareto front of exactly the work
@@ -45,9 +52,10 @@ type config = {
           most promising designs, to further refine the tradeoff
           choices"; ignored when [sample = None] *)
   jobs : int;
-      (** number of domains used for the shard queue, the Phase I
-          estimate fan-out, the Phase II simulations and the refinement
-          pass, via {!Mx_util.Task_pool}.  [jobs <= 1] runs everything
+      (** number of domains used for the Phase I shard queue (each
+          shard task enumerates and estimates its slice), the Phase II
+          simulations and the refinement pass, via
+          {!Mx_util.Task_pool}.  [jobs <= 1] runs everything
           serially on the calling domain.  Results are bit-identical at
           every jobs level (same designs, same order, same pareto
           front).  Defaults to {!Mx_util.Task_pool.default_jobs}. *)
@@ -72,14 +80,14 @@ val reduced_config : config
 type result = {
   workload : Mx_trace.Workload.t;
   apex_selected : Mx_apex.Explore.candidate list;
-  estimated : Design.t list;
-      (** every Phase I estimate across all memory architectures *)
   simulated : Design.t list;  (** Phase II simulated survivors *)
   pareto_cost_perf : Design.t list;
       (** cost/performance front of the simulated designs — with the
           default archive settings, exactly
           [Pareto.front2 ~x:cost ~y:latency simulated] *)
   n_estimates : int;
+      (** Phase I estimates across all memory architectures; the
+          estimates themselves are not kept (see {!phase1}) *)
   n_simulations : int;
   wall_seconds : float;
   interrupted : bool;
@@ -98,19 +106,42 @@ val phase1 :
   Mx_trace.Workload.t ->
   Mx_apex.Explore.candidate list ->
   Design.t list list option
-(** Phase I over the shard work-queue: plan every candidate
-    architecture into shards (serially — cluster.*, assign.* and
-    [shard.planned] records are deterministic), enumerate the combined
-    queue on the task pool, then merge and estimate per architecture
-    in candidate order.  Each architecture with at least one
-    connectivity gets one {!Mx_sim.Estimator.prepare} plan,
-    shared read-only by the domains, and each connectivity one
-    {!Mx_sim.Estimator.run}; no estimate enters the result cache or
-    the store (see {!Mx_sim.Eval}).  Returns one estimate list per
-    candidate, byte-identical at every [shards]/[jobs] setting, or
-    [None] when [interrupt] fired while the queue was draining.
+(** Phase I into the collect sink: plan every candidate architecture
+    into shards (serially — cluster.*, assign.* and [shard.planned]
+    records are deterministic — with one {!Mx_sim.Estimator.prepare}
+    plan per architecture that has a shard), drain the combined queue
+    once on the task pool, each shard task estimating its slice from
+    one {!Mx_sim.Estimator.level}, then build one design per estimate,
+    per architecture in candidate order.  No estimate enters the result
+    cache or the store (see {!Mx_sim.Eval}).  Returns one estimate list
+    per candidate, byte-identical at every [shards]/[jobs] setting, or
+    [None] when [interrupt] fired while the queue was draining.  With
+    the event log on, emits per architecture every [assign.kept], then
+    every [design.created], then each design's [design.evaluated] and
+    [eval.cache.provenance].
     @raise Invalid_argument as {!Mx_sim.Estimator.prepare} and
-    {!Mx_sim.Estimator.run} do. *)
+    {!Mx_sim.Estimator.level} do, for the first failing architecture
+    in candidate order. *)
+
+val promising :
+  ?interrupt:(unit -> bool) ->
+  config ->
+  Mx_trace.Workload.t ->
+  Mx_apex.Explore.candidate list ->
+  (Design.t list list * int) option
+(** Phase I into the front sink, followed by Phase I selection: the
+    same plan and drain as {!phase1}, but each shard task keeps only
+    the (cost, latency, energy) front of its slice in a
+    {!Mx_util.Pareto.Flat} front, and its own level plan.  The shard
+    fronts are merged in queue order into each architecture's front,
+    and only the points on it become designs, which {!thin_by_cost}
+    then thins to [config.phase1_keep].  Returns, per candidate,
+    exactly what {!local_promising} returns for {!phase1}'s estimates
+    (the same designs, in the same order, and the same
+    [explore.local_front_size] and [explore.phase1_kept] metrics) but
+    emits no verdict events; and the number of estimates.  [None] when
+    [interrupt] fired while the queue was draining.
+    @raise Invalid_argument as {!phase1} does. *)
 
 val connectivity_exploration :
   config ->

@@ -112,18 +112,28 @@ let load ~path =
 (* -- planning ----------------------------------------------------------------
 
    A resolved shard carries, besides its portable descriptor, the live
-   pointers its enumeration needs: the prefix clusters bound to their
-   chosen component and the remaining clusters with their full choice
-   lists.  Concatenating the enumerations of one level's shards in plan
-   order yields exactly the designs (and the order) of the monolithic
-   [Assign.enumerate] over that level with the same cap — that identity
-   is what makes the final front byte-stable in the shard count. *)
+   pointers its enumeration needs: every cluster of the level with its
+   component choices, a prefix cluster with just its bound component.
+   Its assignments are the choice vectors in odometer order (the last
+   cluster turning fastest), capped at [cap]; concatenating one level's
+   shards in plan order yields exactly the designs (and the order) of
+   the monolithic [Assign.enumerate] over that level with the same cap
+   — that identity is what makes the final front byte-stable in the
+   shard count. *)
 
 type resolved = {
   desc : descriptor;
-  bound : (Cluster.t * Component.t) list;
-  rest : (Cluster.t * Component.t list) list;
+  clusters : (Cluster.t * Component.t array) array;
 }
+
+let of_bound desc bound rest =
+  {
+    desc;
+    clusters =
+      Array.of_list
+        (List.map (fun (cl, c) -> (cl, [| c |])) bound
+        @ List.map (fun (cl, cs) -> (cl, Array.of_list cs)) rest);
+  }
 
 let descriptor r = r.desc
 
@@ -241,7 +251,7 @@ let plan ?(shards = 1) ?(max_designs_per_level = max_int) ~workload_fp
                   cap;
                 }
               in
-              out := { desc; bound; rest = p.prest } :: !out
+              out := of_bound desc bound p.prest :: !out
             end)
           pendings
       end)
@@ -263,22 +273,44 @@ let plan ?(shards = 1) ?(max_designs_per_level = max_int) ~workload_fp
       planned;
   planned
 
-(* Silent prefixed enumeration: no events, no metrics — shards run on
-   pool workers, where emission would be schedule-dependent.  All
-   bookkeeping happens at plan time and at ordered commit time. *)
-let enumerate r =
-  let out = ref [] and count = ref 0 in
-  let cap = r.desc.cap in
-  let rec go acc = function
-    | [] ->
-      if !count < cap then begin
-        out := Conn_arch.make (List.rev acc) :: !out;
-        incr count
+let clusters r = r.clusters
+
+(* Silent: no events, no metrics — shards run on pool workers, where
+   emission would be schedule-dependent.  All bookkeeping happens at
+   plan time and at ordered commit time. *)
+let iter r f =
+  let v = Array.make (Array.length r.clusters) 0 in
+  for i = 0 to r.desc.cap - 1 do
+    f i v;
+    (* advance the odometer; [cap] never exceeds the space, so it only
+       wraps after the last assignment *)
+    let j = ref (Array.length v - 1) and carry = ref true in
+    while !carry && !j >= 0 do
+      v.(!j) <- v.(!j) + 1;
+      if v.(!j) < Array.length (snd r.clusters.(!j)) then carry := false
+      else begin
+        v.(!j) <- 0;
+        decr j
       end
-    | (cl, cs) :: rest ->
-      List.iter (fun c -> if !count < cap then go ((cl, c) :: acc) rest) cs
-  in
-  go (List.rev r.bound) r.rest;
+    done
+  done
+
+let vector r i =
+  let v = Array.make (Array.length r.clusters) 0 and i = ref i in
+  for j = Array.length v - 1 downto 0 do
+    let n = Array.length (snd r.clusters.(j)) in
+    v.(j) <- !i mod n;
+    i := !i / n
+  done;
+  v
+
+let connectivity r v =
+  Conn_arch.make
+    (Array.to_list (Array.mapi (fun j (cl, cs) -> (cl, cs.(v.(j)))) r.clusters))
+
+let enumerate r =
+  let out = ref [] in
+  iter r (fun _ v -> out := connectivity r v :: !out);
   List.rev !out
 
 let resolve ~workload_fp ~arch_label ~arch_fp ~onchip ~offchip ~levels desc =
@@ -313,4 +345,4 @@ let resolve ~workload_fp ~arch_label ~arch_fp ~onchip ~offchip ~levels desc =
           if space <> desc.space then
             err "space mismatch: descriptor says %d, level yields %d"
               desc.space space
-          else Ok { desc; bound; rest })
+          else Ok (of_bound desc bound rest))

@@ -3,10 +3,15 @@
     A shard is one slice of Phase I's connectivity enumeration for a
     single memory architecture — one clustering level restricted to a
     fixed {e assignment prefix} (the first [k] clusters bound to named
-    components).  Concatenating the enumerations of a level's shards in
-    plan order reproduces the monolithic [Assign.enumerate] over that
-    level {e exactly} — same designs, same order, same cap — which is
-    what makes the final pareto front byte-stable in the shard count.
+    components).  A shard's assignments are {e choice vectors} — one
+    component index per cluster of the level — walked in odometer order
+    (the last cluster turning fastest) up to the shard's cap; Phase I
+    estimates each vector from an {!Mx_sim.Estimator.level} over
+    {!clusters} and materialises a connectivity only where it needs
+    one.  Concatenating the enumerations of a level's shards in plan
+    order reproduces the monolithic [Assign.enumerate] over that level
+    {e exactly} — same designs, same order, same cap — which is what
+    makes the final pareto front byte-stable in the shard count.
 
     Shards carry a portable {!descriptor} with a structural
     {!fingerprint} built from the PR 3 fingerprint scheme
@@ -83,12 +88,29 @@ val plan :
     @raise Invalid_argument if [shards < 1] or
     [max_designs_per_level < 0]. *)
 
+val clusters :
+  resolved -> (Mx_connect.Cluster.t * Mx_connect.Component.t array) array
+(** The level's clusters in order, each with its component choices: a
+    prefix cluster has its one bound component, every other cluster its
+    feasible components in library order. *)
+
+val iter : resolved -> (int -> int array -> unit) -> unit
+(** [iter r f] calls [f i v] for the shard's assignments in enumeration
+    order, [i] from 0 to [cap - 1]: [v.(j)] indexes cluster [j]'s
+    choices in {!clusters}.  [v] is one array that [iter] advances in
+    place — [f] must not keep it.  Silent: no events, no metrics — safe
+    to run on pool workers; bookkeeping happens at plan time and at
+    ordered commit time. *)
+
+val vector : resolved -> int -> int array
+(** [vector r i] is a fresh copy of the [i]-th vector {!iter} passes. *)
+
+val connectivity : resolved -> int array -> Mx_connect.Conn_arch.t
+(** The connectivity that binds every cluster to its chosen component. *)
+
 val enumerate : resolved -> Mx_connect.Conn_arch.t list
-(** Enumerate one shard's slice — the prefix clusters fixed, the
-    cartesian product of the remaining choices in choice order, capped
-    at [cap].  Silent: no events, no metrics — safe to run on pool
-    workers; bookkeeping happens at plan time and at ordered commit
-    time. *)
+(** Every assignment of the shard as a connectivity: {!connectivity}
+    over {!iter}. *)
 
 val resolve :
   workload_fp:string ->

@@ -161,22 +161,77 @@ let pair a b =
 let missing what =
   invalid_arg ("Estimator.estimate: no component carries " ^ what)
 
+type outcome = {
+  mutable latency : float;
+  mutable energy_nj : float;
+  mutable total : float;
+  mutable bus_wait : float;
+}
+
 (* Leg slots: serving [i]'s CPU leg is [3 i], its cache<->L2 leg
-   [3 i + 1] and its DRAM leg [3 i + 2]. *)
-let run p ~conn =
-  let bindings = Array.of_list (conn : Conn_arch.t).Conn_arch.bindings in
-  (* the first binding carrying each endpoint pair *)
+   [3 i + 1] and its DRAM leg [3 i + 2].  The per-choice tables are
+   flat: slot [k] under choice [c] of its cluster is entry [at.(k) + c],
+   and entry 0, all zeros, stands for an unused slot. *)
+type level = {
+  p : plan;
+  leg : int array;  (** slot -> cluster carrying it, -1 when unused *)
+  at : int array;  (** slot -> its first entry in the tables below *)
+  half : float array;  (** half service time of a timed leg, else 0 *)
+  lat : float array;  (** transaction latency of a timed leg, else 0 *)
+  busy : float array;  (** busy cycles of the leg's cluster *)
+  e_leg : float array;  (** the leg's energy term *)
+  entry : int array;  (** slot -> its entry in the last assessment *)
+  out : outcome;
+}
+
+(* A leg is timed (and loads its component) on the CPU side always, on
+   the L2 side when misses cross it, on the DRAM side when a fill leg
+   reaches DRAM; [bytes] is the transfer it is timed at, [load] the
+   cycles it keeps its component busy and [energy] its energy term. *)
+let timed p k =
+  let s = p.servings.(k / 3) in
+  match k mod 3 with
+  | 0 -> true
+  | 1 -> s.via_l2
+  | _ -> ( match s.dram with From _ -> true | No_dram | Direct -> false)
+
+let bytes p k =
+  let s = p.servings.(k / 3) in
+  match k mod 3 with 0 -> s.size | 1 -> 8 | _ -> s.crit
+
+let[@inline] load p k (c : Component.t) =
+  let s = p.servings.(k / 3) in
+  match k mod 3 with
+  | 0 -> s.accesses *. float_of_int (Component.occupancy c ~bytes:s.size)
+  | 1 -> p.l2_txns *. float_of_int (Component.occupancy c ~bytes:p.l2_txn_bytes)
+  | _ ->
+    let hold = if c.Component.split_txn then 0.0 else p.dram_core in
+    s.dram_txns
+    *. (float_of_int (Component.occupancy c ~bytes:s.dram_txn_bytes) +. hold)
+
+let[@inline] energy p k (c : Component.t) =
+  let s = p.servings.(k / 3) and epb = Conn_cost.energy_per_byte c in
+  match k mod 3 with
+  | 0 -> s.cpu_bytes *. epb
+  | 1 -> (p.l2_bytes *. epb) +. p.e_l2_access
+  | _ ->
+    if s.dram_bytes = 0 then 0.0
+    else s.e_dram_traffic +. (float_of_int s.dram_bytes *. epb)
+
+let level p (clusters : (Cluster.t * Component.t array) array) =
+  (* the first cluster carrying each endpoint pair *)
   let carrier = Array.make 49 (-1) in
   Array.iteri
-    (fun i (b : Conn_arch.binding) ->
+    (fun j ((cl : Cluster.t), _) ->
       List.iter
         (fun (ch : Channel.t) ->
           let k = pair ch.Channel.src ch.Channel.dst in
-          if carrier.(k) < 0 then carrier.(k) <- i)
-        b.Conn_arch.cluster.Cluster.channels)
-    bindings;
+          if carrier.(k) < 0 then carrier.(k) <- j)
+        cl.Cluster.channels)
+    clusters;
   let ns = Array.length p.servings in
-  let leg = Array.make (3 * ns) (-1) in
+  let slots = 3 * ns in
+  let leg = Array.make slots (-1) in
   Array.iteri
     (fun i s ->
       let node = Serving.node_of s.sv in
@@ -196,50 +251,82 @@ let run p ~conn =
         if b < 0 then missing (Channel.node_to_string src ^ "<->DRAM");
         leg.((3 * i) + 2) <- b)
     p.servings;
-  let comp k = bindings.(leg.(k)).Conn_arch.component in
-  let contended k =
-    match bindings.(leg.(k)).Conn_arch.cluster.Cluster.channels with
-    | _ :: _ :: _ -> true
-    | _ -> false
-  in
-  (* per-leg half service time and transaction latency, and the busy
-     time of each binding, none of which depends on the total time *)
-  let half = Array.make (3 * ns) 0.0 and lat = Array.make (3 * ns) 0.0 in
-  let busy = Array.make (Array.length bindings) 0.0 in
-  let add_busy k cycles =
-    let b = leg.(k) in
-    busy.(b) <- busy.(b) +. cycles
-  in
-  let time_leg k ~bytes =
-    half.(k) <- float_of_int (Component.occupancy (comp k) ~bytes) /. 2.0;
-    lat.(k) <-
-      float_of_int
-        (Component.txn_latency (comp k) ~bytes ~contended:(contended k))
-  in
-  Array.iteri
-    (fun i s ->
-      let k = 3 * i in
-      add_busy k
-        (s.accesses *. float_of_int (Component.occupancy (comp k) ~bytes:s.size));
-      time_leg k ~bytes:s.size;
-      if s.via_l2 then begin
-        add_busy (k + 1)
-          (p.l2_txns
-          *. float_of_int
-               (Component.occupancy (comp (k + 1)) ~bytes:p.l2_txn_bytes));
-        time_leg (k + 1) ~bytes:8
-      end;
-      match s.dram with
-      | No_dram | Direct -> ()
-      | From _ ->
-        let c = comp (k + 2) in
-        let hold = if c.Component.split_txn then 0.0 else p.dram_core in
-        add_busy (k + 2)
-          (s.dram_txns
-          *. (float_of_int (Component.occupancy c ~bytes:s.dram_txn_bytes)
-             +. hold));
-        time_leg (k + 2) ~bytes:s.crit)
-    p.servings;
+  (* each cluster's busy time under each of its choices, [first.(j)] on:
+     its timed legs added from 0 in slot order, that is the CPU, L2 and
+     DRAM legs of each class in turn *)
+  let nc = Array.length clusters in
+  let first = Array.make (nc + 1) 0 in
+  for j = 0 to nc - 1 do
+    first.(j + 1) <- first.(j) + Array.length (snd clusters.(j))
+  done;
+  let cluster_busy = Array.make first.(nc) 0.0 in
+  for k = 0 to slots - 1 do
+    let j = leg.(k) in
+    if j >= 0 && timed p k then begin
+      let choices = snd clusters.(j) in
+      for c = 0 to Array.length choices - 1 do
+        let b = first.(j) + c in
+        cluster_busy.(b) <- cluster_busy.(b) +. load p k choices.(c)
+      done
+    end
+  done;
+  let at = Array.make slots 0 and n = ref 1 in
+  for k = 0 to slots - 1 do
+    if leg.(k) >= 0 then begin
+      at.(k) <- !n;
+      n := !n + Array.length (snd clusters.(leg.(k)))
+    end
+  done;
+  let half = Array.make !n 0.0 and lat = Array.make !n 0.0 in
+  let busy = Array.make !n 0.0 and e_leg = Array.make !n 0.0 in
+  for k = 0 to slots - 1 do
+    let j = leg.(k) in
+    if j >= 0 then begin
+      let cl, choices = clusters.(j) in
+      let contended =
+        match cl.Cluster.channels with _ :: _ :: _ -> true | _ -> false
+      in
+      for c = 0 to Array.length choices - 1 do
+        let e = at.(k) + c and comp = choices.(c) in
+        if timed p k then begin
+          half.(e) <-
+            float_of_int (Component.occupancy comp ~bytes:(bytes p k)) /. 2.0;
+          lat.(e) <-
+            float_of_int
+              (Component.txn_latency comp ~bytes:(bytes p k) ~contended)
+        end;
+        busy.(e) <- cluster_busy.(first.(j) + c);
+        e_leg.(e) <- energy p k comp
+      done
+    end
+  done;
+  {
+    p;
+    leg;
+    at;
+    half;
+    lat;
+    busy;
+    e_leg;
+    entry = Array.make slots 0;
+    out = { latency = 0.0; energy_nj = 0.0; total = 0.0; bus_wait = 0.0 };
+  }
+
+let[@inline] lat lv k = lv.lat.(lv.entry.(k))
+let[@inline] e_leg lv k = lv.e_leg.(lv.entry.(k))
+
+let[@inline] wait lv k cycles =
+  let e = lv.entry.(k) in
+  let rho = Float.min 0.98 (lv.busy.(e) /. cycles) in
+  lv.half.(e) *. (rho /. (1.0 -. rho))
+
+let assess lv (choice : int array) =
+  let p = lv.p in
+  let ns = Array.length p.servings in
+  for k = 0 to (3 * ns) - 1 do
+    let j = lv.leg.(k) in
+    if j >= 0 then lv.entry.(k) <- lv.at.(k) + choice.(j)
+  done;
   (* fixed point on total time *)
   let latency = ref 5.0 in
   let total = ref (p.n *. (1.0 +. p.ops_rate +. !latency)) in
@@ -247,20 +334,16 @@ let run p ~conn =
   for _ = 1 to 4 do
     bus_wait := 0.0;
     let cycles = Float.max 1.0 !total in
-    let[@inline] wait k =
-      let rho = Float.min 0.98 (busy.(leg.(k)) /. cycles) in
-      half.(k) *. (rho /. (1.0 -. rho))
-    in
     let l_sum = ref 0.0 in
     for i = 0 to ns - 1 do
       let s = p.servings.(i) and k = 3 * i in
-      let w1 = wait k in
+      let w1 = wait lv k cycles in
       (* the L1<->L2 leg is traversed at the L1 miss rate *)
       let l2_path =
         if s.via_l2 then begin
-          let w_m = wait (k + 1) in
+          let w_m = wait lv (k + 1) cycles in
           bus_wait := !bus_wait +. (s.frac_l1_miss *. w_m *. p.n);
-          s.l1_miss_rate *. (w_m +. lat.(k + 1) +. p.l2_latency)
+          s.l1_miss_rate *. (w_m +. lat lv (k + 1) +. p.l2_latency)
         end
         else 0.0
       in
@@ -269,15 +352,15 @@ let run p ~conn =
         | No_dram -> 0.0
         | Direct -> p.dram_core
         | From _ ->
-          let w2 = wait (k + 2) in
+          let w2 = wait lv (k + 2) cycles in
           bus_wait := !bus_wait +. (s.frac_miss *. w2 *. p.n);
-          w2 +. lat.(k + 2) +. p.dram_core
+          w2 +. lat lv (k + 2) +. p.dram_core
       in
       bus_wait := !bus_wait +. (s.frac *. w1 *. p.n);
       l_sum :=
         !l_sum
         +. (s.frac
-           *. (w1 +. lat.(k) +. s.module_latency +. l2_path
+           *. (w1 +. lat lv k +. s.module_latency +. l2_path
               +. (s.miss_rate *. miss_path)))
     done;
     latency := !l_sum;
@@ -285,39 +368,45 @@ let run p ~conn =
   done;
   (* energy: contention-independent, computed from exact profile counts *)
   let energy = ref 0.0 in
-  Array.iteri
-    (fun i s ->
-      let k = 3 * i in
-      let e_conn = s.cpu_bytes *. Conn_cost.energy_per_byte (comp k) in
-      let e_l2 =
-        if s.via_l2 then
-          (p.l2_bytes *. Conn_cost.energy_per_byte (comp (k + 1)))
-          +. p.e_l2_access
-        else 0.0
-      in
-      let e_dram =
-        match s.dram with
-        | No_dram -> 0.0
-        | Direct | From _ ->
-          if s.dram_bytes = 0 then 0.0
-          else
-            s.e_dram_traffic
-            +. (float_of_int s.dram_bytes
-               *. Conn_cost.energy_per_byte (comp (k + 2)))
-      in
-      energy := !energy +. s.e_module +. e_conn +. e_l2 +. e_dram)
-    p.servings;
+  for i = 0 to ns - 1 do
+    let k = 3 * i in
+    energy :=
+      !energy +. p.servings.(i).e_module +. e_leg lv k +. e_leg lv (k + 1)
+      +. e_leg lv (k + 2)
+  done;
+  let o = lv.out in
+  o.latency <- !latency;
+  o.energy_nj <- !energy /. p.n;
+  o.total <- !total;
+  o.bus_wait <- !bus_wait
+
+let outcome lv = lv.out
+
+let result lv =
+  let p = lv.p and o = lv.out in
   {
     Sim_result.accesses = p.total_accesses;
-    cycles = int_of_float !total;
-    total_mem_latency = int_of_float (!latency *. p.n);
-    avg_mem_latency = !latency;
-    avg_energy_nj = !energy /. p.n;
+    cycles = int_of_float o.total;
+    total_mem_latency = int_of_float (o.latency *. p.n);
+    avg_mem_latency = o.latency;
+    avg_energy_nj = o.energy_nj;
     miss_ratio = p.miss_ratio;
-    bus_wait_cycles = int_of_float !bus_wait;
+    bus_wait_cycles = int_of_float o.bus_wait;
     dram_bytes = p.dram_bytes_total;
     exact = false;
   }
+
+let run p ~conn =
+  let bindings = Array.of_list (conn : Conn_arch.t).Conn_arch.bindings in
+  let lv =
+    level p
+      (Array.map
+         (fun (b : Conn_arch.binding) ->
+           (b.Conn_arch.cluster, [| b.Conn_arch.component |]))
+         bindings)
+  in
+  assess lv (Array.make (Array.length bindings) 0);
+  result lv
 
 let estimate ~workload ~arch ~profile ~conn =
   run (prepare ~workload ~arch ~profile) ~conn

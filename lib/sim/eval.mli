@@ -6,7 +6,7 @@
 
     {v
       Estimate          analytic model from a module-level profile
-        |                 (Phase I fan-out; cheapest, least accurate)
+        |                 (Phase I; cheapest, least accurate)
       Sampled (on,off)  time-sampled cycle simulation
         |                 (Phase II; Kessler windows)
       Exact             full trace-driven cycle simulation
@@ -21,8 +21,8 @@
     architecture's plan takes 1.0–1.7 µs, a hot-tier hit 2.1 µs and a
     disk hit 5.7 µs, so a tier would only make each estimate slower and
     fill the heap and the store.  Phase I calls {!Estimator.prepare}
-    once per architecture and {!Estimator.run} per connectivity
-    itself.
+    once per architecture and assesses every assignment of a shard from
+    that shard's {!Estimator.level} itself.
 
     Every simulation is routed through a process-wide
     {!Mx_util.Memo_cache} keyed by canonical structural fingerprints:

@@ -37,6 +37,37 @@ let parse_exn (s : string) : t =
     String.iter expect word;
     v
   in
+  (* exactly four hex digits after a [\u]; [at] is the escape's position *)
+  let hex4 at =
+    if !pos + 4 > n then bad "bad \\u escape at %d" at;
+    let v = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d =
+        match s.[i] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c -> Char.code c - 87
+        | 'A' .. 'F' as c -> Char.code c - 55
+        | _ -> bad "bad \\u escape at %d" at
+      in
+      v := (!v lsl 4) lor d
+    done;
+    pos := !pos + 4;
+    !v
+  in
+  (* one code point: a BMP escape, or a high surrogate escape joined with
+     the low surrogate escape that must follow it *)
+  let code_point at =
+    let hi = hex4 at in
+    if hi >= 0xDC00 && hi <= 0xDFFF then bad "bad \\u escape at %d" at
+    else if hi < 0xD800 || hi > 0xDBFF then hi
+    else if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+      pos := !pos + 2;
+      let lo = hex4 at in
+      if lo < 0xDC00 || lo > 0xDFFF then bad "bad \\u escape at %d" at;
+      0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+    end
+    else bad "bad \\u escape at %d" at
+  in
   let string_lit () =
     expect '"';
     let b = Buffer.create 16 in
@@ -59,18 +90,9 @@ let parse_exn (s : string) : t =
         | Some 'r' -> incr pos; Buffer.add_char b '\r'
         | Some 't' -> incr pos; Buffer.add_char b '\t'
         | Some 'u' ->
+          let at = !pos - 1 in
           incr pos;
-          if !pos + 4 > n then bad "bad \\u escape at %d" !pos;
-          let hex = String.sub s !pos 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> bad "bad \\u escape at %d" !pos
-          in
-          pos := !pos + 4;
-          (* the emitters only escape control chars this way *)
-          if code < 0x80 then Buffer.add_char b (Char.chr code)
-          else Buffer.add_string b (Printf.sprintf "\\u%04x" code)
+          Buffer.add_utf_8_uchar b (Uchar.of_int (code_point at))
         | _ -> bad "bad escape at %d" !pos)
       | Some c ->
         incr pos;

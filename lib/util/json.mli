@@ -19,6 +19,10 @@
     The reader accepts exactly the JSON the writer produces (objects,
     arrays, strings, finite numbers, booleans, null, the standard
     escapes) — it is a round-trip companion, not a general validator.
+    A [\uXXXX] escape takes exactly four hex digits and decodes to the
+    code point's UTF-8 bytes; an escaped high surrogate followed by an
+    escaped low one decodes to one code point, and a lone surrogate is
+    a bad escape.
     Duplicate object keys are kept in document order; {!member} returns
     the first. *)
 

@@ -5,45 +5,96 @@ let dominates ~axes a b =
   let strictly = List.exists (fun f -> f a < f b) axes in
   no_worse && strictly
 
-(* Sort-and-sweep.  Under the lexicographic [Float.compare] order a
-   dominator always sorts strictly before the point it dominates, and a
-   dominated dominator is itself dominated by a kept point (dominance is
-   transitive), so a point is on the front iff no point kept before it
-   in that order dominates it.  A NaN coordinate makes every [<=] false:
-   such a point dominates nothing and nothing dominates it. *)
+module Flat = struct
+  (* Members in offer order: member [m]'s coordinates are
+     [coords.(m * dims) .. coords.(m * dims + dims - 1)].  The arrays
+     double when full, so a front that has reached its size offers
+     without allocating. *)
+  type t = {
+    dims : int;
+    mutable coords : float array;
+    mutable ids : int array;
+    mutable size : int;
+  }
+
+  let create ~dims =
+    if dims < 0 then invalid_arg "Pareto.Flat.create: dims < 0";
+    { dims; coords = Array.make (16 * dims) 0.0; ids = Array.make 16 0; size = 0 }
+
+  let size t = t.size
+  let id t m = t.ids.(m)
+
+  (* Members never dominate each other, and dominance is transitive: a
+     point that dominates some member is dominated by none, so one pass
+     can reject the point at its first dominating member (nothing has
+     been removed yet) or compact away the members it dominates.  A NaN
+     coordinate makes every [<=] false: such a point dominates nothing
+     and nothing dominates it. *)
+  let offer_at t (x : float array) off id =
+    let dims = t.dims and c = t.coords in
+    let rejected = ref false and w = ref 0 and m = ref 0 in
+    while (not !rejected) && !m < t.size do
+      let base = !m * dims in
+      let m_le = ref true and m_lt = ref false in
+      let x_le = ref true and x_lt = ref false in
+      for k = 0 to dims - 1 do
+        let a = c.(base + k) and b = x.(off + k) in
+        if not (a <= b) then m_le := false;
+        if a < b then m_lt := true;
+        if not (b <= a) then x_le := false;
+        if b < a then x_lt := true
+      done;
+      if !m_le && !m_lt then rejected := true
+      else if not (!x_le && !x_lt) then begin
+        if !w <> !m then begin
+          for k = 0 to dims - 1 do
+            c.((!w * dims) + k) <- c.(base + k)
+          done;
+          t.ids.(!w) <- t.ids.(!m)
+        end;
+        incr w
+      end;
+      incr m
+    done;
+    if not !rejected then begin
+      if !w = Array.length t.ids then begin
+        let grow a fill =
+          let b = Array.make (2 * Array.length a) fill in
+          Array.blit a 0 b 0 (Array.length a);
+          b
+        in
+        t.coords <- grow t.coords 0.0;
+        t.ids <- grow t.ids 0
+      end;
+      Array.blit x off t.coords (!w * dims) dims;
+      t.ids.(!w) <- id;
+      t.size <- !w + 1
+    end
+
+  let offer t x id = offer_at t x 0 id
+
+  let merge ~into t =
+    if t.dims <> into.dims then invalid_arg "Pareto.Flat.merge: dims differ";
+    for m = 0 to t.size - 1 do
+      offer_at into t.coords (m * t.dims) t.ids.(m)
+    done
+end
+
+(* A fold over the incremental front, each design offered under its
+   position in the list. *)
 let front ~axes designs =
   let axes = Array.of_list axes in
-  let v =
-    Array.of_list (List.map (fun d -> Array.map (fun f -> f d) axes) designs)
-  in
-  let n = Array.length v and dims = Array.length axes in
-  let lex i j =
-    let rec go k =
-      if k = dims then 0
-      else
-        match Float.compare v.(i).(k) v.(j).(k) with
-        | 0 -> go (k + 1)
-        | c -> c
-    in
-    go 0
-  in
-  let dom a b =
-    let rec go k strictly =
-      if k = dims then strictly
-      else a.(k) <= b.(k) && go (k + 1) (strictly || a.(k) < b.(k))
-    in
-    go 0 false
-  in
-  let order = Array.init n Fun.id in
-  Array.stable_sort lex order;
-  let keep = Array.make n false and kept = ref [] in
-  Array.iter
-    (fun i ->
-      if not (List.exists (fun a -> dom a v.(i)) !kept) then begin
-        keep.(i) <- true;
-        kept := v.(i) :: !kept
-      end)
-    order;
+  let t = Flat.create ~dims:(Array.length axes) in
+  let x = Array.make (Array.length axes) 0.0 in
+  List.iteri
+    (fun i d ->
+      Array.iteri (fun k f -> x.(k) <- f d) axes;
+      Flat.offer t x i)
+    designs;
+  let keep = Array.make (List.length designs) false in
+  for m = 0 to Flat.size t - 1 do
+    keep.(Flat.id t m) <- true
+  done;
   List.filteri (fun i _ -> keep.(i)) designs
 
 let sort_by f l = List.stable_sort (fun a b -> Float.compare (f a) (f b)) l

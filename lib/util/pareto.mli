@@ -12,13 +12,53 @@ type 'a axis = 'a -> float
 val dominates : axes:'a axis list -> 'a -> 'a -> bool
 (** [dominates ~axes a b] is true iff [a] dominates [b]. *)
 
+(** Allocation-free incremental front over flat float coordinates: the
+    one front algorithm, of which {!front} is a fold.
+
+    Offer points one at a time, each a coordinate vector and an integer
+    id.  A point is rejected when a member dominates it; otherwise the
+    members it dominates leave and it joins at the end.  After any
+    sequence of offers the members are exactly the points that no
+    offered point dominates (dominance is transitive), in offer order,
+    so fronts built over the pieces of a stream and merged in stream
+    order equal the front of the whole stream.  Equal points are all
+    kept; a point with a NaN coordinate dominates nothing and nothing
+    dominates it.
+
+    The members live in two flat arrays that double when full: once a
+    front has reached its size an offer allocates nothing.  O(f) work
+    per offer for a front of size [f]. *)
+module Flat : sig
+  type t
+
+  val create : dims:int -> t
+  (** An empty front over [dims] coordinates.
+      @raise Invalid_argument if [dims < 0]. *)
+
+  val offer : t -> float array -> int -> unit
+  (** [offer t x id] offers the point whose coordinates are the first
+      [dims] entries of [x]; [x] is copied, not kept. *)
+
+  val merge : into:t -> t -> unit
+  (** Offer every member of the second front to [into], in its order.
+      @raise Invalid_argument when the fronts' [dims] differ. *)
+
+  val size : t -> int
+  (** The number of members. *)
+
+  val id : t -> int -> int
+  (** [id t m] is the id of member [m], [0 <= m < size t]; members are
+      in offer order. *)
+end
+
 val front : axes:'a axis list -> 'a list -> 'a list
 (** [front ~axes designs] returns the non-dominated subset, preserving
-    first-occurrence order.  Duplicate objective vectors are all kept
-    (they dominate nothing and are dominated by nothing), and so is any
-    point with a NaN coordinate, which dominates nothing.  Each axis is
-    evaluated once per point; O(n log n + n·f) comparisons for [n]
-    points and a front of size [f]. *)
+    first-occurrence order: a fold of {!Flat.offer} over the designs.
+    Duplicate objective vectors are all kept (they dominate nothing and
+    are dominated by nothing), and so is any point with a NaN
+    coordinate, which dominates nothing.  Each axis is evaluated once
+    per point; O(n·f) comparisons for [n] points and a front of size
+    [f]. *)
 
 val front2 : x:'a axis -> y:'a axis -> 'a list -> 'a list
 (** Two-objective front, returned sorted by increasing [x].  O(n log n)

@@ -648,6 +648,14 @@ let test_serve_exact_ids () =
         {|{"id": 0.1234567, "status": "ok", "op": "ping"}|};
       ])
 
+let test_serve_unicode_id () =
+  (* the request spells U+00E9 as an escape; the reply carries its bytes *)
+  let input = {|{"id": "caf\u00e9", "op": "ping"}|} ^ "\n" in
+  let ((_, out, _) as r) = run_conex_in ~input [ "serve" ] in
+  check_exit "serve session" 0 r;
+  Helpers.check_true "the id comes back decoded"
+    (String.trim out = {|{"id": "caf|} ^ "\xc3\xa9" ^ {|", "status": "ok", "op": "ping"}|})
+
 let test_serve_eof_shutdown () =
   (* a closed stdin ends the session as cleanly as an explicit shutdown *)
   let r = run_conex_in ~input:"{\"id\": 1, \"op\": \"ping\"}\n" [ "serve" ] in
@@ -924,4 +932,6 @@ let suite =
         test_negative_address_trace;
       Alcotest.test_case "serve echoes numeric ids exactly" `Quick
         test_serve_exact_ids;
+      Alcotest.test_case "serve decodes unicode escapes in ids" `Quick
+        test_serve_unicode_id;
     ] )

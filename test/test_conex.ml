@@ -68,11 +68,20 @@ let test_run_produces_phases () =
 
 let test_all_estimates_are_estimates () =
   let r = Lazy.force conex_result in
-  List.iter
-    (fun (d : Design.t) ->
-      Helpers.check_true "est populated" (d.Design.est <> None);
-      Helpers.check_true "not simulated yet" (d.Design.sim = None))
-    r.Explore.estimated
+  match
+    Explore.phase1 small_config (Lazy.force small_workload)
+      r.Explore.apex_selected
+  with
+  | None -> Alcotest.fail "Phase I stopped without an interrupt"
+  | Some per_arch ->
+    let estimated = List.concat per_arch in
+    Helpers.check_int "one Phase I design per estimate" r.Explore.n_estimates
+      (List.length estimated);
+    List.iter
+      (fun (d : Design.t) ->
+        Helpers.check_true "est populated" (d.Design.est <> None);
+        Helpers.check_true "not simulated yet" (d.Design.sim = None))
+      estimated
 
 let test_all_simulated_have_sim () =
   let r = Lazy.force conex_result in

@@ -434,8 +434,7 @@ let small_config jobs =
   }
 
 let strip_wall (r : Explore.result) =
-  ( r.Explore.estimated,
-    r.Explore.simulated,
+  ( r.Explore.simulated,
     r.Explore.pareto_cost_perf,
     r.Explore.n_estimates,
     r.Explore.n_simulations )

@@ -39,9 +39,14 @@ let check_pin ?shards ~jobs (name, gen, (est, sim, front)) () =
   Helpers.check_int (name ^ ": pareto front size") front
     (List.length r.Explore.pareto_cost_perf);
   (* internal consistency, independent of the pinned values *)
-  Helpers.check_int "estimated list matches the counter"
-    r.Explore.n_estimates
-    (List.length r.Explore.estimated);
+  (match
+     Explore.phase1 (config ?shards ~jobs ()) w r.Explore.apex_selected
+   with
+  | Some per_arch ->
+    Helpers.check_int "Phase I's estimates match the counter"
+      r.Explore.n_estimates
+      (List.fold_left (fun n l -> n + List.length l) 0 per_arch)
+  | None -> Alcotest.fail "Phase I stopped without an interrupt");
   Helpers.check_int "simulated list matches the counter"
     r.Explore.n_simulations
     (List.length r.Explore.simulated);

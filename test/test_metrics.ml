@@ -396,6 +396,22 @@ let test_json_numbers () =
       (1.0 /. 3.0, "0.33333333333333331");
     ]
 
+let test_json_unicode_escapes () =
+  let parse lit = Mx_util.Json.parse ("\"" ^ lit ^ "\"") in
+  List.iter
+    (fun (lit, want) ->
+      Helpers.check_true (lit ^ " decodes to UTF-8")
+        (parse lit = Ok (Mx_util.Json.Str want)))
+    [
+      ({|caf\u00e9|}, "caf\xc3\xa9");
+      ({|\ud83d\ude00|}, "\xf0\x9f\x98\x80");
+      ({|\u0041\u00E9|}, "A\xc3\xa9");
+    ];
+  List.iter
+    (fun lit ->
+      Helpers.check_true (lit ^ " is rejected") (Result.is_error (parse lit)))
+    [ {|\ud800|}; {|\ud800x|}; {|\ude00|}; {|\ud83d\u0041|}; {|\u00_e|}; {|\u12|} ]
+
 let test_empty_registry_json () =
   check_json "empty registry" (Metrics.to_json (Metrics.create ~enabled:true ()))
 
@@ -525,4 +541,6 @@ let suite =
       Alcotest.test_case "span tree shape" `Slow test_explore_span_tree;
       Alcotest.test_case "json numbers: exact, non-finite as null" `Quick
         test_json_numbers;
+      Alcotest.test_case "json unicode escapes: UTF-8, pairs, lone surrogates"
+        `Quick test_json_unicode_escapes;
     ] )

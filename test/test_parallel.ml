@@ -153,8 +153,7 @@ let small_config jobs =
 
 let strip_wall (r : Explore.result) =
   (* wall_seconds is the only field allowed to differ between runs *)
-  ( r.Explore.estimated,
-    r.Explore.simulated,
+  ( r.Explore.simulated,
     r.Explore.pareto_cost_perf,
     r.Explore.n_estimates,
     r.Explore.n_simulations,
@@ -186,6 +185,35 @@ let test_run_sampled_refine_parallel_matches_serial () =
   let parallel = cold_run (with_sampling 3) w in
   Helpers.check_true "sampled+refined results byte-identical"
     (strip_wall serial = strip_wall parallel)
+
+(* Phase I's collect sink keeps every estimate: the same designs with
+   bit-identical estimates, in the same order, at every jobs and shard
+   count. *)
+let test_phase1_parallel_sharded_matches_serial () =
+  let w = Helpers.mixed_workload ~scale:6000 () in
+  let cands =
+    Mx_apex.Explore.select ~config:(small_config 1).Explore.apex
+      (Mx_trace.Profile.analyze w)
+  in
+  let phase1 ~jobs ~shards =
+    match Explore.phase1 { (small_config jobs) with Explore.shards } w cands with
+    | Some per_arch ->
+      List.map
+        (List.map (fun (d : Conex.Design.t) ->
+             ( Conex.Design.structural_key d,
+               Option.map Mx_sim.Sim_result.to_wire d.Conex.Design.est )))
+        per_arch
+    | None -> Alcotest.fail "Phase I stopped without an interrupt"
+  in
+  let serial = phase1 ~jobs:1 ~shards:1 in
+  Helpers.check_true "Phase I estimated something"
+    (List.exists (fun l -> l <> []) serial);
+  List.iter
+    (fun (jobs, shards) ->
+      Helpers.check_true
+        (Printf.sprintf "Phase I at jobs=%d shards=%d = serial" jobs shards)
+        (phase1 ~jobs ~shards = serial))
+    [ (1, 4); (Helpers.test_jobs, 1); (Helpers.test_jobs, 4) ]
 
 (* -- parallel_map_commit --------------------------------------------------- *)
 
@@ -293,4 +321,6 @@ let suite =
       Alcotest.test_case "serial = parallel" `Slow test_run_parallel_matches_serial;
       Alcotest.test_case "serial = parallel (sampled)" `Slow
         test_run_sampled_refine_parallel_matches_serial;
+      Alcotest.test_case "Phase I serial = parallel, sharded" `Slow
+        test_phase1_parallel_sharded_matches_serial;
     ] )
