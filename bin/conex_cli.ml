@@ -953,9 +953,32 @@ module Serve = struct
       | Some other -> fail ~id "unknown op %S" other)
 end
 
+(* Clear the way to bind [path]: a socket that refuses a connection is
+   a dead server's and goes; anything else there (a live server, a
+   file) stays, and serve exits 1. *)
+let remove_stale_socket path =
+  let fail e = die_io "cannot serve on %s: %s" path e in
+  match (Unix.lstat path).Unix.st_kind with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+  | Unix.S_SOCK -> (
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () ->
+      Unix.close fd;
+      fail "another server is listening there"
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> (
+      Unix.close fd;
+      try Sys.remove path with Sys_error e -> fail e)
+    | exception Unix.Unix_error (e, _, _) ->
+      Unix.close fd;
+      fail (Unix.error_message e))
+  | _ -> fail "it exists and is not a socket"
+
 let serve_cmd =
   let run cache_dir socket jobs shards cache_size =
     check_shards shards;
+    Option.iter remove_stale_socket socket;
     let jobs = max 1 jobs in
     (* a client that vanishes before its reply must not kill the
        server: a write to it then fails with EPIPE, a [Sys_error] that
@@ -993,7 +1016,6 @@ let serve_cmd =
       try serve_channel stdin stdout
       with Sys_error _ -> close_out_noerr stdout)
     | Some path ->
-      if Sys.file_exists path then Sys.remove path;
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       (try
          Unix.bind fd (Unix.ADDR_UNIX path);
@@ -1021,7 +1043,9 @@ let serve_cmd =
     let doc =
       "Accept requests on a Unix domain socket bound at $(docv) (connections \
        are served one at a time) instead of reading stdin.  The socket file \
-       is created on start and removed on shutdown."
+       is created on start and removed on shutdown.  A stale socket left \
+       at $(docv) is replaced; a live server's socket or any other file \
+       there is left alone, and serve exits 1."
     in
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
   in

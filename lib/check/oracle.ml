@@ -585,12 +585,8 @@ let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
 
 (* -- evaluation without the cache ---------------------------------------- *)
 
-let eval_direct ~fidelity ~workload ~arch ?profile ~conn () =
+let eval_direct ~fidelity ~workload ~arch ~conn () =
   match (fidelity : Mx_sim.Eval.fidelity) with
-  | Mx_sim.Eval.Estimate -> (
-    match profile with
-    | Some profile -> estimate ~workload ~arch ~profile ~conn
-    | None -> invalid_arg "Oracle.eval_direct: Estimate requires a profile")
   | Mx_sim.Eval.Sampled (on, off) ->
     Mx_sim.Cycle_sim.run ~sample:(on, off) ~workload ~arch ~conn ()
   | Mx_sim.Eval.Exact -> Mx_sim.Cycle_sim.run ~workload ~arch ~conn ()

@@ -103,13 +103,11 @@ val eval_direct :
   fidelity:Mx_sim.Eval.fidelity ->
   workload:Mx_trace.Workload.t ->
   arch:Mx_mem.Mem_arch.t ->
-  ?profile:Mx_mem.Mem_sim.stats ->
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Mx_sim.Sim_result.t
 (** Direct recomputation of {!Mx_sim.Eval.eval} with no cache
-    involved: {!estimate} for [Estimate], {!Mx_sim.Cycle_sim.run} for
-    the simulated fidelities. *)
+    involved: one {!Mx_sim.Cycle_sim.run} at the requested fidelity. *)
 
 val profiles :
   regions:Mx_trace.Region.t list ->

@@ -787,7 +787,7 @@ let with_default_cache f =
     ~finally:(fun () -> Eval.set_cache_capacity Eval.default_cache_capacity)
     f
 
-let eval_fidelities = [ Eval.Estimate; Eval.Sampled (100, 900); Eval.Exact ]
+let eval_fidelities = [ Eval.Sampled (100, 900); Eval.Exact ]
 
 let fid_name = Eval.fidelity_tag
 
@@ -798,18 +798,14 @@ let eval_suite =
         let g = Prng.create ~seed in
         let p = Gen.pipeline g ~size in
         let conn = Gen.conn g p.Gen.p_brg in
-        let w = p.Gen.p_workload
-        and arch = p.Gen.p_arch
-        and profile = p.Gen.p_profile in
+        let w = p.Gen.p_workload and arch = p.Gen.p_arch in
         R.all_of
           (List.map
              (fun fidelity ->
                Eval.clear_cache ();
-               let via_cache =
-                 Eval.eval ~fidelity ~workload:w ~arch ~profile ~conn ()
+               let via_cache = Eval.eval ~fidelity ~workload:w ~arch ~conn ()
                and direct =
-                 Oracle.eval_direct ~fidelity ~workload:w ~arch ~profile ~conn
-                   ()
+                 Oracle.eval_direct ~fidelity ~workload:w ~arch ~conn ()
                in
                R.check (via_cache = direct)
                  "cached eval differs from direct recomputation at %s"
@@ -1345,24 +1341,42 @@ let shard_onchip =
 
 let shard_offchip = lazy [ Component.by_name "off32" ]
 
-(* One planned shard queue (plus the context needed to resolve it)
-   for a generated pipeline. *)
-let shard_plan_of_pipeline g (p : Gen.pipeline) =
-  let levels =
-    Mx_connect.Cluster.levels_ordered Mx_connect.Cluster.Lowest_bandwidth_first
-      p.Gen.p_brg.Brg.channels
+(* What a call records of the per-level accounting: its deltas of the
+   four assign.* level counters and its assign.level and
+   assign.level_infeasible events, rendered without times. *)
+let level_accounting f =
+  let m = Mx_util.Metrics.global in
+  let names =
+    [ "assign.levels"; "assign.enumerated"; "assign.cap_pruned";
+      "assign.infeasible_levels" ]
   in
-  let cap = 1 + Prng.int g ~bound:48 in
-  let k = 1 + Prng.int g ~bound:8 in
-  let onchip = Lazy.force shard_onchip and offchip = Lazy.force shard_offchip in
-  let workload_fp = Mx_trace.Workload.fingerprint p.Gen.p_workload in
-  let arch_fp = Mem_arch.fingerprint p.Gen.p_arch in
-  let arch_label = p.Gen.p_arch.Mem_arch.label in
-  let shards =
-    Shard.plan ~shards:k ~max_designs_per_level:cap ~workload_fp ~arch_label
-      ~arch_fp ~onchip ~offchip levels
+  let was_m = Mx_util.Metrics.is_on m and was_e = Ev.is_on Ev.global in
+  Fun.protect
+    ~finally:(fun () ->
+      Mx_util.Metrics.set_enabled m was_m;
+      Ev.set_enabled Ev.global was_e;
+      Ev.reset Ev.global)
+  @@ fun () ->
+  Mx_util.Metrics.set_enabled m true;
+  Ev.reset Ev.global;
+  Ev.set_enabled Ev.global true;
+  let before = List.map (Mx_util.Metrics.counter_value m) names in
+  let r = f () in
+  let counters =
+    List.map2
+      (fun name b ->
+        Printf.sprintf "%s=%d" name (Mx_util.Metrics.counter_value m name - b))
+      names before
   in
-  (shards, `Ctx (workload_fp, arch_label, arch_fp, onchip, offchip, levels, cap))
+  let events =
+    List.filter_map
+      (fun (e : Ev.event) ->
+        if e.Ev.name = "assign.level" || e.Ev.name = "assign.level_infeasible"
+        then Some (Ev.line_of_event ~time:false e)
+        else None)
+      (Ev.events Ev.global)
+  in
+  (r, String.concat "\n" (counters @ events))
 
 let shard_suite ~jobs =
   let x (p : float array) = p.(0) and y (p : float array) = p.(1) in
@@ -1439,51 +1453,39 @@ let shard_suite ~jobs =
       (fun ~seed ~size ->
         let g = Prng.create ~seed in
         let p = Gen.pipeline g ~size in
-        let shards, `Ctx (_, _, _, onchip, offchip, _, cap) =
-          shard_plan_of_pipeline g p
+        let channels = p.Gen.p_brg.Brg.channels in
+        let cap = 1 + Prng.int g ~bound:48 in
+        let k = 1 + Prng.int g ~bound:8 in
+        let onchip = Lazy.force shard_onchip
+        and offchip = Lazy.force shard_offchip in
+        let shards, planned =
+          level_accounting (fun () ->
+              Shard.plan ~shards:k ~max_designs_per_level:cap
+                ~workload_fp:(Mx_trace.Workload.fingerprint p.Gen.p_workload)
+                ~arch_label:p.Gen.p_arch.Mem_arch.label
+                ~arch_fp:(Mem_arch.fingerprint p.Gen.p_arch) ~onchip ~offchip
+                (Mx_connect.Cluster.levels_ordered
+                   Mx_connect.Cluster.Lowest_bandwidth_first channels))
         in
-        let mono =
-          Assign.enumerate_levels ~max_designs_per_level:cap ~onchip ~offchip
-            p.Gen.p_brg.Brg.channels
+        let mono, enumerated =
+          level_accounting (fun () ->
+              Assign.enumerate_levels ~max_designs_per_level:cap ~onchip
+                ~offchip channels)
         in
         let merged = List.concat_map Shard.enumerate shards in
-        R.check
-          (List.map Conn_arch.describe merged
-          = List.map Conn_arch.describe mono)
-          "merged shard slices (%d shards, cap %d) differ from the \
-           monolithic stream (%d vs %d designs)"
-          (List.length shards) cap (List.length merged) (List.length mono));
-    R.prop ~cost:10 "shard descriptors survive the wire format and resolve"
-      (fun ~seed ~size ->
-        let g = Prng.create ~seed in
-        let p = Gen.pipeline g ~size in
-        let shards, `Ctx (workload_fp, arch_label, arch_fp, onchip, offchip,
-                          levels, _) =
-          shard_plan_of_pipeline g p
-        in
         R.all_of
-          (List.map
-             (fun r ->
-               let d = Shard.descriptor r in
-               match Shard.of_line (Shard.to_line d) with
-               | Error e -> R.failf "of_line rejected a planned shard: %s" e
-               | Ok d' ->
-                 if d' <> d then
-                   R.failf "wire round-trip changed %s into %s"
-                     (Shard.fingerprint d) (Shard.fingerprint d')
-                 else (
-                   match
-                     Shard.resolve ~workload_fp ~arch_label ~arch_fp ~onchip
-                       ~offchip ~levels d'
-                   with
-                   | Error e -> R.failf "resolve failed: %s" e
-                   | Ok r' ->
-                     R.check
-                       (List.map Conn_arch.describe (Shard.enumerate r')
-                       = List.map Conn_arch.describe (Shard.enumerate r))
-                       "a resolved shard enumerates a different slice (%s)"
-                       (Shard.fingerprint d)))
-             shards));
+          [
+            R.check
+              (List.map Conn_arch.describe merged
+              = List.map Conn_arch.describe mono)
+              "merged shard slices (%d shards, cap %d) differ from the \
+               monolithic stream (%d vs %d designs)"
+              (List.length shards) cap (List.length merged) (List.length mono);
+            R.check (planned = enumerated)
+              "Shard.plan (%d shards, cap %d) records\n%s\nbut \
+               Assign.enumerate_levels records\n%s"
+              k cap planned enumerated;
+          ]);
     R.prop "exact unbounded archive front = front2"
       (fun ~seed ~size ->
         let g = Prng.create ~seed in

@@ -55,9 +55,10 @@
                     sink with events off, collect sink with events on,
                     shards 1/4 x jobs 1/N) vs collect +
                     {!Conex.Explore.local_promising}, shard plans vs
-                    the monolithic enumeration and through the wire
-                    format, the anytime archive vs front2, eps and
-                    capacity thinning, interrupted runs
+                    the monolithic enumeration (designs, assign.*
+                    level counters and events), the anytime archive vs
+                    front2, eps and capacity thinning, interrupted
+                    runs
     - [replacement] per-policy differential fuzz of {!Mx_mem.Cache}
                     against the {!Oracle.repl_cache} reference
                     simulators (identical hit/writeback/evict

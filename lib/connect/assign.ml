@@ -6,8 +6,8 @@ let choices ~onchip ~offchip (cl : Cluster.t) =
   List.filter (Conn_arch.feasible cl) pool
 
 (* Saturating product of the per-cluster choice counts: the size the
-   cartesian enumeration would have without the [max_designs] cap. *)
-let full_space per_cluster =
+   cartesian enumeration would have without a cap. *)
+let space per_cluster =
   List.fold_left
     (fun acc (_, cs) ->
       let n = List.length cs in
@@ -16,7 +16,7 @@ let full_space per_cluster =
       else acc * n)
     1 per_cluster
 
-let enumerate ?(max_designs = max_int) ~onchip ~offchip clusters =
+let level ?(max_designs = max_int) ~onchip ~offchip clusters =
   let per_cluster = List.map (fun cl -> (cl, choices ~onchip ~offchip cl)) clusters in
   if List.exists (fun (_, cs) -> cs = []) per_cluster then begin
     Metrics.incr Metrics.global "assign.infeasible_levels";
@@ -26,9 +26,29 @@ let enumerate ?(max_designs = max_int) ~onchip ~offchip clusters =
           ("clusters", Event_log.Int (List.length clusters));
           ("reason", Event_log.Str "no_feasible_component");
         ];
-    []
+    None
   end
   else begin
+    let space = space per_cluster in
+    let enumerated = max 0 (min space max_designs) in
+    if Metrics.is_on Metrics.global then begin
+      Metrics.incr Metrics.global ~by:enumerated "assign.enumerated";
+      Metrics.incr Metrics.global ~by:(space - enumerated) "assign.cap_pruned"
+    end;
+    if Event_log.is_on Event_log.global then
+      Event_log.emit Event_log.global ~stage:"assign" "assign.level"
+        [
+          ("clusters", Event_log.Int (List.length clusters));
+          ("enumerated", Event_log.Int enumerated);
+          ("cap_pruned", Event_log.Int (space - enumerated));
+        ];
+    Some per_cluster
+  end
+
+let enumerate ?(max_designs = max_int) ~onchip ~offchip clusters =
+  match level ~max_designs ~onchip ~offchip clusters with
+  | None -> []
+  | Some per_cluster ->
     let out = ref [] and count = ref 0 in
     let rec go acc = function
       | [] ->
@@ -40,21 +60,7 @@ let enumerate ?(max_designs = max_int) ~onchip ~offchip clusters =
         List.iter (fun c -> if !count < max_designs then go ((cl, c) :: acc) rest) cs
     in
     go [] per_cluster;
-    if Metrics.is_on Metrics.global then begin
-      Metrics.incr Metrics.global ~by:!count "assign.enumerated";
-      Metrics.incr Metrics.global
-        ~by:(max 0 (full_space per_cluster - !count))
-        "assign.cap_pruned"
-    end;
-    if Event_log.is_on Event_log.global then
-      Event_log.emit Event_log.global ~stage:"assign" "assign.level"
-        [
-          ("clusters", Event_log.Int (List.length clusters));
-          ("enumerated", Event_log.Int !count);
-          ("cap_pruned", Event_log.Int (max 0 (full_space per_cluster - !count)));
-        ];
     List.rev !out
-  end
 
 let enumerate_levels ?(order = Cluster.Lowest_bandwidth_first)
     ?(max_designs_per_level = max_int) ~onchip ~offchip channels =

@@ -149,13 +149,13 @@ let archive_insert archive (d : Design.t) =
 
 type task = {
   cand : Mx_apex.Explore.candidate;
-  shard : Shard.resolved;
+  shard : Shard.t;
   offset : int;  (** the stream position of the shard's first vector *)
   plan : (Mx_sim.Estimator.plan, exn) Stdlib.result;
 }
 
-let cap t = (Shard.descriptor t.shard).Shard.cap
-let shard_fp t = Shard.fingerprint (Shard.descriptor t.shard)
+let cap t = Shard.cap t.shard
+let shard_fp t = Shard.fingerprint t.shard
 
 (* one architecture's queue entries, in plan order *)
 let plan_candidate (cfg : config) workload ~workload_fp
@@ -306,7 +306,8 @@ let phase1 ?(interrupt = never) cfg workload cands =
                 ("arch", Ev.Str label);
               ])
           kept;
-        let ftag = Mx_sim.Eval.fidelity_tag Mx_sim.Eval.Estimate in
+        (* "e": an estimate, outside the simulated rungs of [Eval] *)
+        let ftag = "e" in
         let source = Mx_sim.Eval.provenance_tag Mx_sim.Eval.Computed in
         List.iter
           (fun (shard_fp, (d : Design.t)) ->
@@ -357,9 +358,10 @@ let local_promising cfg designs =
   let front = Mx_util.Pareto.front ~axes designs in
   let kept = thin_front cfg front in
   (* terminal Phase I verdict for every input design: kept, thinned off
-     the front by the cost subsample, or pruned — with the competitor
-     that dominates it (pareto fronts preserve physical identity, so
-     [memq] is the membership test) *)
+     the front by the cost subsample, or pruned — with the first front
+     member that dominates it, which exists because dominance is
+     transitive (pareto fronts preserve physical identity, so [memq] is
+     the membership test) *)
   if Ev.is_on Ev.global then
     List.iter
       (fun (d : Design.t) ->
@@ -372,16 +374,13 @@ let local_promising cfg designs =
             [ ("design", Ev.Str key) ]
         else begin
           let dominator =
-            match
-              List.find_opt
-                (fun e -> e != d && Mx_util.Pareto.dominates ~axes e d)
-                designs
-            with
-            | Some e -> Design.structural_key e
-            | None -> ""
+            List.find (fun e -> Mx_util.Pareto.dominates ~axes e d) front
           in
           Ev.emit Ev.global ~stage:"phase1" "design.pruned"
-            [ ("design", Ev.Str key); ("dominated_by", Ev.Str dominator) ]
+            [
+              ("design", Ev.Str key);
+              ("dominated_by", Ev.Str (Design.structural_key dominator));
+            ]
         end)
       designs;
   kept

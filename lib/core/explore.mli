@@ -19,7 +19,9 @@
     assignment-prefix slices, one queue across all selected
     architectures) drained once by the {!Mx_util.Task_pool}.  A shard
     task walks its choice vectors and estimates each from an
-    {!Mx_sim.Estimator.level}, into one of two sinks: the collect sink
+    {!Mx_sim.Estimator.level} (Phase I's one source of estimates;
+    {!Mx_sim.Eval} serves the simulations of Phase II and the refine
+    pass), into one of two sinks: the collect sink
     ({!phase1}) keeps every estimate; the front sink ({!promising})
     keeps each shard's (cost, latency, energy) front and builds a
     {!Design.t} only for the points of each architecture's merged
@@ -112,8 +114,8 @@ val phase1 :
     plan per architecture that has a shard), drain the combined queue
     once on the task pool, each shard task estimating its slice from
     one {!Mx_sim.Estimator.level}, then build one design per estimate,
-    per architecture in candidate order.  No estimate enters the result
-    cache or the store (see {!Mx_sim.Eval}).  Returns one estimate list
+    per architecture in candidate order.  No estimate enters
+    {!Mx_sim.Eval}'s result cache or store.  Returns one estimate list
     per candidate, byte-identical at every [shards]/[jobs] setting, or
     [None] when [interrupt] fired while the queue was draining.  With
     the event log on, emits per architecture every [assign.kept], then
@@ -161,9 +163,11 @@ val local_promising : config -> Design.t list -> Design.t list
 (** Phase I selection: the 3-objective (cost, latency, energy) pareto
     front of one architecture's estimates, thinned to
     [config.phase1_keep].  With the event log enabled, emits the
-    terminal Phase I verdict for every input design ([design.kept] /
-    [design.thinned] / [design.pruned] with its dominating
-    competitor). *)
+    terminal Phase I verdict for every input design: [design.kept],
+    [design.thinned], or [design.pruned] whose [dominated_by] is the
+    first front member, in input order, that dominates the design (one
+    always exists, dominance being transitive), so it always names a
+    kept or thinned design. *)
 
 val evaluate_designs :
   config ->

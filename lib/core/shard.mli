@@ -13,48 +13,23 @@
     {e exactly} — same designs, same order, same cap — which is what
     makes the final pareto front byte-stable in the shard count.
 
-    Shards carry a portable {!descriptor} with a structural
-    {!fingerprint} built from the PR 3 fingerprint scheme
-    ([Workload.fingerprint], [Mem_arch.fingerprint]), so they are
-    restartable, memo-cache-friendly and identical across runs; the
-    line-based wire format ({!to_line} / {!of_line} / {!save} /
-    {!load}) is what an external worker process would consume. *)
+    Shards live in one process: they are planned on the calling domain
+    and hold the level's live clusters and components.  A shard's
+    {!fingerprint} is a structural key built from
+    [Workload.fingerprint] and [Mem_arch.fingerprint], identical across
+    runs; events and metrics name shards by it. *)
 
-type descriptor = {
-  workload_fp : string;  (** [Mx_trace.Workload.fingerprint] *)
-  arch_label : string;   (** human label of the memory architecture *)
-  arch_fp : string;      (** [Mx_mem.Mem_arch.fingerprint] *)
-  level : int;           (** clustering-level index, 0-based *)
-  prefix : string list;  (** component names bound to the first clusters *)
-  space : int;           (** uncapped enumeration size (saturating) *)
-  cap : int;             (** designs this shard emits toward the level cap *)
-}
+type t
+(** One planned shard, ready to enumerate. *)
 
-val fingerprint : descriptor -> string
-(** Canonical structural key of a shard (excludes the label, like
-    [Mem_arch.fingerprint]): equal fingerprints enumerate equal design
+val fingerprint : t -> string
+(** Canonical structural key of a shard (workload and architecture
+    fingerprints, level, prefix, uncapped space and cap; not the
+    architecture's label): equal fingerprints enumerate equal design
     slices. *)
 
-val to_line : descriptor -> string
-(** One-line, tab-separated serialization (fields never contain tabs). *)
-
-val of_line : string -> (descriptor, string) result
-(** Parse {!to_line} output; validates field count, magic/version and
-    integer ranges.  Context-dependent validation (do the fingerprints
-    match the architecture at hand?) is {!resolve}'s job. *)
-
-val save : path:string -> descriptor list -> unit
-(** Write a queue of shards, one {!to_line} per line. *)
-
-val load : path:string -> (descriptor list, string) result
-(** Read a queue written by {!save}, skipping blank lines; the error
-    carries [path:line:] context. *)
-
-type resolved
-(** A descriptor resolved against live clustering levels and component
-    libraries — ready to enumerate. *)
-
-val descriptor : resolved -> descriptor
+val cap : t -> int
+(** The designs this shard emits toward its level's cap, at least 1. *)
 
 val plan :
   ?shards:int ->
@@ -65,7 +40,7 @@ val plan :
   onchip:Mx_connect.Component.t list ->
   offchip:Mx_connect.Component.t list ->
   Mx_connect.Cluster.t list list ->
-  resolved list
+  t list
 (** [plan ~shards ~max_designs_per_level ... levels] partitions every
     clustering level of one architecture into up to [shards] (default
     1) prefix-shards: each level starts as a single empty-prefix shard
@@ -78,51 +53,35 @@ val plan :
     enumerates a design the merge would discard, and levels whose slice
     falls wholly beyond the cap produce no shards.
 
-    Emits the same [assign.level] / [assign.level_infeasible] events
-    and [assign.levels] / [assign.enumerated] / [assign.cap_pruned] /
-    [assign.infeasible_levels] metrics as the monolithic enumeration
-    (computed from the level's full space), plus one [shard.planned]
-    event and the [shard.planned] counter — all on the calling domain,
-    so the planning record is deterministic.
+    Counts [assign.levels] and records each level's accounting through
+    {!Mx_connect.Assign.level}, as {!Mx_connect.Assign.enumerate_levels}
+    does, then emits one [shard.planned] event per shard and the
+    [shard.planned] counter — all on the calling domain, so the
+    planning record is deterministic.
 
     @raise Invalid_argument if [shards < 1] or
     [max_designs_per_level < 0]. *)
 
 val clusters :
-  resolved -> (Mx_connect.Cluster.t * Mx_connect.Component.t array) array
+  t -> (Mx_connect.Cluster.t * Mx_connect.Component.t array) array
 (** The level's clusters in order, each with its component choices: a
     prefix cluster has its one bound component, every other cluster its
     feasible components in library order. *)
 
-val iter : resolved -> (int -> int array -> unit) -> unit
-(** [iter r f] calls [f i v] for the shard's assignments in enumeration
+val iter : t -> (int -> int array -> unit) -> unit
+(** [iter t f] calls [f i v] for the shard's assignments in enumeration
     order, [i] from 0 to [cap - 1]: [v.(j)] indexes cluster [j]'s
     choices in {!clusters}.  [v] is one array that [iter] advances in
     place — [f] must not keep it.  Silent: no events, no metrics — safe
     to run on pool workers; bookkeeping happens at plan time and at
     ordered commit time. *)
 
-val vector : resolved -> int -> int array
-(** [vector r i] is a fresh copy of the [i]-th vector {!iter} passes. *)
+val vector : t -> int -> int array
+(** [vector t i] is a fresh copy of the [i]-th vector {!iter} passes. *)
 
-val connectivity : resolved -> int array -> Mx_connect.Conn_arch.t
+val connectivity : t -> int array -> Mx_connect.Conn_arch.t
 (** The connectivity that binds every cluster to its chosen component. *)
 
-val enumerate : resolved -> Mx_connect.Conn_arch.t list
+val enumerate : t -> Mx_connect.Conn_arch.t list
 (** Every assignment of the shard as a connectivity: {!connectivity}
     over {!iter}. *)
-
-val resolve :
-  workload_fp:string ->
-  arch_label:string ->
-  arch_fp:string ->
-  onchip:Mx_connect.Component.t list ->
-  offchip:Mx_connect.Component.t list ->
-  levels:Mx_connect.Cluster.t list list ->
-  descriptor ->
-  (resolved, string) result
-(** Re-attach a (possibly deserialized) descriptor to live context —
-    the inverse of {!descriptor}.  Fails with a human-readable reason
-    when the workload/architecture fingerprints disagree, the level
-    index is out of range, a prefix component is not feasible for its
-    cluster, or the remaining space does not match the descriptor. *)

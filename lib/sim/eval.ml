@@ -5,10 +5,9 @@ module Conn_arch = Mx_connect.Conn_arch
 module Memo_cache = Mx_util.Memo_cache
 module Persist_cache = Mx_util.Persist_cache
 
-type fidelity = Estimate | Sampled of int * int | Exact
+type fidelity = Sampled of int * int | Exact
 
 let fidelity_tag = function
-  | Estimate -> "e"
   | Sampled (on, off) -> Printf.sprintf "s:%d/%d" on off
   | Exact -> "x"
 
@@ -147,10 +146,10 @@ let promote c ~exact_key =
         fst (Memo_cache.find_or_compute_prov c ~key:exact_key (fun () -> r)))
       (persist_get exact_key)
 
-(* The simulated rungs: only [Sampled] tries promotion first, then one
-   hot -> disk -> compute lookup.  A computed result times the
-   connectivity over its architecture's recorded column, built on the
-   first request at that fidelity. *)
+(* Only [Sampled] tries promotion first, then one hot -> disk -> compute
+   lookup.  A computed result times the connectivity over its
+   architecture's recorded column, built on the first request at that
+   fidelity. *)
 let simulate ~fidelity ?sample ~workload ~arch ~conn () =
   let arch_base =
     workload_fingerprint workload ^ "|" ^ Mem_arch.fingerprint arch
@@ -167,26 +166,21 @@ let simulate ~fidelity ?sample ~workload ~arch ~conn () =
   let promoted =
     match fidelity with
     | Sampled _ -> promote c ~exact_key:(key ~base Exact)
-    | Estimate | Exact -> None
+    | Exact -> None
   in
   match promoted with
   | Some r -> (r, Promoted)
   | None -> find_via_tiers c ~key:(key ~base fidelity) compute
 
 (* Bad sampling windows raise before any lookup, so a cached or
-   promotable entry does not hide them.  An estimate costs less to
-   compute than a hot-tier hit, so it never enters either tier. *)
-let eval_prov ~fidelity ~workload ~arch ?profile ~conn () =
-  match (fidelity, profile) with
-  | Estimate, None ->
-    invalid_arg "Eval.eval: Estimate fidelity requires ~profile"
-  | Estimate, Some profile ->
-    (Estimator.estimate ~workload ~arch ~profile ~conn, Computed)
-  | Sampled (on, off), _ when on <= 0 || off < 0 ->
+   promotable entry does not hide them. *)
+let eval_prov ~fidelity ~workload ~arch ~conn () =
+  match fidelity with
+  | Sampled (on, off) when on <= 0 || off < 0 ->
     invalid_arg "Eval.eval: bad sampling windows"
-  | Sampled (on, off), _ ->
+  | Sampled (on, off) ->
     simulate ~fidelity ~sample:(on, off) ~workload ~arch ~conn ()
-  | Exact, _ -> simulate ~fidelity ~workload ~arch ~conn ()
+  | Exact -> simulate ~fidelity ~workload ~arch ~conn ()
 
-let eval ~fidelity ~workload ~arch ?profile ~conn () =
-  fst (eval_prov ~fidelity ~workload ~arch ?profile ~conn ())
+let eval ~fidelity ~workload ~arch ~conn () =
+  fst (eval_prov ~fidelity ~workload ~arch ~conn ())

@@ -1,28 +1,24 @@
 (** The unified evaluation engine: one entry point for the exploration
-    funnel's simulations and for one-off estimates, with a
-    content-addressed result cache behind the simulated rungs.
+    funnel's simulations, with a content-addressed result cache behind
+    them.
 
-    The funnel's three evaluators become one {!fidelity} ladder:
+    The funnel's two simulated accuracy levels form one {!fidelity}
+    ladder:
 
     {v
-      Estimate          analytic model from a module-level profile
-        |                 (Phase I; cheapest, least accurate)
       Sampled (on,off)  time-sampled cycle simulation
         |                 (Phase II; Kessler windows)
       Exact             full trace-driven cycle simulation
                           (refinement / final reporting; ground truth)
     v}
 
-    {b Estimates skip the tiers.}  An [Estimate] is computed on every
-    request ({!Estimator.estimate}) and never enters either tier: no
-    key is built, nothing is kept in memory and nothing is written to
-    the store.  Measured on li at scale 100 000 (means over its 54 322
-    Phase I estimates, 2-vCPU VM), an estimate computed from its
-    architecture's plan takes 1.0–1.7 µs, a hot-tier hit 2.1 µs and a
-    disk hit 5.7 µs, so a tier would only make each estimate slower and
-    fill the heap and the store.  Phase I calls {!Estimator.prepare}
-    once per architecture and assesses every assignment of a shard from
-    that shard's {!Estimator.level} itself.
+    Phase I's analytic estimates are not on the ladder: they come from
+    {!Estimator} ({!Estimator.estimate} for one connectivity; Phase I
+    prepares one plan per architecture and assesses every assignment of
+    a shard from that shard's {!Estimator.level}) and never enter
+    either tier, because an estimate computed from its plan costs less
+    than a hot-tier hit (on li at scale 100 000, 2-vCPU VM: 1.0–1.7 µs
+    against 2.1 µs, and 5.7 µs for a disk hit).
 
     Every simulation is routed through a process-wide
     {!Mx_util.Memo_cache} keyed by canonical structural fingerprints:
@@ -33,11 +29,8 @@
     so a design already simulated at {e equal or higher} fidelity is
     never re-simulated: an [Exact] result satisfies a later [Sampled]
     request for the same design (both are produced by the cycle
-    simulator; the exact run is strictly better).  [Estimate] never
-    crosses the ladder in either direction — the analytic model is a
-    different estimator, and silently substituting simulator output
-    would change what the caller asked for (and vice versa).
-    [Sampled] entries only satisfy requests with identical windows.
+    simulator; the exact run is strictly better).  [Sampled] entries
+    only satisfy requests with identical windows.
 
     The cache is single-flight (see {!Mx_util.Memo_cache}): concurrent
     evaluations of the same key across {!Mx_util.Task_pool} domains
@@ -60,9 +53,6 @@
     counters are still recorded once per computed simulation. *)
 
 type fidelity =
-  | Estimate
-      (** the analytic model ({!Estimator.estimate}), computed on every
-          request and never cached; requires [~profile] *)
   | Sampled of int * int
       (** time-sampled cycle simulation with [(on, off)] windows *)
   | Exact  (** cycle simulation of the full trace *)
@@ -74,22 +64,19 @@ val eval :
   fidelity:fidelity ->
   workload:Mx_trace.Workload.t ->
   arch:Mx_mem.Mem_arch.t ->
-  ?profile:Mx_mem.Mem_sim.stats ->
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Sim_result.t
-(** Evaluate one (workload, memory, connectivity) design point at the
-    requested fidelity.  An [Estimate] is always computed.  A simulation
-    is served from the cache when an entry of equal or higher fidelity
-    exists: a [Sampled] request first tries Exact-serves-Sampled
-    promotion (hot tier, then disk tier); then one lookup under the
-    request's own key goes hot tier, disk tier, compute.
-    @raise Invalid_argument when [fidelity = Estimate] and no [~profile]
-    is supplied, or when [fidelity = Sampled (on, off)] has [on <= 0]
-    or [off < 0] (both checked before any lookup, so a cached or
+(** Simulate one (workload, memory, connectivity) design point at the
+    requested fidelity.  The result is served from the cache when an
+    entry of equal or higher fidelity exists: a [Sampled] request first
+    tries Exact-serves-Sampled promotion (hot tier, then disk tier);
+    then one lookup under the request's own key goes hot tier, disk
+    tier, compute.
+    @raise Invalid_argument when [fidelity = Sampled (on, off)] has
+    [on <= 0] or [off < 0] (checked before any lookup, so a cached or
     promotable entry does not hide the mistake), or whenever the
-    underlying evaluator rejects the design (unroutable channel, empty
-    profile). *)
+    simulator rejects the design (unroutable channel). *)
 
 type provenance =
   | Computed  (** this call ran the evaluator *)
@@ -109,12 +96,11 @@ val eval_prov :
   fidelity:fidelity ->
   workload:Mx_trace.Workload.t ->
   arch:Mx_mem.Mem_arch.t ->
-  ?profile:Mx_mem.Mem_sim.stats ->
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Sim_result.t * provenance
-(** {!eval} that also reports where the result came from; an
-    [Estimate] is always [Computed].  Provenance is schedule-dependent
+(** {!eval} that also reports where the result came from.  Provenance
+    is schedule-dependent
     (cache contents depend on cross-domain timing), so events derived
     from it must carry a [cache.] segment in their name — see
     {!Mx_util.Metrics.schedule_dependent}. *)
@@ -127,7 +113,7 @@ val set_cache_capacity : int -> unit
 (** Replace the result cache with a fresh one of the given capacity
     (dropping all entries; 0 or negative disables caching), and the
     column memo with a fresh one (disabled too when the capacity is 0
-    or negative).  Estimates use neither.  Not safe to call
+    or negative).  Not safe to call
     concurrently with running evaluations — configure before
     exploring. *)
 
@@ -149,7 +135,7 @@ val clear_cache : unit -> unit
 (** {2 The persistent tier}
 
     An optional second cache level for simulations, backed by
-    {!Mx_util.Persist_cache} (estimates never reach it):
+    {!Mx_util.Persist_cache}:
     hot tier → disk tier → compute, with the single-flight guarantee
     covering all three (the disk probe and the write-back happen inside
     the memo slot, so concurrent requests for one key do one disk read

@@ -729,102 +729,155 @@ let exit_status_str = function
 
 let slurp_file path = In_channel.with_open_bin path In_channel.input_all
 
-let test_serve_vanished_client () =
-  (* client A sends explore and disconnects before the reply; the
-     server must answer client B's ping, exit 0 on its shutdown and
-     still close the store *)
+(* [f] drives a conex server listening on a Unix socket at [path] in
+   a fresh directory: [connect ~tries ()] opens a client connection,
+   retrying [tries] times while the socket is not there or not yet
+   listening; [send] writes one request line; [exited ()] awaits the
+   server's exit status; [stderr ()] reads what it printed there.  The
+   server is killed if [f] leaves it running. *)
+let with_socket_server ?(args = []) f =
   match conex_bin with
   | None -> Alcotest.skip ()
   | Some bin ->
     with_run_dir (fun sock_dir ->
-        with_run_dir (fun cache_dir ->
-            Unix.mkdir sock_dir 0o700;
-            let path = Filename.concat sock_dir "serve.sock" in
-            let err = Filename.concat sock_dir "stderr.txt" in
-            let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-            let errfd =
-              Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600
+        Unix.mkdir sock_dir 0o700;
+        let path = Filename.concat sock_dir "serve.sock" in
+        let err = Filename.concat sock_dir "stderr.txt" in
+        let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+        let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+        let pid =
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.close null;
+              Unix.close errfd)
+            (fun () ->
+              spawn_conex bin
+                ([ "serve"; "--socket"; path; "--jobs"; "1" ] @ args)
+                ~stdin:null ~stdout:null ~stderr:errfd)
+        in
+        let status = ref None in
+        Fun.protect
+          ~finally:(fun () ->
+            if !status = None then begin
+              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (Unix.waitpid [] pid)
+            end)
+          (fun () ->
+            (* a server that dies mid-test must fail the test, not kill
+               the runner on a client write *)
+            with_sigpipe Sys.Signal_ignore @@ fun () ->
+            (* the socket file appears at bind, before listen *)
+            let rec connect ?(tries = 0) () =
+              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+              match Unix.connect fd (Unix.ADDR_UNIX path) with
+              | () -> fd
+              | exception Unix.Unix_error
+                            ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+                when tries > 0 ->
+                Unix.close fd;
+                Unix.sleepf 0.05;
+                connect ~tries:(tries - 1) ()
             in
-            let pid =
-              Fun.protect
-                ~finally:(fun () ->
-                  Unix.close null;
-                  Unix.close errfd)
-                (fun () ->
-                  spawn_conex bin
-                    [ "serve"; "--socket"; path; "--jobs"; "1";
-                      "--cache-dir"; cache_dir ]
-                    ~stdin:null ~stdout:null ~stderr:errfd)
+            let send fd line =
+              let line = line ^ "\n" in
+              ignore (Unix.write_substring fd line 0 (String.length line))
             in
-            let status = ref None in
-            Fun.protect
-              ~finally:(fun () ->
-                if !status = None then begin
-                  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                  ignore (Unix.waitpid [] pid)
-                end)
-              (fun () ->
-                (* a server that dies mid-test must fail the test, not
-                   kill the runner on a client write *)
-                with_sigpipe Sys.Signal_ignore @@ fun () ->
-                let connect () =
-                  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-                  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
-                  Unix.connect fd (Unix.ADDR_UNIX path);
-                  fd
-                in
-                (* the socket file appears at bind, before listen *)
-                let rec first_connect tries =
-                  match connect () with
-                  | fd -> fd
-                  | exception Unix.Unix_error
-                                ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-                    when tries > 0 ->
-                    Unix.sleepf 0.05;
-                    first_connect (tries - 1)
-                in
-                let send fd line =
-                  let line = line ^ "\n" in
-                  ignore
-                    (Unix.write_substring fd line 0 (String.length line))
-                in
-                let exited () =
-                  let st = await pid in
-                  status := Some st;
-                  st
-                in
-                let a = first_connect 600 in
-                send a (serve_explore ~id:1);
-                Unix.close a;
-                let ping, shutdown =
-                  try
-                    let b = connect () in
-                    send b "{\"id\": 2, \"op\": \"ping\"}";
-                    send b "{\"id\": 3, \"op\": \"shutdown\"}";
-                    let ic = Unix.in_channel_of_descr b in
-                    Fun.protect
-                      ~finally:(fun () -> close_in_noerr ic)
-                      (fun () ->
-                        let ping = input_line ic in
-                        (ping, input_line ic))
-                  with (Unix.Unix_error _ | Sys_error _ | End_of_file) as e ->
-                    Alcotest.failf "client B: %s; serve %s (stderr: %s)"
-                      (Printexc.to_string e)
-                      (exit_status_str (exited ()))
-                      (slurp_file err)
-                in
-                Helpers.check_true "client B's ping is answered"
-                  (Test_metrics.contains ~needle:"\"op\": \"ping\"" ping);
-                Helpers.check_true "client B's shutdown is acknowledged"
-                  (Test_metrics.contains ~needle:"\"op\": \"shutdown\""
-                     shutdown);
-                let st = exited () in
-                if st <> Unix.WEXITED 0 then
-                  Alcotest.failf "serve: %s (stderr: %s)" (exit_status_str st)
-                    (slurp_file err);
-                Helpers.check_true "the store is closed on shutdown"
-                  (Test_metrics.contains ~needle:"persistent cache:"
-                     (slurp_file err)))))
+            let exited () =
+              let st = await pid in
+              status := Some st;
+              st
+            in
+            f ~path ~connect ~send ~exited ~stderr:(fun () -> slurp_file err)))
+
+(* send [requests] on a fresh connection and read one reply each *)
+let exchange ~connect ~send requests =
+  let fd = connect () in
+  List.iter (send fd) requests;
+  let ic = Unix.in_channel_of_descr fd in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> List.map (fun _ -> input_line ic) requests)
+
+let test_serve_vanished_client () =
+  (* client A sends explore and disconnects before the reply; the
+     server must answer client B's ping, exit 0 on its shutdown and
+     still close the store *)
+  with_run_dir @@ fun cache_dir ->
+  with_socket_server ~args:[ "--cache-dir"; cache_dir ]
+  @@ fun ~path:_ ~connect ~send ~exited ~stderr ->
+  let a = connect ~tries:600 () in
+  send a (serve_explore ~id:1);
+  Unix.close a;
+  let ping, shutdown =
+    match
+      exchange ~connect ~send
+        [ "{\"id\": 2, \"op\": \"ping\"}"; "{\"id\": 3, \"op\": \"shutdown\"}" ]
+    with
+    | [ ping; shutdown ] -> (ping, shutdown)
+    | _ -> assert false
+    | exception ((Unix.Unix_error _ | Sys_error _ | End_of_file) as e) ->
+      Alcotest.failf "client B: %s; serve %s (stderr: %s)"
+        (Printexc.to_string e)
+        (exit_status_str (exited ()))
+        (stderr ())
+  in
+  Helpers.check_true "client B's ping is answered"
+    (Test_metrics.contains ~needle:"\"op\": \"ping\"" ping);
+  Helpers.check_true "client B's shutdown is acknowledged"
+    (Test_metrics.contains ~needle:"\"op\": \"shutdown\"" shutdown);
+  let st = exited () in
+  if st <> Unix.WEXITED 0 then
+    Alcotest.failf "serve: %s (stderr: %s)" (exit_status_str st) (stderr ());
+  Helpers.check_true "the store is closed on shutdown"
+    (Test_metrics.contains ~needle:"persistent cache:" (stderr ()))
+
+(* [conex serve --socket path], which must exit on its own *)
+let serve_status path =
+  match conex_bin with
+  | None -> Alcotest.skip ()
+  | Some bin ->
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        await ~secs:20.0
+          (spawn_conex bin [ "serve"; "--socket"; path ] ~stdin:null
+             ~stdout:null ~stderr:null))
+
+let test_serve_refuses_file () =
+  (* a file at the socket path is not a stale socket: it must survive *)
+  with_run_dir @@ fun dir ->
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "victim.txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "keep me\n");
+  let st = serve_status path in
+  Alcotest.(check string)
+    "serve on a regular file" "exit 1" (exit_status_str st);
+  Alcotest.(check string) "the file survives" "keep me\n" (slurp_file path)
+
+let test_serve_refuses_live_socket () =
+  (* a second server on a live server's socket exits 1 and leaves it
+     answering *)
+  with_socket_server @@ fun ~path ~connect ~send ~exited ~stderr ->
+  let ping = "{\"id\": 1, \"op\": \"ping\"}" in
+  ignore (exchange ~connect:(connect ~tries:600) ~send [ ping ]);
+  Alcotest.(check string) "a second server on the live socket" "exit 1"
+    (exit_status_str (serve_status path));
+  let shutdown = "{\"id\": 2, \"op\": \"shutdown\"}" in
+  (match exchange ~connect ~send [ ping; shutdown ] with
+  | [ reply; _ ] ->
+    Helpers.check_true "the first server still answers ping"
+      (Test_metrics.contains ~needle:"\"op\": \"ping\"" reply)
+  | _ -> assert false
+  | exception ((Unix.Unix_error _ | Sys_error _ | End_of_file) as e) ->
+    Alcotest.failf "after the second server: %s; serve %s (stderr: %s)"
+      (Printexc.to_string e)
+      (exit_status_str (exited ()))
+      (stderr ()));
+  let st = exited () in
+  if st <> Unix.WEXITED 0 then
+    Alcotest.failf "serve: %s (stderr: %s)" (exit_status_str st) (stderr ())
 
 let test_serve_closed_stdout () =
   (* stdout is a pipe with no reader: the first reply fails, and the
@@ -926,6 +979,10 @@ let suite =
         test_serve_cache_dir_warm_start;
       Alcotest.test_case "serve survives a vanished client" `Slow
         test_serve_vanished_client;
+      Alcotest.test_case "serve refuses a non-socket path" `Quick
+        test_serve_refuses_file;
+      Alcotest.test_case "serve refuses a live socket" `Quick
+        test_serve_refuses_live_socket;
       Alcotest.test_case "serve ends on a closed stdout" `Quick
         test_serve_closed_stdout;
       Alcotest.test_case "negative-address trace exits 1" `Quick

@@ -248,58 +248,6 @@ let test_full_budget_boundary () =
       projected_sims;
     Helpers.check_int "payload carries the budget" (projected - 1) budget
 
-(* -- shard wire format -------------------------------------------------------- *)
-
-module Shard = Conex.Shard
-
-let sample_descriptor =
-  {
-    Shard.workload_fp = "wl:abc";
-    arch_label = "C8K";
-    arch_fp = "mem:xyz";
-    level = 2;
-    prefix = [ "mux32"; "apb32" ];
-    space = 12;
-    cap = 7;
-  }
-
-let test_shard_line_roundtrip () =
-  (match Shard.of_line (Shard.to_line sample_descriptor) with
-  | Ok d' -> Helpers.check_true "round-trips" (d' = sample_descriptor)
-  | Error e -> Alcotest.failf "of_line: %s" e);
-  let d0 = { sample_descriptor with Shard.prefix = [] } in
-  match Shard.of_line (Shard.to_line d0) with
-  | Ok d' -> Helpers.check_true "empty prefix round-trips" (d' = d0)
-  | Error e -> Alcotest.failf "of_line: %s" e
-
-let test_shard_of_line_rejects_garbage () =
-  List.iter
-    (fun line ->
-      match Shard.of_line line with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted garbage line %S" line)
-    [
-      "";
-      "not a shard";
-      "shard\t9\tx";
-      Shard.to_line sample_descriptor ^ "\textra";
-    ]
-
-let test_shard_save_load () =
-  let path = Filename.temp_file "conex_shards" ".queue" in
-  let ds =
-    [
-      sample_descriptor;
-      { sample_descriptor with Shard.level = 0; prefix = [] };
-    ]
-  in
-  Shard.save ~path ds;
-  let r = Shard.load ~path in
-  Sys.remove path;
-  match r with
-  | Ok ds' -> Helpers.check_true "queue round-trips" (ds' = ds)
-  | Error e -> Alcotest.failf "load: %s" e
-
 (* -- report ------------------------------------------------------------------ *)
 
 let test_annotate_labels () =
@@ -360,11 +308,6 @@ let suite =
       Alcotest.test_case "full budget guard" `Slow test_full_budget_guard;
       Alcotest.test_case "full budget boundary" `Slow
         test_full_budget_boundary;
-      Alcotest.test_case "shard line roundtrip" `Quick
-        test_shard_line_roundtrip;
-      Alcotest.test_case "shard rejects garbage" `Quick
-        test_shard_of_line_rejects_garbage;
-      Alcotest.test_case "shard save/load" `Quick test_shard_save_load;
       Alcotest.test_case "annotate labels" `Slow test_annotate_labels;
       Alcotest.test_case "annotate sorted" `Slow test_annotate_sorted_by_cost;
       Alcotest.test_case "ascii scatter" `Slow test_ascii_scatter_renders;

@@ -1,7 +1,7 @@
 (* Structural fingerprints (mem / conn / workload), Design.structural_key,
    and the Mx_sim.Eval engine: fidelity-aware caching, Exact->Sampled
-   promotion, Estimate isolation, and cached-vs-fresh byte-identity of
-   whole explorations at several jobs levels. *)
+   promotion, and cached-vs-fresh byte-identity of whole explorations
+   at several jobs levels. *)
 
 module Params = Mx_mem.Params
 module Mem_arch = Mx_mem.Mem_arch
@@ -268,31 +268,6 @@ let test_eval_sampled_does_not_serve_exact () =
   let exact = Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn () in
   Helpers.check_true "lower fidelity never satisfies a higher request"
     (exact.Mx_sim.Sim_result.exact && not sampled.Mx_sim.Sim_result.exact)
-
-let test_eval_estimate_isolated () =
-  with_pristine_cache @@ fun () ->
-  let w, arch, profile, conn = eval_fixture () in
-  let exact = Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn () in
-  let est =
-    Eval.eval ~fidelity:Eval.Estimate ~workload:w ~arch ~profile ~conn ()
-  in
-  Helpers.check_true "estimate computed by the estimator, not promoted"
-    (not est.Mx_sim.Sim_result.exact);
-  Helpers.check_true "exact entry untouched"
-    (exact.Mx_sim.Sim_result.exact);
-  Alcotest.(check string)
-    "estimate equals a direct estimator call"
-    (Format.asprintf "%a" Mx_sim.Sim_result.pp
-       (Mx_sim.Estimator.estimate ~workload:w ~arch ~profile ~conn))
-    (Format.asprintf "%a" Mx_sim.Sim_result.pp est)
-
-let test_eval_estimate_requires_profile () =
-  with_pristine_cache @@ fun () ->
-  let w, arch, _, conn = eval_fixture () in
-  Alcotest.check_raises "Estimate without ~profile rejected"
-    (Invalid_argument "Eval.eval: Estimate fidelity requires ~profile")
-    (fun () ->
-      ignore (Eval.eval ~fidelity:Eval.Estimate ~workload:w ~arch ~conn ()))
 
 let test_eval_distinct_sample_windows_distinct () =
   with_pristine_cache @@ fun () ->
@@ -590,10 +565,6 @@ let suite =
         test_eval_exact_promotes_to_sampled;
       Alcotest.test_case "sampled never serves exact" `Quick
         test_eval_sampled_does_not_serve_exact;
-      Alcotest.test_case "estimate isolated from simulator" `Quick
-        test_eval_estimate_isolated;
-      Alcotest.test_case "estimate requires profile" `Quick
-        test_eval_estimate_requires_profile;
       Alcotest.test_case "sample windows keyed separately" `Quick
         test_eval_distinct_sample_windows_distinct;
       Alcotest.test_case "policies keyed separately" `Quick

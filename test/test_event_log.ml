@@ -1,8 +1,8 @@
 (* Mx_util.Event_log: the bounded provenance stream, its exporters, and
    the end-to-end funnel contract — every Phase I design reaches a
-   terminal verdict, pruning names a real dominating competitor, and
-   the canonical (schedule-independent) dump is byte-identical between
-   serial and parallel runs. *)
+   terminal verdict, pruning names a dominating competitor on the
+   front, and the canonical (schedule-independent) dump is
+   byte-identical between serial and parallel runs. *)
 
 module Ev = Mx_util.Event_log
 module Explore = Conex.Explore
@@ -274,6 +274,53 @@ let test_terminal_verdicts () =
         (List.exists (fun (e : Ev.event) -> e.Ev.name = name) events))
     [ "cluster.merge"; "assign.level"; "assign.kept"; "design.evaluated" ]
 
+(* A pruned design names a competitor that stayed on its
+   architecture's front — kept or thinned — and dominates it. *)
+let test_pruned_names_front_member () =
+  let w = Helpers.mixed_workload ~scale:3000 () in
+  let config = small_config 1 in
+  let cands =
+    Mx_apex.Explore.select ~config:config.Explore.apex
+      (Mx_trace.Profile.analyze w)
+  in
+  let designs, events =
+    with_events (fun () ->
+        match Explore.phase1 config w cands with
+        | None -> Alcotest.fail "Phase I stopped without an interrupt"
+        | Some per_arch ->
+          List.iter
+            (fun ds -> ignore (Explore.local_promising config ds))
+            per_arch;
+          (List.concat per_arch, Ev.events Ev.global))
+  in
+  let by_key = Hashtbl.create 1024 and on_front = Hashtbl.create 64 in
+  List.iter
+    (fun d -> Hashtbl.replace by_key (Design.structural_key d) d)
+    designs;
+  List.iter
+    (fun (e : Ev.event) ->
+      if e.Ev.name = "design.kept" || e.Ev.name = "design.thinned" then
+        Option.iter (fun k -> Hashtbl.replace on_front k ()) (attr_str e "design"))
+    events;
+  let pruned =
+    List.filter (fun (e : Ev.event) -> e.Ev.name = "design.pruned") events
+  in
+  Helpers.check_true "something was pruned at this scale" (pruned <> []);
+  let axes = [ Design.cost; Design.latency; Design.energy ] in
+  List.iter
+    (fun e ->
+      let key = Option.get (attr_str e "design")
+      and dom = Option.get (attr_str e "dominated_by") in
+      if not (Hashtbl.mem on_front dom) then
+        Alcotest.failf "%s is pruned by %s, which was not kept or thinned" key
+          dom;
+      if
+        not
+          (Mx_util.Pareto.dominates ~axes (Hashtbl.find by_key dom)
+             (Hashtbl.find by_key key))
+      then Alcotest.failf "%s does not dominate %s" dom key)
+    pruned
+
 let test_parity_serial_vs_parallel () =
   List.iter
     (fun scale ->
@@ -362,6 +409,8 @@ let suite =
         test_canonical_dump_strips_time;
       Alcotest.test_case "chrome trace" `Quick test_chrome_trace;
       Alcotest.test_case "terminal verdicts" `Slow test_terminal_verdicts;
+      Alcotest.test_case "pruned names a front member" `Slow
+        test_pruned_names_front_member;
       Alcotest.test_case "serial = parallel events" `Slow
         test_parity_serial_vs_parallel;
       Alcotest.test_case "strategy events" `Slow test_strategy_events;

@@ -319,10 +319,8 @@ let test_eval_disk_tier () =
           Helpers.check_true "disk-promoted Exact serves Sampled"
             (p3 = Eval.Promoted && r3 = r1)))
 
-(* The ladder cells beside Exact: a Sampled result with no Exact entry
-   to promote from goes through the hot and disk tier; an Estimate is
-   computed on every request, before and after a restart, and writes
-   nothing to the store; the profile check stays eager. *)
+(* The ladder cell beside Exact: a Sampled result with no Exact entry
+   to promote from goes through the hot and disk tier. *)
 let test_eval_ladder_tiers () =
   with_dir (fun dir ->
       let w = Helpers.mixed_workload ~scale:4000 () in
@@ -337,10 +335,8 @@ let test_eval_ladder_tiers () =
         | Error e -> Alcotest.failf "open_persist: %s" e);
         Eval.clear_cache ()
       in
-      let eval what fidelity ?profile expect =
-        let r, p =
-          Eval.eval_prov ~fidelity ~workload:w ~arch ?profile ~conn ()
-        in
+      let eval what fidelity expect =
+        let r, p = Eval.eval_prov ~fidelity ~workload:w ~arch ~conn () in
         Helpers.check_true
           (Printf.sprintf "%s (got %s)" what (Eval.provenance_tag p))
           (p = expect);
@@ -349,36 +345,12 @@ let test_eval_ladder_tiers () =
       let sampled = Eval.Sampled (100, 900) in
       Fun.protect ~finally:Eval.close_persist (fun () ->
           restart ();
-          let e1 =
-            eval "cold estimate is computed" Eval.Estimate ~profile
-              Eval.Computed
-          in
-          Helpers.check_int "an estimate writes nothing to the store" 0
-            (match Eval.persist_stats () with
-            | Some s -> s.Persist.appended
-            | None -> -1);
-          let e2 =
-            eval "repeated estimate is computed" Eval.Estimate ~profile
-              Eval.Computed
-          in
           let s1 = eval "cold sampled is computed" sampled Eval.Computed in
           restart ();
-          let e3 =
-            eval "restarted estimate is computed" Eval.Estimate ~profile
-              Eval.Computed
-          in
           let s2 =
             eval "restarted sampled hits the disk" sampled Eval.Disk_hit
           in
-          Helpers.check_true "estimate identical in every tier"
-            (e1 = e2 && e2 = e3);
-          Helpers.check_true "sampled identical in both tiers" (s1 = s2);
-          Helpers.check_true "a cached estimate still requires ~profile"
-            (match
-               Eval.eval ~fidelity:Eval.Estimate ~workload:w ~arch ~conn ()
-             with
-            | _ -> false
-            | exception Invalid_argument _ -> true)))
+          Helpers.check_true "sampled identical in both tiers" (s1 = s2)))
 
 let test_eval_disk_metrics () =
   with_dir (fun dir ->
@@ -441,8 +413,8 @@ let suite =
         test_sim_result_wire_roundtrip;
       Alcotest.test_case "Eval disk tier: restart hits, promotion" `Quick
         test_eval_disk_tier;
-      Alcotest.test_case "Eval ladder: estimate and sampled through tiers"
-        `Quick test_eval_ladder_tiers;
+      Alcotest.test_case "Eval ladder: sampled in tiers" `Quick
+        test_eval_ladder_tiers;
       Alcotest.test_case "Eval disk metrics are counted and exempt" `Quick
         test_eval_disk_metrics;
     ] )
