@@ -676,13 +676,15 @@ let replacement () =
           Mx_mem.Cache.create
             { Mx_mem.Params.c_size = 2048; c_line = 32; c_assoc = 8;
               c_latency = 1; c_policy = policy }
-        in
+        and misses = ref 0 in
         Mx_trace.Trace.iter w.Mx_trace.Workload.trace
           ~f:(fun (a : Mx_trace.Access.t) ->
-            ignore
-              (Mx_mem.Cache.access c ~addr:a.Mx_trace.Access.addr
-                 ~write:(a.Mx_trace.Access.kind = Mx_trace.Access.Write)));
-        (policy, Mx_mem.Cache.misses c, Mx_mem.Cache.accesses c))
+            let r =
+              Mx_mem.Cache.access c ~addr:a.Mx_trace.Access.addr
+                ~write:(a.Mx_trace.Access.kind = Mx_trace.Access.Write)
+            in
+            if not r.Mx_mem.Cache.hit then incr misses);
+        (policy, !misses, Mx_trace.Trace.length w.Mx_trace.Workload.trace))
       Mx_mem.Params.all_policies
   in
   let wall = Unix.gettimeofday () -. t0 in

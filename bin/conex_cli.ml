@@ -255,8 +255,8 @@ let validate_out_path = function
       close_out oc
     with Sys_error msg -> die_usage "cannot write to output path: %s" msg)
 
-let write_out ~what path contents =
-  try Out_channel.with_open_text path (fun oc -> output_string oc contents)
+let write_out ~what path write =
+  try Out_channel.with_open_text path write
   with Sys_error msg -> die_io "cannot write %s: %s" what msg
 
 (* -- the option group of explore and strategies -------------------------- *)
@@ -318,7 +318,8 @@ let events_end o =
   Mx_util.Event_log.set_enabled log false;
   Option.iter
     (fun path ->
-      write_out ~what:"events" path (Mx_util.Event_log.to_jsonl log);
+      write_out ~what:"events" path (fun oc ->
+          Mx_util.Event_log.output_jsonl oc log);
       Printf.printf "%d events written to %s%s\n"
         (Mx_util.Event_log.length log)
         path
@@ -329,9 +330,10 @@ let events_end o =
   Option.iter
     (fun path ->
       let snapshot = Mx_util.Metrics.snapshot Mx_util.Metrics.global in
-      write_out ~what:"chrome trace" path
-        (Mx_util.Event_log.to_chrome_trace ~snapshot
-           (Mx_util.Event_log.events log));
+      write_out ~what:"chrome trace" path (fun oc ->
+          output_string oc
+            (Mx_util.Event_log.to_chrome_trace ~snapshot
+               (Mx_util.Event_log.events log)));
       Printf.printf "chrome trace written to %s\n" path)
     o.chrome_out
 
@@ -340,7 +342,8 @@ let metrics_end o =
   Mx_sim.Cycle_sim.record_utilization_gauges ();
   Option.iter
     (fun path ->
-      write_out ~what:"metrics trace" path (Mx_util.Metrics.to_json m);
+      write_out ~what:"metrics trace" path (fun oc ->
+          output_string oc (Mx_util.Metrics.to_json m));
       Printf.printf "metrics trace written to %s\n" path)
     o.trace_out;
   match o.metrics with
@@ -825,8 +828,6 @@ module Serve = struct
     mutable dedup : int;
   }
 
-  let metric name = Mx_util.Metrics.incr Mx_util.Metrics.global name
-
   (* the deterministic fields of an explore response: everything but
      the caller's id and the dedup flag.  These are what the response
      cache stores, so duplicates answer byte-identically. *)
@@ -889,19 +890,16 @@ module Serve = struct
      serving.  Every failure path is a per-request error response. *)
   let handle ~counters:c ~resp_cache ~jobs ~shards line =
     c.requests <- c.requests + 1;
-    metric "serve.requests";
     let fail ~id fmt =
       Printf.ksprintf
         (fun msg ->
           c.errors <- c.errors + 1;
-          metric "serve.errors";
           ( response ~id [ ("status", J.Str "error"); ("error", J.Str msg) ],
             `Continue ))
         fmt
     in
     let ok ~id ?(verdict = `Continue) fields =
       c.ok <- c.ok + 1;
-      metric "serve.ok";
       (response ~id fields, verdict)
     in
     match J.parse line with
@@ -944,10 +942,7 @@ module Serve = struct
               (explore_body ~jobs ~shards ~workload ~scale ~seed ~reduced)
           with
           | body, deduped ->
-            if deduped then begin
-              c.dedup <- c.dedup + 1;
-              metric "serve.dedup"
-            end;
+            if deduped then c.dedup <- c.dedup + 1;
             ok ~id (("dedup", J.Bool deduped) :: body)
           | exception exn -> fail ~id "explore failed: %s" (Printexc.to_string exn))
       | Some other -> fail ~id "unknown op %S" other)
@@ -989,7 +984,7 @@ let serve_cmd =
       { Serve.requests = 0; ok = 0; errors = 0; dedup = 0 }
     in
     let resp_cache : (string * Mx_util.Json.t) list Mx_util.Memo_cache.t =
-      Mx_util.Memo_cache.create ~metrics_prefix:"serve.cache" ~capacity:4096 ()
+      Mx_util.Memo_cache.create ~capacity:4096 ()
     in
     let stop = ref false in
     let serve_channel ic oc =
@@ -1002,10 +997,12 @@ let serve_cmd =
           let resp, verdict =
             Serve.handle ~counters ~resp_cache ~jobs ~shards line
           in
+          (* before the reply: a client that leaves without reading it
+             still shuts the server down *)
+          if verdict = `Shutdown then stop := true;
           output_string oc resp;
           output_char oc '\n';
-          flush oc;
-          if verdict = `Shutdown then stop := true
+          flush oc
       done
     in
     (match socket with

@@ -17,9 +17,6 @@ type t = {
   tags : int array; (* sets * assoc; -1 = invalid *)
   dirty : bool array;
   order : order;
-  mutable n_access : int;
-  mutable n_miss : int;
-  mutable n_wb : int;
 }
 
 type result = { hit : bool; fill : bool; writeback : bool; evicted_line : int option }
@@ -44,9 +41,6 @@ let create p =
         Per_set
           (Array.init sets (fun _ ->
                Replacement.create policy ~ways:p.Params.c_assoc)));
-    n_access = 0;
-    n_miss = 0;
-    n_wb = 0;
   }
 
 let params t = t.p
@@ -86,7 +80,6 @@ let[@inline] lookup t ~addr ~write =
      this check too: they equal the divisions only for a non-negative
      address. *)
   if addr < 0 then invalid_arg "Cache.lookup: negative address";
-  t.n_access <- t.n_access + 1;
   let line = addr lsr t.line_bits in
   let set = line land t.set_mask in
   let tag = line lsr t.set_bits in
@@ -108,7 +101,6 @@ let[@inline] lookup t ~addr ~write =
     hit
   end
   else begin
-    t.n_miss <- t.n_miss + 1;
     let victim =
       match t.order with
       | Recency | Fill_order -> stop - 1
@@ -123,7 +115,6 @@ let[@inline] lookup t ~addr ~write =
     in
     let old = tags.%(victim) in
     let wb = old <> -1 && dirty.!(victim) in
-    if wb then t.n_wb <- t.n_wb + 1;
     tags.%(victim) <- tag;
     dirty.!(victim) <- write;
     (match t.order with
@@ -140,22 +131,3 @@ let access t ~addr ~write =
   else
     { hit = false; fill = true; writeback = dirty code;
       evicted_line = (if code = cold_fill then None else Some (evicted code)) }
-
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  (match t.order with
-  | Recency | Fill_order -> ()
-  | Per_set repl -> Array.iter Replacement.reset repl);
-  t.n_access <- 0;
-  t.n_miss <- 0;
-  t.n_wb <- 0
-
-let accesses t = t.n_access
-let misses t = t.n_miss
-
-let miss_ratio t =
-  if t.n_access = 0 then 0.0
-  else float_of_int t.n_miss /. float_of_int t.n_access
-
-let writebacks t = t.n_wb

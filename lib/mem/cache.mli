@@ -5,7 +5,10 @@
     the paper (designs [a]/[b] of Fig. 6 are cache-only).  The simulator
     is state-accurate: hits, misses, fills and dirty evictions are all
     derived from the actual tag array, so miss ratios respond correctly
-    to size, line, associativity and policy changes.
+    to size, line, associativity and policy changes.  It keeps only the
+    state that decides an access's outcome (tags, dirty bits, each
+    set's order) and counts nothing: a caller counts the outcomes it
+    reads, as {!Mem_sim} does for every profile.
 
     {b Victim tie-breaking contract} (load-bearing for determinism, and
     pinned by regression tests):
@@ -80,15 +83,3 @@ val evicted : int -> int
 
 val dirty : int -> bool
 (** Whether a lookup code's evicted line is written back. *)
-
-val reset : t -> unit
-(** Invalidate all lines (drops dirty data — used between independent
-    experiment runs only). *)
-
-val accesses : t -> int
-val misses : t -> int
-
-val miss_ratio : t -> float
-(** 0.0 before any access. *)
-
-val writebacks : t -> int

@@ -1,34 +1,20 @@
 type t = {
   p : Params.dram;
   open_rows : int array; (* per bank; -1 = precharged *)
-  mutable n_hit : int;
-  mutable n_miss : int;
 }
 
 let create p =
   Params.validate_dram p;
-  { p; open_rows = Array.make p.Params.d_banks (-1); n_hit = 0; n_miss = 0 }
+  { p; open_rows = Array.make p.Params.d_banks (-1) }
 
 let params t = t.p
 
 let access t ~addr =
   let row = addr / t.p.Params.d_row in
   let bank = row land (t.p.Params.d_banks - 1) in
-  if t.open_rows.(bank) = row then begin
-    t.n_hit <- t.n_hit + 1;
-    t.p.Params.d_cas
-  end
+  if t.open_rows.(bank) = row then t.p.Params.d_cas
   else begin
-    t.n_miss <- t.n_miss + 1;
     let was_open = t.open_rows.(bank) <> -1 in
     t.open_rows.(bank) <- row;
     (if was_open then t.p.Params.d_rp else 0) + t.p.Params.d_rcd + t.p.Params.d_cas
   end
-
-let row_hits t = t.n_hit
-let row_misses t = t.n_miss
-
-let reset t =
-  Array.fill t.open_rows 0 (Array.length t.open_rows) (-1);
-  t.n_hit <- 0;
-  t.n_miss <- 0

@@ -2,7 +2,11 @@
 
     Returns the {e core} access latency only; serialization over the
     off-chip bus is the connectivity architecture's contribution and is
-    modelled by the simulator on top of this. *)
+    modelled by the simulator on top of this.
+
+    The model keeps only each bank's open row, which decides the next
+    access's latency, and counts nothing: {!access} returns the
+    latency, and its caller accounts for it. *)
 
 type t
 
@@ -15,7 +19,3 @@ val access : t -> addr:int -> int
 (** Latency in DRAM-side cycles for a transfer starting at [addr]:
     [d_cas] on a row hit, [d_rp + d_rcd + d_cas] on a row conflict
     ([d_rcd + d_cas] on an idle bank). *)
-
-val row_hits : t -> int
-val row_misses : t -> int
-val reset : t -> unit

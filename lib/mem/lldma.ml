@@ -2,8 +2,6 @@ type t = {
   p : Params.lldma;
   mutable last_now : int; (* -1 before the first access *)
   mutable chasing : bool;
-  mutable n_access : int;
-  mutable n_miss : int;
 }
 
 type result = { hit : bool; fetched_elems : int }
@@ -11,13 +9,12 @@ type result = { hit : bool; fetched_elems : int }
 let create p =
   if p.Params.ll_entries <= 0 || p.Params.ll_elem <= 0 || p.Params.ll_max_gap <= 0
   then invalid_arg "Lldma.create: non-positive geometry";
-  { p; last_now = -1; chasing = false; n_access = 0; n_miss = 0 }
+  { p; last_now = -1; chasing = false }
 
 let params t = t.p
 
 let access t ~now ~write =
   if now < t.last_now then invalid_arg "Lldma.access: time went backwards";
-  t.n_access <- t.n_access + 1;
   let gap = if t.last_now < 0 then max_int else now - t.last_now in
   t.last_now <- now;
   if gap <= t.p.Params.ll_max_gap && t.chasing then begin
@@ -26,22 +23,8 @@ let access t ~now ~write =
     { hit = true; fetched_elems = 1 }
   end
   else begin
-    t.n_miss <- t.n_miss + 1;
     t.chasing <- true;
     (* chase (re)start: fetch the head element; writes establish a new
        construction burst which the buffer absorbs *)
     { hit = false; fetched_elems = (if write then 0 else 1) }
   end
-
-let accesses t = t.n_access
-let misses t = t.n_miss
-
-let miss_ratio t =
-  if t.n_access = 0 then 0.0
-  else float_of_int t.n_miss /. float_of_int t.n_access
-
-let reset t =
-  t.last_now <- -1;
-  t.chasing <- false;
-  t.n_access <- 0;
-  t.n_miss <- 0

@@ -14,7 +14,11 @@
     starting, as at each LZW code or each fresh list), which the DMA
     cannot predict: that access misses and restarts the chase.  Writes
     during a chase (list construction) hit the element buffer and drain
-    to DRAM as bursts. *)
+    to DRAM as bursts.
+
+    The module keeps only its chase state (the last access index and
+    whether a chase is on) and counts nothing: {!access} returns whether
+    each access hit, and {!Mem_sim} counts the outcomes. *)
 
 type t
 
@@ -32,8 +36,3 @@ val access : t -> now:int -> write:bool -> result
 (** [now] is the global CPU access index, used to measure the gap since
     the previous access to this module.  Must be non-decreasing;
     @raise Invalid_argument when time goes backwards. *)
-
-val accesses : t -> int
-val misses : t -> int
-val miss_ratio : t -> float
-val reset : t -> unit

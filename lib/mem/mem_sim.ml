@@ -482,10 +482,11 @@ let run_group arch routed trace idx =
      one victim parameter share one buffer, fed each miss in lock-step;
    - each variant with an L2 runs its own, on every L1 miss or, behind
      a victim buffer, on that buffer's misses;
-   - every counter is an integer sum, so the rest is counted: an
-     L2-less variant's profile follows from the L1's miss and dirty
-     counts and its buffer's hits, and an L2 variant counts only its
-     L2 hits and DRAM bursts per access. *)
+   - every counter is an integer sum, so the rest is counted: the
+     family counts the L1's misses and dirty misses from its lookup
+     codes and each buffer's hits from its [recover] results, an
+     L2-less variant's profile follows from those counts, and an L2
+     variant counts only its L2 hits and DRAM bursts per access. *)
 
 let by_cache = serving_index By_cache
 
@@ -530,7 +531,8 @@ let family_profile ~n ~bytes ~line ~misses ~dirty ~vhits ~vhits_dirty l2 =
 (* One L1 pass of a family over its accesses, [bytes] in all; the
    variants' profiles, in order.  On each L1 miss every victim buffer
    takes the clean evicted line and is then probed for the missed one,
-   and every L2 the buffer in front of it missed serves the miss. *)
+   and every L2 the buffer in front of it missed serves the miss.  The
+   lookup codes and [recover] results give the family's counts. *)
 let run_family cache variants trace (idx, bytes) =
   let l1 = Cache.create cache in
   let line = cache.Params.c_line in
@@ -544,7 +546,9 @@ let run_family cache variants trace (idx, bytes) =
   in
   let bufs = Array.map Victim_cache.create victims in
   let vhit = Array.make (Array.length bufs) false
+  and vhits = Array.make (Array.length bufs) 0
   and vhits_dirty = Array.make (Array.length bufs) 0 in
+  let misses = ref 0 and dirty_misses = ref 0 in
   let routes =
     List.map
       (fun (victim, l2) ->
@@ -568,10 +572,15 @@ let run_family cache variants trace (idx, bytes) =
     if code <> Cache.hit then begin
       let evicted = Cache.evicted code and dirty = Cache.dirty code in
       let clean = if dirty then -1 else evicted and missed = addr lsr line_bits in
+      incr misses;
+      if dirty then incr dirty_misses;
       for b = 0 to Array.length bufs - 1 do
         let h = Victim_cache.recover bufs.(b) ~evicted:clean ~line:missed in
         vhit.(b) <- h;
-        if h && dirty then vhits_dirty.(b) <- vhits_dirty.(b) + 1
+        if h then begin
+          vhits.(b) <- vhits.(b) + 1;
+          if dirty then vhits_dirty.(b) <- vhits_dirty.(b) + 1
+        end
       done;
       for v = 0 to Array.length l2s - 1 do
         let x = l2s.(v) in
@@ -583,13 +592,11 @@ let run_family cache variants trace (idx, bytes) =
       done
     end
   done;
-  let n = Array.length idx
-  and misses = Cache.misses l1
-  and dirty = Cache.writebacks l1 in
+  let n = Array.length idx and misses = !misses and dirty = !dirty_misses in
   List.map
     (fun (b, l2) ->
       let vhits, vhits_dirty =
-        if b < 0 then (0, 0) else (Victim_cache.hits bufs.(b), vhits_dirty.(b))
+        if b < 0 then (0, 0) else (vhits.(b), vhits_dirty.(b))
       in
       family_profile ~n ~bytes ~line ~misses ~dirty ~vhits ~vhits_dirty l2)
     routes

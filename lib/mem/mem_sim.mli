@@ -102,8 +102,10 @@ val run_all :
     and share one pass of that L1, whose lookups allocate nothing.  Each
     miss goes, in lock-step, to one victim buffer per distinct victim
     parameter and to each variant's own L2, which sees only the misses
-    its buffer did not recover; the L2-less variants' counters are
-    derived from the L1's miss and dirty counts and the buffers' hits.
+    its buffer did not recover.  The family counts the L1's misses and
+    dirty misses from its lookup codes and each buffer's hits from its
+    [Victim_cache.recover] results (no module simulator keeps a tally),
+    and derives the L2-less variants' counters from those counts.
     This is exact because neither module acts on the L1 or reads
     [now], and every counter is an integer sum.  The scratchpad group
     and the cacheless group without a write buffer hold no state, so

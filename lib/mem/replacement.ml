@@ -122,12 +122,6 @@ let victim t =
      with Exit -> ());
     !v
 
-let reset t =
-  match t.state with
-  | Plru p -> Array.fill p.bits 0 (Array.length p.bits) false
-  | Qlru q -> Array.fill q.ages 0 t.ways 3
-  | Mru m -> Array.fill m.bits 0 t.ways false
-
 (* Hardware state-bit budget per set, charged by the cost model.  For
    True_lru this is a [log2 ways]-bit recency rank per way — exactly
    the historical [log2 assoc] bits per line — so default-policy gate

@@ -58,9 +58,6 @@ val victim : t -> int
     internal state (QLRU age normalisation); calling it repeatedly
     without an intervening [fill] returns the same way. *)
 
-val reset : t -> unit
-(** Return to the post-[create] state. *)
-
 val state_bits_per_set : Params.policy -> ways:int -> int
 (** Hardware state bits one set of [ways] ways costs under the policy
     (see the per-family accounting above).  For [True_lru] this equals

@@ -8,8 +8,6 @@ type t = {
   p : Params.stream_buffer;
   slots : slot array;
   mutable stamp : int;
-  mutable n_access : int;
-  mutable n_miss : int;
 }
 
 type result = { hit : bool; fetched_lines : int }
@@ -23,15 +21,12 @@ let create p =
       Array.init p.Params.sb_streams (fun _ ->
           { lo_line = -1; hi_line = -1; last_use = 0 });
     stamp = 0;
-    n_access = 0;
-    n_miss = 0;
   }
 
 let params t = t.p
 
 let access t ~addr ~write =
   ignore write;
-  t.n_access <- t.n_access + 1;
   t.stamp <- t.stamp + 1;
   let line = addr / t.p.Params.sb_line in
   let found = ref None in
@@ -58,7 +53,6 @@ let access t ~addr ~write =
     in
     { hit = true; fetched_lines = fetched }
   | None ->
-    t.n_miss <- t.n_miss + 1;
     (* allocate the LRU slot to this new stream *)
     let victim = ref t.slots.(0) in
     Array.iter (fun s -> if s.last_use < !victim.last_use then victim := s) t.slots;
@@ -66,21 +60,3 @@ let access t ~addr ~write =
     !victim.hi_line <- line + t.p.Params.sb_depth - 1;
     !victim.last_use <- t.stamp;
     { hit = false; fetched_lines = t.p.Params.sb_depth }
-
-let accesses t = t.n_access
-let misses t = t.n_miss
-
-let miss_ratio t =
-  if t.n_access = 0 then 0.0
-  else float_of_int t.n_miss /. float_of_int t.n_access
-
-let reset t =
-  Array.iter
-    (fun s ->
-      s.lo_line <- -1;
-      s.hi_line <- -1;
-      s.last_use <- 0)
-    t.slots;
-  t.stamp <- 0;
-  t.n_access <- 0;
-  t.n_miss <- 0

@@ -5,7 +5,11 @@
     access falling in a line the slot has already prefetched; crossing
     into the next line triggers the next prefetch so a steady stream
     stays resident.  A non-sequential access (re)allocates the
-    least-recently-used slot and refetches [sb_depth] lines. *)
+    least-recently-used slot and refetches [sb_depth] lines.
+
+    The buffer keeps only its streams' windows and their recency and
+    counts nothing: {!access} returns whether each access hit, and
+    {!Mem_sim} counts the outcomes. *)
 
 type t
 
@@ -19,7 +23,3 @@ val create : Params.stream_buffer -> t
 
 val params : t -> Params.stream_buffer
 val access : t -> addr:int -> write:bool -> result
-val accesses : t -> int
-val misses : t -> int
-val miss_ratio : t -> float
-val reset : t -> unit

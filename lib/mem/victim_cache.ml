@@ -3,7 +3,6 @@ type t = {
   lines : int array; (* -1 = empty *)
   stamps : int array; (* insertion time of each full slot *)
   mutable clock : int;
-  mutable n_hit : int;
 }
 
 let create p =
@@ -13,7 +12,6 @@ let create p =
     lines = Array.make p.Params.v_entries (-1);
     stamps = Array.make p.Params.v_entries 0;
     clock = 0;
-    n_hit = 0;
   }
 
 let params t = t.p
@@ -46,14 +44,5 @@ let recover t ~evicted ~line =
   else begin
     (* the line returns to the main cache *)
     lines.(!found) <- -1;
-    t.n_hit <- t.n_hit + 1;
     true
   end
-
-let hits t = t.n_hit
-
-let reset t =
-  Array.fill t.lines 0 (Array.length t.lines) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  t.clock <- 0;
-  t.n_hit <- 0

@@ -2,12 +2,11 @@ type t = {
   p : Params.write_buffer;
   slots : int array; (* buffered line numbers; -1 = free *)
   mutable last_drain : int; (* access index of the last drain event *)
-  mutable n_stall : int;
 }
 
 let create p =
   Params.validate_write_buffer p;
-  { p; slots = Array.make p.Params.wb_entries (-1); last_drain = 0; n_stall = 0 }
+  { p; slots = Array.make p.Params.wb_entries (-1); last_drain = 0 }
 
 let params t = t.p
 
@@ -40,9 +39,7 @@ let write t ~now ~line =
   | None, Some i ->
     t.slots.(i) <- line;
     `Absorbed
-  | None, None ->
-    t.n_stall <- t.n_stall + 1;
-    `Stall
+  | None, None -> `Stall
 
 let read_forward t ~now ~line =
   drain t ~now;
@@ -51,10 +48,3 @@ let read_forward t ~now ~line =
 let occupancy t ~now =
   drain t ~now;
   Array.fold_left (fun acc l -> if l = -1 then acc else acc + 1) 0 t.slots
-
-let stalls t = t.n_stall
-
-let reset t =
-  Array.fill t.slots 0 (Array.length t.slots) (-1);
-  t.last_drain <- 0;
-  t.n_stall <- 0

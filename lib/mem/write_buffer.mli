@@ -4,7 +4,11 @@
     Line-granular coalescing slots; one slot drains every [wb_drain]
     CPU accesses.  Reads that hit a buffered line are forwarded from
     the buffer.  When all slots are full an incoming store stalls
-    (behaves like an unbuffered write). *)
+    (behaves like an unbuffered write).
+
+    The buffer keeps only its slots and drain clock and counts nothing:
+    {!write} returns each store's outcome, and {!Mem_sim} counts the
+    stalls. *)
 
 type t
 
@@ -23,6 +27,3 @@ val read_forward : t -> now:int -> line:int -> bool
 
 val occupancy : t -> now:int -> int
 (** Slots still occupied at access-index [now] (after draining). *)
-
-val stalls : t -> int
-val reset : t -> unit

@@ -168,16 +168,26 @@ let event_json ~time e =
 
 let line_of_event ?(time = true) e = Json.to_string (event_json ~time e)
 
-let jsonl ~time evs =
-  let b = Buffer.create 4096 in
+(* The one JSONL renderer: each event's line, newline included, goes to
+   [out] in a scratch buffer as soon as it is rendered. *)
+let render_jsonl ~time evs out =
+  let line = Buffer.create 256 in
   List.iter
     (fun e ->
-      Json.to_buffer b (event_json ~time e);
-      Buffer.add_char b '\n')
-    evs;
+      Buffer.clear line;
+      Json.to_buffer line (event_json ~time e);
+      Buffer.add_char line '\n';
+      out line)
+    evs
+
+let jsonl ~time evs =
+  let b = Buffer.create 4096 in
+  render_jsonl ~time evs (Buffer.add_buffer b);
   Buffer.contents b
 
 let to_jsonl t = jsonl ~time:true (events t)
+let output_jsonl oc t =
+  render_jsonl ~time:true (events t) (Buffer.output_buffer oc)
 let canonical_dump evs = jsonl ~time:false (deterministic_events evs)
 
 (* -- JSONL parsing (via the shared Mx_util.Json reader) ------------------- *)

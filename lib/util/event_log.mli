@@ -118,6 +118,10 @@ val to_jsonl : t -> string
 (** Every resident event in emission order, one {!line_of_event} per
     line, each terminated by a newline. *)
 
+val output_jsonl : out_channel -> t -> unit
+(** {!to_jsonl}'s bytes, written to the channel one line at a time as
+    each is rendered, so a large log is never held as one string. *)
+
 val event_of_line : string -> (event, string) result
 (** Parse one JSONL line back into an event (inverse of
     {!line_of_event}; a missing ["t_ms"] reads as [0.]). *)

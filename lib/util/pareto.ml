@@ -206,21 +206,9 @@ module Archive = struct
        authoritative tie-breaker everywhere. *)
     mutable members : (int * 'a) list;
     mutable next_seq : int;
-    mutable inserts : int;
-    mutable rejects : int;
-    mutable removed : int;
-    mutable evicted : int;
   }
 
   type 'a outcome = Added of { removed : 'a list; evicted : 'a list } | Rejected
-
-  type stats = {
-    size : int;
-    inserts : int;
-    rejects : int;
-    removed : int;
-    evicted : int;
-  }
 
   let create ~axes ?(eps = 0.0) ?capacity () =
     if axes = [] then invalid_arg "Pareto.Archive.create: no axes";
@@ -228,17 +216,7 @@ module Archive = struct
     (match capacity with
     | Some c when c < 1 -> invalid_arg "Pareto.Archive.create: capacity < 1"
     | _ -> ());
-    {
-      axes;
-      eps;
-      capacity;
-      members = [];
-      next_seq = 0;
-      inserts = 0;
-      rejects = 0;
-      removed = 0;
-      evicted = 0;
-    }
+    { axes; eps; capacity; members = []; next_seq = 0 }
 
   (* Relaxed dominance for thinning: [m] eps-dominates [v] when m is
      within a (1+eps) multiplicative slack of v on every axis and
@@ -263,15 +241,6 @@ module Archive = struct
     List.map snd (List.sort (compare_members t.axes) t.members)
 
   let size t = List.length t.members
-
-  let stats t =
-    {
-      size = size t;
-      inserts = t.inserts;
-      rejects = t.rejects;
-      removed = t.removed;
-      evicted = t.evicted;
-    }
 
   (* Capacity thinning: drop the most crowded member — smallest
      NSGA-II-style crowding distance (sum over axes of the span-
@@ -316,10 +285,7 @@ module Archive = struct
   let insert t v =
     if List.exists (fun (_, m) -> eps_dominates ~axes:t.axes ~eps:t.eps m v)
          t.members
-    then begin
-      t.rejects <- t.rejects + 1;
-      Rejected
-    end
+    then Rejected
     else begin
       let dominated, kept =
         List.partition (fun (_, m) -> dominates ~axes:t.axes v m) t.members
@@ -330,7 +296,6 @@ module Archive = struct
       in
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
-      t.inserts <- t.inserts + 1;
       t.members <- (seq, v) :: kept;
       let evicted =
         match t.capacity with
@@ -342,8 +307,6 @@ module Archive = struct
           done;
           List.rev !out
       in
-      t.removed <- t.removed + List.length removed;
-      t.evicted <- t.evicted + List.length evicted;
       Added { removed; evicted }
     end
 

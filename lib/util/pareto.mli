@@ -112,7 +112,11 @@ end
     With [eps = 0] and no [capacity] (the defaults), the final [front]
     over a full insertion stream equals [front2 ~x ~y] of the same list
     for two axes (same members, same order, duplicates included), and
-    the non-dominated subset of [front ~axes] for any axis count. *)
+    the non-dominated subset of [front ~axes] for any axis count.
+
+    The archive keeps only its members and their insertion order, and
+    counts nothing: each {!insert} returns its outcome, and the caller
+    counts those (the explorer's [explore.archive.*] metrics). *)
 module Archive : sig
   type 'a t
 
@@ -123,14 +127,6 @@ module Archive : sig
             [evicted] = members dropped by capacity thinning (possibly
             including the new point itself). *)
     | Rejected  (** (ε-)dominated by an archived member; not inserted. *)
-
-  type stats = {
-    size : int;      (** current member count *)
-    inserts : int;   (** accepted insertions *)
-    rejects : int;   (** (ε-)dominated insertions *)
-    removed : int;   (** members displaced by dominating inserts *)
-    evicted : int;   (** members dropped by capacity thinning *)
-  }
 
   val create :
     axes:'a axis list -> ?eps:float -> ?capacity:int -> unit -> 'a t
@@ -155,7 +151,6 @@ module Archive : sig
       order — for two axes this is exactly [front2]'s output order. *)
 
   val size : 'a t -> int
-  val stats : 'a t -> stats
 
   val of_list :
     axes:'a axis list -> ?eps:float -> ?capacity:int -> 'a list -> 'a t

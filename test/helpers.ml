@@ -141,3 +141,29 @@ let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_true msg b = check_bool msg true b
+
+(* One alcotest case for a property of the harness's runner: [count]
+   cases at a fixed master seed with sizes cycling through
+   [1 .. max_size], and the first counterexample reported at its
+   shrunk size.  A property of the registered check [suite] is named
+   "suite: property" and its failure carries the line that replays it
+   under [conex check] (a case's seed depends on the property's name
+   only); a test's own property reports its seed. *)
+let prop_case ?(count = 100) ?suite (p : Mx_check.Runner.prop) =
+  let module R = Mx_check.Runner in
+  let name =
+    Option.fold suite ~none:p.R.name ~some:(fun s -> s ^ ": " ^ p.R.name)
+  in
+  Alcotest.test_case name `Quick (fun () ->
+      let r =
+        R.run_suite ~master:0xC0DE ~count
+          (Option.value suite ~default:p.R.name, [ p ])
+      in
+      match r.R.failures with
+      | [] -> ()
+      | f :: _ ->
+        Alcotest.failf "%s: %s (shrunk from size %d to %d)\n  %s"
+          f.R.prop_name f.R.message f.R.shrunk_from f.R.size
+          (match suite with
+          | Some s -> "repro: " ^ R.repro ~suite:s f
+          | None -> Printf.sprintf "seed %d" f.R.seed))

@@ -1,6 +1,7 @@
 module Cache = Mx_mem.Cache
 module Params = Mx_mem.Params
 module Replacement = Mx_mem.Replacement
+module Runner = Mx_check.Runner
 
 let mk ?(size = 1024) ?(line = 16) ?(assoc = 2)
     ?(policy = Params.default_policy) () =
@@ -79,33 +80,25 @@ let test_write_allocate () =
   Helpers.check_true "write then read hits"
     (Cache.access c ~addr:0x42 ~write:false).Cache.hit
 
-let test_counters () =
-  let c = mk () in
-  ignore (Cache.access c ~addr:0 ~write:false);
-  ignore (Cache.access c ~addr:0 ~write:false);
-  ignore (Cache.access c ~addr:4096 ~write:false);
-  Helpers.check_int "accesses" 3 (Cache.accesses c);
-  Helpers.check_int "misses" 2 (Cache.misses c);
-  Alcotest.(check (float 1e-9)) "miss ratio" (2.0 /. 3.0) (Cache.miss_ratio c)
+(* The cache counts nothing; a caller counts the misses it reads. *)
+let count_miss misses c ~addr =
+  if not (Cache.access c ~addr ~write:false).Cache.hit then incr misses
 
-let test_reset () =
-  let c = mk () in
-  ignore (Cache.access c ~addr:0 ~write:true);
-  Cache.reset c;
-  Helpers.check_int "counters cleared" 0 (Cache.accesses c);
-  Helpers.check_true "state cleared"
-    (not (Cache.access c ~addr:0 ~write:false).Cache.hit)
+let test_counters () =
+  let c = mk () and misses = ref 0 in
+  List.iter (fun addr -> count_miss misses c ~addr) [ 0; 0; 4096 ];
+  Helpers.check_int "misses" 2 !misses
 
 let test_bigger_cache_fewer_misses () =
   let small = mk ~size:512 () and big = mk ~size:8192 () in
+  let small_misses = ref 0 and big_misses = ref 0 in
   let g = Mx_util.Prng.create ~seed:99 in
   for _ = 1 to 5000 do
     let addr = Mx_util.Prng.zipf g ~n:512 ~s:1.0 * 16 in
-    ignore (Cache.access small ~addr ~write:false);
-    ignore (Cache.access big ~addr ~write:false)
+    count_miss small_misses small ~addr;
+    count_miss big_misses big ~addr
   done;
-  Helpers.check_true "monotone in size"
-    (Cache.misses big <= Cache.misses small)
+  Helpers.check_true "monotone in size" (!big_misses <= !small_misses)
 
 let test_higher_assoc_no_conflicts () =
   (* k+1 conflicting lines thrash a k-way set but fit in 2k ways *)
@@ -113,15 +106,15 @@ let test_higher_assoc_no_conflicts () =
   and a4 = mk ~size:1024 ~line:16 ~assoc:4 () in
   let sets2 = 1024 / 16 / 2 in
   let addrs = List.init 3 (fun i -> i * sets2 * 16) in
+  let a2_misses = ref 0 and a4_misses = ref 0 in
   for _ = 1 to 50 do
     List.iter
       (fun addr ->
-        ignore (Cache.access a2 ~addr ~write:false);
-        ignore (Cache.access a4 ~addr ~write:false))
+        count_miss a2_misses a2 ~addr;
+        count_miss a4_misses a4 ~addr)
       addrs
   done;
-  Helpers.check_true "4-way absorbs the conflict set"
-    (Cache.misses a4 < Cache.misses a2)
+  Helpers.check_true "4-way absorbs the conflict set" (!a4_misses < !a2_misses)
 
 let test_geometry_validation () =
   List.iter
@@ -141,11 +134,11 @@ let test_full_assoc_working_set () =
   let c = mk ~size:256 ~line:16 ~assoc:16 () in
   let addrs = List.init 16 (fun i -> i * 16) in
   List.iter (fun addr -> ignore (Cache.access c ~addr ~write:false)) addrs;
-  let before = Cache.misses c in
+  let misses = ref 0 in
   for _ = 1 to 10 do
-    List.iter (fun addr -> ignore (Cache.access c ~addr ~write:false)) addrs
+    List.iter (fun addr -> count_miss misses c ~addr) addrs
   done;
-  Helpers.check_int "no misses after warmup" before (Cache.misses c)
+  Helpers.check_int "no misses after warmup" 0 !misses
 
 (* -- victim tie-breaking (the contract documented in cache.mli) ------------ *)
 
@@ -198,8 +191,8 @@ let test_lru_eviction_order () =
 let test_replacement_equal_stamps_lowest_way () =
   (* the observable order of a true-LRU set (this case once pinned the
      tie-break of per-way stamps, hence its name): a part-full set
-     evicts nothing, a touched line survives the next eviction, and
-     reset restores the empty set *)
+     evicts nothing, a touched line survives the next eviction, and a
+     full set then evicts its least recent line on every miss *)
   let c = mk ~size:1024 ~line:16 ~assoc:4 () in
   let evicted addr = (Cache.access c ~addr ~write:false).Cache.evicted_line in
   match conflict_addrs ~size:1024 ~line:16 ~assoc:4 6 with
@@ -214,13 +207,11 @@ let test_replacement_equal_stamps_lowest_way () =
       (evicted e = Some (line_of b));
     Helpers.check_true "the touched line survives"
       (Cache.access c ~addr:a ~write:false).Cache.hit;
-    Cache.reset c;
-    List.iter
-      (fun addr ->
-        Helpers.check_true "reset restores the empty set" (evicted addr = None))
-      [ f; e; d; cc ];
-    Helpers.check_true "refilled, the first fill after reset goes first"
-      (evicted a = Some (line_of f));
+    (* most recent first, the set is now a, e, d, cc *)
+    Helpers.check_true "the least recent line goes next"
+      (evicted f = Some (line_of cc));
+    Helpers.check_true "then the next least recent"
+      (evicted b = Some (line_of d));
     Helpers.check_true "the cache keeps true LRU without a Replacement state"
       (try
          ignore (Replacement.create Params.True_lru ~ways:4);
@@ -358,25 +349,24 @@ let test_cost_model_policy_aware () =
   Helpers.check_int "the two QLRU variants store the same bits"
     (cost Params.Qlru_h11_m1) (cost Params.Qlru_h00_m0)
 
-let qcheck_hit_ratio_bounds =
-  QCheck.Test.make ~name:"cache miss count never exceeds access count"
-    QCheck.(list_of_size (Gen.int_range 1 300) (int_range 0 100_000))
-    (fun addrs ->
+(* [size] addresses in [0, 1_000_000], one case per length 1..100 *)
+let prop_repeat_access_hits =
+  Runner.prop ~max_size:100 "immediately repeated access always hits"
+    (fun ~seed ~size ->
+      let g = Mx_util.Prng.create ~seed in
+      let addrs =
+        List.init size (fun _ -> Mx_util.Prng.int_in g ~lo:0 ~hi:1_000_000)
+      in
       let c = mk () in
-      List.iter (fun addr -> ignore (Cache.access c ~addr ~write:false)) addrs;
-      Cache.misses c <= Cache.accesses c
-      && Cache.accesses c = List.length addrs)
-
-let qcheck_repeat_access_hits =
-  QCheck.Test.make ~name:"immediately repeated access always hits"
-    QCheck.(list_of_size (Gen.int_range 1 100) (int_range 0 1_000_000))
-    (fun addrs ->
-      let c = mk () in
-      List.for_all
-        (fun addr ->
-          ignore (Cache.access c ~addr ~write:false);
-          (Cache.access c ~addr ~write:false).Cache.hit)
-        addrs)
+      match
+        List.find_opt
+          (fun addr ->
+            ignore (Cache.access c ~addr ~write:false);
+            not (Cache.access c ~addr ~write:false).Cache.hit)
+          addrs
+      with
+      | None -> Runner.Pass
+      | Some addr -> Runner.failf "the repeat of %#x missed" addr)
 
 let suite =
   ( "cache",
@@ -388,7 +378,6 @@ let suite =
       Alcotest.test_case "lookup codes" `Quick test_lookup_codes;
       Alcotest.test_case "write allocate" `Quick test_write_allocate;
       Alcotest.test_case "counters" `Quick test_counters;
-      Alcotest.test_case "reset" `Quick test_reset;
       Alcotest.test_case "size monotone" `Quick test_bigger_cache_fewer_misses;
       Alcotest.test_case "associativity" `Quick test_higher_assoc_no_conflicts;
       Alcotest.test_case "geometry validation" `Quick test_geometry_validation;
@@ -410,6 +399,5 @@ let suite =
         test_state_bits_per_set;
       Alcotest.test_case "cost model policy-aware" `Quick
         test_cost_model_policy_aware;
-      QCheck_alcotest.to_alcotest qcheck_hit_ratio_bounds;
-      QCheck_alcotest.to_alcotest qcheck_repeat_access_hits;
+      Helpers.prop_case prop_repeat_access_hits;
     ] )

@@ -12,29 +12,13 @@ module Workload = Mx_trace.Workload
 module Trace = Mx_trace.Trace
 module Synthetic = Mx_trace.Synthetic
 
-(* Shared by test_properties and test_fuzz: run one harness suite and
-   fail with the CLI reproduction line on the first counterexample. *)
-let fail_on_counterexamples suite_name (r : Runner.report) =
-  match r.Runner.failures with
-  | [] -> ()
-  | f :: _ ->
-    Alcotest.failf "%s: %s (shrunk from size %d to %d)\n  repro: %s"
-      f.Runner.prop_name f.Runner.message f.Runner.shrunk_from f.Runner.size
-      (Runner.repro ~suite:suite_name f)
-
-let run_check_suite ?(count = 150) name =
-  match Suites.find name with
-  | None -> Alcotest.failf "unknown check suite %S" name
-  | Some props ->
-    fail_on_counterexamples name
-      (Runner.run_suite ~master:0xC0DE ~count (name, props))
-
-(* Per-property variant: each harness property becomes its own alcotest
-   case, so `dune runtest` lists and times every property individually
-   and one counterexample no longer hides the rest of its suite.
-   Seeds are unchanged — {!Runner.case_seed} depends on the property
-   name, not on which siblings run alongside it — so a repro line from
-   here replays identically under `conex check --suite`. *)
+(* Shared by test_properties and test_fuzz: each property of a harness
+   suite becomes its own alcotest case ({!Helpers.prop_case}), so `dune
+   runtest` lists and times every property individually and one
+   counterexample does not hide the rest of its suite.  Seeds are
+   unchanged — {!Runner.case_seed} depends on the property name, not on
+   which siblings run alongside it — so a repro line from here replays
+   identically under `conex check --suite`. *)
 let check_prop_cases ?(count = 150) name =
   match Suites.find name with
   | None ->
@@ -42,16 +26,7 @@ let check_prop_cases ?(count = 150) name =
       Alcotest.test_case name `Quick (fun () ->
           Alcotest.failf "unknown check suite %S" name);
     ]
-  | Some props ->
-    List.map
-      (fun (p : Runner.prop) ->
-        Alcotest.test_case
-          (name ^ ": " ^ p.Runner.name)
-          `Quick
-          (fun () ->
-            fail_on_counterexamples name
-              (Runner.run_suite ~master:0xC0DE ~count (name, [ p ]))))
-      props
+  | Some props -> List.map (Helpers.prop_case ~count ~suite:name) props
 
 (* -- runner mechanics --------------------------------------------------- *)
 

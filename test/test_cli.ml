@@ -832,6 +832,18 @@ let test_serve_vanished_client () =
   Helpers.check_true "the store is closed on shutdown"
     (Test_metrics.contains ~needle:"persistent cache:" (stderr ()))
 
+let test_serve_unread_shutdown () =
+  (* the client sends shutdown and leaves before the reply: the server's
+     write fails, and it must still shut down and remove its socket *)
+  with_socket_server @@ fun ~path ~connect ~send ~exited ~stderr ->
+  let fd = connect ~tries:600 () in
+  send fd "{\"id\": 1, \"op\": \"shutdown\"}";
+  Unix.close fd;
+  let st = exited () in
+  if st <> Unix.WEXITED 0 then
+    Alcotest.failf "serve: %s (stderr: %s)" (exit_status_str st) (stderr ());
+  Helpers.check_true "the socket is removed" (not (Sys.file_exists path))
+
 (* [conex serve --socket path], which must exit on its own *)
 let serve_status path =
   match conex_bin with
@@ -979,6 +991,8 @@ let suite =
         test_serve_cache_dir_warm_start;
       Alcotest.test_case "serve survives a vanished client" `Slow
         test_serve_vanished_client;
+      Alcotest.test_case "serve stops on an unread shutdown" `Quick
+        test_serve_unread_shutdown;
       Alcotest.test_case "serve refuses a non-socket path" `Quick
         test_serve_refuses_file;
       Alcotest.test_case "serve refuses a live socket" `Quick

@@ -1,4 +1,5 @@
 module Pareto = Mx_util.Pareto
+module Runner = Mx_check.Runner
 
 type pt = { x : float; y : float; z : float }
 
@@ -126,24 +127,41 @@ let test_archive_create_validates () =
   expect_invalid "zero capacity" (fun () ->
       Pareto.Archive.create ~axes:[ px ] ~capacity:0 ())
 
+(* The archive counts nothing; its caller tallies the outcomes. *)
+type tally = { mutable added : int; mutable rejected : int;
+               mutable removed : int; mutable evicted : int }
+
+let tallied a =
+  let t = { added = 0; rejected = 0; removed = 0; evicted = 0 } in
+  ( t,
+    fun p ->
+      let o = Pareto.Archive.insert a p in
+      (match o with
+      | Pareto.Archive.Added { removed; evicted } ->
+        t.added <- t.added + 1;
+        t.removed <- t.removed + List.length removed;
+        t.evicted <- t.evicted + List.length evicted
+      | Pareto.Archive.Rejected -> t.rejected <- t.rejected + 1);
+      o )
+
 let test_archive_insert_basics () =
   let a = Pareto.Archive.create ~axes:[ px; py ] () in
-  (match Pareto.Archive.insert a (mk 2.0 2.0 0.0) with
+  let s, insert = tallied a in
+  (match insert (mk 2.0 2.0 0.0) with
   | Pareto.Archive.Added { removed = []; evicted = [] } -> ()
   | _ -> Alcotest.fail "first insert should add cleanly");
-  (match Pareto.Archive.insert a (mk 3.0 3.0 0.0) with
+  (match insert (mk 3.0 3.0 0.0) with
   | Pareto.Archive.Rejected -> ()
   | _ -> Alcotest.fail "dominated insert should be rejected");
-  (match Pareto.Archive.insert a (mk 1.0 1.0 0.0) with
+  (match insert (mk 1.0 1.0 0.0) with
   | Pareto.Archive.Added { removed = [ r ]; evicted = [] } ->
     Helpers.check_true "displaced the dominated member"
       (r.x = 2.0 && r.y = 2.0)
   | _ -> Alcotest.fail "dominating insert should displace the member");
   Helpers.check_int "one member" 1 (Pareto.Archive.size a);
-  let s = Pareto.Archive.stats a in
-  Helpers.check_int "inserts" 2 s.Pareto.Archive.inserts;
-  Helpers.check_int "rejects" 1 s.Pareto.Archive.rejects;
-  Helpers.check_int "removed" 1 s.Pareto.Archive.removed
+  Helpers.check_int "inserts" 2 s.added;
+  Helpers.check_int "rejects" 1 s.rejected;
+  Helpers.check_int "removed" 1 s.removed
 
 let test_archive_front_matches_front2 () =
   let pts =
@@ -172,46 +190,50 @@ let test_archive_eps_thins () =
 
 let test_archive_capacity_evicts_crowded () =
   let a = Pareto.Archive.create ~axes:[ px; py ] ~capacity:3 () in
+  let s, insert = tallied a in
   (* four mutually non-dominated points; the crowded interior one goes,
      never an extreme *)
   List.iter
-    (fun p -> ignore (Pareto.Archive.insert a p))
+    (fun p -> ignore (insert p))
     [ mk 0.0 3.0 0.0; mk 1.0 2.0 0.0; mk 1.1 1.9 0.0; mk 3.0 0.0 0.0 ];
   Helpers.check_int "capacity respected" 3 (Pareto.Archive.size a);
   let f = Pareto.Archive.front a in
   Helpers.check_true "extremes survive"
     (List.exists (fun p -> p.x = 0.0) f && List.exists (fun p -> p.x = 3.0) f);
-  Helpers.check_int "one eviction counted" 1
-    (Pareto.Archive.stats a).Pareto.Archive.evicted
+  Helpers.check_int "one eviction counted" 1 s.evicted
 
-let qcheck_front_members_not_dominated =
-  let gen =
-    QCheck.(list_of_size (Gen.int_range 1 40) (pair (float_bound_exclusive 100.0) (float_bound_exclusive 100.0)))
-  in
-  QCheck.Test.make ~name:"no front member is dominated by any input" gen
-    (fun pts ->
-      let pts = List.map (fun (x, y) -> mk x y 0.0) pts in
+(* [size] points with both coordinates in [0, 100), one case per
+   length 1..40 and their front *)
+let front_prop name holds =
+  Runner.prop ~max_size:40 name (fun ~seed ~size ->
+      let g = Mx_util.Prng.create ~seed in
+      let xs = Mx_check.Gen.floats g ~size in
+      let ys = Mx_check.Gen.floats g ~size in
+      let pts = List.map2 (fun x y -> mk x y 0.0) xs ys in
       let f = Pareto.front ~axes:[ px; py ] pts in
-      List.for_all
+      match holds pts f with
+      | None -> Runner.Pass
+      | Some p -> Runner.failf "(%g, %g) of %d points" p.x p.y size)
+
+(* the front member some input dominates, if any *)
+let prop_front_members_not_dominated =
+  front_prop "no front member is dominated by any input" (fun pts f ->
+      List.find_opt
         (fun m ->
-          not (List.exists (fun p -> Pareto.dominates ~axes:[ px; py ] p m) pts))
+          List.exists (fun p -> Pareto.dominates ~axes:[ px; py ] p m) pts)
         f)
 
-let qcheck_front_covers_inputs =
-  let gen =
-    QCheck.(list_of_size (Gen.int_range 1 40) (pair (float_bound_exclusive 100.0) (float_bound_exclusive 100.0)))
-  in
-  QCheck.Test.make ~name:"every input is dominated by or on the front" gen
-    (fun pts ->
-      let pts = List.map (fun (x, y) -> mk x y 0.0) pts in
-      let f = Pareto.front ~axes:[ px; py ] pts in
-      List.for_all
+(* the input neither on the front nor dominated by it, if any *)
+let prop_front_covers_inputs =
+  front_prop "every input is dominated by or on the front" (fun pts f ->
+      List.find_opt
         (fun p ->
-          List.exists
-            (fun m ->
-              (m.x = p.x && m.y = p.y)
-              || Pareto.dominates ~axes:[ px; py ] m p)
-            f)
+          not
+            (List.exists
+               (fun m ->
+                 (m.x = p.x && m.y = p.y)
+                 || Pareto.dominates ~axes:[ px; py ] m p)
+               f))
         pts)
 
 let suite =
@@ -240,6 +262,6 @@ let suite =
       Alcotest.test_case "archive eps thins" `Quick test_archive_eps_thins;
       Alcotest.test_case "archive capacity evicts" `Quick
         test_archive_capacity_evicts_crowded;
-      QCheck_alcotest.to_alcotest qcheck_front_members_not_dominated;
-      QCheck_alcotest.to_alcotest qcheck_front_covers_inputs;
+      Helpers.prop_case prop_front_members_not_dominated;
+      Helpers.prop_case prop_front_covers_inputs;
     ] )

@@ -1,4 +1,5 @@
 module Prng = Mx_util.Prng
+module Runner = Mx_check.Runner
 
 let test_determinism () =
   let a = Prng.create ~seed:42 and b = Prng.create ~seed:42 in
@@ -139,21 +140,24 @@ let test_gaussian_moments () =
   Helpers.check_true "gaussian mean" (Float.abs (mean -. 5.0) < 0.1);
   Helpers.check_true "gaussian variance" (Float.abs (var -. 4.0) < 0.3)
 
-let qcheck_int_in_range =
-  QCheck.Test.make ~name:"int bound respected for arbitrary bounds"
-    QCheck.(pair small_int (int_range 1 10_000))
-    (fun (seed, bound) ->
+(* each case draws a generator seed in [0, 100) and a bound in
+   [1, hi], then checks one draw under that bound *)
+let bound_prop name ~hi draw =
+  Runner.prop name (fun ~seed ~size:_ ->
       let g = Prng.create ~seed in
-      let v = Prng.int g ~bound in
-      v >= 0 && v < bound)
+      let seed = Prng.int g ~bound:100 in
+      let bound = Prng.int_in g ~lo:1 ~hi in
+      let v = draw (Prng.create ~seed) bound in
+      Runner.check (v >= 0 && v < bound) "seed %d, bound %d: drew %d" seed
+        bound v)
 
-let qcheck_zipf_in_range =
-  QCheck.Test.make ~name:"zipf rank always within [0,n)"
-    QCheck.(pair small_int (int_range 1 500))
-    (fun (seed, n) ->
-      let g = Prng.create ~seed in
-      let v = Prng.zipf g ~n ~s:1.1 in
-      v >= 0 && v < n)
+let prop_int_in_range =
+  bound_prop "int bound respected for arbitrary bounds" ~hi:10_000
+    (fun g bound -> Prng.int g ~bound)
+
+let prop_zipf_in_range =
+  bound_prop "zipf rank always within [0,n)" ~hi:500 (fun g n ->
+      Prng.zipf g ~n ~s:1.1)
 
 let suite =
   ( "prng",
@@ -174,6 +178,6 @@ let suite =
       Alcotest.test_case "zipf bounds and skew" `Quick test_zipf_bounds_and_skew;
       Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
       Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
-      QCheck_alcotest.to_alcotest qcheck_int_in_range;
-      QCheck_alcotest.to_alcotest qcheck_zipf_in_range;
+      Helpers.prop_case prop_int_in_range;
+      Helpers.prop_case prop_zipf_in_range;
     ] )

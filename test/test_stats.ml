@@ -1,4 +1,5 @@
 module Stats = Mx_util.Stats
+module Runner = Mx_check.Runner
 
 let test_running_empty () =
   let r = Stats.Running.create () in
@@ -70,13 +71,18 @@ let test_ratio_pct () =
   Helpers.check_float "zero denominator" 0.0 (Stats.ratio_pct 5.0 0.0);
   Helpers.check_float "regression negative" (-100.0) (Stats.ratio_pct 10.0 5.0)
 
-let qcheck_running_mean_matches_list_mean =
-  QCheck.Test.make ~name:"running mean equals list mean"
-    QCheck.(list_of_size (Gen.int_range 1 50) (float_bound_exclusive 1000.0))
-    (fun xs ->
+(* [size] values in [0, 1000), one case per length 1..50 *)
+let prop_running_mean_matches_list_mean =
+  Runner.prop ~max_size:50 "running mean equals list mean"
+    (fun ~seed ~size ->
+      let g = Mx_util.Prng.create ~seed in
+      let xs = List.init size (fun _ -> Mx_util.Prng.float g *. 1000.0) in
       let r = Stats.Running.create () in
       List.iter (Stats.Running.add r) xs;
-      Float.abs (Stats.Running.mean r -. Stats.mean xs) < 1e-6)
+      let running = Stats.Running.mean r and mean = Stats.mean xs in
+      Runner.check
+        (Float.abs (running -. mean) < 1e-6)
+        "running %.17g, list %.17g over %d values" running mean size)
 
 let suite =
   ( "stats",
@@ -91,5 +97,5 @@ let suite =
       Alcotest.test_case "spearman" `Quick test_spearman;
       Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
       Alcotest.test_case "ratio pct" `Quick test_ratio_pct;
-      QCheck_alcotest.to_alcotest qcheck_running_mean_matches_list_mean;
+      Helpers.prop_case prop_running_mean_matches_list_mean;
     ] )

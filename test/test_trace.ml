@@ -2,6 +2,8 @@ module Access = Mx_trace.Access
 module Trace = Mx_trace.Trace
 module Layout = Mx_trace.Layout
 module Region = Mx_trace.Region
+module Runner = Mx_check.Runner
+module Prng = Mx_util.Prng
 
 (* -- Access ---------------------------------------------------------- *)
 
@@ -151,28 +153,27 @@ let test_region_elem_addr_oob () =
     (Invalid_argument "Region.elem_addr: element 4 outside r") (fun () ->
       ignore (Region.elem_addr r 4))
 
-let qcheck_trace_roundtrip =
-  QCheck.Test.make ~name:"trace add/get roundtrip"
-    QCheck.(
-      list_of_size (Gen.int_range 1 200)
-        (quad (int_range 0 0xFFFFFF) (int_range 0 3) bool (int_range 0 1000)))
-    (fun entries ->
+(* [size] accesses (address in [0, 0xFFFFFF], any size code and kind,
+   region in [0, 1000]), one case per length 1..200 *)
+let prop_trace_roundtrip =
+  Runner.prop ~max_size:200 "trace add/get roundtrip" (fun ~seed ~size ->
+      let g = Prng.create ~seed in
+      let entries =
+        List.init size (fun _ ->
+            let addr = Prng.int_in g ~lo:0 ~hi:0xFFFFFF in
+            let width = Access.size_of_code (Prng.int g ~bound:4) in
+            let kind = if Prng.bool g ~p:0.5 then Access.Write else Access.Read in
+            let region = Prng.int_in g ~lo:0 ~hi:1000 in
+            { Access.addr; size = width; kind; region })
+      in
       let t = Trace.create () in
       List.iter
-        (fun (addr, szc, w, region) ->
-          Trace.add t ~addr ~size:(Access.size_of_code szc)
-            ~kind:(if w then Access.Write else Access.Read)
-            ~region)
+        (fun (a : Access.t) ->
+          Trace.add t ~addr:a.addr ~size:a.size ~kind:a.kind ~region:a.region)
         entries;
-      List.for_all2
-        (fun (addr, szc, w, region) i ->
-          let a = Trace.get t i in
-          a.Access.addr = addr
-          && a.Access.size = Access.size_of_code szc
-          && a.Access.kind = (if w then Access.Write else Access.Read)
-          && a.Access.region = region)
-        entries
-        (List.init (List.length entries) (fun i -> i)))
+      let changed = List.filteri (fun i a -> Trace.get t i <> a) entries in
+      Runner.check (changed = []) "%d of %d accesses read back changed"
+        (List.length changed) size)
 
 let suite =
   ( "trace",
@@ -193,5 +194,5 @@ let suite =
       Alcotest.test_case "layout bad align" `Quick test_layout_bad_align;
       Alcotest.test_case "region elem addr" `Quick test_region_elem_addr;
       Alcotest.test_case "region elem oob" `Quick test_region_elem_addr_oob;
-      QCheck_alcotest.to_alcotest qcheck_trace_roundtrip;
+      Helpers.prop_case ~count:200 prop_trace_roundtrip;
     ] )
