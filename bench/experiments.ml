@@ -631,8 +631,9 @@ let events () =
     (100.0 *. ((on_s /. Float.max 1e-9 off_s) -. 1.0))
     (List.length events) (List.length created)
     (Mx_util.Event_log.dropped log);
-  (* events on, the run takes Phase I's collect sink; off, its front
-     sink: the two must agree end to end *)
+  (* events on, Phase I walks every architecture's shards once more to
+     emit each estimate's record and verdict; it must not change what
+     the run keeps *)
   check "recording events changes no result"
     (off.Explore.n_estimates = on.Explore.n_estimates
     && off.Explore.simulated = on.Explore.simulated

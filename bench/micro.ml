@@ -85,9 +85,9 @@ let test_fig4_phase1_cold =
      let cand = Lazy.force candidate in
      Mx_sim.Eval.clear_cache ();
      ignore
-       (Conex.Explore.connectivity_exploration
+       (Conex.Explore.phase1
           { Conex.Explore.default_config with Conex.Explore.jobs = 1 }
-          w cand))
+          w [ cand ]))
 
 (* One assignment of the finest clustering level from its level plan:
    the plan and the level's tables are built once, so this times the
@@ -120,7 +120,7 @@ let test_fig4_level_estimate =
      let lv, choice = Lazy.force level_plan in
      Mx_sim.Estimator.assess lv choice)
 
-(* Phase I of the same candidate through the front sink: every estimate
+(* Phase I of the same candidate as explore runs it: every estimate
    feeds its shard's front, and only the architecture's front points
    become designs. *)
 let test_fig4_phase1_stream =

@@ -313,20 +313,34 @@ let metrics_wanted o =
 
 let events_wanted o = o.events_out <> None || o.chrome_out <> None
 
-let events_end o =
+(* --events-out gets each event as it is emitted; the ring keeps them
+   only for --chrome-out, rendered after the run *)
+let events_begin o =
+  let log = Mx_util.Event_log.global in
+  Mx_util.Event_log.reset log;
+  let out =
+    Option.map
+      (fun path ->
+        try (path, open_out path)
+        with Sys_error msg -> die_io "cannot write events: %s" msg)
+      o.events_out
+  in
+  Mx_util.Event_log.set_output log ~keep:(o.chrome_out <> None)
+    (Option.map snd out);
+  Mx_util.Event_log.set_enabled log true;
+  out
+
+let events_end o out =
   let log = Mx_util.Event_log.global in
   Mx_util.Event_log.set_enabled log false;
   Option.iter
-    (fun path ->
-      write_out ~what:"events" path (fun oc ->
-          Mx_util.Event_log.output_jsonl oc log);
-      Printf.printf "%d events written to %s%s\n"
-        (Mx_util.Event_log.length log)
-        path
-        (match Mx_util.Event_log.dropped log with
-        | 0 -> ""
-        | n -> Printf.sprintf " (%d oldest dropped by the ring bound)" n))
-    o.events_out;
+    (fun (path, oc) ->
+      let n = Mx_util.Event_log.written log in
+      Mx_util.Event_log.set_output log None;
+      (try close_out oc
+       with Sys_error msg -> die_io "cannot write events: %s" msg);
+      Printf.printf "%d events written to %s\n" n path)
+    out;
   Option.iter
     (fun path ->
       let snapshot = Mx_util.Metrics.snapshot Mx_util.Metrics.global in
@@ -381,10 +395,7 @@ let with_run o ?run_dir f =
     Mx_util.Metrics.reset m;
     Mx_util.Metrics.set_enabled m true
   end;
-  if events_wanted o then begin
-    Mx_util.Event_log.reset Mx_util.Event_log.global;
-    Mx_util.Event_log.set_enabled Mx_util.Event_log.global true
-  end;
+  let events = if events_wanted o then Some (events_begin o) else None in
   Option.iter
     (fun path ->
       Mx_util.Snapshot.start ~interval:o.status_interval
@@ -394,7 +405,7 @@ let with_run o ?run_dir f =
   if o.status_out <> None then Mx_util.Snapshot.finish ();
   tiers_end stdout o.cache_dir;
   report ();
-  if events_wanted o then events_end o;
+  Option.iter (events_end o) events;
   if metrics_wanted o then metrics_end o
 
 (* -- profile ---------------------------------------------------------- *)
@@ -912,39 +923,39 @@ module Serve = struct
       | Some "stats" -> ok ~id (stats_body c)
       | Some "shutdown" -> ok ~id ~verdict:`Shutdown (ok_op "shutdown")
       | Some "explore" -> (
-        let workload =
-          match Option.bind (J.member "workload" req) J.to_string_opt with
-          | Some w -> w
-          | None -> ""
+        (* an absent field takes its default; a present one must have
+           the field's type *)
+        let field name kind conv default =
+          match J.member name req with
+          | None -> Ok default
+          | Some v -> Option.to_result ~none:(name, kind) (conv v)
         in
-        let int_field name default =
-          match Option.bind (J.member name req) J.to_int_opt with
-          | Some v -> v
-          | None -> default
-        in
-        let scale = int_field "scale" 12_000 in
-        let seed = int_field "seed" 7 in
-        let reduced =
-          match Option.bind (J.member "reduced" req) J.to_bool_opt with
-          | Some b -> b
-          | None -> true
-        in
-        if not (List.mem workload workload_names) then
-          fail ~id "unknown workload %S (expected %s)" workload
-            (String.concat "|" workload_names)
-        else if scale <= 0 then fail ~id "scale must be positive (got %d)" scale
-        else
-          let fp =
-            Printf.sprintf "explore|%s|%d|%d|%b" workload scale seed reduced
-          in
-          match
-            Mx_util.Memo_cache.find_or_compute_prov resp_cache ~key:fp
-              (explore_body ~jobs ~shards ~workload ~scale ~seed ~reduced)
-          with
-          | body, deduped ->
-            if deduped then c.dedup <- c.dedup + 1;
-            ok ~id (("dedup", J.Bool deduped) :: body)
-          | exception exn -> fail ~id "explore failed: %s" (Printexc.to_string exn))
+        let ( let* ) = Result.bind in
+        match
+          let* workload = field "workload" "a string" J.to_string_opt "" in
+          let* scale = field "scale" "an integer" J.to_int_opt 12_000 in
+          let* seed = field "seed" "an integer" J.to_int_opt 7 in
+          let* reduced = field "reduced" "a boolean" J.to_bool_opt true in
+          Ok (workload, scale, seed, reduced)
+        with
+        | Error (name, kind) -> fail ~id "field %S must be %s" name kind
+        | Ok (workload, scale, seed, reduced) ->
+          if not (List.mem workload workload_names) then
+            fail ~id "unknown workload %S (expected %s)" workload
+              (String.concat "|" workload_names)
+          else if scale <= 0 then fail ~id "scale must be positive (got %d)" scale
+          else
+            let fp =
+              Printf.sprintf "explore|%s|%d|%d|%b" workload scale seed reduced
+            in
+            match
+              Mx_util.Memo_cache.find_or_compute_prov resp_cache ~key:fp
+                (explore_body ~jobs ~shards ~workload ~scale ~seed ~reduced)
+            with
+            | body, deduped ->
+              if deduped then c.dedup <- c.dedup + 1;
+              ok ~id (("dedup", J.Bool deduped) :: body)
+            | exception exn -> fail ~id "explore failed: %s" (Printexc.to_string exn))
       | Some other -> fail ~id "unknown op %S" other)
 end
 

@@ -15,6 +15,65 @@ let dominates ~axes a b =
 let pareto_front ~axes pts =
   List.filter (fun p -> not (List.exists (fun q -> dominates ~axes q p) pts)) pts
 
+(* -- Phase I selection --------------------------------------------------- *)
+
+module Design = Conex.Design
+
+type verdict = Kept | Thinned | Pruned of Design.t
+
+let phase1_axes = [ Design.cost; Design.latency; Design.energy ]
+
+let phase1_verdicts ~keep designs =
+  let front = pareto_front ~axes:phase1_axes designs in
+  let kept = Conex.Explore.thin_by_cost ~keep front in
+  List.map
+    (fun d ->
+      if List.memq d kept then (d, Kept)
+      else if List.memq d front then (d, Thinned)
+      else
+        let by = List.find (fun e -> dominates ~axes:phase1_axes e d) front in
+        (d, Pruned by))
+    designs
+
+(* nearest non-selected estimates around each selected point, measured
+   on span-normalised (cost, latency, energy) axes *)
+let neighbors_of ~k selected all =
+  let spans =
+    List.map
+      (fun f ->
+        let vs = List.map f all in
+        let lo = List.fold_left Float.min infinity vs
+        and hi = List.fold_left Float.max neg_infinity vs in
+        let s = hi -. lo in
+        if s <= 0.0 then 1.0 else s)
+      phase1_axes
+  in
+  let dist2 a b =
+    List.fold_left2
+      (fun acc f s ->
+        let d = (f a -. f b) /. s in
+        acc +. (d *. d))
+      0.0 phase1_axes spans
+  in
+  let rest =
+    List.filter
+      (fun d -> not (List.exists (Design.equal_structure d) selected))
+      all
+  in
+  List.concat_map
+    (fun p ->
+      rest
+      |> List.map (fun d -> (dist2 p d, d))
+      |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
+      |> List.filteri (fun i _ -> i < k)
+      |> List.map snd)
+    selected
+  |> List.fold_left
+       (fun acc d ->
+         if List.exists (Design.equal_structure d) acc then acc else d :: acc)
+       []
+  |> List.rev
+
 (* -- clustering -------------------------------------------------------- *)
 
 let cluster_canon (c : Cluster.t) =

@@ -17,6 +17,32 @@ val pareto_front : axes:('a -> float) list -> 'a list -> 'a list
     dominates, in first-occurrence order (duplicates all kept) —
     the specification of {!Mx_util.Pareto.front}. *)
 
+(** {1 Phase I selection} *)
+
+type verdict =
+  | Kept
+  | Thinned
+  | Pruned of Conex.Design.t  (** by this front member *)
+
+val phase1_verdicts :
+  keep:int -> Conex.Design.t list -> (Conex.Design.t * verdict) list
+(** Phase I's verdict on each of one architecture's estimates, in input
+    order: [Kept] when {!Conex.Explore.thin_by_cost} keeps it from the
+    quadratic (cost, latency, energy) front, [Thinned] when it is on
+    the front but thinned away, otherwise [Pruned] by the first front
+    member, in input order, that dominates it — the specification of
+    the verdict events of {!Conex.Explore.promising}. *)
+
+val neighbors_of :
+  k:int -> Conex.Design.t list -> Conex.Design.t list -> Conex.Design.t list
+(** [neighbors_of ~k selected all]: for each selected design in order,
+    its [k] nearest designs of [all] not structurally equal to a
+    selected one, by squared distance on (cost, latency, energy) axes
+    each divided by its span over [all] (1 when the span is 0), a
+    stable sort breaking ties by input order; concatenated, each design
+    at its first occurrence only — the specification of
+    {!Conex.Explore.promising}'s [?neighbors]. *)
+
 val cluster_canon : Mx_connect.Cluster.t -> string * float * bool
 (** Canonical comparable form of a cluster: (description, bandwidth,
     off-chip flag). *)

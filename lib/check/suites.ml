@@ -1334,6 +1334,37 @@ module Shard = Conex.Shard
 
 let shard_config ~shards ~jobs = { (small_config ~jobs) with Explore.shards }
 
+(* a wider Phase I space than [shard_config]: the full module and
+   component catalogues, so an architecture has tens to hundreds of
+   estimates, a front to thin, and pruned designs with several
+   dominators; a renamed twin of mux32 gives estimates that tie on
+   every axis, so ties in dominance and in neighbour distance occur *)
+let phase1_config ~shards ~jobs =
+  {
+    (shard_config ~shards ~jobs) with
+    Explore.apex = { Mx_apex.Explore.default_config with max_selected = 2 };
+    onchip =
+      Component.onchip_library
+      @ [ { (Component.by_name "mux32") with Component.name = "mux32-twin" } ];
+    offchip = Component.offchip_library;
+    max_designs_per_level = 256;
+    phase1_keep = 4;
+  }
+
+(* a Phase I design as the checks compare it: its structure and the
+   bytes of its estimate *)
+let estimate_key (d : Design.t) =
+  (Design.structural_key d, Option.map Sim_result.to_wire d.Design.est)
+
+let first_difference a b =
+  let rec go = function
+    | x :: a, y :: b -> if x = y then go (a, b) else x ^ " / " ^ y
+    | x :: _, [] -> x ^ " / (end)"
+    | [], y :: _ -> "(end) / " ^ y
+    | [], [] -> "none"
+  in
+  go (a, b)
+
 let shard_onchip =
   lazy
     [ Component.by_name "ded32"; Component.by_name "mux32";
@@ -1402,14 +1433,11 @@ let shard_suite ~jobs =
                      "shards=%d jobs=%d diverges from the monolithic run"
                      shards jobs)
                  [ (4, 1); (1, max 2 jobs); (4, max 2 jobs) ])));
-    R.prop ~cost:80 ~max_size:2
-      "the streamed run equals collect + local_promising"
+    R.prop ~cost:20 ~max_size:4
+      "the streamed run equals collect + local_promising, verdicts included"
       (fun ~seed ~size ->
         let g = Prng.create ~seed in
         let w = Gen.workload g ~size in
-        let est (d : Design.t) =
-          (Design.structural_key d, Option.map Sim_result.to_wire d.Design.est)
-        in
         let was = Ev.is_on Ev.global in
         with_default_cache @@ fun () ->
         Fun.protect
@@ -1420,7 +1448,7 @@ let shard_suite ~jobs =
         (* cache off so no arm is served results computed by another *)
         Eval.set_cache_capacity 0;
         Ev.set_enabled Ev.global false;
-        let config = shard_config ~shards:1 ~jobs:1 in
+        let config = phase1_config ~shards:1 ~jobs:1 in
         let cands =
           Mx_apex.Explore.select ~config:config.Explore.apex
             (Mx_trace.Profile.analyze w)
@@ -1430,7 +1458,22 @@ let shard_suite ~jobs =
         | Some per_arch ->
           let n = List.fold_left (fun n l -> n + List.length l) 0 per_arch in
           let want =
-            List.map est (List.concat_map (Explore.local_promising config) per_arch)
+            List.map estimate_key
+              (List.concat_map (Explore.local_promising config) per_arch)
+          in
+          let verdicts =
+            List.concat_map
+              (fun ests ->
+                List.map
+                  (fun ((d : Design.t), v) ->
+                    let key = Design.structural_key d in
+                    match v with
+                    | Oracle.Kept -> "design.kept " ^ key
+                    | Oracle.Thinned -> "design.thinned " ^ key
+                    | Oracle.Pruned e ->
+                      "design.pruned " ^ key ^ " by " ^ Design.structural_key e)
+                  (Oracle.phase1_verdicts ~keep:config.Explore.phase1_keep ests))
+              per_arch
           in
           R.all_of
             (List.concat_map
@@ -1439,15 +1482,81 @@ let shard_suite ~jobs =
                    (fun events ->
                      Ev.reset Ev.global;
                      Ev.set_enabled Ev.global events;
-                     let r = Explore.run ~config:(shard_config ~shards ~jobs) w in
-                     R.check
-                       (r.Explore.n_estimates = n
-                       && List.map est r.Explore.simulated = want)
-                       "shards=%d jobs=%d events=%b: %d estimates and %d \
-                        survivors, collect + local_promising %d and %d"
-                       shards jobs events r.Explore.n_estimates
-                       (List.length r.Explore.simulated) n (List.length want))
+                     let r = Explore.run ~config:(phase1_config ~shards ~jobs) w in
+                     let got =
+                       List.filter_map
+                         (fun (e : Ev.event) ->
+                           let attr k =
+                             match List.assoc_opt k e.Ev.attrs with
+                             | Some (Ev.Str s) -> s
+                             | _ -> "?"
+                           in
+                           match e.Ev.name with
+                           | "design.kept" | "design.thinned" ->
+                             Some (e.Ev.name ^ " " ^ attr "design")
+                           | "design.pruned" ->
+                             Some
+                               (e.Ev.name ^ " " ^ attr "design" ^ " by "
+                              ^ attr "dominated_by")
+                           | _ -> None)
+                         (Ev.events Ev.global)
+                     in
+                     R.all_of
+                       [
+                         R.check
+                           (r.Explore.n_estimates = n
+                           && List.map estimate_key r.Explore.simulated = want)
+                           "shards=%d jobs=%d events=%b: %d estimates and %d \
+                            survivors, collect + local_promising %d and %d"
+                           shards jobs events r.Explore.n_estimates
+                           (List.length r.Explore.simulated) n
+                           (List.length want);
+                         R.check
+                           (got = if events then verdicts else [])
+                           "shards=%d jobs=%d events=%b: %d verdict events, \
+                            the reference gives %d; first difference: %s"
+                           shards jobs events (List.length got)
+                           (List.length verdicts)
+                           (first_difference got verdicts);
+                       ])
                    [ false; true ])
+               [ (1, 1); (4, 1); (1, max 2 jobs); (4, max 2 jobs) ]));
+    R.prop ~cost:20 ~max_size:4
+      "Neighborhood's survivors equal local_promising + Oracle.neighbors_of"
+      (fun ~seed ~size ->
+        let g = Prng.create ~seed in
+        let w = Gen.workload g ~size in
+        let k = 1 + Prng.int g ~bound:3 in
+        with_default_cache @@ fun () ->
+        let config = phase1_config ~shards:1 ~jobs:1 in
+        let cands =
+          Mx_apex.Explore.explore ~config:config.Explore.apex
+            (Mx_trace.Profile.analyze w)
+          |> Mx_apex.Explore.pareto
+        in
+        match Explore.phase1 config w cands with
+        | None -> R.failf "Phase I stopped without an interrupt"
+        | Some per_arch ->
+          let want =
+            List.concat_map
+              (fun ests ->
+                let kept = Explore.local_promising config ests in
+                kept @ Oracle.neighbors_of ~k kept ests)
+              per_arch
+            |> List.map estimate_key
+          in
+          R.all_of
+            (List.map
+               (fun (shards, jobs) ->
+                 let o =
+                   Conex.Strategy.run ~config:(phase1_config ~shards ~jobs)
+                     ~neighbors:k Conex.Strategy.Neighborhood w
+                 in
+                 let got = List.map estimate_key o.Conex.Strategy.designs in
+                 R.check (got = want)
+                   "shards=%d jobs=%d k=%d: %d survivors, the reference \
+                    gives %d"
+                   shards jobs k (List.length got) (List.length want))
                [ (1, 1); (4, 1); (1, max 2 jobs); (4, max 2 jobs) ]));
     R.prop ~cost:10 "shard plan concatenation = monolithic enumeration"
       (fun ~seed ~size ->

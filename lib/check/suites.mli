@@ -51,10 +51,13 @@
     - [explore]     cache-on/off and jobs=1/jobs=N run parity,
                     estimate-vs-exact rank correlation floors,
                     event-log terminal-verdict coverage
-    - [shard]       sharded vs monolithic runs, the streamed run (front
-                    sink with events off, collect sink with events on,
-                    shards 1/4 x jobs 1/N) vs collect +
-                    {!Conex.Explore.local_promising}, shard plans vs
+    - [shard]       sharded vs monolithic runs, the streamed run
+                    (events off and on, shards 1/4 x jobs 1/N) vs
+                    {!Conex.Explore.phase1} +
+                    {!Conex.Explore.local_promising} and its verdict
+                    events vs {!Oracle.phase1_verdicts}, Neighborhood
+                    vs [local_promising] + {!Oracle.neighbors_of},
+                    shard plans vs
                     the monolithic enumeration (designs, assign.*
                     level counters and events), the anytime archive vs
                     front2, eps and capacity thinning, interrupted

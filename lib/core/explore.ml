@@ -135,17 +135,13 @@ let archive_insert archive (d : Design.t) =
    so cluster.*, assign.* and shard.planned events are deterministic.
    The shards of every architecture form one work-queue, drained once
    by the task pool.  A shard task walks its choice vectors and
-   estimates each from a level plan of its own; what it keeps is up to
-   the sink:
-   - the collect sink ([phase1]) keeps every connectivity with its
-     estimate, for the callers that need them all;
-   - the front sink ([promising]) keeps the shard's (cost, latency,
-     energy) front, each point named by its position in its
-     architecture's stream, and builds designs for the points of the
-     architecture's merged front only.
-   Results are taken in queue order, so each architecture's stream,
-   and so its front, is byte-identical whatever the shard count or
-   jobs level. *)
+   estimates each from a level plan of its own.  Results are taken in
+   queue order, so each architecture's stream, and so its front, is
+   byte-identical whatever the shard count or jobs level.  [promising]
+   keeps each shard's (cost, latency, energy) front, each point named by
+   its stream position, and what needs every estimate walks the
+   architecture's shards again; [phase1], the reference, keeps every
+   estimate as a design. *)
 
 type task = {
   cand : Mx_apex.Explore.candidate;
@@ -155,27 +151,32 @@ type task = {
 }
 
 let cap t = Shard.cap t.shard
-let shard_fp t = Shard.fingerprint t.shard
+
+let shard_finished shard =
+  Mx_util.Metrics.incr Mx_util.Metrics.global "shard.finished";
+  if Ev.is_on Ev.global then
+    Ev.emit Ev.global ~stage:"shard" "shard.finished"
+      [
+        ("shard", Ev.Str (Shard.fingerprint shard));
+        ("designs", Ev.Int (Shard.cap shard));
+      ]
+
+let plan_shards (cfg : config) ~workload_fp
+    { Mx_apex.Explore.arch; profile; _ } =
+  let brg = Brg.build arch profile in
+  Shard.plan ~shards:cfg.shards
+    ~max_designs_per_level:cfg.max_designs_per_level ~workload_fp
+    ~arch_label:arch.Mx_mem.Mem_arch.label
+    ~arch_fp:(Mx_mem.Mem_arch.fingerprint arch)
+    ~onchip:cfg.onchip ~offchip:cfg.offchip
+    (Cluster.levels_ordered Cluster.Lowest_bandwidth_first brg.Brg.channels)
 
 (* one architecture's queue entries, in plan order *)
 let plan_candidate (cfg : config) workload ~workload_fp
-    (cand : Mx_apex.Explore.candidate) =
-  let arch = cand.Mx_apex.Explore.arch in
-  let profile = cand.Mx_apex.Explore.profile in
-  let brg = Brg.build arch profile in
-  let levels =
-    Cluster.levels_ordered Cluster.Lowest_bandwidth_first brg.Brg.channels
-  in
-  let shards =
-    Shard.plan ~shards:cfg.shards
-      ~max_designs_per_level:cfg.max_designs_per_level ~workload_fp
-      ~arch_label:arch.Mx_mem.Mem_arch.label
-      ~arch_fp:(Mx_mem.Mem_arch.fingerprint arch)
-      ~onchip:cfg.onchip ~offchip:cfg.offchip levels
-  in
-  match shards with
+    ({ Mx_apex.Explore.arch; profile; _ } as cand) =
+  match plan_shards cfg ~workload_fp cand with
   | [] -> []
-  | _ ->
+  | shards ->
     (* one plan per architecture, shared read-only by the domains; its
        failure is raised when the caller reaches the architecture *)
     let plan =
@@ -192,8 +193,8 @@ let plan_candidate (cfg : config) workload ~workload_fp
       shards
 
 (* Plan every candidate, drain the queue once — [work] runs each task on
-   any domain — and hand each architecture's tasks with their results,
-   in candidate and then queue order, to [finish] on the calling domain.
+   any domain — and hand each architecture's results, in candidate and
+   then queue order, to [finish] on the calling domain.
    A failed task is kept as its exception and raised when [finish]'s
    turn reaches its architecture, so an interrupted drain never raises:
    it returns [None]. *)
@@ -214,10 +215,7 @@ let stream ~interrupt cfg workload cands ~work ~finish =
       ~commit:(fun i t r ->
         results.(i) <- Some r;
         Mx_util.Snapshot.shard_committed ();
-        Mx_util.Metrics.incr metrics "shard.finished";
-        if Ev.is_on Ev.global then
-          Ev.emit Ev.global ~stage:"shard" "shard.finished"
-            [ ("shard", Ev.Str (shard_fp t)); ("designs", Ev.Int (cap t)) ])
+        shard_finished t.shard)
       (fun t ->
         (* which domain ran a shard — and whether a pool worker stole it
            from the caller — is scheduling, hence the sched. segment; it
@@ -229,7 +227,7 @@ let stream ~interrupt cfg workload cands ~work ~finish =
                "shard.sched.stolen"
              else "shard.sched.started")
             [
-              ("shard", Ev.Str (shard_fp t));
+              ("shard", Ev.Str (Shard.fingerprint t.shard));
               ("domain", Ev.Int (Domain.self () :> int));
             ];
         match t.plan with
@@ -247,18 +245,18 @@ let stream ~interrupt cfg workload cands ~work ~finish =
            Mx_util.Metrics.with_span metrics ("phase1:" ^ label) @@ fun () ->
            let done_ =
              List.map
-               (fun t ->
+               (fun _ ->
                  let r = results.(!next) in
                  incr next;
                  match r with
-                 | Some (Ok r) -> (t, r)
+                 | Some (Ok r) -> r
                  | Some (Error e) -> raise e
                  | None -> assert false (* every task committed *))
                tasks
            in
            let n = List.fold_left (fun n t -> n + cap t) 0 tasks in
            Mx_util.Metrics.incr metrics ~by:n "assign.kept";
-           let r = finish cand done_ in
+           let r = finish done_ in
            Mx_util.Snapshot.eval_committed ~by:n ();
            Mx_util.Metrics.incr metrics ~by:n "explore.estimates";
            (r, n))
@@ -269,67 +267,19 @@ let phase1 ?(interrupt = never) cfg workload cands =
   let workload_name = workload.Mx_trace.Workload.name in
   stream ~interrupt cfg workload cands
     ~work:(fun plan t ->
+      let mem = t.cand.Mx_apex.Explore.arch in
       let lv = Mx_sim.Estimator.level plan (Shard.clusters t.shard) in
       let out = ref [] in
       Shard.iter t.shard (fun _ v ->
           Mx_sim.Estimator.assess lv v;
           out :=
-            (Shard.connectivity t.shard v, Mx_sim.Estimator.result lv) :: !out);
+            Design.make ~workload_name ~mem
+              ~conn:(Shard.connectivity t.shard v)
+              ~est:(Mx_sim.Estimator.result lv) ()
+            :: !out);
       List.rev !out)
-    ~finish:(fun cand done_ ->
-      let mem = cand.Mx_apex.Explore.arch in
-      let label = mem.Mx_mem.Mem_arch.label in
-      (* levels differ in cluster count and one level's product never
-         repeats an assignment, so every design is kept *)
-      let kept =
-        List.concat_map
-          (fun (t, pairs) ->
-            let fp = shard_fp t in
-            List.map
-              (fun (conn, est) ->
-                (fp, Design.make ~workload_name ~mem ~conn ~est ()))
-              pairs)
-          done_
-      in
-      if Ev.is_on Ev.global then begin
-        List.iter
-          (fun (_, (d : Design.t)) ->
-            Ev.emit Ev.global ~stage:"assign" "assign.kept"
-              [ ("conn", Ev.Str (Conn_arch.describe d.Design.conn)) ])
-          kept;
-        List.iter
-          (fun (_, (d : Design.t)) ->
-            Ev.emit Ev.global ~stage:"phase1" "design.created"
-              [
-                ("design", Ev.Str (Design.structural_key d));
-                ("id", Ev.Str (Design.id d));
-                ("arch", Ev.Str label);
-              ])
-          kept;
-        (* "e": an estimate, outside the simulated rungs of [Eval] *)
-        let ftag = "e" in
-        let source = Mx_sim.Eval.provenance_tag Mx_sim.Eval.Computed in
-        List.iter
-          (fun (shard_fp, (d : Design.t)) ->
-            let key = Design.structural_key d in
-            Ev.emit Ev.global ~stage:"phase1" "design.evaluated"
-              [ ("design", Ev.Str key); ("fidelity", Ev.Str ftag) ];
-            Ev.emit Ev.global ~stage:"phase1" "eval.cache.provenance"
-              [
-                ("design", Ev.Str key);
-                ("fidelity", Ev.Str ftag);
-                ("source", Ev.Str source);
-                ("shard", Ev.Str shard_fp);
-              ])
-          kept
-      end;
-      List.map snd kept)
+    ~finish:List.concat
   |> Option.map (List.map fst)
-
-let connectivity_exploration cfg workload (cand : Mx_apex.Explore.candidate) =
-  match phase1 cfg workload [ cand ] with
-  | Some [ ests ] -> ests
-  | _ -> assert false (* never interrupts, one candidate in = one list out *)
 
 let axes = [ Design.cost; Design.latency; Design.energy ]
 
@@ -342,100 +292,197 @@ let thin_by_cost ~keep designs =
     else List.init keep (fun i -> arr.(i * (n - 1) / (keep - 1)))
   end
 
-(* Phase I selection once the front is known: both sinks end here *)
+(* Phase I selection once the front is known *)
 let thin_front cfg front =
   let kept = thin_by_cost ~keep:cfg.phase1_keep front in
-  if Mx_util.Metrics.is_on Mx_util.Metrics.global then begin
-    Mx_util.Metrics.observe Mx_util.Metrics.global ~unit_:"designs"
-      "explore.local_front_size"
-      (float_of_int (List.length front));
-    Mx_util.Metrics.incr Mx_util.Metrics.global ~by:(List.length kept)
-      "explore.phase1_kept"
-  end;
+  Mx_util.Metrics.observe Mx_util.Metrics.global ~unit_:"designs"
+    "explore.local_front_size"
+    (float_of_int (List.length front));
+  Mx_util.Metrics.incr Mx_util.Metrics.global ~by:(List.length kept)
+    "explore.phase1_kept";
   kept
 
 let local_promising cfg designs =
-  let front = Mx_util.Pareto.front ~axes designs in
-  let kept = thin_front cfg front in
-  (* terminal Phase I verdict for every input design: kept, thinned off
-     the front by the cost subsample, or pruned — with the first front
-     member that dominates it, which exists because dominance is
-     transitive (pareto fronts preserve physical identity, so [memq] is
-     the membership test) *)
-  if Ev.is_on Ev.global then
-    List.iter
-      (fun (d : Design.t) ->
-        let key = Design.structural_key d in
-        if List.memq d kept then
-          Ev.emit Ev.global ~stage:"phase1" "design.kept"
-            [ ("design", Ev.Str key) ]
-        else if List.memq d front then
-          Ev.emit Ev.global ~stage:"phase1" "design.thinned"
-            [ ("design", Ev.Str key) ]
-        else begin
-          let dominator =
-            List.find (fun e -> Mx_util.Pareto.dominates ~axes e d) front
-          in
-          Ev.emit Ev.global ~stage:"phase1" "design.pruned"
-            [
-              ("design", Ev.Str key);
-              ("dominated_by", Ev.Str (Design.structural_key dominator));
-            ]
-        end)
-      designs;
-  kept
+  thin_front cfg (Mx_util.Pareto.front ~axes designs)
 
-let promising ?(interrupt = never) cfg workload cands =
+(* What a shard task of [promising] keeps: its level plan, the gates of
+   each cluster's choices, and the front of its slice. *)
+type slice = {
+  task : task;
+  lv : Mx_sim.Estimator.level;
+  gates : int array array;  (** [gates.(j).(c)]: cluster [j] on choice [c] *)
+  mem_gates : int;
+  front : Pareto.Flat.t;
+}
+
+(* assess vector [v] of [s] into [x], its point in the order of [axes] *)
+let assess s v x =
+  Mx_sim.Estimator.assess s.lv v;
+  let g = ref s.mem_gates in
+  for j = 0 to Array.length v - 1 do
+    g := !g + s.gates.(j).(v.(j))
+  done;
+  let o = Mx_sim.Estimator.outcome s.lv in
+  x.(0) <- float_of_int !g;
+  x.(1) <- o.Mx_sim.Estimator.latency;
+  x.(2) <- o.Mx_sim.Estimator.energy_nj
+
+(* [f s id v] over an architecture's vectors in stream order, [v] not
+   yet assessed *)
+let walk slices f =
+  List.iter
+    (fun s -> Shard.iter s.task.shard (fun i v -> f s (s.task.offset + i) v))
+    slices
+
+(* the design of the vector of [s] assessed last *)
+let design_of ~workload_name s v =
+  Design.make ~workload_name ~mem:s.task.cand.Mx_apex.Explore.arch
+    ~conn:(Shard.connectivity s.task.shard v)
+    ~est:(Mx_sim.Estimator.result s.lv) ()
+
+(* Every estimate's records, in stream order, once the architecture's
+   front (stream positions [members], designs [front]) and kept designs
+   are known: [assign.kept], [design.created], [design.evaluated],
+   [eval.cache.provenance], then the verdict.  A pruned design names
+   the first front member, in stream order, that dominates it; one
+   exists because dominance is transitive. *)
+let emit_estimates ~workload_name slices ~members ~front ~kept =
+  let emit = Ev.emit Ev.global ~stage:"phase1" in
+  (* "e": an estimate, outside the simulated rungs of [Eval] *)
+  let fidelity = ("fidelity", Ev.Str "e")
+  and source = Mx_sim.Eval.provenance_tag Mx_sim.Eval.Computed in
+  let on_front = Hashtbl.create 64 in
+  List.iter2
+    (fun id d ->
+      Hashtbl.replace on_front id
+        (if List.memq d kept then "design.kept" else "design.thinned"))
+    members front;
+  walk slices (fun s id v ->
+      Mx_sim.Estimator.assess s.lv v;
+      let d = design_of ~workload_name s v in
+      let design = ("design", Ev.Str (Design.structural_key d)) in
+      Ev.emit Ev.global ~stage:"assign" "assign.kept"
+        [ ("conn", Ev.Str (Conn_arch.describe d.Design.conn)) ];
+      emit "design.created"
+        [
+          design;
+          ("id", Ev.Str (Design.id d));
+          ("arch", Ev.Str d.Design.mem.Mx_mem.Mem_arch.label);
+        ];
+      emit "design.evaluated" [ design; fidelity ];
+      emit "eval.cache.provenance"
+        [ design; fidelity; ("source", Ev.Str source);
+          ("shard", Ev.Str (Shard.fingerprint s.task.shard)) ];
+      match Hashtbl.find_opt on_front id with
+      | Some verdict -> emit verdict [ design ]
+      | None ->
+        let by = List.find (fun e -> Pareto.dominates ~axes e d) front in
+        emit "design.pruned"
+          [ design; ("dominated_by", Ev.Str (Design.structural_key by)) ])
+
+(* The stream positions of each kept point's [k] nearest other
+   estimates: squared distance on the axes, each divided by its span
+   over the architecture (1 when flat), ties to the earlier position;
+   concatenated in [kept] order, each position at its first occurrence
+   only. *)
+let nearest ~k slices (kept : (int * float array) list) =
+  let x = Array.make 3 0.0 in
+  let lo = Array.make 3 infinity and hi = Array.make 3 neg_infinity in
+  walk slices (fun s _ v ->
+      assess s v x;
+      for a = 0 to 2 do
+        lo.(a) <- Float.min lo.(a) x.(a);
+        hi.(a) <- Float.max hi.(a) x.(a)
+      done);
+  let span =
+    Array.map2 (fun l h -> if h -. l <= 0.0 then 1.0 else h -. l) lo hi
+  in
+  (* the [k] nearest so far, nearest first, the earlier one first on
+     ties *)
+  let rec insert k c = function
+    | _ when k = 0 -> []
+    | c' :: l when Float.compare (fst c') (fst c) <= 0 ->
+      c' :: insert (k - 1) c l
+    | l -> c :: List.filteri (fun i _ -> i < k - 1) l
+  in
+  let near = List.map (fun (_, p) -> (p, ref [])) kept in
+  walk slices (fun s id v ->
+      if not (List.mem_assoc id kept) then begin
+        assess s v x;
+        List.iter
+          (fun (p, best) ->
+            let d = ref 0.0 in
+            for a = 0 to 2 do
+              let e = (p.(a) -. x.(a)) /. span.(a) in
+              d := !d +. (e *. e)
+            done;
+            best := insert k (!d, id) !best)
+          near
+      end);
+  List.concat_map (fun (_, best) -> List.map snd !best) near
+  |> List.fold_left
+       (fun acc id -> if List.mem id acc then acc else id :: acc)
+       []
+  |> List.rev
+
+let promising ?(interrupt = never) ?(neighbors = 0) cfg workload cands =
   let workload_name = workload.Mx_trace.Workload.name in
   stream ~interrupt cfg workload cands
     ~work:(fun plan t ->
       let clusters = Shard.clusters t.shard in
-      let lv = Mx_sim.Estimator.level plan clusters in
-      let gates =
-        Array.map
-          (fun ((cl : Cluster.t), choices) ->
-            let channels = List.length cl.Cluster.channels in
-            Array.map (fun c -> Conn_cost.cost_gates c ~channels) choices)
-          clusters
+      let gates ((cl : Cluster.t), choices) =
+        let channels = List.length cl.Cluster.channels in
+        Array.map (fun c -> Conn_cost.cost_gates c ~channels) choices
       in
-      let mem_gates = Mx_mem.Mem_arch.cost_gates t.cand.Mx_apex.Explore.arch in
-      let o = Mx_sim.Estimator.outcome lv in
-      (* the point's axes, in the order of [axes] *)
+      let s =
+        {
+          task = t;
+          lv = Mx_sim.Estimator.level plan clusters;
+          gates = Array.map gates clusters;
+          mem_gates = Mx_mem.Mem_arch.cost_gates t.cand.Mx_apex.Explore.arch;
+          front = Pareto.Flat.create ~dims:3;
+        }
+      in
       let x = Array.make 3 0.0 in
-      let front = Pareto.Flat.create ~dims:3 in
       Shard.iter t.shard (fun i v ->
-          Mx_sim.Estimator.assess lv v;
-          let g = ref mem_gates in
-          for j = 0 to Array.length v - 1 do
-            g := !g + gates.(j).(v.(j))
-          done;
-          x.(0) <- float_of_int !g;
-          x.(1) <- o.Mx_sim.Estimator.latency;
-          x.(2) <- o.Mx_sim.Estimator.energy_nj;
-          Pareto.Flat.offer front x (t.offset + i));
-      (lv, front))
-    ~finish:(fun cand done_ ->
-      let mem = cand.Mx_apex.Explore.arch in
-      let front = Pareto.Flat.create ~dims:3 in
-      List.iter (fun (_, (_, f)) -> Pareto.Flat.merge ~into:front f) done_;
-      (* members are in stream order, so one walk finds their shards *)
-      let rec seek id = function
-        | _ :: ((t, _) :: _ as tl) when t.offset <= id -> seek id tl
-        | l -> l
+          assess s v x;
+          Pareto.Flat.offer s.front x (t.offset + i));
+      s)
+    ~finish:(fun slices ->
+      let merged = Pareto.Flat.create ~dims:3 in
+      List.iter (fun s -> Pareto.Flat.merge ~into:merged s.front) slices;
+      let design_at id =
+        let s = List.find (fun s -> id < s.task.offset + cap s.task) slices in
+        let v = Shard.vector s.task.shard (id - s.task.offset) in
+        Mx_sim.Estimator.assess s.lv v;
+        design_of ~workload_name s v
       in
-      let rest = ref done_ and designs = ref [] in
-      for m = 0 to Pareto.Flat.size front - 1 do
-        let id = Pareto.Flat.id front m in
-        rest := seek id !rest;
-        let t, (lv, _) = List.hd !rest in
-        let v = Shard.vector t.shard (id - t.offset) in
-        Mx_sim.Estimator.assess lv v;
-        designs :=
-          Design.make ~workload_name ~mem ~conn:(Shard.connectivity t.shard v)
-            ~est:(Mx_sim.Estimator.result lv) ()
-          :: !designs
-      done;
-      thin_front cfg (List.rev !designs))
+      (* members are in stream order *)
+      let members =
+        List.init (Pareto.Flat.size merged) (Pareto.Flat.id merged)
+      in
+      let front = List.map design_at members in
+      let kept = thin_front cfg front in
+      if Ev.is_on Ev.global then
+        emit_estimates ~workload_name slices ~members ~front ~kept;
+      if neighbors <= 0 then kept
+      else begin
+        let ids = List.combine front members in
+        let point d =
+          (List.assq d ids, Array.of_list (List.map (fun f -> f d) axes))
+        in
+        let nbrs =
+          nearest ~k:neighbors slices (List.map point kept)
+          |> List.map design_at
+        in
+        if Ev.is_on Ev.global then
+          List.iter
+            (fun (d : Design.t) ->
+              Ev.emit Ev.global ~stage:"phase1" "design.neighbor"
+                [ ("design", Ev.Str (Design.structural_key d)) ])
+            nbrs;
+        kept @ nbrs
+      end)
   |> Option.map (fun per_arch ->
          (List.map fst per_arch, List.fold_left (fun n (_, k) -> n + k) 0 per_arch))
 
@@ -491,21 +538,12 @@ let run ?(config = default_config) ?(interrupt = never) workload =
   Mx_util.Metrics.incr metrics ~by:(List.length apex_selected)
     "explore.architectures";
   (* Phase I: one stream per shard of every selected memory
-     architecture.  With the event log on, the collect sink keeps every
-     estimate so that each design gets its verdict; otherwise each
-     architecture keeps only its front. *)
+     architecture, each architecture keeping only its front *)
   let phase1_out =
     Mx_util.Snapshot.set_phase "explore.phase1";
-    if Ev.is_on Ev.global then
-      Mx_util.Metrics.with_span metrics "explore.phase1" (fun () ->
-          phase1 ~interrupt config workload apex_selected)
-      |> Option.map (fun per_arch ->
-             ( List.concat_map (local_promising config) per_arch,
-               List.fold_left (fun n l -> n + List.length l) 0 per_arch ))
-    else
-      Mx_util.Metrics.with_span metrics "explore.phase1" (fun () ->
-          promising ~interrupt config workload apex_selected)
-      |> Option.map (fun (per_arch, n) -> (List.concat per_arch, n))
+    Mx_util.Metrics.with_span metrics "explore.phase1" (fun () ->
+        promising ~interrupt config workload apex_selected)
+    |> Option.map (fun (per_arch, n) -> (List.concat per_arch, n))
   in
   match phase1_out with
   | None ->

@@ -21,19 +21,17 @@
     task walks its choice vectors and estimates each from an
     {!Mx_sim.Estimator.level} (Phase I's one source of estimates;
     {!Mx_sim.Eval} serves the simulations of Phase II and the refine
-    pass), into one of two sinks: the collect sink
-    ({!phase1}) keeps every estimate; the front sink ({!promising})
-    keeps each shard's (cost, latency, energy) front and builds a
-    {!Design.t} only for the points of each architecture's merged
-    front.  {!run} uses the front sink, or the collect sink when the
-    event log is on, so that every design gets its verdict event.
-    Results are taken in queue order, so the design stream — and
-    therefore every front — is byte-identical at every [shards] and
-    [jobs] setting.  Phase II feeds every committed simulation into a
-    {!Mx_util.Pareto.Archive}, so the cost/latency front can be emitted
-    at any moment: interrupt a run (see [?interrupt] on {!run}) and the
-    returned front is a valid pareto front of exactly the work
-    committed so far. *)
+    pass) and keeps only its slice's (cost, latency, energy) front
+    ({!promising}); designs are built for each architecture's merged
+    front only, and what needs every estimate walks the shards again,
+    so {!run} takes one path with the event log on or off.  Results are
+    taken in queue order, so every front is byte-identical at every
+    [shards] and [jobs] setting.  {!phase1} and {!local_promising} are
+    the reference that path is checked against.  Phase II
+    feeds every committed simulation into a {!Mx_util.Pareto.Archive},
+    so the cost/latency front can be emitted at any moment: interrupt a
+    run (see [?interrupt] on {!run}) and the returned front is a valid
+    pareto front of exactly the work committed so far. *)
 
 type config = {
   apex : Mx_apex.Explore.config;
@@ -89,7 +87,7 @@ type result = {
           [Pareto.front2 ~x:cost ~y:latency simulated] *)
   n_estimates : int;
       (** Phase I estimates across all memory architectures; the
-          estimates themselves are not kept (see {!phase1}) *)
+          estimates themselves are not kept (see {!promising}) *)
   n_simulations : int;
   wall_seconds : float;
   interrupted : bool;
@@ -102,57 +100,73 @@ val fidelity_of_sample : (int * int) option -> Mx_sim.Eval.fidelity
     {!Mx_sim.Eval.Sampled} — how a [config.sample] maps onto the
     evaluation-engine ladder. *)
 
+val make_archive : config -> Design.t Mx_util.Pareto.Archive.t
+(** An empty anytime archive on (cost, latency) with [config]'s
+    [archive_eps] and [archive_capacity]: what Phase II and the
+    strategies feed. *)
+
+val plan_shards :
+  config -> workload_fp:string -> Mx_apex.Explore.candidate -> Shard.t list
+(** One architecture's design space: its BRG, the clustering levels
+    (lowest bandwidth first) and {!Shard.plan} at [config.shards] and
+    [config.max_designs_per_level] over [config.onchip] and
+    [config.offchip], with what {!Shard.plan} records.  The shard caps
+    sum to the architecture's number of connectivities. *)
+
+val shard_finished : Shard.t -> unit
+(** Count a shard in [shard.finished] and emit its [shard.finished]
+    record: at Phase I's ordered commit, and as Full enumerates it. *)
+
+val promising :
+  ?interrupt:(unit -> bool) ->
+  ?neighbors:int ->
+  config ->
+  Mx_trace.Workload.t ->
+  Mx_apex.Explore.candidate list ->
+  (Design.t list list * int) option
+(** Phase I and its selection, the path of {!run}: plan every candidate
+    into shards with {!plan_shards} and one {!Mx_sim.Estimator.prepare}
+    plan (serially, so planning records are deterministic), drain the
+    combined queue once on the task pool, each shard task estimating
+    its slice from one {!Mx_sim.Estimator.level} and keeping the
+    slice's (cost, latency, energy) front.  The shard fronts merge in
+    queue order into each architecture's front; only its points become
+    designs, which {!thin_by_cost} thins to [config.phase1_keep].
+    Returns, per candidate, what {!local_promising} returns for
+    {!phase1}'s estimates, with the same [explore.local_front_size] and
+    [explore.phase1_kept] metrics; and the number of estimates.  No
+    estimate enters {!Mx_sim.Eval}'s cache or store.
+
+    With [neighbors = k > 0] (default 0) each architecture's kept
+    designs are followed by each kept point's [k] nearest other
+    estimates ([Mx_check.Oracle.neighbors_of]): squared distance with
+    each axis divided by its span over the architecture (1 when 0),
+    ties to the earlier stream position, each estimate once.
+
+    With the event log on, one more walk over each architecture's
+    shards emits per estimate, in stream order, [assign.kept],
+    [design.created], [design.evaluated], [eval.cache.provenance] and
+    its verdict: [design.kept], [design.thinned], or [design.pruned]
+    whose [dominated_by] is the first front member, in stream order,
+    that dominates it; then a [design.neighbor] per neighbour.
+
+    [None] when [interrupt] fired while the queue was draining.
+    @raise Invalid_argument as {!Mx_sim.Estimator.prepare} and
+    {!Mx_sim.Estimator.level} do, for the first failing architecture
+    in candidate order. *)
+
 val phase1 :
   ?interrupt:(unit -> bool) ->
   config ->
   Mx_trace.Workload.t ->
   Mx_apex.Explore.candidate list ->
   Design.t list list option
-(** Phase I into the collect sink: plan every candidate architecture
-    into shards (serially — cluster.*, assign.* and [shard.planned]
-    records are deterministic — with one {!Mx_sim.Estimator.prepare}
-    plan per architecture that has a shard), drain the combined queue
-    once on the task pool, each shard task estimating its slice from
-    one {!Mx_sim.Estimator.level}, then build one design per estimate,
-    per architecture in candidate order.  No estimate enters
-    {!Mx_sim.Eval}'s result cache or store.  Returns one estimate list
-    per candidate, byte-identical at every [shards]/[jobs] setting, or
-    [None] when [interrupt] fired while the queue was draining.  With
-    the event log on, emits per architecture every [assign.kept], then
-    every [design.created], then each design's [design.evaluated] and
-    [eval.cache.provenance].
-    @raise Invalid_argument as {!Mx_sim.Estimator.prepare} and
-    {!Mx_sim.Estimator.level} do, for the first failing architecture
-    in candidate order. *)
-
-val promising :
-  ?interrupt:(unit -> bool) ->
-  config ->
-  Mx_trace.Workload.t ->
-  Mx_apex.Explore.candidate list ->
-  (Design.t list list * int) option
-(** Phase I into the front sink, followed by Phase I selection: the
-    same plan and drain as {!phase1}, but each shard task keeps only
-    the (cost, latency, energy) front of its slice in a
-    {!Mx_util.Pareto.Flat} front, and its own level plan.  The shard
-    fronts are merged in queue order into each architecture's front,
-    and only the points on it become designs, which {!thin_by_cost}
-    then thins to [config.phase1_keep].  Returns, per candidate,
-    exactly what {!local_promising} returns for {!phase1}'s estimates
-    (the same designs, in the same order, and the same
-    [explore.local_front_size] and [explore.phase1_kept] metrics) but
-    emits no verdict events; and the number of estimates.  [None] when
-    [interrupt] fired while the queue was draining.
-    @raise Invalid_argument as {!phase1} does. *)
-
-val connectivity_exploration :
-  config ->
-  Mx_trace.Workload.t ->
-  Mx_apex.Explore.candidate ->
-  Design.t list
-(** One memory architecture: BRG, clustering levels, feasible
-    assignments, estimation — {!phase1} with a single candidate.
-    Returns estimated (unsimulated) design points. *)
+(** The reference Phase I: {!promising}'s plan and drain, but every
+    estimate becomes a design.  One estimate list per candidate,
+    byte-identical at every [shards]/[jobs] setting, or [None] when
+    [interrupt] fired.  Emits no events of its own; {!run} and the
+    strategies never call it.
+    @raise Invalid_argument as {!promising} does. *)
 
 val thin_by_cost : keep:int -> Design.t list -> Design.t list
 (** Even cost-spread subsample of [keep] designs (the cheapest and the
@@ -160,14 +174,9 @@ val thin_by_cost : keep:int -> Design.t list -> Design.t list
     cheapest).  Identity when the list already fits or [keep <= 0]. *)
 
 val local_promising : config -> Design.t list -> Design.t list
-(** Phase I selection: the 3-objective (cost, latency, energy) pareto
-    front of one architecture's estimates, thinned to
-    [config.phase1_keep].  With the event log enabled, emits the
-    terminal Phase I verdict for every input design: [design.kept],
-    [design.thinned], or [design.pruned] whose [dominated_by] is the
-    first front member, in input order, that dominates the design (one
-    always exists, dominance being transitive), so it always names a
-    kept or thinned design. *)
+(** The reference Phase I selection: the 3-objective (cost, latency,
+    energy) pareto front of one architecture's estimates, thinned to
+    [config.phase1_keep].  Emits no events. *)
 
 val evaluate_designs :
   config ->

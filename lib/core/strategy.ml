@@ -18,53 +18,12 @@ let kind_to_string = function
   | Neighborhood -> "Neighborhood"
   | Full -> "Full"
 
-(* nearest non-selected estimates around each selected point, measured
-   on span-normalised (cost, latency, energy) axes *)
-let neighbors_of ~k selected all =
-  let axes = [ Design.cost; Design.latency; Design.energy ] in
-  let spans =
-    List.map
-      (fun f ->
-        let vs = List.map f all in
-        let lo = List.fold_left Float.min infinity vs
-        and hi = List.fold_left Float.max neg_infinity vs in
-        let s = hi -. lo in
-        if s <= 0.0 then 1.0 else s)
-      axes
-  in
-  let dist2 a b =
-    List.fold_left2
-      (fun acc f s ->
-        let d = (f a -. f b) /. s in
-        acc +. (d *. d))
-      0.0 axes spans
-  in
-  let rest =
-    List.filter
-      (fun d -> not (List.exists (Design.equal_structure d) selected))
-      all
-  in
-  List.concat_map
-    (fun p ->
-      rest
-      |> List.map (fun d -> (dist2 p d, d))
-      |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
-      |> List.filteri (fun i _ -> i < k)
-      |> List.map snd)
-    selected
-  |> List.fold_left
-       (fun acc d ->
-         if List.exists (Design.equal_structure d) acc then acc else d :: acc)
-       []
-  |> List.rev
-
 (* [front] is the strategy's cost/latency front — the anytime archive's
    emission for the sweeps that feed one ({!Explore.evaluate_designs}
    with [~archive]), which with the default (exact, unbounded) archive
    settings equals [Pareto.front2] over [simulated]. *)
-let finish kind ~n_estimates ~t0 ~front simulated =
+let finish kind ~label ~n_estimates ~t0 ~front simulated =
   let m = Mx_util.Metrics.global in
-  let label = String.lowercase_ascii (kind_to_string kind) in
   Mx_util.Metrics.incr m ("strategy." ^ label ^ ".runs");
   Mx_util.Metrics.incr m ~by:n_estimates ("strategy." ^ label ^ ".estimates");
   Mx_util.Metrics.incr m ~by:(List.length simulated)
@@ -86,135 +45,98 @@ let finish kind ~n_estimates ~t0 ~front simulated =
     wall_seconds = Unix.gettimeofday () -. t0;
   }
 
+(* Full's designs, built serially so their events carry deterministic
+   sequence numbers; only the simulations fan out *)
+let full_designs ~workload_name per_arch =
+  let design mem conn =
+    let d = Design.make ~workload_name ~mem ~conn () in
+    if Ev.is_on Ev.global then begin
+      Ev.emit Ev.global ~stage:"assign" "assign.kept"
+        [ ("conn", Ev.Str (Mx_connect.Conn_arch.describe conn)) ];
+      Ev.emit Ev.global ~stage:"phase1" "design.created"
+        [
+          ("design", Ev.Str (Design.structural_key d));
+          ("id", Ev.Str (Design.id d));
+          ("arch", Ev.Str mem.Mx_mem.Mem_arch.label);
+        ]
+    end;
+    d
+  in
+  List.concat_map
+    (fun ((cand : Mx_apex.Explore.candidate), shards) ->
+      List.concat_map
+        (fun shard ->
+          let ds =
+            List.map (design cand.Mx_apex.Explore.arch) (Shard.enumerate shard)
+          in
+          Explore.shard_finished shard;
+          ds)
+        shards)
+    per_arch
+
 let run ?(config = Explore.default_config) ?(neighbors = 2)
     ?(full_budget = 300_000) kind workload =
-  Mx_util.Metrics.with_span Mx_util.Metrics.global
-    ("strategy." ^ String.lowercase_ascii (kind_to_string kind))
+  let label = String.lowercase_ascii (kind_to_string kind) in
+  Mx_util.Metrics.with_span Mx_util.Metrics.global ("strategy." ^ label)
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  Mx_util.Snapshot.set_phase
-    ("strategy." ^ String.lowercase_ascii (kind_to_string kind));
+  Mx_util.Snapshot.set_phase ("strategy." ^ label);
   if Ev.is_on Ev.global then
     Ev.emit Ev.global ~stage:"strategy" "strategy.begin"
-      [ ("kind", Ev.Str (String.lowercase_ascii (kind_to_string kind))) ];
-  match kind with
-  | Pruned ->
-    let r = Explore.run ~config workload in
-    finish Pruned ~n_estimates:r.Explore.n_estimates ~t0
-      ~front:r.Explore.pareto_cost_perf r.Explore.simulated
-  | Neighborhood ->
-    let profile = Mx_trace.Profile.analyze workload in
-    (* widen the memory-architecture net: the full APEX pareto front *)
-    let apex_front =
-      Mx_apex.Explore.explore ~config:config.Explore.apex profile
-      |> Mx_apex.Explore.pareto
-    in
-    (* one shard queue across every front architecture *)
-    let per_arch =
-      match Explore.phase1 config workload apex_front with
-      | Some ests -> ests
-      | None -> assert false (* no interrupt hook on strategies *)
-    in
-    let n_estimates =
-      List.fold_left (fun acc ests -> acc + List.length ests) 0 per_arch
-    in
-    let survivors =
-      List.concat_map
-        (fun ests ->
-          let selected = Explore.local_promising config ests in
-          let nbrs = neighbors_of ~k:neighbors selected ests in
-          if Ev.is_on Ev.global then
-            List.iter
-              (fun (d : Design.t) ->
-                Ev.emit Ev.global ~stage:"phase1" "design.neighbor"
-                  [ ("design", Ev.Str (Design.structural_key d)) ])
-              nbrs;
-          selected @ nbrs)
-        per_arch
-    in
-    let archive =
-      Mx_util.Pareto.Archive.create
-        ~axes:[ Design.cost; Design.latency ]
-        ~eps:config.Explore.archive_eps
-        ?capacity:config.Explore.archive_capacity ()
-    in
-    let simulated =
-      Explore.evaluate_designs config workload ~stage:"phase2"
-        ~fidelity:(Explore.fidelity_of_sample config.Explore.sample)
-        ~archive survivors
-    in
-    finish Neighborhood ~n_estimates ~t0
-      ~front:(Mx_util.Pareto.Archive.front archive)
-      simulated
-  | Full ->
-    let profile = Mx_trace.Profile.analyze workload in
-    let all_archs =
-      Mx_apex.Explore.explore ~config:config.Explore.apex profile
-    in
-    (* project the simulation count before committing *)
-    let per_arch =
-      List.map
-        (fun (cand : Mx_apex.Explore.candidate) ->
-          let brg =
-            Mx_connect.Brg.build cand.Mx_apex.Explore.arch
-              cand.Mx_apex.Explore.profile
-          in
-          let conns =
-            Mx_connect.Assign.enumerate_levels
-              ~max_designs_per_level:config.Explore.max_designs_per_level
-              ~onchip:config.Explore.onchip ~offchip:config.Explore.offchip
-              brg.Mx_connect.Brg.channels
-          in
-          (cand, conns))
-        all_archs
-    in
-    let projected =
-      List.fold_left (fun acc (_, cs) -> acc + List.length cs) 0 per_arch
-    in
-    if Ev.is_on Ev.global then
-      Ev.emit Ev.global ~stage:"strategy" "strategy.full.projection"
-        [ ("projected", Ev.Int projected); ("budget", Ev.Int full_budget) ];
-    if projected > full_budget then begin
-      if Ev.is_on Ev.global then
-        Ev.emit Ev.global ~stage:"strategy" "strategy.full.infeasible"
-          [ ("projected", Ev.Int projected); ("budget", Ev.Int full_budget) ];
-      raise (Full_infeasible { projected_sims = projected; budget = full_budget })
-    end;
-    (* design records are built serially so their [design.created]
-       events carry deterministic sequence numbers; only the
-       simulations themselves fan out *)
-    let designs =
-      List.concat_map
-        (fun ((cand : Mx_apex.Explore.candidate), conns) ->
-          List.map
-            (fun conn ->
-              let d =
-                Design.make ~workload_name:workload.Mx_trace.Workload.name
-                  ~mem:cand.Mx_apex.Explore.arch ~conn ()
-              in
-              if Ev.is_on Ev.global then
-                Ev.emit Ev.global ~stage:"phase1" "design.created"
-                  [
-                    ("design", Ev.Str (Design.structural_key d));
-                    ("id", Ev.Str (Design.id d));
-                    ( "arch",
-                      Ev.Str cand.Mx_apex.Explore.arch.Mx_mem.Mem_arch.label );
-                  ];
-              d)
-            conns)
-        per_arch
-    in
-    let archive =
-      Mx_util.Pareto.Archive.create
-        ~axes:[ Design.cost; Design.latency ]
-        ~eps:config.Explore.archive_eps
-        ?capacity:config.Explore.archive_capacity ()
-    in
+      [ ("kind", Ev.Str label) ];
+  (* Neighborhood and Full simulate their designs into a fresh archive *)
+  let sweep ~n_estimates designs =
+    let archive = Explore.make_archive config in
     let simulated =
       Explore.evaluate_designs config workload ~stage:"phase2"
         ~fidelity:(Explore.fidelity_of_sample config.Explore.sample)
         ~archive designs
     in
-    finish Full ~n_estimates:0 ~t0
+    finish kind ~label ~n_estimates ~t0
       ~front:(Mx_util.Pareto.Archive.front archive)
       simulated
+  in
+  let apex_all () =
+    Mx_apex.Explore.explore ~config:config.Explore.apex
+      (Mx_trace.Profile.analyze workload)
+  in
+  match kind with
+  | Pruned ->
+    let r = Explore.run ~config workload in
+    finish Pruned ~label ~n_estimates:r.Explore.n_estimates ~t0
+      ~front:r.Explore.pareto_cost_perf r.Explore.simulated
+  | Neighborhood -> (
+    (* widen the memory-architecture net: the full APEX pareto front,
+       one shard queue across its architectures *)
+    match
+      Explore.promising ~neighbors config workload
+        (Mx_apex.Explore.pareto (apex_all ()))
+    with
+    | Some (per_arch, n_estimates) -> sweep ~n_estimates (List.concat per_arch)
+    | None -> assert false (* no interrupt hook on strategies *))
+  | Full ->
+    (* project the simulation count from the shard caps, before any
+       connectivity is built *)
+    let workload_fp = Mx_trace.Workload.fingerprint workload in
+    let per_arch =
+      List.map
+        (fun cand -> (cand, Explore.plan_shards config ~workload_fp cand))
+        (apex_all ())
+    in
+    let shards = List.concat_map snd per_arch in
+    let projected = List.fold_left (fun n s -> n + Shard.cap s) 0 shards in
+    let attrs =
+      [ ("projected", Ev.Int projected); ("budget", Ev.Int full_budget) ]
+    in
+    if Ev.is_on Ev.global then
+      Ev.emit Ev.global ~stage:"strategy" "strategy.full.projection" attrs;
+    if projected > full_budget then begin
+      if Ev.is_on Ev.global then
+        Ev.emit Ev.global ~stage:"strategy" "strategy.full.infeasible" attrs;
+      raise (Full_infeasible { projected_sims = projected; budget = full_budget })
+    end;
+    let designs =
+      full_designs ~workload_name:workload.Mx_trace.Workload.name per_arch
+    in
+    Mx_util.Metrics.incr Mx_util.Metrics.global ~by:projected "assign.kept";
+    sweep ~n_estimates:0 designs

@@ -5,11 +5,15 @@
       architecture's locally-promising estimates reach full simulation.
     - {e Neighborhood}: Pruned, plus the estimate-space neighbours of
       every locally selected point, and the un-thinned APEX pareto
-      front — a wider net for modest extra time.
+      front — a wider net for modest extra time, through
+      {!Explore.promising} with [?neighbors].
     - {e Full}: brute force — every candidate memory architecture and
       every feasible connectivity assignment is fully simulated; defines
       the true pareto front but is often infeasible (the paper ran a
-      month for compress and could not finish li). *)
+      month for compress and could not finish li).  Its projection is
+      the sum of {!Explore.plan_shards}' caps, taken before any
+      connectivity is built; its designs come from {!Shard.enumerate},
+      in the order of {!Mx_connect.Assign.enumerate_levels}. *)
 
 type kind = Pruned | Neighborhood | Full
 
@@ -38,4 +42,5 @@ val run :
 (** [run kind workload] executes one strategy.  [neighbors] (default 2)
     is the per-point neighbour count for [Neighborhood]; [full_budget]
     (default 300_000) caps the Full strategy's simulation count.
-    @raise Full_infeasible as described above. *)
+    @raise Full_infeasible when Full's projection exceeds
+    [full_budget], before any connectivity is built. *)

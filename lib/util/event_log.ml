@@ -2,7 +2,8 @@
    per-decision (per design, per merge), never per memory access, so a
    coarse lock is fine; the disabled path is a single atomic load.  The
    buffer starts small and grows geometrically up to the capacity, at
-   which point it wraps and drops the oldest event. *)
+   which point it wraps and drops the oldest event.  An attached output
+   channel gets each event's line as it is emitted, under the mutex. *)
 
 type value = Str of string | Int of int | Float of float | Bool of bool
 
@@ -24,6 +25,9 @@ type t = {
   mutable n_dropped : int;
   seqs : (string, int ref) Hashtbl.t;
   mutable epoch : float;
+  mutable out : out_channel option;
+  mutable keep : bool;  (* events stay resident in the ring *)
+  mutable written : int;
 }
 
 let default_capacity = 1 lsl 20
@@ -42,22 +46,31 @@ let create ?(capacity = default_capacity) ?(enabled = false) () =
     n_dropped = 0;
     seqs = Hashtbl.create 16;
     epoch = Unix.gettimeofday ();
+    out = None;
+    keep = true;
+    written = 0;
   }
 
 let global = create ()
 let set_enabled t b = Atomic.set t.on b
 let is_on t = Atomic.get t.on
-let capacity t = t.cap
 
 let reset t =
-  Mutex.lock t.mu;
+  Mutex.protect t.mu @@ fun () ->
   t.buf <- Array.make (initial_alloc t.cap) None;
   t.first <- 0;
   t.len <- 0;
   t.n_dropped <- 0;
+  t.written <- 0;
   Hashtbl.reset t.seqs;
-  t.epoch <- Unix.gettimeofday ();
-  Mutex.unlock t.mu
+  t.epoch <- Unix.gettimeofday ()
+
+let set_output t ?(keep = true) out =
+  Mutex.protect t.mu (fun () ->
+      t.out <- out;
+      t.keep <- keep || Option.is_none out)
+
+let written t = Mutex.protect t.mu (fun () -> t.written)
 
 (* Called with [t.mu] held. *)
 let push t e =
@@ -83,72 +96,6 @@ let push t e =
     t.n_dropped <- t.n_dropped + 1
   end
 
-let emit t ~stage ?seq name attrs =
-  if Atomic.get t.on then begin
-    let now = Unix.gettimeofday () in
-    Mutex.lock t.mu;
-    let seq =
-      match seq with
-      | Some s -> s
-      | None ->
-        let r =
-          match Hashtbl.find_opt t.seqs stage with
-          | Some r -> r
-          | None ->
-            let r = ref 0 in
-            Hashtbl.add t.seqs stage r;
-            r
-        in
-        let s = !r in
-        incr r;
-        s
-    in
-    push t { stage; seq; name; attrs; t_ms = (now -. t.epoch) *. 1000.0 };
-    Mutex.unlock t.mu
-  end
-
-let events t =
-  Mutex.lock t.mu;
-  let alloc = Array.length t.buf in
-  let out =
-    List.init t.len (fun i ->
-        match t.buf.((t.first + i) mod alloc) with
-        | Some e -> e
-        | None -> assert false)
-  in
-  Mutex.unlock t.mu;
-  out
-
-let length t =
-  Mutex.lock t.mu;
-  let n = t.len in
-  Mutex.unlock t.mu;
-  n
-
-let dropped t =
-  Mutex.lock t.mu;
-  let n = t.n_dropped in
-  Mutex.unlock t.mu;
-  n
-
-(* -- the determinism contract -------------------------------------------- *)
-
-let schedule_dependent e = Metrics.schedule_dependent e.name
-
-let canonical_sort evs =
-  List.stable_sort
-    (fun a b ->
-      match String.compare a.stage b.stage with
-      | 0 -> (
-        match compare a.seq b.seq with
-        | 0 -> String.compare a.name b.name
-        | c -> c)
-      | c -> c)
-    evs
-
-let deterministic_events evs =
-  canonical_sort (List.filter (fun e -> not (schedule_dependent e)) evs)
-
 (* -- JSONL rendering ------------------------------------------------------ *)
 
 let value_json = function
@@ -166,29 +113,76 @@ let event_json ~time e =
     @ (if time then [ ("t_ms", Json.Num e.t_ms) ] else [])
     @ [ ("event", Json.Str e.name); ("attrs", attrs_json e.attrs) ])
 
+(* The one JSONL renderer: the emitter's write-through and every dump. *)
 let line_of_event ?(time = true) e = Json.to_string (event_json ~time e)
-
-(* The one JSONL renderer: each event's line, newline included, goes to
-   [out] in a scratch buffer as soon as it is rendered. *)
-let render_jsonl ~time evs out =
-  let line = Buffer.create 256 in
-  List.iter
-    (fun e ->
-      Buffer.clear line;
-      Json.to_buffer line (event_json ~time e);
-      Buffer.add_char line '\n';
-      out line)
-    evs
 
 let jsonl ~time evs =
   let b = Buffer.create 4096 in
-  render_jsonl ~time evs (Buffer.add_buffer b);
+  List.iter
+    (fun e ->
+      Buffer.add_string b (line_of_event ~time e);
+      Buffer.add_char b '\n')
+    evs;
   Buffer.contents b
 
+let emit t ~stage ?seq name attrs =
+  if Atomic.get t.on then begin
+    let now = Unix.gettimeofday () in
+    Mutex.protect t.mu @@ fun () ->
+    let seq =
+      match seq with
+      | Some s -> s
+      | None ->
+        let r =
+          match Hashtbl.find_opt t.seqs stage with
+          | Some r -> r
+          | None ->
+            let r = ref 0 in
+            Hashtbl.add t.seqs stage r;
+            r
+        in
+        let s = !r in
+        incr r;
+        s
+    in
+    let e = { stage; seq; name; attrs; t_ms = (now -. t.epoch) *. 1000.0 } in
+    Option.iter
+      (fun oc ->
+        output_string oc (line_of_event e);
+        output_char oc '\n';
+        t.written <- t.written + 1)
+      t.out;
+    if t.keep then push t e
+  end
+
+let events t =
+  Mutex.protect t.mu @@ fun () ->
+  let alloc = Array.length t.buf in
+  List.init t.len (fun i -> Option.get t.buf.((t.first + i) mod alloc))
+
+let length t = Mutex.protect t.mu (fun () -> t.len)
+let dropped t = Mutex.protect t.mu (fun () -> t.n_dropped)
+
+(* -- the determinism contract -------------------------------------------- *)
+
+let schedule_dependent e = Metrics.schedule_dependent e.name
+
+let canonical_sort evs =
+  List.stable_sort
+    (fun a b ->
+      match String.compare a.stage b.stage with
+      | 0 -> (
+        match compare a.seq b.seq with
+        | 0 -> String.compare a.name b.name
+        | c -> c)
+      | c -> c)
+    evs
+
 let to_jsonl t = jsonl ~time:true (events t)
-let output_jsonl oc t =
-  render_jsonl ~time:true (events t) (Buffer.output_buffer oc)
-let canonical_dump evs = jsonl ~time:false (deterministic_events evs)
+
+let canonical_dump evs =
+  jsonl ~time:false
+    (canonical_sort (List.filter (fun e -> not (schedule_dependent e)) evs))
 
 (* -- JSONL parsing (via the shared Mx_util.Json reader) ------------------- *)
 

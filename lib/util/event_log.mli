@@ -18,7 +18,9 @@
 
     {b Bounding.}  The log is a ring of at most [capacity] events: when
     full, the oldest event is dropped (and counted in {!dropped}), so
-    the latest — terminal — decisions always survive.
+    the latest — terminal — decisions always survive.  An output
+    channel ({!set_output}) gets every event as it is emitted, and the
+    ring can then be switched off.
 
     {b Sequencing and determinism.}  Every event carries a [(stage,
     seq)] pair: [seq] is a stable integer sequence {e per logical
@@ -27,8 +29,8 @@
     their work item).  Wall-clock offsets ([t_ms]) are informational
     only and never part of the canonical form.  The determinism
     contract extends the {!Metrics} one: after {!canonical_sort}, the
-    deterministic subset ({!deterministic_events} — every event whose
-    name contains no [sched.] or [cache.] segment) of a [jobs=1] and a
+    deterministic subset (every event whose name contains no [sched.]
+    or [cache.] segment, {!schedule_dependent}) of a [jobs=1] and a
     [jobs=N] run of the same exploration is byte-identical
     ({!canonical_dump}).  Cache-provenance events ([eval.cache.*]) are
     exempt because hit/miss patterns depend on cross-domain timing.
@@ -65,11 +67,22 @@ val global : t
 
 val set_enabled : t -> bool -> unit
 val is_on : t -> bool
-val capacity : t -> int
 
 val reset : t -> unit
-(** Drop every event, zero the per-stage sequences and the drop count,
-    and restart the [t_ms] clock (the enabled flag is left as is). *)
+(** Drop every event, zero the per-stage sequences, the drop count and
+    the {!written} count, and restart the [t_ms] clock (the enabled flag
+    and an attached output are left as they are). *)
+
+val set_output : t -> ?keep:bool -> out_channel option -> unit
+(** [set_output t (Some oc)] writes each event to [oc] as one
+    {!line_of_event} line under the log's mutex as it is emitted, so a
+    file loses nothing to the ring bound and a run that dies leaves a
+    prefix {!load_jsonl} reads; [~keep:false] (default [true]) keeps
+    no event in the ring meanwhile.  [None] detaches the channel, which
+    the caller closes. *)
+
+val written : t -> int
+(** Lines written to the attached outputs since the last {!reset}. *)
 
 (** {1 Emission} *)
 
@@ -98,12 +111,9 @@ val schedule_dependent : event -> bool
 val canonical_sort : event list -> event list
 (** Stable sort by [(stage, seq, name)]. *)
 
-val deterministic_events : event list -> event list
-(** The canonical comparable subset: schedule-dependent events removed,
-    then {!canonical_sort}. *)
-
 val canonical_dump : event list -> string
-(** JSONL rendering of {!deterministic_events}, timestamps stripped —
+(** JSONL rendering of the comparable subset — schedule-dependent
+    events removed, then {!canonical_sort} — timestamps stripped,
     byte-identical between [jobs=1] and [jobs=N] runs of the same
     exploration (enforced by the test suite). *)
 
@@ -117,10 +127,6 @@ val line_of_event : ?time:bool -> event -> string
 val to_jsonl : t -> string
 (** Every resident event in emission order, one {!line_of_event} per
     line, each terminated by a newline. *)
-
-val output_jsonl : out_channel -> t -> unit
-(** {!to_jsonl}'s bytes, written to the channel one line at a time as
-    each is rendered, so a large log is never held as one string. *)
 
 val event_of_line : string -> (event, string) result
 (** Parse one JSONL line back into an event (inverse of

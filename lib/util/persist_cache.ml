@@ -258,24 +258,38 @@ let seal_active t =
     do_fsync t oc;
     close_out oc
 
-(* New segments are born with the Snapshot write-temp + rename
-   discipline: the header goes to seg-N.mxps.tmp, is fsynced, and only
-   then renamed into place — a crash during creation leaves a .tmp that
-   the scanner never looks at, not a headerless segment. *)
+let tmp_seq = Atomic.make 0
+
+(* A new segment's header goes to a tmp file no other live handle uses
+   (the pid tells processes apart, [tmp_seq] handles; no seg-N.mxps
+   name, so the scanner never reads it), is fsynced, and is then linked
+   to the segment name: a crash leaves a stray tmp file, never a
+   headerless segment.  [Unix.link] fails with EEXIST when another
+   writer holds the name, and the next index is tried. *)
 let ensure_active t =
   match t.active with
   | Some a -> a
   | None ->
-    let idx = t.next_idx in
-    t.next_idx <- idx + 1;
-    let path = segment_path t.dir idx in
-    let tmp = path ^ ".tmp" in
     let header = magic ^ t.revision ^ "\n" in
+    let tmp =
+      Filename.concat t.dir
+        (Printf.sprintf "new-%d-%d.tmp" (Unix.getpid ())
+           (Atomic.fetch_and_add tmp_seq 1))
+    in
     let oc = open_out_bin tmp in
     output_string oc header;
     do_fsync t oc;
     close_out oc;
-    Sys.rename tmp path;
+    let rec claim () =
+      let idx = t.next_idx in
+      t.next_idx <- idx + 1;
+      let path = segment_path t.dir idx in
+      match Unix.link tmp path with
+      | () -> (idx, path)
+      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> claim ()
+    in
+    let idx, path = claim () in
+    Sys.remove tmp;
     let oc =
       open_out_gen [ Open_append; Open_wronly; Open_binary ] 0o644 path
     in
@@ -407,9 +421,6 @@ let stats t =
   in
   Mutex.unlock t.mu;
   s
-
-let dir t = t.dir
-let revision t = t.revision
 
 module Testing = struct
   exception Injected_crash = Injected_crash

@@ -25,11 +25,12 @@
     in {!stats}), so results computed by an older model self-invalidate
     without any deletion pass.
 
-    {b Concurrency.}  One process may write at a time (the store is
-    mutex-guarded internally, so any number of {!Task_pool} domains of
-    that process can share it); any number of other processes may
-    {!open_dir} the same directory read-only and will observe a valid
-    committed prefix.
+    {b Concurrency.}  A handle is mutex-guarded, so {!Task_pool}
+    domains can share it.  Handles in one process or several may write
+    to one directory at once: each appends only to segments it created,
+    claiming each name with [Unix.link], so no record is lost and a
+    reopen reads every writer's committed records.  A handle reads what
+    was committed when it opened, and its own writes.
 
     {b Counters.}  When [metrics_prefix] is given, traffic is recorded
     into {!Metrics.global} as [<prefix>.hits], [<prefix>.misses] and
@@ -91,8 +92,6 @@ val length : t -> int
 (** Distinct keys resident in the index. *)
 
 val stats : t -> stats
-val dir : t -> string
-val revision : t -> string
 
 (** Fault-injection hooks for the crash-recovery test harness.  Never
     used by production code paths. *)

@@ -631,6 +631,42 @@ let test_serve_protocol () =
   Helpers.check_true "shutdown is acknowledged"
     (Test_metrics.contains ~needle:"\"op\": \"shutdown\"" (nth 7))
 
+(* a present explore field of the wrong type is a per-request error
+   that names the field; an absent one takes its default *)
+let test_serve_field_types () =
+  let input =
+    String.concat "\n"
+      [
+        {|{"id": 1, "op": "explore", "workload": "mixed", "scale": "900"}|};
+        {|{"id": 2, "op": "explore", "workload": "mixed", "scale": 900.5, "reduced": "no"}|};
+        {|{"id": 3, "op": "explore", "workload": "mixed", "scale": 900, "reduced": "no"}|};
+        {|{"id": 4, "op": "explore", "workload": 7}|};
+        {|{"id": 5, "op": "explore", "workload": "mixed", "seed": null}|};
+        {|{"id": 6, "op": "explore", "workload": "mixed", "scale": 900}|};
+      ]
+    ^ "\n"
+  in
+  let ((_, out, _) as r) = run_conex_in ~input [ "serve"; "--jobs"; "1" ] in
+  check_exit "serve session" 0 r;
+  let lines =
+    String.split_on_char '\n' out |> List.filter (fun l -> String.trim l <> "")
+  in
+  Helpers.check_int "one response per request" 6 (List.length lines);
+  List.iteri
+    (fun i field ->
+      let line = List.nth lines i in
+      Helpers.check_true
+        (Printf.sprintf "request %d is an error naming %s" (i + 1) field)
+        (Test_metrics.contains ~needle:"\"status\": \"error\"" line
+        && Test_metrics.contains
+             ~needle:(Printf.sprintf "field \\\"%s\\\"" field)
+             line))
+    [ "scale"; "scale"; "reduced"; "workload"; "seed" ];
+  Helpers.check_true "absent fields take their defaults"
+    (Test_metrics.contains
+       ~needle:"\"scale\": 900, \"seed\": 7, \"reduced\": true"
+       (List.nth lines 5))
+
 (* ids are echoed exactly: numbers are printed with as many digits as
    reading them back needs *)
 let test_serve_exact_ids () =
@@ -985,6 +1021,8 @@ let suite =
       Alcotest.test_case "serve protocol end to end" `Slow
         test_serve_protocol;
       Alcotest.test_case "serve exits 0 on EOF" `Quick test_serve_eof_shutdown;
+      Alcotest.test_case "serve rejects ill-typed explore fields" `Quick
+        test_serve_field_types;
       Alcotest.test_case "serve bad --shards exits 2" `Quick
         test_serve_bad_shards;
       Alcotest.test_case "serve --cache-dir warm start" `Slow

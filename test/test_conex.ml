@@ -115,8 +115,12 @@ let test_pareto_undominated () =
 let test_local_promising_caps () =
   let r = Lazy.force conex_result in
   let per_arch =
-    Explore.connectivity_exploration small_config (Lazy.force small_workload)
-      (List.hd r.Explore.apex_selected)
+    match
+      Explore.phase1 small_config (Lazy.force small_workload)
+        [ List.hd r.Explore.apex_selected ]
+    with
+    | Some [ ests ] -> ests
+    | _ -> Alcotest.fail "one candidate in, one estimate list out"
   in
   let kept = Explore.local_promising small_config per_arch in
   Helpers.check_true "locally kept bounded"
@@ -248,6 +252,35 @@ let test_full_budget_boundary () =
       projected_sims;
     Helpers.check_int "payload carries the budget" (projected - 1) budget
 
+(* Full walks every APEX architecture's shard plan: the designs, in
+   order, of the monolithic enumeration, and a projection that counts
+   exactly them *)
+let test_full_equals_enumeration () =
+  let w = Lazy.force small_workload in
+  let config = Explore.reduced_config in
+  let want =
+    Mx_apex.Explore.explore ~config:config.Explore.apex
+      (Mx_trace.Profile.analyze w)
+    |> List.concat_map (fun (cand : Mx_apex.Explore.candidate) ->
+           let mem = cand.Mx_apex.Explore.arch in
+           let brg = Mx_connect.Brg.build mem cand.Mx_apex.Explore.profile in
+           Mx_connect.Assign.enumerate_levels
+             ~max_designs_per_level:config.Explore.max_designs_per_level
+             ~onchip:config.Explore.onchip ~offchip:config.Explore.offchip
+             brg.Mx_connect.Brg.channels
+           |> List.map (fun conn ->
+                  Design.structural_key
+                    (Design.make ~workload_name:"" ~mem ~conn ())))
+  in
+  let full = Strategy.run ~config Strategy.Full w in
+  Helpers.check_true "Full's designs are the enumeration's, in order"
+    (List.map Design.structural_key full.Strategy.designs = want);
+  let n = List.length want in
+  match Strategy.run ~config ~full_budget:(n - 1) Strategy.Full w with
+  | _ -> Alcotest.fail "a budget below the design count should raise"
+  | exception Strategy.Full_infeasible { projected_sims; _ } ->
+    Helpers.check_int "the projection counts the enumeration" n projected_sims
+
 (* -- report ------------------------------------------------------------------ *)
 
 let test_annotate_labels () =
@@ -308,6 +341,8 @@ let suite =
       Alcotest.test_case "full budget guard" `Slow test_full_budget_guard;
       Alcotest.test_case "full budget boundary" `Slow
         test_full_budget_boundary;
+      Alcotest.test_case "full equals the enumeration" `Slow
+        test_full_equals_enumeration;
       Alcotest.test_case "annotate labels" `Slow test_annotate_labels;
       Alcotest.test_case "annotate sorted" `Slow test_annotate_sorted_by_cost;
       Alcotest.test_case "ascii scatter" `Slow test_ascii_scatter_renders;

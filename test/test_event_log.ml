@@ -274,24 +274,17 @@ let test_terminal_verdicts () =
         (List.exists (fun (e : Ev.event) -> e.Ev.name = name) events))
     [ "cluster.merge"; "assign.level"; "assign.kept"; "design.evaluated" ]
 
-(* A pruned design names a competitor that stayed on its
-   architecture's front — kept or thinned — and dominates it. *)
+(* A pruned design of a run names a competitor that stayed on its
+   architecture's front — kept or thinned — and dominates it.  The
+   reference Phase I supplies every estimate's coordinates. *)
 let test_pruned_names_front_member () =
   let w = Helpers.mixed_workload ~scale:3000 () in
   let config = small_config 1 in
-  let cands =
-    Mx_apex.Explore.select ~config:config.Explore.apex
-      (Mx_trace.Profile.analyze w)
-  in
-  let designs, events =
-    with_events (fun () ->
-        match Explore.phase1 config w cands with
-        | None -> Alcotest.fail "Phase I stopped without an interrupt"
-        | Some per_arch ->
-          List.iter
-            (fun ds -> ignore (Explore.local_promising config ds))
-            per_arch;
-          (List.concat per_arch, Ev.events Ev.global))
+  let r, events = explore_events 1 w in
+  let designs =
+    match Explore.phase1 config w r.Explore.apex_selected with
+    | None -> Alcotest.fail "Phase I stopped without an interrupt"
+    | Some per_arch -> List.concat per_arch
   in
   let by_key = Hashtbl.create 1024 and on_front = Hashtbl.create 64 in
   List.iter

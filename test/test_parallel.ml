@@ -186,7 +186,7 @@ let test_run_sampled_refine_parallel_matches_serial () =
   Helpers.check_true "sampled+refined results byte-identical"
     (strip_wall serial = strip_wall parallel)
 
-(* Phase I's collect sink keeps every estimate: the same designs with
+(* The reference Phase I keeps every estimate: the same designs with
    bit-identical estimates, in the same order, at every jobs and shard
    count. *)
 let test_phase1_parallel_sharded_matches_serial () =

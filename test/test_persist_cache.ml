@@ -260,6 +260,29 @@ let test_concurrent_writer_reopen_hammer () =
         (Persist.length t);
       Persist.close t)
 
+(* Two writers on one fresh directory — as two processes sharing a
+   --cache-dir are — claim segments of their own, across rotations
+   too: a reopen finds every key either of them wrote. *)
+let test_two_writers_keep_every_record () =
+  with_dir (fun dir ->
+      let total = 400 in
+      let a = open_ok ~segment_max_bytes:1 dir
+      and b = open_ok ~segment_max_bytes:1 dir in
+      for i = 0 to total - 1 do
+        Persist.put (if i mod 2 = 0 then a else b) ~key:(key_of i) (value_of i)
+      done;
+      Persist.close a;
+      Persist.close b;
+      let t = open_ok dir in
+      for i = 0 to total - 1 do
+        Helpers.check_true
+          (Printf.sprintf "key %d survives two writers" i)
+          (Persist.get t ~key:(key_of i) = Some (value_of i))
+      done;
+      Helpers.check_int "every record recovered" total
+        (Persist.stats t).Persist.recovered;
+      Persist.close t)
+
 (* -- the Eval disk tier on top ------------------------------------------ *)
 
 let test_sim_result_wire_roundtrip () =
@@ -409,6 +432,8 @@ let suite =
         test_revision_invalidation;
       Alcotest.test_case "concurrent writer + reopen hammer" `Quick
         test_concurrent_writer_reopen_hammer;
+      Alcotest.test_case "two writers on one directory keep every record"
+        `Quick test_two_writers_keep_every_record;
       Alcotest.test_case "Sim_result wire form round-trips bit-exactly" `Quick
         test_sim_result_wire_roundtrip;
       Alcotest.test_case "Eval disk tier: restart hits, promotion" `Quick
