@@ -828,17 +828,26 @@ let shard () =
      the emitted front must still be a pareto front of exactly the
      committed prefix *)
   Mx_sim.Eval.clear_cache ();
-  let total_polls = ref 0 in
+  (* Phase I never looks a result up, so a poll that comes after the
+     result cache's first lookup is one of Phase II's *)
+  let lookups () =
+    let s = Mx_sim.Eval.cache_stats () in
+    s.Mx_util.Memo_cache.hits + s.misses
+  in
+  let before = lookups () in
+  let total_polls = ref 0 and phase2_polls = ref 0 in
   let count_only () =
     incr total_polls;
+    if lookups () > before then incr phase2_polls;
     false
   in
   let full =
     Explore.run ~config:(config ~shards:4 ~jobs:!jobs) ~interrupt:count_only w
   in
-  (* aim the interrupt mid phase II so the committed prefix holds real
-     simulations, not just drained phase-I shards *)
-  let budget = !total_polls - ((full.Explore.n_simulations + 1) / 2) in
+  (* aim the interrupt at the middle of phase II's polls (one per run
+     of designs), so the committed prefix holds real simulations, not
+     just drained phase-I shards *)
+  let budget = !total_polls - max 1 ((!phase2_polls + 1) / 2) in
   Mx_sim.Eval.clear_cache ();
   let polls = ref 0 in
   let interrupt () =
@@ -855,6 +864,9 @@ let shard () =
     (List.length r.Explore.pareto_cost_perf)
     wall;
   check "interrupting mid-run reports interrupted" r.Explore.interrupted;
+  check "the interrupted run committed some simulations, not all"
+    (r.Explore.n_simulations > 0
+    && r.Explore.n_simulations < full.Explore.n_simulations);
   check "anytime front = pareto front of the committed prefix"
     (List.map Design.structural_key r.Explore.pareto_cost_perf
     = List.map Design.structural_key

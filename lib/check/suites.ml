@@ -696,6 +696,15 @@ let bus_mismatch ~what stats totals =
     R.failf "%s: bus txns/busy/wait: simulator [%s] vs oracle [%s]" what
       (show got) (show totals)
 
+(* [conn] without its [k]-th binding: a channel an access or an estimate
+   may need goes unrouted *)
+let drop_binding (conn : Conn_arch.t) k =
+  conn.Conn_arch.bindings
+  |> List.filteri (fun j _ -> j <> k)
+  |> List.map (fun (b : Conn_arch.binding) ->
+         (b.Conn_arch.cluster, b.Conn_arch.component))
+  |> Conn_arch.make
+
 let sample_tag = function
   | None -> "exact"
   | Some (on, off) -> Printf.sprintf "sample %d/%d" on off
@@ -725,23 +734,78 @@ let sim_suite =
         let g = Prng.create ~seed in
         let p = Gen.sim_pipeline g ~size in
         let w = p.Gen.p_workload and arch = p.Gen.p_arch in
-        let sample = Gen.sample g in
+        let sample = Gen.sample g and cpu = Gen.cpu_model g in
         let column = Mx_sim.Cycle_sim.record ?sample ~workload:w ~arch () in
+        (* one pass of 1 to 24 connectivities, a few of them missing a
+           binding, so that an access may need an unrouted channel *)
+        let conns =
+          List.init
+            (1 + Prng.int g ~bound:24)
+            (fun _ ->
+              let conn = Gen.conn g p.Gen.p_brg in
+              if Prng.bool g ~p:0.1 then
+                drop_binding conn
+                  (Prng.int g ~bound:(List.length conn.Conn_arch.bindings))
+              else conn)
+        in
+        let what k =
+          Printf.sprintf "connectivity %d of %d, %s, %s, %s" k
+            (List.length conns) (Mem_arch.describe arch) (sample_tag sample)
+            (cpu_tag cpu)
+        in
+        let replays =
+          List.map
+            (fun conn ->
+              match
+                Oracle.replay_traced ?sample ~cpu ~workload:w ~arch ~conn ()
+              with
+              | orc -> Ok orc
+              | exception Invalid_argument _ ->
+                (* the message a pass must raise is the one [time]
+                   raises for this connectivity alone *)
+                Error
+                  (match Mx_sim.Cycle_sim.time ~cpu column ~conn with
+                  | _ -> "(time does not raise)"
+                  | exception Invalid_argument msg -> msg))
+            conns
+        in
+        let compare_pass conns replays =
+          match Mx_sim.Cycle_sim.time_many ~cpu column conns with
+          | exception Invalid_argument msg -> R.failf "a pass raises %S" msg
+          | timed ->
+            R.all_of
+              (List.mapi
+                 (fun k ((sim, stats), (orc, totals)) ->
+                   R.all_of
+                     [
+                       wire_mismatch ~what:(what k) sim orc;
+                       bus_mismatch ~what:(what k) stats totals;
+                     ])
+                 (List.combine timed replays))
+        in
+        let routed =
+          List.filter_map
+            (fun (conn, r) ->
+              match r with Ok orc -> Some (conn, orc) | Error _ -> None)
+            (List.combine conns replays)
+        in
         R.all_of
-          (List.init
-             (1 + Prng.int g ~bound:4)
-             (fun k ->
-               let conn = Gen.conn g p.Gen.p_brg and cpu = Gen.cpu_model g in
-               let what =
-                 Printf.sprintf "connectivity %d of %s, %s, %s" k
-                   (Mem_arch.describe arch) (sample_tag sample) (cpu_tag cpu)
-               in
-               let sim, stats = Mx_sim.Cycle_sim.time_traced ~cpu column ~conn
-               and orc, totals =
-                 Oracle.replay_traced ?sample ~cpu ~workload:w ~arch ~conn ()
-               in
-               R.all_of
-                 [ wire_mismatch ~what sim orc; bus_mismatch ~what stats totals ])));
+          [
+            (match
+               List.find_map
+                 (function Error msg -> Some msg | Ok _ -> None)
+                 replays
+             with
+            | None -> compare_pass conns (List.map Result.get_ok replays)
+            | Some want -> (
+              match Mx_sim.Cycle_sim.time_many ~cpu column conns with
+              | _ -> R.failf "a pass did not raise %S" want
+              | exception Invalid_argument got ->
+                R.check (got = want)
+                  "a pass raises %S, its first unroutable connectivity %S"
+                  got want));
+            compare_pass (List.map fst routed) (List.map snd routed);
+          ]);
     R.prop ~cost:4 "cycle simulator is deterministic" (fun ~seed ~size ->
         let g = Prng.create ~seed in
         let p = Gen.pipeline g ~size in
@@ -911,15 +975,6 @@ let estimate_outcome f =
   | exception Invalid_argument msg -> Error msg
 
 let show_outcome = function Ok wire -> wire | Error msg -> "raises " ^ msg
-
-(* [conn] without its [k]-th binding: a channel the estimate may need
-   goes unrouted *)
-let drop_binding (conn : Conn_arch.t) k =
-  conn.Conn_arch.bindings
-  |> List.filteri (fun j _ -> j <> k)
-  |> List.map (fun (b : Conn_arch.binding) ->
-         (b.Conn_arch.cluster, b.Conn_arch.component))
-  |> Conn_arch.make
 
 let plan_matches_oracle pipeline ~seed ~size =
   let g = Prng.create ~seed in
@@ -1192,6 +1247,25 @@ let small_config ~jobs =
     jobs;
   }
 
+let shard_config ~shards ~jobs = { (small_config ~jobs) with Explore.shards }
+
+(* a wider Phase I space than [shard_config]: the full module and
+   component catalogues, so an architecture has tens to hundreds of
+   estimates, a front to thin, and pruned designs with several
+   dominators; a renamed twin of mux32 gives estimates that tie on
+   every axis, so ties in dominance and in neighbour distance occur *)
+let phase1_config ~shards ~jobs =
+  {
+    (shard_config ~shards ~jobs) with
+    Explore.apex = { Mx_apex.Explore.default_config with max_selected = 2 };
+    onchip =
+      Component.onchip_library
+      @ [ { (Component.by_name "mux32") with Component.name = "mux32-twin" } ];
+    offchip = Component.offchip_library;
+    max_designs_per_level = 256;
+    phase1_keep = 4;
+  }
+
 let design_keys (ds : Design.t list) =
   List.map
     (fun d -> (Design.structural_key d, Design.cost d, Design.latency d,
@@ -1297,7 +1371,7 @@ let explore_suite ~jobs =
             Ev.set_enabled Ev.global was;
             Ev.reset Ev.global)
           (fun () ->
-            ignore (Explore.run ~config:(small_config ~jobs:1) w);
+            ignore (Explore.run ~config:(phase1_config ~shards:1 ~jobs:1) w);
             let evs = Ev.events Ev.global in
             let count name =
               List.length
@@ -1331,25 +1405,6 @@ let explore_suite ~jobs =
    filter front it replaced. *)
 
 module Shard = Conex.Shard
-
-let shard_config ~shards ~jobs = { (small_config ~jobs) with Explore.shards }
-
-(* a wider Phase I space than [shard_config]: the full module and
-   component catalogues, so an architecture has tens to hundreds of
-   estimates, a front to thin, and pruned designs with several
-   dominators; a renamed twin of mux32 gives estimates that tie on
-   every axis, so ties in dominance and in neighbour distance occur *)
-let phase1_config ~shards ~jobs =
-  {
-    (shard_config ~shards ~jobs) with
-    Explore.apex = { Mx_apex.Explore.default_config with max_selected = 2 };
-    onchip =
-      Component.onchip_library
-      @ [ { (Component.by_name "mux32") with Component.name = "mux32-twin" } ];
-    offchip = Component.offchip_library;
-    max_designs_per_level = 256;
-    phase1_keep = 4;
-  }
 
 (* a Phase I design as the checks compare it: its structure and the
    bytes of its estimate *)
@@ -1422,12 +1477,12 @@ let shard_suite ~jobs =
             (* cache off so no arm is served results computed by another *)
             Eval.set_cache_capacity 0;
             let base =
-              Explore.run ~config:(shard_config ~shards:1 ~jobs:1) w
+              Explore.run ~config:(phase1_config ~shards:1 ~jobs:1) w
             in
             R.all_of
               (List.map
                  (fun (shards, jobs) ->
-                   let r = Explore.run ~config:(shard_config ~shards ~jobs) w in
+                   let r = Explore.run ~config:(phase1_config ~shards ~jobs) w in
                    R.check
                      (run_summary r = run_summary base)
                      "shards=%d jobs=%d diverges from the monolithic run"
@@ -1659,10 +1714,27 @@ let shard_suite ~jobs =
         with_default_cache (fun () ->
             Eval.set_cache_capacity 0;
             let config = shard_config ~shards:2 ~jobs:1 in
-            let full = Explore.run ~config w in
+            (* Phase I never looks a result up, so the polls that come
+               after the result cache's first lookup are Phase II's and
+               refinement's (one per run of designs) *)
+            let lookups () =
+              let s = Eval.cache_stats () in
+              s.Mx_util.Memo_cache.hits + s.misses
+            in
+            let before = lookups () in
+            let total_polls = ref 0 and late_polls = ref 0 in
+            let count_only () =
+              incr total_polls;
+              if lookups () > before then incr late_polls;
+              false
+            in
+            let full = Explore.run ~config ~interrupt:count_only w in
+            (* half the cases stop at one of those late polls, the rest
+               anywhere, or never *)
+            let late = !late_polls > 0 && Prng.bool g ~p:0.5 in
             let budget =
-              Prng.int g
-                ~bound:(2 * (full.Explore.n_estimates + full.Explore.n_simulations) + 2)
+              if late then !total_polls - 1 - Prng.int g ~bound:!late_polls
+              else Prng.int g ~bound:(!total_polls + 2)
             in
             let polls = ref 0 in
             let interrupt () =
@@ -1684,6 +1756,12 @@ let shard_suite ~jobs =
                   "an uninterrupted run (budget %d) diverges from the plain \
                    run"
                   budget;
+                R.check
+                  ((not late)
+                  || (r.Explore.interrupted && r.Explore.n_simulations > 0))
+                  "a run stopped at poll %d of %d, after Phase I, committed \
+                   no simulation"
+                  (budget + 1) !total_polls;
                 R.check is_prefix
                   "the interrupted run's %d simulations are not a prefix of \
                    the full run's %d"
@@ -2037,30 +2115,198 @@ let persist_suite ~jobs:_ =
         let p = Gen.pipeline g ~size in
         let conn = Gen.conn g p.Gen.p_brg in
         let w = p.Gen.p_workload and arch = p.Gen.p_arch in
-        with_store (fun dir ->
-            with_default_cache (fun () ->
-                match Eval.open_persist ~dir with
-                | Error e -> R.failf "cannot open the store: %s" e
-                | Ok () ->
-                  Eval.clear_cache ();
-                  let exact =
-                    Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn ()
-                  in
-                  (* drop the hot tier; only the disk copy remains *)
-                  Eval.clear_cache ();
-                  let r, prov =
-                    Eval.eval_prov ~fidelity:(Eval.Sampled (100, 900))
-                      ~workload:w ~arch ~conn ()
-                  in
-                  Eval.close_persist ();
-                  R.all_of
-                    [
-                      R.check (prov = Eval.Promoted)
-                        "Sampled after a disk-resident Exact was %s"
-                        (Eval.provenance_tag prov);
-                      R.check (r = exact)
-                        "the promoted result differs from the Exact one";
-                    ])));
+        let sampled = Eval.Sampled (100, 900) in
+        let promoted =
+          with_store (fun dir ->
+              with_default_cache (fun () ->
+                  match Eval.open_persist ~dir with
+                  | Error e -> R.failf "cannot open the store: %s" e
+                  | Ok () ->
+                    Eval.clear_cache ();
+                    let exact =
+                      Eval.eval ~fidelity:Eval.Exact ~workload:w ~arch ~conn ()
+                    in
+                    (* drop the hot tier; only the disk copy remains *)
+                    Eval.clear_cache ();
+                    let r, prov =
+                      Eval.eval_prov ~fidelity:sampled ~workload:w ~arch ~conn
+                        ()
+                    in
+                    Eval.close_persist ();
+                    R.all_of
+                      [
+                        R.check (prov = Eval.Promoted)
+                          "Sampled after a disk-resident Exact was %s"
+                          (Eval.provenance_tag prov);
+                        R.check (r = exact)
+                          "the promoted result differs from the Exact one";
+                      ]))
+        in
+        (* A batch over every rung: distinct connectivity [i] is, by
+           [i mod 5], Exact on disk only, Sampled on disk only, Exact in
+           the hot tier, Sampled in the hot tier, or new; one is
+           repeated and the batch is shuffled.  Timed in one
+           [eval_many] call, it must give direct recomputation's
+           results and match [eval_prov] one connectivity at a time
+           from the same tiers: results, provenance, tier counts, and
+           the provenance of lone requests afterwards, for a few new
+           connectivities and then the batch again, which shows what
+           each tier kept and in which recency order.  Half the cases
+           bound the hot tier near the batch's working set, so fills
+           evict; the others keep the default capacity, where each
+           connectivity must also take the ladder's rung. *)
+        let seen = Hashtbl.create 16 in
+        let distinct n =
+          List.filter
+            (fun c ->
+              let fp = Conn_arch.fingerprint c in
+              (not (Hashtbl.mem seen fp)) && (Hashtbl.add seen fp (); true))
+            (List.init n (fun _ -> Gen.conn g p.Gen.p_brg))
+        in
+        let conns = distinct (4 + Prng.int g ~bound:8) in
+        (* connectivities new to the tiers, requested after the batch so
+           that a bounded hot tier evicts by the recency the batch left *)
+        let extras = distinct (1 + Prng.int g ~bound:(List.length conns + 4)) in
+        let role conn =
+          let rec find i = function
+            | c :: rest -> if c == conn then i mod 5 else find (i + 1) rest
+            | [] -> assert false
+          in
+          find 0 conns
+        in
+        let batch =
+          let a =
+            Array.of_list
+              (List.nth conns (Prng.int g ~bound:(List.length conns)) :: conns)
+          in
+          for i = Array.length a - 1 downto 1 do
+            let j = Prng.int g ~bound:(i + 1) in
+            let x = a.(i) in
+            a.(i) <- a.(j);
+            a.(j) <- x
+          done;
+          Array.to_list a
+        in
+        let fidelity = if Prng.bool g ~p:0.5 then sampled else Eval.Exact in
+        let capacity =
+          if Prng.bool g ~p:0.5 then Eval.default_cache_capacity
+          else 1 + Prng.int g ~bound:((2 * List.length batch) + 4)
+        in
+        let rungs =
+          let seen = Hashtbl.create 16 in
+          List.map
+            (fun conn ->
+              let fp = Conn_arch.fingerprint conn in
+              let again = Hashtbl.mem seen fp in
+              Hashtbl.replace seen fp ();
+              match (fidelity, role conn) with
+              | Eval.Sampled _, (0 | 2) -> Eval.Promoted
+              | _ when again -> Eval.Cache_hit
+              | Eval.Sampled _, 1 | Eval.Exact, 0 -> Eval.Disk_hit
+              | Eval.Sampled _, 3 | Eval.Exact, 2 -> Eval.Cache_hit
+              | _ -> Eval.Computed)
+            batch
+        in
+        let direct =
+          List.map2
+            (fun conn rung ->
+              let fidelity = if rung = Eval.Promoted then Eval.Exact else fidelity in
+              Oracle.eval_direct ~fidelity ~workload:w ~arch ~conn ())
+            batch rungs
+        in
+        let from_seeded_tiers evaluate =
+          with_store (fun dir ->
+              with_default_cache (fun () ->
+                  match Eval.open_persist ~dir with
+                  | Error e -> Error e
+                  | Ok () ->
+                    Eval.set_cache_capacity capacity;
+                    let seed_roles roles =
+                      List.iter
+                        (fun conn ->
+                          match List.assoc_opt (role conn) roles with
+                          | Some fidelity ->
+                            ignore
+                              (Eval.eval ~fidelity ~workload:w ~arch ~conn ())
+                          | None -> ())
+                        conns
+                    in
+                    seed_roles [ (0, Eval.Exact); (1, sampled) ];
+                    Eval.clear_cache ();
+                    seed_roles [ (2, Eval.Exact); (3, sampled) ];
+                    let got = evaluate () in
+                    let hot = Eval.cache_stats () and cols = Eval.column_stats () in
+                    let after =
+                      List.map
+                        (fun conn ->
+                          snd (Eval.eval_prov ~fidelity ~workload:w ~arch ~conn ()))
+                        (extras @ batch)
+                    in
+                    let disk =
+                      Option.map
+                        (fun (s : Persist.stats) ->
+                          (s.Persist.get_hits, s.get_misses, s.appended))
+                        (Eval.persist_stats ())
+                    in
+                    Ok
+                      ( got,
+                        ( hot.Mx_util.Memo_cache.hits,
+                          hot.misses,
+                          hot.evictions,
+                          cols.Mx_util.Memo_cache.misses,
+                          disk ),
+                        after )))
+        in
+        let show rs =
+          String.concat "; "
+            (List.map
+               (fun (r, prov) ->
+                 Sim_result.to_wire r ^ " " ^ Eval.provenance_tag prov)
+               rs)
+        in
+        let batched =
+          from_seeded_tiers (fun () ->
+              Eval.eval_many ~fidelity ~workload:w ~arch batch)
+        and one_by_one =
+          from_seeded_tiers (fun () ->
+              List.map
+                (fun conn -> Eval.eval_prov ~fidelity ~workload:w ~arch ~conn ())
+                batch)
+        in
+        let what =
+          Printf.sprintf "a %s batch of %d (hot tier of %d)"
+            (Eval.fidelity_tag fidelity) (List.length batch) capacity
+        in
+        let tags ps = String.concat "; " (List.map Eval.provenance_tag ps) in
+        R.all_of
+          [
+            promoted;
+            (match (batched, one_by_one) with
+            | Error e, _ | _, Error e -> R.failf "cannot open the store: %s" e
+            | Ok (got, got_counts, got_after), Ok (want, want_counts, want_after)
+              ->
+              R.all_of
+                [
+                  R.check
+                    (capacity <> Eval.default_cache_capacity
+                    || List.map snd got = rungs)
+                    "%s takes the rungs [%s], the ladder [%s]" what
+                    (tags (List.map snd got)) (tags rungs);
+                  R.check
+                    (List.map (fun (r, _) -> Sim_result.to_wire r) got
+                    = List.map Sim_result.to_wire direct)
+                    "%s differs from direct recomputation" what;
+                  R.check (got = want) "%s gives [%s], one at a time [%s]" what
+                    (show got) (show want);
+                  R.check
+                    (got_counts = want_counts)
+                    "%s counts tier traffic unlike one at a time" what;
+                  R.check (got_after = want_after)
+                    "after %s lone requests take [%s], after one at a time \
+                     [%s]"
+                    what (tags got_after) (tags want_after);
+                ]);
+          ]);
     R.prop "a store written under another revision reads as empty"
       (fun ~seed ~size ->
         let g = Prng.create ~seed in

@@ -26,9 +26,11 @@
     - [sim]         recorded-column simulator vs straight-line
                     replay oracle, bit-exact on the wire form, over
                     L2/victim/write-buffer architectures, random
-                    windows and CPU models, one column timed under
-                    several connectivities; determinism,
-                    sampled-vs-exact bounds
+                    windows and CPU models, one column timed in one
+                    {!Mx_sim.Cycle_sim.time_many} pass of 1 to 24
+                    connectivities (the first unroutable one raising
+                    its own error); determinism, sampled-vs-exact
+                    bounds
     - [eval]        cached evaluation vs direct recomputation,
                     connectivities sharing recorded columns per
                     fidelity, cache-on/off equality,
@@ -50,8 +52,12 @@
                     architectures (never crashes, metrics finite)
     - [explore]     cache-on/off and jobs=1/jobs=N run parity,
                     estimate-vs-exact rank correlation floors,
-                    event-log terminal-verdict coverage
-    - [shard]       sharded vs monolithic runs, the streamed run
+                    event-log terminal-verdict coverage over the full
+                    module and component catalogues
+    - [shard]       sharded vs monolithic runs over the full
+                    catalogues (tens to hundreds of estimates per
+                    architecture, so four shards split a level), the
+                    streamed run
                     (events off and on, shards 1/4 x jobs 1/N) vs
                     {!Conex.Explore.phase1} +
                     {!Conex.Explore.local_promising} and its verdict
@@ -73,7 +79,12 @@
     - [persist]     the persistent evaluation store: warm-start
                     {!Conex.Explore.run} equals the cold run and is
                     served from disk, Exact-serves-Sampled promotion
-                    survives the disk tier, stale-revision segments
+                    survives the disk tier, one
+                    {!Mx_sim.Eval.eval_many} batch over hot,
+                    disk-resident, promotable, new and repeated
+                    connectivities takes the ladder's rung for each
+                    and equals {!Mx_sim.Eval.eval_prov} one at a time
+                    (results, provenance, tier counts), stale-revision segments
                     read as empty while the original revision keeps
                     its data, torn tails lose only the uncommitted
                     record, corrupt records and everything behind

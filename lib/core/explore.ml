@@ -490,36 +490,61 @@ let fidelity_of_sample = function
   | None -> Mx_sim.Eval.Exact
   | Some (on, off) -> Mx_sim.Eval.Sampled (on, off)
 
+(* Designs are evaluated in runs of at most [run_length] consecutive
+   designs on one architecture, each run one task that times its
+   connectivities in one pass ({!Mx_sim.Eval.eval_many}). *)
+let run_length = 16
+
+let runs (designs : Design.t list) =
+  let same (a : Design.t) (b : Design.t) =
+    String.equal
+      (Mx_mem.Mem_arch.fingerprint a.Design.mem)
+      (Mx_mem.Mem_arch.fingerprint b.Design.mem)
+  in
+  let close run acc = if run = [] then acc else List.rev run :: acc in
+  let rec go run n acc = function
+    | [] -> List.rev (close run acc)
+    | d :: rest -> (
+      match run with
+      | d0 :: _ when n < run_length && same d0 d ->
+        go (d :: run) (n + 1) acc rest
+      | _ -> go [ d ] 1 (close run acc) rest)
+  in
+  go [] 0 [] designs
+
 let evaluate_designs cfg workload ~stage ~fidelity ?(interrupt = never)
     ?archive designs =
   let ftag = Mx_sim.Eval.fidelity_tag fidelity in
   let acc = ref [] in
+  let commit ((d : Design.t), prov) =
+    if Ev.is_on Ev.global then begin
+      let key = Design.structural_key d in
+      Ev.emit Ev.global ~stage "design.evaluated"
+        [ ("design", Ev.Str key); ("fidelity", Ev.Str ftag) ];
+      Ev.emit Ev.global ~stage "eval.cache.provenance"
+        [
+          ("design", Ev.Str key);
+          ("fidelity", Ev.Str ftag);
+          ("source", Ev.Str (Mx_sim.Eval.provenance_tag prov));
+        ]
+    end;
+    Option.iter (fun a -> archive_insert a d) archive;
+    Mx_util.Snapshot.eval_committed
+      ?archive:(Option.map Pareto.Archive.size archive) ();
+    acc := d :: !acc
+  in
   let _committed =
     Mx_util.Task_pool.parallel_map_commit ~jobs:cfg.jobs ~chunk:1
       ~should_stop:interrupt
-      ~commit:(fun _ _ ((d : Design.t), prov) ->
-        if Ev.is_on Ev.global then begin
-          let key = Design.structural_key d in
-          Ev.emit Ev.global ~stage "design.evaluated"
-            [ ("design", Ev.Str key); ("fidelity", Ev.Str ftag) ];
-          Ev.emit Ev.global ~stage "eval.cache.provenance"
-            [
-              ("design", Ev.Str key);
-              ("fidelity", Ev.Str ftag);
-              ("source", Ev.Str (Mx_sim.Eval.provenance_tag prov));
-            ]
-        end;
-        Option.iter (fun a -> archive_insert a d) archive;
-        Mx_util.Snapshot.eval_committed
-          ?archive:(Option.map Pareto.Archive.size archive) ();
-        acc := d :: !acc)
-      (fun (d : Design.t) ->
-        let sim, prov =
-          Mx_sim.Eval.eval_prov ~fidelity ~workload ~arch:d.Design.mem
-            ~conn:d.Design.conn ()
-        in
-        (Design.with_sim d sim, prov))
-      designs
+      ~commit:(fun _ _ run -> List.iter commit run)
+      (fun (run : Design.t list) ->
+        let first = List.hd run in
+        List.map2
+          (fun (d : Design.t) (sim, prov) -> (Design.with_sim d sim, prov))
+          run
+          (Mx_sim.Eval.eval_many ~fidelity ~workload ~arch:first.Design.mem
+             (List.map (fun (d : Design.t) -> d.Design.conn) run)))
+      (runs designs)
   in
   List.rev !acc
 

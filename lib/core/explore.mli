@@ -187,16 +187,21 @@ val evaluate_designs :
   ?archive:Design.t Mx_util.Pareto.Archive.t ->
   Design.t list ->
   Design.t list
-(** Evaluate each design at the given fidelity on the task pool
-    ([config.jobs], one design per dispatch) and attach the result with
-    {!Design.with_sim}.  Results commit on the calling domain in input
-    order ({!Mx_util.Task_pool.parallel_map_commit}): each commit emits
-    the [design.evaluated] and [eval.cache.provenance] events under
-    [stage] and inserts the design into [?archive] when given (emitting
+(** Evaluate each design at the given fidelity on the task pool and
+    attach the result with {!Design.with_sim}.  Each run of at most 16
+    consecutive designs on one memory architecture (equal
+    {!Mx_mem.Mem_arch.fingerprint}) is one dispatch, evaluated by one
+    {!Mx_sim.Eval.eval_many} call, so its connectivities share one pass
+    over the architecture's recorded column.  Results commit on the
+    calling domain, design by design in input order
+    ({!Mx_util.Task_pool.parallel_map_commit}): each commit emits the
+    [design.evaluated] and [eval.cache.provenance] events under [stage]
+    and inserts the design into [?archive] when given (emitting
     [archive.insert] / [archive.reject] / [archive.evict] events), so
     event sequences and archive contents are identical at every jobs
-    level.  When [?interrupt] returns true the evaluation stops at a
-    clean input prefix and the committed designs are returned (the
+    level.  [?interrupt] is polled before each run commits: when it
+    returns true the evaluation stops at a clean input prefix that ends
+    at a run boundary, and the committed designs are returned (the
     result is shorter than the input).  Used by Phase II
     ([stage = "phase2"]), refinement ([stage = "refine"]) and the
     strategy harness. *)

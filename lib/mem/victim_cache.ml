@@ -1,48 +1,51 @@
+(* The buffer's lines in insertion order, in a ring: [count] lines from
+   slot [head] on, oldest first. *)
 type t = {
   p : Params.victim;
-  lines : int array; (* -1 = empty *)
-  stamps : int array; (* insertion time of each full slot *)
-  mutable clock : int;
+  ring : int array;
+  mutable head : int;
+  mutable count : int;
 }
 
 let create p =
   Params.validate_victim p;
-  {
-    p;
-    lines = Array.make p.Params.v_entries (-1);
-    stamps = Array.make p.Params.v_entries 0;
-    clock = 0;
-  }
+  { p; ring = Array.make p.Params.v_entries 0; head = 0; count = 0 }
 
 let params t = t.p
 
+(* the slot after [s] in a ring of [n] *)
+let next n s = if s + 1 = n then 0 else s + 1
+
 let recover t ~evicted ~line =
-  let lines = t.lines and stamps = t.stamps in
-  (* one scan: the first empty slot, the oldest full slot (the lowest
-     index on ties) and the slot holding [line] *)
-  let empty = ref (-1) and oldest = ref 0 and found = ref (-1) in
-  for i = 0 to Array.length lines - 1 do
-    let l = lines.(i) in
-    if l < 0 then begin
-      if !empty < 0 then empty := i
+  let ring = t.ring in
+  let n = Array.length ring in
+  if evicted >= 0 then begin
+    if t.count = n then begin
+      (* displace the oldest insertion: its slot holds the newest *)
+      let h = t.head in
+      ring.(h) <- evicted;
+      t.head <- next n h
     end
     else begin
-      if l = line then found := i;
-      if stamps.(i) < stamps.(!oldest) then oldest := i
+      let tail = t.head + t.count in
+      ring.(if tail >= n then tail - n else tail) <- evicted;
+      t.count <- t.count + 1
     end
-  done;
-  if evicted >= 0 then begin
-    (* an empty slot if any, else displace the oldest insertion; [oldest]
-       is only read when every slot is full *)
-    let slot = if !empty >= 0 then !empty else !oldest in
-    t.clock <- t.clock + 1;
-    lines.(slot) <- evicted;
-    stamps.(slot) <- t.clock;
-    if slot = !found then found := -1
   end;
-  if !found < 0 then false
+  let i = ref 0 and s = ref t.head in
+  while !i < t.count && ring.(!s) <> line do
+    incr i;
+    s := next n !s
+  done;
+  if !i = t.count then false
   else begin
-    (* the line returns to the main cache *)
-    lines.(!found) <- -1;
+    (* the line returns to the main cache, and each newer line moves
+       back one slot, so the ring stays in insertion order *)
+    for _ = !i to t.count - 2 do
+      let nx = next n !s in
+      ring.(!s) <- ring.(nx);
+      s := nx
+    done;
+    t.count <- t.count - 1;
     true
   end

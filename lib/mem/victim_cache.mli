@@ -21,13 +21,16 @@ val create : Params.victim -> t
 val params : t -> Params.victim
 
 val recover : t -> evicted:int -> line:int -> bool
-(** One main-cache miss, in one scan of the buffer.  First the clean
-    line the miss [evicted] (its global line number, or [-1] for none)
-    enters the buffer: it takes the first empty slot, or displaces the
-    oldest insertion when the buffer is full (the lowest slot on ties).
-    Then the buffer is probed for the missed [line]: a hit removes the
-    line, which moves back into the main cache, and returns [true].
-    When the insertion displaced [line] itself, the probe misses.
+(** One main-cache miss.  First the clean line the miss [evicted] (its
+    global line number, or [-1] for none) enters the buffer as its
+    newest line, displacing the oldest insertion when the buffer is
+    full.  Then the buffer is probed for the missed [line]: a hit
+    removes the line, which moves back into the main cache, and returns
+    [true].  When the insertion displaced [line] itself, the probe
+    misses.
+
+    The buffer keeps its lines in insertion order in a ring: an
+    insertion writes one slot, and a hit closes its gap in the ring.
 
     It relies on what a main cache's misses guarantee: the buffer and
     the cache hold disjoint lines (an evicted line was resident in the

@@ -368,85 +368,114 @@ let footprint c =
 
 (* -- stage 2: time ---------------------------------------------------------
 
-   Each distinct outcome becomes one row, built once per connectivity:
-   the compute gap, the routed legs, their transaction latencies and
-   occupancies, and the energy terms.  [Component] and [Conn_cost] are
-   pure, so a row field is the value the per-access call would have
-   returned.
+   One pass times K connectivities of a column together, access by
+   access.  Each distinct outcome becomes one shared row, of the fields
+   that depend on the architecture alone, and one row per connectivity,
+   of its routed legs, their transaction latencies and occupancies and
+   its energy addends; all are built once per pass.  [Component] and
+   [Conn_cost] are pure, so a row field is the value the per-access
+   call would have returned.
 
    The channel check stays lazy: a column holds outcomes of timed
    (on-window) accesses only, with ids in order of first appearance,
-   so the first row that needs a missing channel belongs to the first
-   on-window access that needs it, and building that row raises the
-   error that access would have raised. *)
+   so the first row of a connectivity that needs a missing channel
+   belongs to the first on-window access that needs it, and building
+   that row raises the error that access would have raised.  Rows are
+   built one connectivity after the other, so when several miss a
+   channel, the first in the pass's order raises. *)
 
-(* Rows are flat: [stride] ints per outcome in [ri] and [fstride]
-   energy addends per outcome in [rf], at offsets [id * stride] and
-   [id * fstride]. *)
-let stride = 16
+(* Rows are flat, one block per outcome: [iblock t] ints in [ri] and
+   [fblock t] energy addends in [rf].  A block opens with the shared
+   row, [sstride] ints and [sfstride] addends that depend on the
+   architecture alone, followed by one row per connectivity, so the K
+   rows of one outcome are adjacent: connectivity [c]'s row of outcome
+   [id] starts at [id * iblock t + sstride + c * cstride] (and likewise
+   in [rf]). *)
+let sstride = 4
 
-let r_gap = 0
-let r_l1 = 1 (* CPU-side binding *)
-let r_lat1 = 2
-let r_occ1 = 3
-let r_lm = 4 (* L1<->L2 binding, or -1 without L2 traffic *)
-let r_lat_m = 5 (* L2 leg latency plus the L2's access latency *)
-let r_occ_m = 6
-let r_occ_bg_m = 7 (* occupancy of the L2 leg's background bytes, or 0 *)
-let r_d = 8 (* the binding carrying the DRAM traffic *)
-let r_occ2 = 9
-let r_hold2 = 10 (* [occ2] plus the DRAM latency when not split *)
-let r_lat2 = 11 (* leg latency plus the DRAM latency *)
-let r_dram_lat = 12
-let r_occ_bg = 13 (* occupancy of the background DRAM bytes, or 0 *)
-let r_mem = 14 (* module latency plus extra latency *)
-let r_flags = 15
+let s_gap = 0
+let s_mem = 1 (* module latency plus extra latency *)
+let s_dram_lat = 2 (* row-buffer latency of the critical fill, or 0 *)
+let s_flags = 3
 
-(* the bits of [r_flags] *)
-let fl_split1 = 1 (* the CPU-side component is split-transaction *)
+(* the bits of [s_flags] *)
+let fl_l2 = 1 (* L1<->L2 traffic *)
 let fl_bg_m = 2 (* the L2 leg carries background bytes *)
-let fl_dram = 4 (* DRAM traffic, over [r_d] *)
+let fl_dram = 4 (* DRAM traffic *)
 let fl_direct = 8 (* a direct access: the DRAM leg is the CPU leg *)
 let fl_critical = 16 (* a critical fill *)
 let fl_bg = 32 (* background DRAM bytes *)
 
-(* the energy addends, summed in this order *)
-let fstride = 6
+let sfstride = 3
 
-let e_l2 = 0
-let e_dram = 1
-let e_dram_bus = 2
-let e_module = 3
-let e_extra = 4
-let e_cpu_bus = 5
+let f_dram = 0
+let f_module = 1
+let f_extra = 2
 
-type timer = {
-  t_arch : Mem_arch.t;
-  overlap : bool;
-  mshrs : int array;
+(* A connectivity's row.  A binding field holds the offset of the
+   binding's free time in the pass's state array; its wait total
+   follows it. *)
+let cstride = 13
+
+let c_l1 = 0 (* CPU-side binding *)
+let c_lat1 = 1
+let c_occ1 = 2
+let c_hold1 = 3 (* mask of the miss path the CPU-side component is held
+                   for: -1, or 0 when it is split-transaction *)
+let c_lm = 4 (* L1<->L2 binding *)
+let c_lat_m = 5 (* L2 leg latency plus the L2's access latency *)
+let c_occ_m = 6
+let c_occ_bg_m = 7 (* occupancy of the L2 leg's background bytes, or 0 *)
+let c_d = 8 (* the binding carrying the DRAM traffic *)
+let c_occ2 = 9
+let c_hold2 = 10 (* [occ2] plus the DRAM latency when not split *)
+let c_lat2 = 11 (* leg latency plus the DRAM latency *)
+let c_occ_bg = 12 (* occupancy of the background DRAM bytes, or 0 *)
+
+(* A timed access adds, in this order, [f_l2], then [f_dram] and
+   [f_dram_bus], then [f_module], [f_extra] and [f_cpu_bus]. *)
+let cfstride = 3
+
+let f_l2 = 0
+let f_dram_bus = 1
+let f_cpu_bus = 2
+
+(* One connectivity's routing tables per serving class, and where its
+   bindings' slots start in the state array. *)
+type routes = {
   bindings : Conn_arch.binding list;
+  base : int;
+  nbind : int;
   cpu_leg : leg option array;
   dram_leg : leg option array;
   l2_leg : leg option;
-  busy : int array;  (** per binding, like the three below *)
-  busy_acc : int array;
-  wait_acc : int array;
-  txn_acc : int array;
-  mutable ri : int array;
-  mutable rf : float array;
-  mutable rows : int;  (** rows built *)
-  mutable now : int;
-  mutable sampled : int;
-  mutable gaps : int;  (** compute cycles before the timed accesses *)
-  mutable energy : float;
 }
 
-let timer ~cpu ~arch ~conn =
-  check_cpu cpu;
-  let bindings = (conn : Conn_arch.t).Conn_arch.bindings in
-  let nbind = max 1 (List.length bindings) in
-  (* routing tables per serving class; with an L2 the cache's off-chip
-     traffic flows Cache -> L2 -> DRAM *)
+(* The evolving state of a pass is one int array: the clock of each
+   connectivity, then a (free time, wait total) pair per binding;
+   [acc] holds the matching (busy cycles, transactions) pairs. *)
+type timer = {
+  t_arch : Mem_arch.t;
+  slots : int;  (** MSHRs per connectivity, 0 for a blocking CPU *)
+  k : int;  (** connectivities *)
+  routes : routes array;
+  mshrs : int array;  (** [slots] per connectivity *)
+  st : int array;
+  acc : int array;
+  energy : float array;  (** per connectivity *)
+  mutable ri : int array;
+  mutable rf : float array;
+  mutable rows : int;  (** outcomes with rows *)
+  mutable sampled : int;
+  mutable gaps : int;  (** compute cycles before the timed accesses *)
+}
+
+let iblock t = sstride + (t.k * cstride)
+let fblock t = sfstride + (t.k * cfstride)
+
+(* with an L2 the cache's off-chip traffic flows Cache -> L2 -> DRAM *)
+let routes_of ~arch ~base (conn : Conn_arch.t) =
+  let bindings = conn.Conn_arch.bindings in
   let has_l2 = arch.Mem_arch.l2 <> None in
   let cpu_leg = Array.make 5 None and dram_leg = Array.make 5 None in
   List.iter
@@ -461,24 +490,42 @@ let timer ~cpu ~arch ~conn =
         dram_leg.(i) <- route bindings dram_src Channel.Dram)
     Serving.all;
   {
-    t_arch = arch;
-    overlap = (match cpu with Overlap _ -> true | Blocking -> false);
-    mshrs = (match cpu with Overlap n -> Array.make n 0 | Blocking -> [||]);
     bindings;
+    base;
+    nbind = max 1 (List.length bindings);
     cpu_leg;
     dram_leg;
     l2_leg = (if has_l2 then route bindings Channel.Cache Channel.L2 else None);
-    busy = Array.make nbind 0;
-    busy_acc = Array.make nbind 0;
-    wait_acc = Array.make nbind 0;
-    txn_acc = Array.make nbind 0;
+  }
+
+let timer ~cpu ~arch conns =
+  check_cpu cpu;
+  let k = List.length conns in
+  let len = ref k in
+  let routes =
+    Array.of_list
+      (List.map
+         (fun conn ->
+           let r = routes_of ~arch ~base:!len conn in
+           len := !len + (2 * r.nbind);
+           r)
+         conns)
+  in
+  let slots = match cpu with Overlap n -> n | Blocking -> 0 in
+  {
+    t_arch = arch;
+    slots;
+    k;
+    routes;
+    mshrs = Array.make (k * slots) 0;
+    st = Array.make !len 0;
+    acc = Array.make !len 0;
+    energy = Array.make k 0.0;
     ri = [||];
     rf = [||];
     rows = 0;
-    now = 0;
     sampled = 0;
     gaps = 0;
-    energy = 0.0;
   }
 
 let missing node =
@@ -487,104 +534,117 @@ let missing node =
        "Cycle_sim.run: connectivity does not implement the %s channel"
        (Channel.node_to_string node))
 
-(* A leg's binding index, checked against the per-binding arrays: the
-   timing loop indexes them unchecked. *)
-let binding t (l : leg) =
-  if l.idx < 0 || l.idx >= Array.length t.busy then
+(* A leg's slot in the state array, checked against its connectivity's
+   bindings: the timing loop indexes the state unchecked. *)
+let binding r (l : leg) =
+  if l.idx < 0 || l.idx >= r.nbind then
     invalid_arg "Cycle_sim.run: leg routed outside the bindings";
-  l.idx
+  r.base + (2 * l.idx)
 
-(* Write row [id], the row of outcome [o]. *)
-let build_row t (o : outcome) id =
-  let arch = t.t_arch in
+(* Write the shared row of outcome [o], [id]. *)
+let build_shared t (o : outcome) id =
+  let arch = t.t_arch and sv = o.serving in
+  let s = id * iblock t and sf = id * fblock t in
+  let bit cond fl = if cond then fl else 0 in
+  let dram = o.dram_bytes > 0 in
+  t.ri.(s + s_gap) <- o.gap;
+  t.ri.(s + s_mem) <- Serving.module_latency arch sv + o.extra_latency;
+  t.ri.(s + s_dram_lat) <- o.dram_latency;
+  t.ri.(s + s_flags) <-
+    bit (o.l2_bytes > 0) fl_l2
+    lor bit (o.l2_bytes > 8) fl_bg_m
+    lor bit dram fl_dram
+    lor bit (dram && sv = Mem_sim.By_dram_direct) fl_direct
+    lor bit (dram && o.crit > 0) fl_critical
+    lor bit (dram && o.dram_bytes - o.crit > 0) fl_bg;
+  if dram then
+    t.rf.(sf + f_dram) <-
+      Mx_mem.Energy_model.dram_traffic ~txns:o.dram_txns ~bytes:o.dram_bytes;
+  t.rf.(sf + f_module) <- Serving.module_energy arch sv ~write:o.write;
+  t.rf.(sf + f_extra) <- o.extra_energy
+
+(* Write connectivity [c]'s row of outcome [o], [id]. *)
+let build_row t c (o : outcome) id =
+  let r = t.routes.(c) in
   let sv = o.serving and k = Serving.index o.serving in
   let direct = sv = Mem_sim.By_dram_direct in
-  match t.cpu_leg.(k) with
+  match r.cpu_leg.(k) with
   | None -> missing (Serving.node_of sv)
-  | Some _ when o.l2_bytes > 0 && t.l2_leg = None ->
+  | Some _ when o.l2_bytes > 0 && r.l2_leg = None ->
     invalid_arg
       "Cycle_sim.run: connectivity does not implement the cache<->L2 channel"
-  | Some _ when o.dram_bytes > 0 && (not direct) && t.dram_leg.(k) = None ->
+  | Some _ when o.dram_bytes > 0 && (not direct) && r.dram_leg.(k) = None ->
     missing (Serving.node_of sv)
   | Some l1 ->
     let ri = t.ri and rf = t.rf in
-    let b = id * stride and e = id * fstride in
-    let flags = ref (if l1.comp.Component.split_txn then fl_split1 else 0) in
-    ri.(b + r_gap) <- o.gap;
-    ri.(b + r_l1) <- binding t l1;
-    ri.(b + r_lat1) <-
+    let b = (id * iblock t) + sstride + (c * cstride)
+    and e = (id * fblock t) + sfstride + (c * cfstride) in
+    ri.(b + c_l1) <- binding r l1;
+    ri.(b + c_lat1) <-
       Component.txn_latency l1.comp ~bytes:o.size ~contended:l1.contended;
-    ri.(b + r_occ1) <- Component.occupancy l1.comp ~bytes:o.size;
-    ri.(b + r_lm) <- -1;
-    ri.(b + r_mem) <- Serving.module_latency arch sv + o.extra_latency;
-    (match t.l2_leg with
+    ri.(b + c_occ1) <- Component.occupancy l1.comp ~bytes:o.size;
+    ri.(b + c_hold1) <- (if l1.comp.Component.split_txn then 0 else -1);
+    (match r.l2_leg with
     | Some lm when o.l2_bytes > 0 ->
       let crit_m = min 8 o.l2_bytes in
       let bg_m = o.l2_bytes - crit_m in
       let l2_lat =
-        match arch.Mem_arch.l2 with Some c -> c.Params.c_latency | None -> 0
+        match t.t_arch.Mem_arch.l2 with Some c -> c.Params.c_latency | None -> 0
       in
-      ri.(b + r_lm) <- binding t lm;
-      ri.(b + r_lat_m) <-
+      ri.(b + c_lm) <- binding r lm;
+      ri.(b + c_lat_m) <-
         Component.txn_latency lm.comp ~bytes:crit_m ~contended:lm.contended
         + l2_lat;
-      ri.(b + r_occ_m) <- Component.occupancy lm.comp ~bytes:crit_m;
-      if bg_m > 0 then begin
-        flags := !flags lor fl_bg_m;
-        ri.(b + r_occ_bg_m) <- Component.occupancy lm.comp ~bytes:bg_m
-      end;
-      rf.(e + e_l2) <-
+      ri.(b + c_occ_m) <- Component.occupancy lm.comp ~bytes:crit_m;
+      if bg_m > 0 then
+        ri.(b + c_occ_bg_m) <- Component.occupancy lm.comp ~bytes:bg_m;
+      rf.(e + f_l2) <-
         float_of_int o.l2_bytes *. Conn_cost.energy_per_byte lm.comp
     | _ -> ());
     if o.dram_bytes > 0 then begin
-      let leg = if direct then l1 else Option.get t.dram_leg.(k) in
+      let leg = if direct then l1 else Option.get r.dram_leg.(k) in
       let crit = o.crit and bg = o.dram_bytes - o.crit in
       let occ2 =
         if crit > 0 then Component.occupancy leg.comp ~bytes:crit else 0
       in
-      flags := !flags lor fl_dram;
-      if direct then flags := !flags lor fl_direct;
-      if crit > 0 then flags := !flags lor fl_critical;
-      ri.(b + r_d) <- binding t leg;
-      ri.(b + r_occ2) <- occ2;
-      ri.(b + r_hold2) <-
+      ri.(b + c_d) <- binding r leg;
+      ri.(b + c_occ2) <- occ2;
+      ri.(b + c_hold2) <-
         (occ2 + if leg.comp.Component.split_txn then 0 else o.dram_latency);
-      ri.(b + r_lat2) <-
+      ri.(b + c_lat2) <-
         (if crit > 0 then
            Component.txn_latency leg.comp ~bytes:crit ~contended:leg.contended
          else 0)
         + o.dram_latency;
-      ri.(b + r_dram_lat) <- o.dram_latency;
-      if bg > 0 then begin
-        flags := !flags lor fl_bg;
-        ri.(b + r_occ_bg) <- Component.occupancy leg.comp ~bytes:bg
-      end;
-      rf.(e + e_dram) <-
-        Mx_mem.Energy_model.dram_traffic ~txns:o.dram_txns ~bytes:o.dram_bytes;
-      rf.(e + e_dram_bus) <-
+      if bg > 0 then
+        ri.(b + c_occ_bg) <- Component.occupancy leg.comp ~bytes:bg;
+      rf.(e + f_dram_bus) <-
         float_of_int o.dram_bytes *. Conn_cost.energy_per_byte leg.comp
     end;
-    rf.(e + e_module) <- Serving.module_energy arch sv ~write:o.write;
-    rf.(e + e_extra) <- o.extra_energy;
-    rf.(e + e_cpu_bus) <-
-      float_of_int o.size *. Conn_cost.energy_per_byte l1.comp;
-    ri.(b + r_flags) <- !flags
+    rf.(e + f_cpu_bus) <-
+      float_of_int o.size *. Conn_cost.energy_per_byte l1.comp
 
-(* Make rows exist for the first [n] outcomes. *)
+(* Make rows exist for the first [n] outcomes: the shared rows, then
+   each connectivity's rows in turn. *)
 let build_rows t outcomes n =
   if n > t.rows then begin
-    if n * stride > Array.length t.ri then begin
+    if n * iblock t > Array.length t.ri then begin
       let cap = max n (2 * t.rows) in
       let grow a len zero =
         let g = Array.make len zero in
         Array.blit a 0 g 0 (Array.length a);
         g
       in
-      t.ri <- grow t.ri (cap * stride) 0;
-      t.rf <- grow t.rf (cap * fstride) 0.0
+      t.ri <- grow t.ri (cap * iblock t) 0;
+      t.rf <- grow t.rf (cap * fblock t) 0.0
     end;
     for id = t.rows to n - 1 do
-      build_row t outcomes.(id) id
+      build_shared t outcomes.(id) id
+    done;
+    for c = 0 to t.k - 1 do
+      for id = t.rows to n - 1 do
+        build_row t c outcomes.(id) id
+      done
     done;
     t.rows <- n
   end
@@ -593,141 +653,178 @@ let imax (a : int) b = if a >= b then a else b
 
 let[@inline] ( .%() ) (a : int array) i = Array.unsafe_get a i
 let[@inline] ( .%()<- ) (a : int array) i v = Array.unsafe_set a i v
+let[@inline] ( .@() ) (a : float array) i = Array.unsafe_get a i
+let[@inline] ( .@()<- ) (a : float array) i v = Array.unsafe_set a i v
 
-(* Park a miss in the MSHR that frees first (lowest index on ties); the
-   CPU stalls only until that slot is free.  Out of line, so the timing
-   loop keeps its registers for the common path. *)
-let[@inline never] park mshrs ~now ~on_chip ~miss_path =
-  let slot = ref 0 in
-  for s = 1 to Array.length mshrs - 1 do
+(* Park connectivity [c]'s miss in its MSHR that frees first (lowest
+   index on ties); the CPU stalls only until that slot is free.  Out of
+   line, so the timing loop keeps its registers for the common path. *)
+let[@inline never] park t c ~now ~on_chip ~miss_path =
+  let mshrs = t.mshrs and base = c * t.slots in
+  let slot = ref base in
+  for s = base + 1 to base + t.slots - 1 do
     if mshrs.(s) < mshrs.(!slot) then slot := s
   done;
   let stall = imax 0 (mshrs.(!slot) - now) in
   mshrs.(!slot) <- now + stall + on_chip + miss_path;
   on_chip + stall
 
-(* Time [n] timed accesses whose outcome ids are [ids], in order.  Only
-   the state that evolves lives here: the clock, the per-bus free times
-   and waits, and energy.  [add_totals] derives busy cycles,
-   transactions and compute gaps from the per-outcome counts, and
-   [finish] the total latency and wait from the clock and the per-bus
-   waits.  The state lives in locals for the loop and goes back to [t]
-   at the end, so the loop allocates nothing.
+(* One timed access with a miss path (an L2 leg or DRAM traffic), whose
+   shared row starts at [s] in [t.ri] and [sf] in [t.rf], under every
+   connectivity of the pass (see [time_ids]).  Out of line, so the
+   on-chip loop keeps its registers. *)
+let[@inline never] time_miss t ~s ~sf =
+  let ri = t.ri and rf = t.rf and st = t.st and energy = t.energy in
+  let gap = ri.%(s + s_gap) and mem = ri.%(s + s_mem) in
+  let flags = ri.%(s + s_flags) and dram_lat = ri.%(s + s_dram_lat) in
+  let e_module = rf.@(sf + f_module) and e_extra = rf.@(sf + f_extra) in
+  let e_dram = rf.@(sf + f_dram) in
+  for c = 0 to t.k - 1 do
+    let b = s + sstride + (c * cstride) and e = sf + sfstride + (c * cfstride) in
+    let l1 = ri.%(b + c_l1) and lat1 = ri.%(b + c_lat1) in
+    let now = st.%(c) + gap in
+    let start1 = imax now st.%(l1) in
+    let wait1 = start1 - now in
+    st.%(l1 + 1) <- st.%(l1 + 1) + wait1;
+    let miss_path = ref 0 in
+    (* the L1<->L2 leg comes first on an L1 miss when an L2 exists *)
+    if flags land fl_l2 <> 0 then begin
+      let lm = ri.%(b + c_lm) in
+      let t_req = now + wait1 + lat1 in
+      let start_m = imax t_req st.%(lm) in
+      let wait_m = start_m - t_req in
+      st.%(lm) <- start_m + ri.%(b + c_occ_m);
+      st.%(lm + 1) <- st.%(lm + 1) + wait_m;
+      if flags land fl_bg_m <> 0 then
+        st.%(lm) <- imax st.%(lm) now + ri.%(b + c_occ_bg_m);
+      miss_path := wait_m + ri.%(b + c_lat_m);
+      energy.@(c) <- energy.@(c) +. rf.@(e + f_l2)
+    end;
+    (* off-chip leg: a direct access rides its CPU channel, the others
+       go through their module's DRAM channel *)
+    if flags land fl_dram <> 0 then begin
+      let d = ri.%(b + c_d) in
+      if flags land fl_critical <> 0 then begin
+        if flags land fl_direct <> 0 then miss_path := dram_lat
+        else begin
+          let t_req = now + wait1 + lat1 + !miss_path in
+          let start2 = imax t_req st.%(d) in
+          let wait2 = start2 - t_req in
+          st.%(d) <- start2 + ri.%(b + c_hold2);
+          st.%(d + 1) <- st.%(d + 1) + wait2;
+          miss_path := !miss_path + wait2 + ri.%(b + c_lat2)
+        end
+      end;
+      if flags land fl_bg <> 0 then
+        (* prefetch/writeback traffic occupies the off-chip leg without
+           stalling the CPU *)
+        st.%(d) <- imax st.%(d) now + ri.%(b + c_occ_bg);
+      (* off-chip energy: DRAM core (per burst) + pad/bus switching *)
+      energy.@(c) <- energy.@(c) +. e_dram +. rf.@(e + f_dram_bus)
+    end;
+    (* hold a non-split CPU-side component for the whole miss *)
+    st.%(l1) <- start1 + ri.%(b + c_occ1) + (!miss_path land ri.%(b + c_hold1));
+    let on_chip = wait1 + lat1 + mem in
+    let latency =
+      if t.slots = 0 then on_chip + !miss_path
+      else if !miss_path = 0 then on_chip
+      else park t c ~now ~on_chip ~miss_path:!miss_path
+    in
+    st.%(c) <- now + latency;
+    energy.@(c) <- energy.@(c) +. e_module +. e_extra +. rf.@(e + f_cpu_bus)
+  done
 
-   Rows and per-bus arrays are read unchecked ([.%()]): every id is
+(* Time [n] timed accesses whose outcome ids are [ids], in order, under
+   every connectivity of the pass.  Each id and its shared row are read
+   once per access, and the flags decide once whether the access is
+   served on chip (the loop below, with no miss-path work) or takes
+   [time_miss].  Each connectivity then reads only its own row and
+   updates only its own state (its clock, the free times and waits of
+   its bindings, its MSHRs and its energy) with the integer and float
+   operations of a one-connectivity pass, in the same order.
+   [add_totals] derives busy cycles, transactions and compute gaps from
+   the per-outcome counts, and [finish] the total latency and wait from
+   the clocks and the waits.  Neither loop allocates.
+
+   Rows and the state are read unchecked ([.%()], [.@()]): every id is
    below [t.rows] (a column's ids index its own outcome table, whose
    rows are all built before timing; a streamed chunk's rows are built
-   before the chunk is timed), and [binding] checked every leg's index
-   against the per-bus arrays when its row was built. *)
-let time_span t ids width ~n =
-  let ri = t.ri and rf = t.rf and busy = t.busy and wait_acc = t.wait_acc in
-  let mshrs = t.mshrs and overlap = t.overlap in
-  let now = ref t.now and energy = ref t.energy in
+   before the chunk is timed), and [binding] checked every leg's slot
+   when its row was built. *)
+let time_ids t ids width ~n =
+  let ri = t.ri and rf = t.rf and st = t.st and energy = t.energy in
+  let k = t.k in
+  let ib = iblock t and fb = fblock t in
   for j = 0 to n - 1 do
     (* one-byte ids, the common case, without a call *)
     let id =
       if width = 1 then Char.code (Bytes.unsafe_get ids j)
       else get_id ids width j
     in
-    let b = id * stride and e = id * fstride in
-    let flags = ri.%(b + r_flags) in
-    now := !now + ri.%(b + r_gap);
-    let l1 = ri.%(b + r_l1) and lat1 = ri.%(b + r_lat1) in
-    let start1 = imax !now busy.%(l1) in
-    let wait1 = start1 - !now in
-    wait_acc.%(l1) <- wait_acc.%(l1) + wait1;
-    let miss_path = ref 0 in
-    (* the L1<->L2 leg comes first on an L1 miss when an L2 exists *)
-    let lm = ri.%(b + r_lm) in
-    if lm >= 0 then begin
-      let t_req = !now + wait1 + lat1 in
-      let start_m = imax t_req busy.%(lm) in
-      let wait_m = start_m - t_req in
-      busy.%(lm) <- start_m + ri.%(b + r_occ_m);
-      wait_acc.%(lm) <- wait_acc.%(lm) + wait_m;
-      if flags land fl_bg_m <> 0 then
-        busy.%(lm) <- imax busy.%(lm) !now + ri.%(b + r_occ_bg_m);
-      miss_path := wait_m + ri.%(b + r_lat_m);
-      energy := !energy +. Array.unsafe_get rf (e + e_l2)
-    end;
-    (* off-chip leg: a direct access rides its CPU channel, the others
-       go through their module's DRAM channel *)
-    if flags land fl_dram <> 0 then begin
-      let d = ri.%(b + r_d) in
-      if flags land fl_critical <> 0 then begin
-        if flags land fl_direct <> 0 then miss_path := ri.%(b + r_dram_lat)
-        else begin
-          let t_req = !now + wait1 + lat1 + !miss_path in
-          let start2 = imax t_req busy.%(d) in
-          let wait2 = start2 - t_req in
-          busy.%(d) <- start2 + ri.%(b + r_hold2);
-          wait_acc.%(d) <- wait_acc.%(d) + wait2;
-          miss_path := !miss_path + wait2 + ri.%(b + r_lat2)
-        end
-      end;
-      if flags land fl_bg <> 0 then
-        (* prefetch/writeback traffic occupies the off-chip leg
-           without stalling the CPU *)
-        busy.%(d) <- imax busy.%(d) !now + ri.%(b + r_occ_bg);
-      (* off-chip energy: DRAM core (per burst) + pad/bus switching *)
-      energy :=
-        !energy
-        +. Array.unsafe_get rf (e + e_dram)
-        +. Array.unsafe_get rf (e + e_dram_bus)
-    end;
-    (* hold a non-split CPU-side component for the whole miss *)
-    busy.%(l1) <-
-      start1 + ri.%(b + r_occ1)
-      + if flags land fl_split1 <> 0 then 0 else !miss_path;
-    let on_chip = wait1 + lat1 + ri.%(b + r_mem) in
-    let latency =
-      if not overlap then on_chip + !miss_path
-      else if !miss_path = 0 then on_chip
-      else park mshrs ~now:!now ~on_chip ~miss_path:!miss_path
-    in
-    now := !now + latency;
-    energy :=
-      !energy
-      +. Array.unsafe_get rf (e + e_module)
-      +. Array.unsafe_get rf (e + e_extra)
-      +. Array.unsafe_get rf (e + e_cpu_bus)
+    let s = id * ib and sf = id * fb in
+    if ri.%(s + s_flags) land (fl_l2 lor fl_dram) = 0 then begin
+      (* served on chip: no miss path, whatever the CPU model *)
+      let gap = ri.%(s + s_gap) and mem = ri.%(s + s_mem) in
+      let e_module = rf.@(sf + f_module) and e_extra = rf.@(sf + f_extra) in
+      for c = 0 to k - 1 do
+        let b = s + sstride + (c * cstride) in
+        let l1 = ri.%(b + c_l1) in
+        let now = st.%(c) + gap in
+        let start1 = imax now st.%(l1) in
+        let wait1 = start1 - now in
+        st.%(l1 + 1) <- st.%(l1 + 1) + wait1;
+        st.%(l1) <- start1 + ri.%(b + c_occ1);
+        st.%(c) <- now + wait1 + ri.%(b + c_lat1) + mem;
+        energy.@(c) <-
+          energy.@(c) +. e_module +. e_extra
+          +. rf.@(sf + sfstride + (c * cfstride) + f_cpu_bus)
+      done
+    end
+    else time_miss t ~s ~sf
   done;
-  t.now <- !now;
-  t.sampled <- t.sampled + n;
-  t.energy <- !energy
+  t.sampled <- t.sampled + n
 
 (* Busy cycles, transactions and compute gaps: every timed access adds
-   constants of its row to them, so each outcome adds
+   constants of its rows to them, so each outcome adds
    [count * constant]. *)
 let add_totals t counts n =
-  let ri = t.ri in
-  let add i ~c ~busy ~txns =
-    t.busy_acc.(i) <- t.busy_acc.(i) + (c * busy);
-    t.txn_acc.(i) <- t.txn_acc.(i) + (c * txns)
+  let ri = t.ri and acc = t.acc in
+  let add p ~c ~busy ~txns =
+    acc.(p) <- acc.(p) + (c * busy);
+    acc.(p + 1) <- acc.(p + 1) + (c * txns)
   in
   for id = 0 to n - 1 do
-    let c = counts.(id) and b = id * stride in
-    let flags = ri.(b + r_flags) in
-    t.gaps <- t.gaps + (c * ri.(b + r_gap));
-    add ri.(b + r_l1) ~c ~busy:ri.(b + r_occ1) ~txns:1;
-    let lm = ri.(b + r_lm) in
-    if lm >= 0 then
-      add lm ~c
-        ~busy:(ri.(b + r_occ_m) + ri.(b + r_occ_bg_m))
-        ~txns:(if flags land fl_bg_m <> 0 then 2 else 1);
-    if flags land fl_dram <> 0 then begin
-      let d = ri.(b + r_d) in
-      if flags land (fl_critical lor fl_direct) = fl_critical then
-        add d ~c ~busy:ri.(b + r_occ2) ~txns:1;
-      if flags land fl_bg <> 0 then add d ~c ~busy:ri.(b + r_occ_bg) ~txns:1
-    end
+    let cnt = counts.(id) and s = id * iblock t in
+    let flags = ri.(s + s_flags) in
+    t.gaps <- t.gaps + (cnt * ri.(s + s_gap));
+    for c = 0 to t.k - 1 do
+      let b = s + sstride + (c * cstride) in
+      add ri.(b + c_l1) ~c:cnt ~busy:ri.(b + c_occ1) ~txns:1;
+      if flags land fl_l2 <> 0 then
+        add ri.(b + c_lm) ~c:cnt
+          ~busy:(ri.(b + c_occ_m) + ri.(b + c_occ_bg_m))
+          ~txns:(if flags land fl_bg_m <> 0 then 2 else 1);
+      if flags land fl_dram <> 0 then begin
+        let d = ri.(b + c_d) in
+        if flags land (fl_critical lor fl_direct) = fl_critical then
+          add d ~c:cnt ~busy:ri.(b + c_occ2) ~txns:1;
+        if flags land fl_bg <> 0 then
+          add d ~c:cnt ~busy:ri.(b + c_occ_bg) ~txns:1
+      end
+    done
   done
 
-let finish t ~accesses ~exact ~miss_ratio ~dram_bytes =
+(* Connectivity [c]'s result and bus statistics. *)
+let finish t c ~accesses ~exact ~miss_ratio ~dram_bytes =
+  let r = t.routes.(c) and now = t.st.(c) in
   (* the clock advanced by each timed access's gap and latency, and
      every wait is some bus's *)
-  let total_lat = t.now - t.gaps in
-  let total_wait = Array.fold_left ( + ) 0 t.wait_acc in
+  let total_lat = now - t.gaps in
+  let total_wait = ref 0 in
+  for i = 0 to r.nbind - 1 do
+    total_wait := !total_wait + t.st.(r.base + (2 * i) + 1)
+  done;
+  let total_wait = !total_wait in
   let sampled = max 1 t.sampled in
   let avg_lat = float_of_int total_lat /. float_of_int sampled in
   let scale = float_of_int accesses /. float_of_int sampled in
@@ -736,33 +833,33 @@ let finish t ~accesses ~exact ~miss_ratio ~dram_bytes =
   let result =
     {
       Sim_result.accesses;
-      cycles = int_of_float (float_of_int t.now *. scale);
+      cycles = int_of_float (float_of_int now *. scale);
       total_mem_latency = total_lat;
       avg_mem_latency = avg_lat;
-      avg_energy_nj = t.energy /. float_of_int sampled;
+      avg_energy_nj = t.energy.(c) /. float_of_int sampled;
       miss_ratio;
       bus_wait_cycles = total_wait;
       dram_bytes;
       exact;
     }
   in
-  let total_cycles = max 1 t.now in
+  let total_cycles = max 1 now in
   let stats =
     List.mapi
-      (fun idx (b : Conn_arch.binding) ->
+      (fun i (b : Conn_arch.binding) ->
+        let p = r.base + (2 * i) in
         {
           component = b.Conn_arch.component.Component.name;
           carries = Mx_connect.Cluster.describe b.Conn_arch.cluster;
-          txns = t.txn_acc.(idx);
-          busy_cycles = t.busy_acc.(idx);
-          wait_cycles = t.wait_acc.(idx);
-          utilization =
-            float_of_int t.busy_acc.(idx) /. float_of_int total_cycles;
+          txns = t.acc.(p + 1);
+          busy_cycles = t.acc.(p);
+          wait_cycles = t.st.(p + 1);
+          utilization = float_of_int t.acc.(p) /. float_of_int total_cycles;
         })
-      t.bindings
+      r.bindings
   in
-  (* One registry deposit per timing, from whichever domain ran it: the
-     per-access loop never touches the registry. *)
+  (* One registry deposit per timed connectivity, from whichever domain
+     ran it: the per-access loop never touches the registry. *)
   (if Mx_util.Metrics.is_on Mx_util.Metrics.global then begin
      let m = Mx_util.Metrics.global in
      Mx_util.Metrics.incr m "cycle_sim.runs";
@@ -782,15 +879,20 @@ let finish t ~accesses ~exact ~miss_ratio ~dram_bytes =
    end);
   (result, stats)
 
-let time_traced ?(cpu = Blocking) c ~conn =
-  let t = timer ~cpu ~arch:c.c_arch ~conn in
-  let rows = Array.length c.c_outcomes in
-  build_rows t c.c_outcomes rows;
-  time_span t c.c_ids c.c_width ~n:(Bytes.length c.c_ids / c.c_width);
-  add_totals t c.c_counts rows;
-  finish t ~accesses:c.c_accesses ~exact:(c.c_sample = None)
-    ~miss_ratio:c.c_miss_ratio ~dram_bytes:c.c_dram_bytes
+let time_many ?(cpu = Blocking) c conns =
+  let t = timer ~cpu ~arch:c.c_arch conns in
+  if t.k = 0 then []
+  else begin
+    let rows = Array.length c.c_outcomes in
+    build_rows t c.c_outcomes rows;
+    time_ids t c.c_ids c.c_width ~n:(Bytes.length c.c_ids / c.c_width);
+    add_totals t c.c_counts rows;
+    List.init t.k (fun i ->
+        finish t i ~accesses:c.c_accesses ~exact:(c.c_sample = None)
+          ~miss_ratio:c.c_miss_ratio ~dram_bytes:c.c_dram_bytes)
+  end
 
+let time_traced ?cpu c ~conn = List.hd (time_many ?cpu c [ conn ])
 let time ?cpu c ~conn = fst (time_traced ?cpu c ~conn)
 
 (* -- entry points ---------------------------------------------------------- *)
@@ -819,7 +921,7 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
     recorder ?sample ~arch ~regions:workload.Workload.s_regions ~accesses:n
       ~cpu_ops:workload.Workload.s_cpu_ops ()
   in
-  let t = timer ~cpu ~arch ~conn in
+  let t = timer ~cpu ~arch [ conn ] in
   for ci = 0 to Trace_stream.chunk_count stream - 1 do
     let first = Trace_stream.chunk_start stream ci in
     let len = Trace_stream.chunk_length stream ci in
@@ -837,12 +939,12 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
       record_span r ~addrs:c.Trace_stream.c_addrs ~metas:c.Trace_stream.c_metas
         ~off:c.Trace_stream.c_off ~len ~first;
       build_rows t r.outcomes r.n_outcomes;
-      time_span t r.ids r.width ~n:r.n_ids
+      time_ids t r.ids r.width ~n:r.n_ids
     end
   done;
   add_totals t r.counts r.n_outcomes;
   let mstats = Mem_sim.snapshot r.msim in
-  finish t ~accesses:n ~exact:(sample = None)
+  finish t 0 ~accesses:n ~exact:(sample = None)
     ~miss_ratio:(Mem_sim.miss_ratio mstats)
     ~dram_bytes:mstats.Mem_sim.dram_bytes_total
 

@@ -24,19 +24,30 @@
       DRAM and L2 traffic, critical bytes, extra latency and energy,
       DRAM latency, compute gap) in a {!column}, with the number of
       timed accesses of each outcome;
-    - {!time} replays one connectivity over a column: one flat row per
-      distinct outcome built once per connectivity, then a loop over
-      the timed accesses only that updates just the state that evolves
-      (clock, per-bus free times and waits, energy), with no division,
-      no allocation and no boxed float per access.  Per-bus busy
-      cycles and transactions are the per-outcome counts times row
-      constants.
+    - {!time_many} replays K connectivities over a column in one pass
+      over its timed accesses.  Per distinct outcome it builds one
+      shared row of what depends on the architecture alone (compute
+      gap, module and DRAM latency, whether the access has an L2 leg,
+      DRAM traffic, a direct, critical or background transfer, and
+      the DRAM, module and extra energy), and one row per
+      connectivity (its bus legs' bindings, latencies and
+      occupancies, whether its CPU-side component is split, its bus
+      energy).  Per access the loop reads the outcome id and the
+      shared row once, then updates each connectivity's own state
+      (clock, per-bus free times and waits, MSHRs, energy) from its
+      own row, with the integer and float operations of a lone pass in
+      the same order; an access served on chip takes an inner loop
+      with no miss-path work.  No division, no allocation and no boxed
+      float per access.  Per-bus busy cycles and transactions are the
+      per-outcome counts times row constants.  {!time} is the
+      one-connectivity case.
 
     Every entry point is [time (record ...)], and its result equals,
     bit for bit, a straight-line pass that computes each access's
     module outcome and timing in place (the [Mx_check.Oracle.replay]
-    reference).  A column is immutable once recorded, so domains may
-    time it concurrently.
+    reference); a connectivity's result does not depend on which
+    others share its pass.  A column is immutable once recorded, so
+    domains may time it concurrently.
 
     The streamed entry points ({!run_stream}) record and time one chunk
     of a {!Mx_trace.Trace_stream.t} at a time, in constant memory; the
@@ -160,8 +171,8 @@ val record :
 
 val time :
   ?cpu:cpu_model -> column -> conn:Mx_connect.Conn_arch.t -> Sim_result.t
-(** Time one connectivity over a column.  Records the [cycle_sim.*]
-    counters once per call.
+(** Time one connectivity over a column: {!time_many} of one.  Records
+    the [cycle_sim.*] counters once per call.
     @raise Invalid_argument as {!run}. *)
 
 val time_traced :
@@ -170,6 +181,22 @@ val time_traced :
   conn:Mx_connect.Conn_arch.t ->
   Sim_result.t * bus_stat list
 (** {!time} plus the per-component utilisation breakdown. *)
+
+val time_many :
+  ?cpu:cpu_model ->
+  column ->
+  Mx_connect.Conn_arch.t list ->
+  (Sim_result.t * bus_stat list) list
+(** Time K connectivities over a column in one pass, one CPU model for
+    all: element [i] is {!time_traced}[ ~cpu column ~conn:(List.nth
+    conns i)], bit for bit, and the [cycle_sim.*] counters are recorded
+    once per connectivity, in list order.  The pass reads each timed
+    access's outcome id and shared row once, then updates each
+    connectivity's own state from that connectivity's own row.
+    [time_many column []] is [[]].
+    @raise Invalid_argument as {!run}: when several connectivities
+    miss a channel some on-window access needs, the first of them in
+    list order raises, with the message {!time} would raise for it. *)
 
 val distinct_outcomes : column -> int
 (** Size of the column's outcome table: distinct tuples, compute gap

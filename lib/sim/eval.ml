@@ -146,41 +146,131 @@ let promote c ~exact_key =
         fst (Memo_cache.find_or_compute_prov c ~key:exact_key (fun () -> r)))
       (persist_get exact_key)
 
-(* Only [Sampled] tries promotion first, then one hot -> disk -> compute
-   lookup.  A computed result times the connectivity over its
-   architecture's recorded column, built on the first request at that
-   fidelity. *)
-let simulate ~fidelity ?sample ~workload ~arch ~conn () =
+(* How one connectivity of a batch stands after its lookups, before
+   any timing: served (with the key whose entry served it), claimed
+   with a disk record to publish, claimed to be timed, or left until
+   the batch's own slots are filled (its key is an earlier entry of the
+   batch, or another domain's). *)
+type lookup =
+  | Served of string * Sim_result.t * provenance
+  | From_disk of Sim_result.t Memo_cache.slot * Sim_result.t
+  | To_time of Sim_result.t Memo_cache.slot
+  | Later
+
+(* Each connectivity in order goes through the ladder a single request
+   takes: [Sampled] tries promotion first, then one hot -> disk lookup
+   under the request's key.  The connectivities left are timed in one
+   pass over their architecture's recorded column, built on the first
+   request at that fidelity.  The batch then visits the connectivities
+   in order again, filling each claimed slot and refreshing each entry
+   that served one, so the hot tier's recency order ends as a lone
+   request after another would leave it.  It fills every slot it
+   claimed before it waits on a key that another lookup holds, so two
+   batches that each hold a key the other needs cannot wait on each
+   other. *)
+let eval_many ~fidelity ~workload ~arch conns =
+  let sample =
+    match fidelity with
+    | Sampled (on, off) when on <= 0 || off < 0 ->
+      invalid_arg "Eval.eval: bad sampling windows"
+    | Sampled (on, off) -> Some (on, off)
+    | Exact -> None
+  in
   let arch_base =
     workload_fingerprint workload ^ "|" ^ Mem_arch.fingerprint arch
   in
-  let compute () =
-    let column =
-      Memo_cache.find_or_compute !columns ~key:(key ~base:arch_base fidelity)
-        (fun () -> Cycle_sim.record ?sample ~workload ~arch ())
-    in
-    Cycle_sim.time column ~conn
+  let column () =
+    Memo_cache.find_or_compute !columns ~key:(key ~base:arch_base fidelity)
+      (fun () -> Cycle_sim.record ?sample ~workload ~arch ())
   in
   let c = !cache in
-  let base = arch_base ^ "|" ^ Conn_arch.fingerprint conn in
-  let promoted =
-    match fidelity with
-    | Sampled _ -> promote c ~exact_key:(key ~base Exact)
-    | Exact -> None
+  let batch conns =
+    (* every slot the batch claims, abandoned if anything raises before
+       the batch has filled them all *)
+    let held = ref [] in
+    let lookup conn =
+      let base = arch_base ^ "|" ^ Conn_arch.fingerprint conn in
+      let k = key ~base fidelity in
+      let exact_key = key ~base Exact in
+      let promoted =
+        match fidelity with
+        | Sampled _ -> promote c ~exact_key
+        | Exact -> None
+      in
+      ( conn,
+        k,
+        match promoted with
+        | Some r -> Served (exact_key, r, Promoted)
+        | None when List.mem_assoc k !held -> Later
+        | None -> (
+          match Memo_cache.claim c ~key:k with
+          | `Hit r -> Served (k, r, Cache_hit)
+          | `Busy -> Later
+          | `Claimed slot -> (
+            held := (k, slot) :: !held;
+            match persist_get k with
+            | Some r -> From_disk (slot, r)
+            | None -> To_time slot)) )
+    in
+    let fill_claimed () =
+      let looked = List.map lookup conns in
+      let timed =
+        ref
+          (match
+             List.filter_map
+               (function conn, _, To_time _ -> Some conn | _ -> None)
+               looked
+           with
+          | [] -> []
+          | to_time -> List.map fst (Cycle_sim.time_many (column ()) to_time))
+      in
+      List.map
+        (fun (conn, k, l) ->
+          ( conn,
+            k,
+            match l with
+            | Served (used, r, prov) ->
+              Memo_cache.refresh c ~key:used;
+              Some (r, prov)
+            | From_disk (slot, r) ->
+              Memo_cache.fill c slot r;
+              Some (r, Disk_hit)
+            | To_time slot ->
+              let r = List.hd !timed in
+              timed := List.tl !timed;
+              persist_put k r;
+              Memo_cache.fill c slot r;
+              Some (r, Computed)
+            | Later ->
+              Option.map (fun r -> (r, Cache_hit)) (Memo_cache.peek c ~key:k)
+          ))
+        looked
+    in
+    match fill_claimed () with
+    | exception exn ->
+      List.iter (fun (_, slot) -> Memo_cache.abandon c slot) !held;
+      raise exn
+    | filled ->
+      List.map
+        (function
+          | _, _, Some served -> served
+          | conn, k, None ->
+            find_via_tiers c ~key:k (fun () ->
+                Cycle_sim.time (column ()) ~conn))
+        filled
   in
-  match promoted with
-  | Some r -> (r, Promoted)
-  | None -> find_via_tiers c ~key:(key ~base fidelity) compute
+  (* A batch adds at most one hot-tier entry per connectivity.  When
+     they might not all fit, a fill could evict an entry a later lookup
+     of the batch would have missed: take the connectivities one at a
+     time, as lone requests. *)
+  if
+    Memo_cache.enabled c
+    && Memo_cache.capacity c - Memo_cache.length c < List.length conns
+  then List.concat_map (fun conn -> batch [ conn ]) conns
+  else batch conns
 
-(* Bad sampling windows raise before any lookup, so a cached or
-   promotable entry does not hide them. *)
 let eval_prov ~fidelity ~workload ~arch ~conn () =
-  match fidelity with
-  | Sampled (on, off) when on <= 0 || off < 0 ->
-    invalid_arg "Eval.eval: bad sampling windows"
-  | Sampled (on, off) ->
-    simulate ~fidelity ~sample:(on, off) ~workload ~arch ~conn ()
-  | Exact -> simulate ~fidelity ~workload ~arch ~conn ()
+  List.hd (eval_many ~fidelity ~workload ~arch [ conn ])
 
 let eval ~fidelity ~workload ~arch ~conn () =
   fst (eval_prov ~fidelity ~workload ~arch ~conn ())

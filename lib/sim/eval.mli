@@ -39,8 +39,8 @@
     {!Mx_util.Metrics.global} as [eval.cache.hits], [eval.cache.misses]
     and [eval.cache.evictions]; they count simulations only.
 
-    {b Recorded columns.}  A simulation that has to be computed times
-    its connectivity ({!Cycle_sim.time}) over the architecture's
+    {b Recorded columns.}  The simulations a call has to compute are
+    timed together ({!Cycle_sim.time_many}) over the architecture's
     recorded module outcomes ({!Cycle_sim.record}).  Columns sit in a
     second, small single-flight memo keyed
     [workload fingerprint | memory fingerprint | fidelity tag], so all
@@ -104,6 +104,33 @@ val eval_prov :
     (cache contents depend on cross-domain timing), so events derived
     from it must carry a [cache.] segment in their name — see
     {!Mx_util.Metrics.schedule_dependent}. *)
+
+val eval_many :
+  fidelity:fidelity ->
+  workload:Mx_trace.Workload.t ->
+  arch:Mx_mem.Mem_arch.t ->
+  Mx_connect.Conn_arch.t list ->
+  (Sim_result.t * provenance) list
+(** {!eval_prov} over several connectivities of one architecture, in
+    one pass: element [i] equals [eval_prov ~conn:(List.nth conns i)]
+    applied to the connectivities one after the other, in result and
+    provenance, and (with no other evaluation running) the call leaves
+    the tiers' contents, recency order and counters as those calls
+    would, at any hot-tier capacity.  Each connectivity in list order
+    goes through the ladder a single request takes (promotion for
+    [Sampled], then the hot tier, then the disk tier); the ones left
+    take one column lookup and one {!Cycle_sim.time_many} call, and
+    each result is then written back to both tiers in list order.  A
+    connectivity repeated in the list is a hit after its first
+    occurrence.  When the hot tier lacks room for one new entry per
+    connectivity, a fill could evict what a later lookup would have
+    missed, so the connectivities are taken one at a time instead.
+    Tier counters count once per connectivity; the column memo is
+    looked up once per call that times anything.  {!eval_prov} is the
+    one-connectivity case.
+    @raise Invalid_argument as {!eval}: bad sampling windows before any
+    lookup; otherwise the error of the first connectivity in list order
+    the simulator rejects (the ones before it may have been cached). *)
 
 val default_cache_capacity : int
 (** 65536 entries — far above the working set of any bundled experiment,

@@ -115,51 +115,80 @@ let evict_to_capacity t =
     record t t.evictions_metric
   done
 
-let find_or_compute_prov t ~key f =
+type 'a slot = 'a entry
+
+let fill t e v =
+  Mutex.lock t.mu;
+  e.state <- Ready v;
+  if is_current t e then begin
+    push_back t e;
+    evict_to_capacity t
+  end;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mu
+
+(* never cache a failure: drop the marker so a later call retries, and
+   wake the waiters (they will recompute); a filled slot stays *)
+let abandon t e =
+  Mutex.lock t.mu;
+  (match e.state with
+  | Pending -> if is_current t e then Hashtbl.remove t.tbl e.key
+  | Ready _ -> ());
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mu
+
+let claim t ~key =
   if not (enabled t) then begin
     miss t;
-    (f (), false)
+    `Claimed (detached key Pending)
   end
   else begin
     Mutex.lock t.mu;
-    let rec lookup () =
-      match Hashtbl.find_opt t.tbl key with
-      | Some ({ state = Ready v; _ } as e) ->
-        touch t e;
-        Mutex.unlock t.mu;
-        hit t;
-        (v, true)
-      | Some { state = Pending; _ } ->
-        (* another domain is computing this key: wait for it *)
-        Condition.wait t.cond t.mu;
-        lookup ()
-      | None ->
-        let e = detached key Pending in
-        Hashtbl.add t.tbl key e;
-        Mutex.unlock t.mu;
-        miss t;
-        (match f () with
-        | v ->
-          Mutex.lock t.mu;
-          e.state <- Ready v;
-          if is_current t e then begin
-            push_back t e;
-            evict_to_capacity t
-          end;
-          Condition.broadcast t.cond;
-          Mutex.unlock t.mu;
-          (v, false)
-        | exception exn ->
-          (* never cache a failure: drop the marker so a later call
-             retries, and wake the waiters (they will recompute) *)
-          Mutex.lock t.mu;
-          if is_current t e then Hashtbl.remove t.tbl key;
-          Condition.broadcast t.cond;
-          Mutex.unlock t.mu;
-          raise exn)
-    in
-    lookup ()
+    match Hashtbl.find_opt t.tbl key with
+    | Some ({ state = Ready v; _ } as e) ->
+      touch t e;
+      Mutex.unlock t.mu;
+      hit t;
+      `Hit v
+    | Some { state = Pending; _ } ->
+      Mutex.unlock t.mu;
+      `Busy
+    | None ->
+      let e = detached key Pending in
+      Hashtbl.add t.tbl key e;
+      Mutex.unlock t.mu;
+      miss t;
+      `Claimed e
   end
+
+(* Block until no computation of [key] is in flight. *)
+let await t ~key =
+  Mutex.lock t.mu;
+  let rec go () =
+    match Hashtbl.find_opt t.tbl key with
+    | Some { state = Pending; _ } ->
+      Condition.wait t.cond t.mu;
+      go ()
+    | Some { state = Ready _; _ } | None -> ()
+  in
+  go ();
+  Mutex.unlock t.mu
+
+let rec find_or_compute_prov t ~key f =
+  match claim t ~key with
+  | `Hit v -> (v, true)
+  | `Claimed e -> (
+    match f () with
+    | v ->
+      fill t e v;
+      (v, false)
+    | exception exn ->
+      abandon t e;
+      raise exn)
+  | `Busy ->
+    (* another domain is computing this key: wait for it *)
+    await t ~key;
+    find_or_compute_prov t ~key f
 
 let find_or_compute t ~key f = fst (find_or_compute_prov t ~key f)
 
@@ -177,6 +206,15 @@ let peek t ~key =
     Mutex.unlock t.mu;
     if r <> None then hit t;
     r
+  end
+
+let refresh t ~key =
+  if enabled t then begin
+    Mutex.lock t.mu;
+    (match Hashtbl.find_opt t.tbl key with
+    | Some ({ state = Ready _; _ } as e) -> touch t e
+    | Some { state = Pending; _ } | None -> ());
+    Mutex.unlock t.mu
   end
 
 let length t =

@@ -58,10 +58,38 @@ val find_or_compute_prov : 'a t -> key:string -> (unit -> 'a) -> 'a * bool
     that parked while another domain computed it), [false] when this
     call ran the computation. *)
 
+type 'a slot
+(** A key claimed by one caller, who must {!fill} or {!abandon} it. *)
+
+val claim :
+  'a t -> key:string -> [ `Hit of 'a | `Claimed of 'a slot | `Busy ]
+(** One lookup that never blocks, for callers that compute several keys
+    together: a resident value is a [`Hit] (counted, recency
+    refreshed); an absent key is bound to an in-flight marker and
+    returned [`Claimed] (counted as a miss), so that concurrent lookups
+    of it wait for the claimant; a key another caller is computing is
+    [`Busy] and counts nothing — wait for it with {!find_or_compute}
+    only once every slot this caller holds is filled or abandoned,
+    since two callers that each wait on the other's slot would never
+    return.  On a disabled cache every claim is [`Claimed] and filling
+    retains nothing. *)
+
+val fill : 'a t -> 'a slot -> 'a -> unit
+(** Publish a claimed key's value and wake its waiters. *)
+
+val abandon : 'a t -> 'a slot -> unit
+(** Give a claimed key up without a value, as a failed computation
+    does: its waiters retry the computation.  A slot already filled
+    keeps its value. *)
+
 val peek : 'a t -> key:string -> 'a option
 (** The completed value under [key] if resident: counts a hit and
     refreshes recency when found, records nothing when absent.  Never
     blocks and never computes ([Pending] entries read as absent). *)
+
+val refresh : 'a t -> key:string -> unit
+(** Mark the completed value under [key], if resident, as the most
+    recently used.  Counts nothing, never blocks and never computes. *)
 
 val capacity : 'a t -> int
 val enabled : 'a t -> bool

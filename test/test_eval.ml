@@ -382,6 +382,44 @@ let test_eval_clear_drops_columns () =
   Helpers.check_int "capacity 0 keeps no column" 2 (column_misses () - m0);
   Helpers.check_int "and holds none" 0 (resident ())
 
+(* Batches that share keys, run on two domains in opposite orders:
+   each claims some keys the other needs.  Neither waits while it holds
+   a claim, so both finish; single-flight still computes each key once
+   and serves every other lookup as a hit. *)
+let test_eval_overlapping_batches () =
+  with_pristine_cache @@ fun () ->
+  let w, arch, profile, _ = eval_fixture () in
+  let brg = Mx_connect.Brg.build arch profile in
+  let conns =
+    Mx_connect.Assign.enumerate_levels ~max_designs_per_level:4
+      ~onchip:Component.onchip_library ~offchip:Component.offchip_library
+      brg.Mx_connect.Brg.channels
+  in
+  let batches = [ conns; List.rev conns; conns; List.rev conns ] in
+  let before = Eval.cache_stats () in
+  let got =
+    Mx_util.Task_pool.parallel_map ~jobs:2 ~chunk:1
+      (fun batch ->
+        List.map
+          (fun (r, _) -> Mx_sim.Sim_result.to_wire r)
+          (Eval.eval_many ~fidelity:Eval.Exact ~workload:w ~arch batch))
+      batches
+  in
+  let fresh conn =
+    Mx_sim.Sim_result.to_wire (Mx_sim.Cycle_sim.run ~workload:w ~arch ~conn ())
+  in
+  List.iter2
+    (fun batch results ->
+      Alcotest.(check (list string))
+        "every batch gives the fresh results" (List.map fresh batch) results)
+    batches got;
+  let after = Eval.cache_stats () in
+  let n = List.length conns in
+  Helpers.check_int "one computation per connectivity" n
+    (after.Mx_util.Memo_cache.misses - before.Mx_util.Memo_cache.misses);
+  Helpers.check_int "every other lookup is a hit" (3 * n)
+    (after.Mx_util.Memo_cache.hits - before.Mx_util.Memo_cache.hits)
+
 let test_eval_bad_windows_rejected () =
   with_pristine_cache @@ fun () ->
   let w, arch, _, conn = eval_fixture () in
@@ -581,4 +619,6 @@ let suite =
         test_explore_cache_transparent;
       Alcotest.test_case "Phase I bypasses the result tiers" `Quick
         test_phase1_bypasses_tiers;
+      Alcotest.test_case "overlapping batches on two domains" `Quick
+        test_eval_overlapping_batches;
     ] )

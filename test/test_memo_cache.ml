@@ -86,6 +86,24 @@ let test_lru_eviction () =
   Helpers.check_int "b recomputed after eviction" 2 (Hashtbl.find computes "b");
   Helpers.check_int "a never recomputed" 1 (Hashtbl.find computes "a")
 
+let test_refresh () =
+  let c = fresh ~capacity:2 () in
+  ignore (Memo_cache.find_or_compute c ~key:"a" (fun () -> 1));
+  ignore (Memo_cache.find_or_compute c ~key:"b" (fun () -> 2));
+  (* refresh a so b becomes the LRU victim, counting nothing *)
+  Memo_cache.refresh c ~key:"a";
+  Memo_cache.refresh c ~key:"absent";
+  let s = Memo_cache.stats c in
+  Helpers.check_int "refresh counts no hit" 0 s.Memo_cache.hits;
+  Helpers.check_int "refresh counts no miss" 2 s.Memo_cache.misses;
+  Helpers.check_int "refresh of an absent key adds nothing" 2
+    (Memo_cache.length c);
+  ignore (Memo_cache.find_or_compute c ~key:"c" (fun () -> 3));
+  Helpers.check_true "a survived (refreshed)"
+    (Memo_cache.peek c ~key:"a" <> None);
+  Helpers.check_true "b evicted (least recently used)"
+    (Memo_cache.peek c ~key:"b" = None)
+
 (* Past capacity every insert evicts exactly the least recently used
    entry, hits included in the recency order. *)
 let test_lru_survivors_under_overflow () =
@@ -217,6 +235,7 @@ let suite =
       Alcotest.test_case "capacity 0 disables" `Quick
         test_capacity_zero_disables;
       Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
+      Alcotest.test_case "refresh" `Quick test_refresh;
       Alcotest.test_case "LRU survivors under overflow" `Quick
         test_lru_survivors_under_overflow;
       Alcotest.test_case "failures not cached" `Quick test_failure_not_cached;
